@@ -16,14 +16,12 @@ prefactor and a Hölder-conjugate factor q in the denominator.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._report import Report
 from .errors import InvalidInputError
 from .generator import ObservableFunction, _as_probs, stationary_distribution
 from .simulate import (DEFAULT_CI_LEVEL, clopper_pearson_upper,
@@ -166,7 +164,7 @@ class VerificationRow:
 
 
 @dataclass
-class VerificationReport:
+class VerificationReport(Report):
     """Full record of an empirical bound check.
 
     Rows are ordered by increasing epsilon.  `all_pass` is the headline
@@ -203,33 +201,16 @@ class VerificationReport:
                 "regularity_asserted": bool(self.regularity_asserted),
                 "all_pass": self.all_pass}
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def to_csv(self, destination=None):
-        """Rows as CSV: eps, t, reps, p_hat, ci_upper, bound_main,
-        bound_lezaud, verdict, gap, gap_method."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["eps", "t", "reps", "p_hat", "ci_upper",
-                         "bound_main", "bound_lezaud", "verdict", "gap",
-                         "gap_method"])
+    def _csv_table(self):
+        # one line per epsilon, with the chain's gap and its method appended
+        cols = ["eps", "t", "reps", "p_hat", "ci_upper", "bound_main",
+                "bound_lezaud", "verdict"]
+        rows = []
         for r in self.rows:
-            writer.writerow([
-                repr(float(r.eps)), repr(float(r.t)), int(r.reps),
-                repr(float(r.p_hat)), repr(float(r.ci_upper)),
-                repr(float(r.bound_main)),
-                "" if r.bound_lezaud is None else repr(float(r.bound_lezaud)),
-                r.verdict, repr(float(self.gap)), self.gap_method])
-        text = buf.getvalue()
-        if destination is None:
-            return text
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+            d = r.to_dict()
+            rows.append([d[c] for c in cols]
+                        + [float(self.gap), self.gap_method])
+        return cols + ["gap", "gap_method"], rows
 
 
 def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,

@@ -14,15 +14,13 @@ row FAILed; 2 invalid input; 3 numerical failure; 4 output I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import os
 import sys
 
 import numpy as np
 
+from ._report import render_csv
 from .bounds import verify as run_verify
 from .errors import InvalidInputError, NumericalFailureError
 from .generator import (GeneratorMatrix, ObservableFunction,
@@ -59,28 +57,9 @@ def _write_text(text, path):
         raise _OutputError(f"cannot write {path}: {exc}")
 
 
-def _write_plotdata(pairs, path):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "y"])
-    for x, y in pairs:
-        writer.writerow([repr(float(x)), repr(float(y))])
-    _write_text(buf.getvalue(), path)
-
-
-def _parse_float_list(text, what):
+def _parse_list(text, kind, what):
     try:
-        out = [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise InvalidInputError(f"cannot parse {what} list {text!r}")
-    if not out:
-        raise InvalidInputError(f"{what} list is empty")
-    return out
-
-
-def _parse_int_list(text, what):
-    try:
-        out = [int(x) for x in text.split(",") if x.strip() != ""]
+        out = [kind(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise InvalidInputError(f"cannot parse {what} list {text!r}")
     if not out:
@@ -153,29 +132,17 @@ def _cmd_gap(args):
         # positive recurrence needs more down- than up-rate; the gap has a
         # closed form in that regime
         gap = bd_closed_form_gap(down, up, math.inf)
-        report = SpectralReport(gap=gap, method="closed_form", residual=0.0,
-                                iterations=0)
-    else:
-        report = spectral_gap(Q, method=args.method)
-    if args.format == "json":
-        text = report.to_json()
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["gap", "method", "residual", "iterations"])
-        writer.writerow([repr(float(report.gap)), report.method,
-                         repr(float(report.residual)),
-                         int(report.iterations)])
-        text = buf.getvalue()
-    _write_text(text, args.output)
-    if args.emit_plotdata:
-        if report.eigenvalues is None:
-            raise InvalidInputError(
-                "plot data for 'gap' needs the dense spectrum; "
-                "rerun with --method dense")
-        _write_plotdata(enumerate(report.eigenvalues.tolist()),
-                        args.emit_plotdata)
-    return EXIT_OK
+        return SpectralReport(gap=gap, method="closed_form", residual=0.0,
+                              iterations=0)
+    return spectral_gap(Q, method=args.method)
+
+
+def _gap_plot(report):
+    if report.eigenvalues is None:
+        raise InvalidInputError(
+            "plot data for 'gap' needs the dense spectrum; "
+            "rerun with --method dense")
+    return enumerate(report.eigenvalues.tolist())
 
 
 def _default_observable(n):
@@ -191,22 +158,15 @@ def _cmd_verify(args):
         g = load_observable(args.function)
     else:
         g = _default_observable(Q.n)
-    eps = _parse_float_list(args.eps, "eps")
+    eps = _parse_list(args.eps, float, "eps")
     workers = args.workers if args.workers is not None else _default_workers()
-    report = run_verify(Q, g, t=args.t, eps_grid=eps, reps=args.reps,
-                        seed=args.seed,
-                        assert_lezaud_hypotheses=args.lezaud,
-                        workers=workers)
-    text = report.to_json() if args.format == "json" else report.to_csv()
-    _write_text(text, args.output)
-    if args.emit_plotdata:
-        _write_plotdata([(r.eps, r.p_hat) for r in report.rows],
-                        args.emit_plotdata)
-    return EXIT_OK if report.all_pass else EXIT_VERIFY_FAIL
+    return run_verify(Q, g, t=args.t, eps_grid=eps, reps=args.reps,
+                      seed=args.seed, assert_lezaud_hypotheses=args.lezaud,
+                      workers=workers)
 
 
 def _cmd_sweep(args):
-    sizes = _parse_int_list(args.sizes, "sizes")
+    sizes = _parse_list(args.sizes, int, "sizes")
     Q, bd_spec = _resolve_model(args, allow_infinite_bd=True)
     limit = None
     if Q is None:
@@ -216,40 +176,27 @@ def _cmd_sweep(args):
     else:
         pi = stationary_distribution(Q)
         model = CountableModel.from_generator(Q, pi)
-    sweep = gap_convergence_sweep(model, sizes, limit_hint=limit)
-    if args.format == "csv":
-        text = sweep.to_csv()
-    else:
-        text = json.dumps({"sizes": sweep.sizes,
-                           "gaps": [float(x) for x in sweep.gaps],
-                           "diffs": [None if math.isnan(d) else float(d)
-                                     for d in sweep.diffs],
-                           "seconds": [float(x) for x in sweep.seconds],
-                           "limit_hint": limit}, sort_keys=True)
-    _write_text(text, args.output)
-    if args.emit_plotdata:
-        _write_plotdata(zip(sweep.sizes, sweep.gaps), args.emit_plotdata)
-    return EXIT_OK
+    return gap_convergence_sweep(model, sizes, limit_hint=limit)
 
 
 def _cmd_skeleton(args):
     Q, _ = _resolve_model(args)
-    deltas = _parse_float_list(args.deltas, "deltas")
-    table = skeleton_gap_check(Q, deltas=deltas)
-    if args.format == "csv":
-        text = table.to_csv()
-    else:
-        text = json.dumps({"gap_reference": float(table.gap_reference),
-                           "rows": [{"delta": float(r.delta),
-                                     "lambda_P": float(r.lambda_P),
-                                     "ratio": float(r.ratio),
-                                     "abs_error": float(r.abs_error)}
-                                    for r in table.rows]}, sort_keys=True)
+    deltas = _parse_list(args.deltas, float, "deltas")
+    return skeleton_gap_check(Q, deltas=deltas)
+
+
+def _run(args):
+    """Compute the subcommand's report, write it and its plot data."""
+    report = args.func(args)
+    text = report.to_json() if args.format == "json" else report.to_csv()
     _write_text(text, args.output)
     if args.emit_plotdata:
-        _write_plotdata([(r.delta, r.ratio) for r in table.rows],
-                        args.emit_plotdata)
-    return EXIT_OK
+        pairs = [[float(x), float(y)] for x, y in args.plot(report)]
+        _write_text(render_csv(["x", "y"], pairs), args.emit_plotdata)
+    # only verify's report carries a verdict
+    if getattr(report, "all_pass", True):
+        return EXIT_OK
+    return EXIT_VERIFY_FAIL
 
 
 def build_parser():
@@ -268,7 +215,7 @@ def build_parser():
     p_gap.add_argument("--output", metavar="PATH")
     p_gap.add_argument("--emit-plotdata", metavar="PATH",
                        help="write (index, eigenvalue) pairs as CSV")
-    p_gap.set_defaults(func=_cmd_gap)
+    p_gap.set_defaults(func=_cmd_gap, plot=_gap_plot)
 
     p_ver = subs.add_parser("verify",
                             help="simulate and test the tail bounds")
@@ -292,7 +239,9 @@ def build_parser():
     p_ver.add_argument("--output", metavar="PATH")
     p_ver.add_argument("--emit-plotdata", metavar="PATH",
                        help="write (eps, p_hat) pairs as CSV")
-    p_ver.set_defaults(func=_cmd_verify)
+    p_ver.set_defaults(
+        func=_cmd_verify,
+        plot=lambda report: [(r.eps, r.p_hat) for r in report.rows])
 
     p_sw = subs.add_parser("sweep",
                            help="collapsed-chain gap vs retained size")
@@ -303,7 +252,9 @@ def build_parser():
     p_sw.add_argument("--output", metavar="PATH")
     p_sw.add_argument("--emit-plotdata", metavar="PATH",
                       help="write (size, gap) pairs as CSV")
-    p_sw.set_defaults(func=_cmd_sweep)
+    p_sw.set_defaults(
+        func=_cmd_sweep,
+        plot=lambda sweep: zip(sweep.sizes, sweep.gaps))
 
     p_sk = subs.add_parser("skeleton",
                            help="skeleton-chain discretization check")
@@ -314,7 +265,9 @@ def build_parser():
     p_sk.add_argument("--output", metavar="PATH")
     p_sk.add_argument("--emit-plotdata", metavar="PATH",
                       help="write (delta, ratio) pairs as CSV")
-    p_sk.set_defaults(func=_cmd_skeleton)
+    p_sk.set_defaults(
+        func=_cmd_skeleton,
+        plot=lambda table: [(r.delta, r.ratio) for r in table.rows])
     return parser
 
 
@@ -325,7 +278,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_INVALID
     try:
-        return args.func(args)
+        return _run(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -501,7 +501,8 @@ def parse_model(obj, source="<model>"):
 
     Off-diagonal rates must be nonnegative.  Diagonal entries are ignored
     and recomputed as minus the row sums.  Duplicate ``(i, j)`` pairs are
-    rejected.
+    rejected, and so is a chain whose positive rates do not connect every
+    state to every other (a reducible chain has no unique ``pi``).
     """
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{source}: top level must be an object")
@@ -542,20 +543,27 @@ def parse_model(obj, source="<model>"):
         if not isinstance(labels, list) or len(labels) != n:
             raise InvalidInputError(
                 f"{source}: 'labels' must be a list of length n={n}")
-    return GeneratorMatrix.from_rates(n, triplets, labels=labels)
+    Q = GeneratorMatrix.from_rates(n, triplets, labels=labels)
+    if not _strongly_connected(Q):
+        raise InvalidInputError(
+            f"{source}: transition graph is not strongly connected")
+    return Q
+
+
+def _read_json(path, what):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise InvalidInputError(f"{what} file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}, "
+                                f"column {exc.colno}: {exc.msg}")
 
 
 def load_model(path):
     """Read a model JSON file; see :func:`parse_model` for the schema."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except FileNotFoundError:
-        raise InvalidInputError(f"model file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}, "
-                                f"column {exc.colno}: {exc.msg}")
-    return parse_model(obj, source=str(path))
+    return parse_model(_read_json(path, "model"), source=str(path))
 
 
 def parse_observable(obj, source="<function>"):
@@ -576,12 +584,4 @@ def parse_observable(obj, source="<function>"):
 
 def load_observable(path):
     """Read a function JSON file; see :func:`parse_observable`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except FileNotFoundError:
-        raise InvalidInputError(f"function file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}, "
-                                f"column {exc.colno}: {exc.msg}")
-    return parse_observable(obj, source=str(path))
+    return parse_observable(_read_json(path, "function"), source=str(path))

@@ -10,13 +10,13 @@ reproducible bit-for-bit regardless of scheduling or worker count.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
+from ._report import Report
 from .errors import ExplosionGuardError, InvalidInputError
 from .generator import (GeneratorMatrix, ObservableFunction,
                         StationaryDistribution, _as_probs)
@@ -169,11 +169,11 @@ def clopper_pearson_upper(successes, trials, level=DEFAULT_CI_LEVEL):
         raise InvalidInputError(f"invalid counts {k}/{n}")
     if k == n:
         return 1.0
-    return float(_beta_dist.ppf(level, k + 1, n - k))
+    return float(betaincinv(k + 1, n - k, level))
 
 
 @dataclass
-class TailEstimate:
+class TailEstimate(Report):
     """Monte Carlo estimate of a one-sided tail probability.
 
     `p_hat` estimates the chance that the time average of the observable
@@ -195,9 +195,6 @@ class TailEstimate:
                 "ci_upper": float(self.ci_upper), "seed": int(self.seed),
                 "epsilon": float(self.epsilon), "t": float(self.t),
                 "count": int(self.count), "level": float(self.level)}
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _initial_state(init_cum, rng):

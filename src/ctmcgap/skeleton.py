@@ -9,13 +9,12 @@ whose gap ``1 - lambda_P`` approaches ``delta`` times the continuous gap as
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._report import Report
 from ._symeig import deflated_extremal
 from .errors import InvalidInputError, NumericalFailureError
 from .generator import GeneratorMatrix, _as_probs
@@ -180,33 +179,23 @@ class SkeletonRow:
 
 
 @dataclass
-class SkeletonTable:
+class SkeletonTable(Report):
     """Convergence of skeleton gaps to the continuous gap as delta shrinks."""
 
     gap_reference: float
     rows: list
 
-    def to_csv(self, destination=None):
-        """Write rows as CSV (columns delta, lambda_P, ratio, abs_error).
+    def to_dict(self):
+        return {"gap_reference": float(self.gap_reference),
+                "rows": [{"delta": float(r.delta),
+                          "lambda_P": float(r.lambda_P),
+                          "ratio": float(r.ratio),
+                          "abs_error": float(r.abs_error)}
+                         for r in self.rows]}
 
-        `destination` may be a path or a file-like object; with neither,
-        the CSV text is returned.
-        """
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["delta", "lambda_P", "ratio", "abs_error"])
-        for r in self.rows:
-            writer.writerow([repr(float(r.delta)), repr(float(r.lambda_P)),
-                             repr(float(r.ratio)), repr(float(r.abs_error))])
-        text = buf.getvalue()
-        if destination is None:
-            return text
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+    def _csv_table(self):
+        cols = ["delta", "lambda_P", "ratio", "abs_error"]
+        return cols, [[row[c] for c in cols] for row in self.to_dict()["rows"]]
 
 
 def skeleton_gap_check(Q, pi=None, deltas=(0.1, 0.05, 0.01), method="auto"):

@@ -11,13 +11,13 @@ explicitly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
+from ._report import Report
 from ._symeig import deflated_extremal
 from .errors import InvalidInputError, NumericalFailureError
 from .generator import (GeneratorMatrix, StationaryDistribution, _as_probs,
@@ -27,7 +27,7 @@ DENSE_EIG_CUTOFF = 500
 
 
 @dataclass
-class SpectralReport:
+class SpectralReport(Report):
     """Result of a spectral-gap computation.
 
     Attributes
@@ -64,9 +64,6 @@ class SpectralReport:
         return {"gap": float(self.gap), "method": self.method,
                 "residual": float(self.residual),
                 "iterations": int(self.iterations)}
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def symmetrized_form(Q, pi):

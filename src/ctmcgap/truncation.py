@@ -10,14 +10,13 @@ gap of the full chain as the retained set grows.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._report import Report
 from .errors import InvalidInputError, NumericalFailureError
 from .generator import (GeneratorMatrix, ObservableFunction,
                         StationaryDistribution, _as_probs)
@@ -303,7 +302,7 @@ def collapse_function(g, retained):
 
 
 @dataclass
-class GapSweep:
+class GapSweep(Report):
     """Collapsed-chain gaps over a growing family of retained prefixes.
 
     ``diffs[k] = |gaps[k] - gaps[k-1]|`` with ``diffs[0] = nan``;
@@ -316,24 +315,21 @@ class GapSweep:
     seconds: list
     limit_hint: float | None = None
 
-    def to_csv(self, destination=None):
-        """Write columns size, gap, diff, seconds (first diff left empty)."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["size", "gap", "diff", "seconds"])
-        for k, size in enumerate(self.sizes):
-            diff = "" if math.isnan(self.diffs[k]) else repr(float(self.diffs[k]))
-            writer.writerow([int(size), repr(float(self.gaps[k])), diff,
-                             f"{self.seconds[k]:.6f}"])
-        text = buf.getvalue()
-        if destination is None:
-            return text
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+    def to_dict(self):
+        return {"sizes": [int(x) for x in self.sizes],
+                "gaps": [float(x) for x in self.gaps],
+                "diffs": [None if math.isnan(d) else float(d)
+                          for d in self.diffs],
+                "seconds": [float(x) for x in self.seconds],
+                "limit_hint": None if self.limit_hint is None
+                else float(self.limit_hint)}
+
+    def _csv_table(self):
+        # the first diff is an empty cell; seconds are fixed to microseconds
+        d = self.to_dict()
+        seconds = [f"{x:.6f}" for x in d["seconds"]]
+        return (["size", "gap", "diff", "seconds"],
+                zip(d["sizes"], d["gaps"], d["diffs"], seconds))
 
 
 def gap_convergence_sweep(model, sizes, method="auto", limit_hint=None):

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ctmcgap import bd_closed_form_gap
+import ctmcgap.cli as climod
+from ctmcgap import (SpectralReport, bd_closed_form_gap, build_birth_death,
+                     build_three_state, skeleton_gap_check, spectral_gap,
+                     verify)
 from ctmcgap.cli import main
 from conftest import THREE_STATE_GAP
 
@@ -71,6 +77,20 @@ def test_gap_malformed_model_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, ["gap", "--model", str(bad)])
     assert code == 2
     assert "duplicate" in err
+
+
+@pytest.mark.parametrize("rates", [
+    [[0, 1, 1.0]],                              # state 1 is absorbing
+    [[0, 1, 1.0], [1, 0, 1.0], [2, 0, 1.0]],    # state 2 is transient
+    [[0, 1, 1.0], [1, 0, 0.0]],                 # a zero rate is no edge
+])
+def test_gap_reducible_model_exits_2(tmp_path, capsys, rates):
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps({"n": max(max(r[:2]) for r in rates) + 1,
+                                "rates": rates}))
+    code, _, err = run(capsys, ["gap", "--model", str(path)])
+    assert code == 2
+    assert "strongly connected" in err and str(path) in err
 
 
 def test_gap_requires_exactly_one_source(capsys):
@@ -282,3 +302,84 @@ def test_skeleton_infinite_bd_rejected(capsys):
     code, _, err = run(capsys, ["skeleton", "--bd", "2", "1", "inf"])
     assert code == 2
     assert "finite" in err
+
+
+# ------------------------------------------------------------ output contract
+
+def _cli_stdout(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    return out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_gap_stdout_is_the_report(capsys, fmt):
+    cases = [
+        (["--example", "three-state"], spectral_gap(build_three_state())),
+        (["--bd", "2", "1", "50"],
+         spectral_gap(build_birth_death([2.0] * 50, [1.0] * 50))),
+        (["--bd", "2", "1", "inf"],
+         SpectralReport(gap=bd_closed_form_gap(2.0, 1.0, math.inf),
+                        method="closed_form", residual=0.0, iterations=0)),
+    ]
+    for source, report in cases:
+        out = _cli_stdout(capsys, ["gap", *source, "--format", fmt])
+        expected = report.to_json() + "\n" if fmt == "json" \
+            else report.to_csv()
+        assert out == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_stdout_is_the_report(capsys, fmt):
+    out = _cli_stdout(capsys, ["verify", "--example", "three-state",
+                               "--reps", "200", "--eps", "0.1,0.2",
+                               "--t", "5", "--format", fmt])
+    Q = build_three_state()
+    report = verify(Q, climod._default_observable(Q.n), t=5.0,
+                    eps_grid=[0.1, 0.2], reps=200, seed=climod.DEFAULT_SEED)
+    assert out == (report.to_json() + "\n" if fmt == "json"
+                   else report.to_csv())
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_stdout_is_the_report(monkeypatch, capsys, fmt):
+    # the seconds differ between runs, so compare with the report the CLI
+    # itself computed
+    sweeps = []
+    original = climod.gap_convergence_sweep
+
+    def recording_sweep(*args, **kwargs):
+        sweeps.append(original(*args, **kwargs))
+        return sweeps[-1]
+
+    monkeypatch.setattr(climod, "gap_convergence_sweep", recording_sweep)
+    out = _cli_stdout(capsys, ["sweep", "--bd", "2", "1", "inf",
+                               "--sizes", "5,10", "--format", fmt])
+    (sweep,) = sweeps
+    assert out == (sweep.to_json() + "\n" if fmt == "json"
+                   else sweep.to_csv())
+    assert set(sweep.to_dict()) == {"sizes", "gaps", "diffs", "seconds",
+                                    "limit_hint"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_skeleton_stdout_is_the_report(capsys, fmt):
+    out = _cli_stdout(capsys, ["skeleton", "--example", "three-state",
+                               "--deltas", "0.2,0.1", "--format", fmt])
+    table = skeleton_gap_check(build_three_state(), deltas=[0.2, 0.1])
+    assert out == (table.to_json() + "\n" if fmt == "json"
+                   else table.to_csv())
+    obj = table.to_dict()
+    assert set(obj) == {"gap_reference", "rows"}
+    assert all(set(r) == {"delta", "lambda_P", "ratio", "abs_error"}
+               for r in obj["rows"])
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # run the same source tree the tests import
+    src = os.path.dirname(os.path.dirname(climod.__file__))
+    code = "import sys, ctmcgap.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "False"
