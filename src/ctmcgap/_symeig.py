@@ -6,6 +6,12 @@ negative generator) and the discrete-time gap (second-largest eigenvalue of
 a weighted kernel) reduce to this: the known vector is the square-root
 weight vector, whose eigenvalue is trivial, and the quantity of interest
 is the extremal eigenvalue of the orthogonal complement.
+
+This module owns the two numerical rules of that step: the size up to
+which the full dense spectrum is taken (`DENSE_CUTOFF`; above it an
+iterative Lanczos solver runs), and the acceptance test every returned
+eigenpair must pass (residual at most 1e-10 times the largest entry of the
+matrix, floored at 1).
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from .errors import NumericalFailureError
 
 # Deterministic entropy for the Lanczos start vector.
 _START_SEED = 0x5CE17A
+DENSE_CUTOFF = 500      # "auto" takes the dense spectrum up to this size
+_RESIDUAL_RTOL = 1e-10  # accept ||A v - value v||_2 up to this * max|A| (>= 1)
 
 
 @dataclass
@@ -50,8 +58,9 @@ def _dense(A, v0, largest):
     return float(w[pick]), V[:, pick].copy(), w
 
 
-def _lanczos(A, v0, largest, maxiter, arpack_tol):
+def _lanczos(A, v0, largest):
     n = v0.size
+    maxiter = max(1000, 50 * n)
     # push the known eigenvalue out of the way with a rank-one shift
     shift = 1.1 * _infnorm(A) + 1.0
     sign = -1.0 if largest else 1.0
@@ -74,7 +83,7 @@ def _lanczos(A, v0, largest, maxiter, arpack_tol):
     start /= norm
     try:
         w, V = spla.eigsh(op, k=1, which="LA" if largest else "SA",
-                          v0=start, maxiter=maxiter, tol=arpack_tol)
+                          v0=start, maxiter=maxiter, tol=0.0)
     except spla.ArpackNoConvergence as exc:
         raise NumericalFailureError(
             f"eigensolver did not converge within {maxiter} iterations",
@@ -82,8 +91,7 @@ def _lanczos(A, v0, largest, maxiter, arpack_tol):
     return float(w[0]), V[:, 0].copy(), counter["mv"]
 
 
-def deflated_extremal(A, known_vector, largest, method="auto",
-                      dense_cutoff=500, maxiter=None, arpack_tol=0.0):
+def deflated_extremal(A, known_vector, largest, method="auto"):
     """Extremal eigenvalue of symmetric `A` ignoring one known eigenvector.
 
     Parameters
@@ -97,15 +105,23 @@ def deflated_extremal(A, known_vector, largest, method="auto",
         "dense" takes the full spectrum and drops the eigenvector with the
         largest overlap with `known_vector`; "lanczos" applies a rank-one
         shift to the known direction and asks an iterative solver for the
-        extremal mode of the rest.
+        extremal mode of the rest; "auto" is dense up to `DENSE_CUTOFF`
+        states.
 
     Returns
     -------
-    DeflatedEigenResult
+    (DeflatedEigenResult, str)
+        The eigenpair and the method that produced it.
+
+    Raises
+    ------
+    NumericalFailureError
+        On non-convergence, or when the eigenpair residual exceeds 1e-10
+        times the largest entry of `A` (floored at 1).
     """
     n = known_vector.size
     if method == "auto":
-        method = "dense" if n <= dense_cutoff else "lanczos"
+        method = "dense" if n <= DENSE_CUTOFF else "lanczos"
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown eigensolver method {method!r}")
     v0 = known_vector / np.linalg.norm(known_vector)
@@ -115,11 +131,14 @@ def deflated_extremal(A, known_vector, largest, method="auto",
         iterations = 0
         method = "dense"
     else:
-        if maxiter is None:
-            maxiter = max(1000, 50 * n)
-        value, vector, iterations = _lanczos(A, v0, largest, maxiter, arpack_tol)
+        value, vector, iterations = _lanczos(A, v0, largest)
     Av = A @ vector
     residual = float(np.linalg.norm(Av - value * vector))
+    scale = max(float(abs(A).max()), 1.0)
+    if residual > _RESIDUAL_RTOL * scale:
+        raise NumericalFailureError(
+            f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_RTOL:.1e} "
+            f"relative to scale {scale:.3e}", residual=residual)
     trivial_residual = float(np.linalg.norm(A @ v0))
     return DeflatedEigenResult(value=value, vector=vector, residual=residual,
                                iterations=iterations,

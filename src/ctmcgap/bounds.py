@@ -17,15 +17,14 @@ prefactor and a Hölder-conjugate factor q in the denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._report import Report
 from .errors import InvalidInputError
 from .generator import ObservableFunction, _as_probs, stationary_distribution
-from .simulate import (DEFAULT_CI_LEVEL, clopper_pearson_upper,
-                       tail_probability_mc)
+from .simulate import clopper_pearson_upper, tail_probability_mc
 from .spectral import spectral_gap
 
 
@@ -215,7 +214,7 @@ class VerificationReport(Report):
 
 def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
            assert_lezaud_hypotheses=False, regularity_asserted=True,
-           level=DEFAULT_CI_LEVEL, method="auto", workers=1):
+           workers=1):
     """Check the tail bounds against exact simulation on one chain.
 
     For each epsilon, runs `reps` independent replications of the chain
@@ -269,7 +268,7 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
         raise InvalidInputError(
             "a non-stationary start needs p for the density-norm bound")
     pi = stationary_distribution(Q)
-    gap_report = spectral_gap(Q, pi, method=method)
+    gap_report = spectral_gap(Q, pi)
     lam = gap_report.gap
     pi_g = float(pi.probs @ g.values)
     norm = None
@@ -281,8 +280,7 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     rows = [None] * len(eps_list)
     for idx, eps in enumerate(eps_list):
         est = tail_probability_mc(
-            Q, g, start, t, eps, reps, seed=seed, mean=pi_g, level=level,
-            workers=workers)
+            Q, g, start, t, eps, reps, seed=seed, mean=pi_g, workers=workers)
         bound_main = ctmc_hoeffding_bound(lam, t, eps, g.lower, g.upper)
         bound_lez = lezaud_bound(lam, t, eps).classical \
             if assert_lezaud_hypotheses else None
@@ -294,8 +292,8 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
             effective = bound_nu
         slack = est.ci_upper - est.p_hat
         verdict = "PASS" if est.p_hat <= effective + slack else "FAIL"
-        miss_slack = clopper_pearson_upper(reps - est.count, reps,
-                                           level) - (1.0 - est.p_hat)
+        miss_slack = (clopper_pearson_upper(reps - est.count, reps)
+                      - (1.0 - est.p_hat))
         rows[idx] = VerificationRow(
             eps=eps, t=float(t), reps=reps, p_hat=est.p_hat,
             ci_upper=est.ci_upper, bound_main=bound_main,

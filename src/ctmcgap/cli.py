@@ -23,12 +23,12 @@ import numpy as np
 from ._report import render_csv
 from .bounds import verify as run_verify
 from .errors import InvalidInputError, NumericalFailureError
-from .generator import (GeneratorMatrix, ObservableFunction,
-                        build_birth_death, build_three_state, load_model,
-                        load_observable, stationary_distribution)
+from .generator import (ObservableFunction, build_birth_death,
+                        build_three_state, load_model, load_observable,
+                        stationary_distribution)
 from .skeleton import skeleton_gap_check
 from .spectral import SpectralReport, bd_closed_form_gap, spectral_gap
-from .truncation import CountableModel, collapse, gap_convergence_sweep
+from .truncation import CountableModel, gap_convergence_sweep
 
 DEFAULT_SEED = 12345
 THREADS_ENV = "CTMCGAP_THREADS"
@@ -188,10 +188,12 @@ def _cmd_skeleton(args):
 def _run(args):
     """Compute the subcommand's report, write it and its plot data."""
     report = args.func(args)
+    # plot data can be refused, so it is built before anything is written
+    if args.emit_plotdata:
+        pairs = [[float(x), float(y)] for x, y in args.plot(report)]
     text = report.to_json() if args.format == "json" else report.to_csv()
     _write_text(text, args.output)
     if args.emit_plotdata:
-        pairs = [[float(x), float(y)] for x, y in args.plot(report)]
         _write_text(render_csv(["x", "y"], pairs), args.emit_plotdata)
     # only verify's report carries a verdict
     if getattr(report, "all_pass", True):

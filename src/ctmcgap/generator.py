@@ -14,12 +14,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidInputError, NumericalFailureError
 
 # Above this size the stationary solve switches from elimination to power
 # iteration on the uniformized kernel.
 DENSE_SOLVE_CUTOFF = 2000
+
+# Relative to the largest exit rate (floored at 1): the stationarity residual
+# max|p Q|, and row sums, negative rates and detailed-balance defects.
+_STATIONARY_RTOL = 1e-10
+_RATE_RTOL = 1e-12
+_PROB_SUM_ATOL = 1e-12  # a probability vector sums to 1 within this
+_POWER_MAX_ITERATIONS = 200_000
 
 
 class GeneratorMatrix:
@@ -159,10 +167,10 @@ class StationaryDistribution:
     ------
     InvalidInputError
         If any entry is not strictly positive or the sum deviates from 1
-        by more than `sum_atol`.
+        by more than 1e-12.
     """
 
-    def __init__(self, probs, sum_atol=1e-12):
+    def __init__(self, probs):
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise InvalidInputError("probability vector must be 1-D and nonempty")
@@ -170,9 +178,10 @@ class StationaryDistribution:
             raise InvalidInputError("probabilities must be finite")
         if np.any(p <= 0):
             raise InvalidInputError("stationary distribution must be strictly positive")
-        if abs(p.sum() - 1.0) > sum_atol:
+        if abs(p.sum() - 1.0) > _PROB_SUM_ATOL:
             raise InvalidInputError(
-                f"probabilities sum to {p.sum()!r}, not 1 within {sum_atol}")
+                f"probabilities sum to {p.sum()!r}, not 1 within "
+                f"{_PROB_SUM_ATOL}")
         self.probs = p
 
     @property
@@ -242,37 +251,24 @@ class ValidationReport:
 
 
 def _strongly_connected(Q):
-    # forward and reverse reachability from state 0 over positive rates
-    n = Q.n
-    if n == 1:
-        return True
-
-    def reaches_all(mat):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        indptr, indices, data = mat.indptr, mat.indices, mat.data
-        while stack:
-            u = stack.pop()
-            for k in range(indptr[u], indptr[u + 1]):
-                v = indices[k]
-                if v != u and data[k] > 0 and not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return bool(seen.all())
-
-    return reaches_all(Q.matrix) and reaches_all(Q.matrix.T.tocsr())
+    # the edges are the strictly positive off-diagonal rates
+    rows, cols, vals = Q.off_diagonal()
+    keep = vals > 0
+    graph = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                          shape=(Q.n, Q.n))
+    count, _ = connected_components(graph, directed=True, connection="strong")
+    return count == 1
 
 
-def validate_generator(Q, atol=1e-12):
+def validate_generator(Q):
     """Check admissibility of a rate matrix.
+
+    Row sums must vanish, and off-diagonal entries must not be negative,
+    within 1e-12 times the largest exit rate (floored at 1).
 
     Parameters
     ----------
     Q : GeneratorMatrix
-    atol : float
-        Row sums must vanish within `atol` (absolute); off-diagonal entries
-        more negative than ``-atol`` are flagged.
 
     Returns
     -------
@@ -280,6 +276,7 @@ def validate_generator(Q, atol=1e-12):
         Never raises for a defective matrix; defects are reported.
     """
     report = ValidationReport()
+    atol = _RATE_RTOL * max(Q.max_rate(), 1.0)
     row_sums = np.asarray(Q.matrix.sum(axis=1)).ravel()
     for i in np.nonzero(np.abs(row_sums) > atol)[0]:
         report.row_sum_defects.append((int(i), float(row_sums[i])))
@@ -319,41 +316,53 @@ def _gth_solve(A):
     return x / x.sum()
 
 
-def _power_iteration_solve(Q, rtol, max_iterations):
+def _stationary_within(p, M, scale):
+    """``(ok, residual)`` of the stationarity test for `p` against `M`."""
+    resid = float(np.max(np.abs(p @ M)))
+    return resid <= _STATIONARY_RTOL * max(scale, 1.0), resid
+
+
+def _check_stationary(p, M, scale, what):
+    """Raise unless `p` is stationary for `M`; `what` opens the message."""
+    ok, resid = _stationary_within(p, M, scale)
+    if not ok:
+        raise NumericalFailureError(
+            f"{what} residual {resid:.3e} exceeds {_STATIONARY_RTOL:.1e} * "
+            f"{max(scale, 1.0):.3e}", residual=resid)
+
+
+def _power_iteration_solve(Q):
     """Left fixed vector of the uniformized kernel, for large sparse chains."""
     n = Q.n
     q = 1.05 * Q.max_rate()
     if q <= 0:
         raise NumericalFailureError("all exit rates vanish")
     M = Q.matrix
-    scale = max(Q.max_rate(), 1.0)
     pi = np.full(n, 1.0 / n)
     check_every = 50
-    for it in range(1, max_iterations + 1):
+    for it in range(1, _POWER_MAX_ITERATIONS + 1):
         pi = pi + (pi @ M) / q
         pi = np.maximum(pi, 0.0)
         pi /= pi.sum()
-        if it % check_every == 0:
-            resid = float(np.max(np.abs(pi @ M)))
-            if resid <= rtol * scale:
-                return pi, it
-    resid = float(np.max(np.abs(pi @ M)))
+        if it % check_every == 0 and _stationary_within(pi, M,
+                                                        Q.max_rate())[0]:
+            return pi
     raise NumericalFailureError(
         f"stationary iteration did not reach tolerance after "
-        f"{max_iterations} steps", residual=resid)
+        f"{_POWER_MAX_ITERATIONS} steps",
+        residual=_stationary_within(pi, M, Q.max_rate())[1])
 
 
-def stationary_distribution(Q, rtol=1e-10, dense_cutoff=DENSE_SOLVE_CUTOFF,
-                            max_iterations=200_000):
+def stationary_distribution(Q, dense_cutoff=DENSE_SOLVE_CUTOFF):
     """Solve ``pi Q = 0`` with ``pi > 0`` summing to 1.
+
+    The result is accepted when ``max|pi Q|`` is at most 1e-10 times the
+    largest exit rate (floored at 1).
 
     Parameters
     ----------
     Q : GeneratorMatrix
         Admissible generator (irreducible, conservative).
-    rtol : float
-        Accept when ``max|pi Q|`` is below `rtol` times the largest exit
-        rate (floored at 1).
     dense_cutoff : int
         Up to this size, use subtraction-free elimination (componentwise
         relative accuracy); beyond it, power iteration on the uniformized
@@ -374,13 +383,8 @@ def stationary_distribution(Q, rtol=1e-10, dense_cutoff=DENSE_SOLVE_CUTOFF,
     if n <= dense_cutoff:
         pi = _gth_solve(Q.to_dense())
     else:
-        pi, _ = _power_iteration_solve(Q, rtol, max_iterations)
-    scale = max(Q.max_rate(), 1.0)
-    resid = float(np.max(np.abs(pi @ Q.matrix)))
-    if resid > rtol * scale:
-        raise NumericalFailureError(
-            f"stationary residual {resid:.3e} exceeds {rtol:.1e} * {scale:.3e}",
-            residual=resid)
+        pi = _power_iteration_solve(Q)
+    _check_stationary(pi, Q.matrix, Q.max_rate(), "stationary")
     if np.any(pi <= 0):
         raise NumericalFailureError(
             "stationary solve produced non-positive entries")
@@ -408,7 +412,7 @@ def dual_generator(Q, pi):
         If `pi` has a zero (or negative) entry.
     NumericalFailureError
         If `pi` is not stationary for the result within 1e-10 relative to
-        the largest exit rate.
+        the largest exit rate of `Q`.
     """
     p = _as_probs(pi, Q.n)
     if np.any(p <= 0):
@@ -422,12 +426,8 @@ def dual_generator(Q, pi):
     diag = -np.asarray(off.sum(axis=1)).ravel()
     Qhat = GeneratorMatrix(off + sp.diags(diag, format="csr", shape=(Q.n, Q.n)),
                            labels=Q.labels)
-    scale = max(Q.max_rate(), 1.0)
-    resid = float(np.max(np.abs(p @ Qhat.matrix)))
-    if resid > 1e-10 * scale:
-        raise NumericalFailureError(
-            f"pi is not stationary for the reversal (residual {resid:.3e})",
-            residual=resid)
+    _check_stationary(p, Qhat.matrix, Q.max_rate(),
+                      "pi is not stationary for the reversal:")
     return Qhat
 
 
@@ -447,16 +447,16 @@ def additive_symmetrization(Q, pi):
     return Qbar
 
 
-def is_reversible(Q, pi, rtol=1e-12):
+def is_reversible(Q, pi):
     """Detailed balance test: ``pi[i] Q[i, j] == pi[j] Q[j, i]`` for all pairs.
 
-    The comparison is relative to the largest exit rate.
+    The comparison is within 1e-12 times the largest exit rate.
     """
     p = _as_probs(pi, Q.n)
     F = Q.matrix.multiply(p[:, None])
     asym = (F - F.T).tocoo()
     worst = float(np.max(np.abs(asym.data))) if asym.nnz else 0.0
-    return worst <= rtol * max(Q.max_rate(), 1.0)
+    return worst <= _RATE_RTOL * max(Q.max_rate(), 1.0)
 
 
 def build_birth_death(death_rates, birth_rates, labels=None):

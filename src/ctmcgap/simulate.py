@@ -18,8 +18,7 @@ from scipy.special import betaincinv
 
 from ._report import Report
 from .errors import ExplosionGuardError, InvalidInputError
-from .generator import (GeneratorMatrix, ObservableFunction,
-                        StationaryDistribution, _as_probs)
+from .generator import ObservableFunction, _as_probs, stationary_distribution
 
 DEFAULT_MAX_JUMPS = 10_000_000
 DEFAULT_CI_LEVEL = 0.999
@@ -203,13 +202,12 @@ def _initial_state(init_cum, rng):
     return min(k, init_cum.size - 1)
 
 
-def _count_chunk(prep, init_cum, values, horizon, threshold, seed, lo, hi,
-                 max_jumps):
+def _count_chunk(prep, init_cum, values, horizon, threshold, seed, lo, hi):
     count = 0
     for r in range(lo, hi):
         rng = substream(seed, r)
         x0 = _initial_state(init_cum, rng)
-        _, _, avg = _walk(prep, x0, horizon, rng, values, max_jumps)
+        _, _, avg = _walk(prep, x0, horizon, rng, values, DEFAULT_MAX_JUMPS)
         if avg - threshold >= 0.0:
             count += 1
     return count
@@ -219,9 +217,8 @@ def _count_chunk_args(args):
     return _count_chunk(*args)
 
 
-def tail_probability_mc(Q, g, init, horizon, eps, reps, seed,
-                        mean=None, level=DEFAULT_CI_LEVEL,
-                        max_jumps=DEFAULT_MAX_JUMPS, workers=1):
+def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None,
+                        workers=1):
     """Estimate ``P(time average of g - mean >= eps)`` by simulation.
 
     Parameters
@@ -248,6 +245,12 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed,
     Returns
     -------
     TailEstimate
+        With a `DEFAULT_CI_LEVEL` upper confidence limit.
+
+    Raises
+    ------
+    ExplosionGuardError
+        If a path needs more than `DEFAULT_MAX_JUMPS` jumps.
     """
     values = g.values if isinstance(g, ObservableFunction) else \
         np.asarray(g, dtype=float)
@@ -268,7 +271,6 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed,
     if reps < 1:
         raise InvalidInputError("reps must be >= 1")
     if mean is None:
-        from .generator import stationary_distribution
         pi = stationary_distribution(Q)
         mean = float(pi.probs @ values)
     threshold = float(mean) + float(eps)
@@ -277,16 +279,16 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed,
     workers = max(1, int(workers))
     if workers == 1 or reps < 2 * workers:
         count = _count_chunk(prep, init_cum, values, float(horizon),
-                             threshold, seed, 0, reps, max_jumps)
+                             threshold, seed, 0, reps)
     else:
         edges = np.linspace(0, reps, workers + 1).astype(int)
         jobs = [(prep, init_cum, values, float(horizon), threshold, seed,
-                 int(lo), int(hi), max_jumps)
+                 int(lo), int(hi))
                 for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             count = sum(pool.map(_count_chunk_args, jobs))
     p_hat = count / reps
     return TailEstimate(p_hat=p_hat, reps=reps,
-                        ci_upper=clopper_pearson_upper(count, reps, level),
+                        ci_upper=clopper_pearson_upper(count, reps),
                         seed=int(seed), epsilon=float(eps),
-                        t=float(horizon), count=count, level=level)
+                        t=float(horizon), count=count)

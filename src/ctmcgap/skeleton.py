@@ -17,35 +17,39 @@ import numpy as np
 from ._report import Report
 from ._symeig import deflated_extremal
 from .errors import InvalidInputError, NumericalFailureError
-from .generator import GeneratorMatrix, _as_probs
-from .spectral import DENSE_EIG_CUTOFF, spectral_gap
+from .generator import _as_probs, stationary_distribution
+from .spectral import spectral_gap
 
 # exp(delta * q) overflows the uniformization weights past this point
 _MAX_UNIFORMIZATION_EXPONENT = 700.0
+_POISSON_TAIL_TOL = 1e-14   # Poisson mass uniformization may leave out
+_NEGATIVE_ATOL = 1e-14      # StochasticMatrix clamps entries down to -this
+_ROWSUM_ATOL = 1e-12        # and accepts row sums within this of 1
+_STATIONARITY_ATOL = 1e-10  # max|pi P - pi| that dtmc_spectral_gap accepts
 
 
 class StochasticMatrix:
     """Row-stochastic matrix (dense).
 
-    Entries in ``[-negative_atol, 0)`` are clamped to zero and rows
-    renormalized; anything more negative, or row sums off 1 beyond
-    `rowsum_atol`, is rejected.
+    Entries in ``[-1e-14, 0)`` are clamped to zero and rows renormalized;
+    anything more negative, or row sums off 1 beyond 1e-12, is rejected.
     """
 
-    def __init__(self, matrix, negative_atol=1e-14, rowsum_atol=1e-12):
+    def __init__(self, matrix):
         P = np.array(matrix, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise InvalidInputError(f"matrix must be square, got {P.shape}")
         if not np.all(np.isfinite(P)):
             raise InvalidInputError("matrix entries must be finite")
         low = P.min()
-        if low < -negative_atol:
+        if low < -_NEGATIVE_ATOL:
             raise InvalidInputError(
-                f"entry {low!r} below the clamping tolerance {-negative_atol}")
+                f"entry {low!r} below the clamping tolerance "
+                f"{-_NEGATIVE_ATOL}")
         if low < 0:
             P[P < 0] = 0.0
         sums = P.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > rowsum_atol:
+        if np.max(np.abs(sums - 1.0)) > _ROWSUM_ATOL:
             worst = int(np.argmax(np.abs(sums - 1.0)))
             raise InvalidInputError(
                 f"row {worst} sums to {sums[worst]!r}, not 1")
@@ -60,12 +64,12 @@ class StochasticMatrix:
         return f"StochasticMatrix(n={self.n})"
 
 
-def transition_matrix_exp(Q, delta, tail_tol=1e-14):
+def transition_matrix_exp(Q, delta):
     """Transition matrix ``exp(delta Q)`` by uniformization.
 
     Writes the exponential as a Poisson-weighted sum of powers of the
     uniformized kernel ``I + Q/q`` (`q` the largest exit rate), truncated
-    once the accumulated Poisson mass reaches ``1 - tail_tol``.  All terms
+    once the accumulated Poisson mass reaches ``1 - 1e-14``.  All terms
     are nonnegative, so no cancellation occurs; rows are renormalized to
     absorb the truncated tail.
 
@@ -97,12 +101,12 @@ def transition_matrix_exp(Q, delta, tail_tol=1e-14):
         weight *= x / m
         out += weight * power
         accumulated += weight
-        if 1.0 - accumulated <= tail_tol:
+        if 1.0 - accumulated <= _POISSON_TAIL_TOL:
             break
     else:
         raise NumericalFailureError(
-            f"Poisson tail {1.0 - accumulated:.3e} above {tail_tol} after "
-            f"{max_terms} terms", residual=1.0 - accumulated)
+            f"Poisson tail {1.0 - accumulated:.3e} above {_POISSON_TAIL_TOL} "
+            f"after {max_terms} terms", residual=1.0 - accumulated)
     return StochasticMatrix(out)
 
 
@@ -122,15 +126,14 @@ class DtmcGapReport:
     trivial_residual: float = 0.0
 
 
-def dtmc_spectral_gap(P, pi, method="auto", stationarity_atol=1e-10,
-                      residual_rtol=1e-10):
+def dtmc_spectral_gap(P, pi):
     """Spectral gap of a discrete-time kernel with stationary law `pi`.
 
     Parameters
     ----------
     P : StochasticMatrix
     pi : StationaryDistribution or array
-        Checked for stationarity (``max|pi P - pi| <= stationarity_atol``).
+        Checked for stationarity (``max|pi P - pi| <= 1e-10``).
 
     Returns
     -------
@@ -142,10 +145,10 @@ def dtmc_spectral_gap(P, pi, method="auto", stationarity_atol=1e-10,
     if np.any(p <= 0):
         raise InvalidInputError("pi must be strictly positive")
     resid = float(np.max(np.abs(p @ P.matrix - p)))
-    if resid > stationarity_atol:
+    if resid > _STATIONARITY_ATOL:
         raise InvalidInputError(
             f"pi is not stationary for P: residual {resid:.3e} exceeds "
-            f"{stationarity_atol:.1e}")
+            f"{_STATIONARITY_ATOL:.1e}")
     if P.n == 1:
         return DtmcGapReport(lambda_P=0.0, gap=1.0, method="dense",
                              residual=0.0)
@@ -154,12 +157,7 @@ def dtmc_spectral_gap(P, pi, method="auto", stationarity_atol=1e-10,
     sq = np.sqrt(p)
     W = P.matrix * (sq[:, None] / sq[None, :])
     T = 0.5 * (W + W.T)
-    result, used = deflated_extremal(T, sq, largest=True, method=method,
-                                     dense_cutoff=DENSE_EIG_CUTOFF)
-    if result.residual > residual_rtol * max(1.0, float(np.max(np.abs(T)))):
-        raise NumericalFailureError(
-            f"eigenpair residual {result.residual:.3e} out of tolerance",
-            residual=result.residual)
+    result, used = deflated_extremal(T, sq, largest=True)
     lam = result.value
     if lam > 1.0 + 1e-12:
         raise NumericalFailureError(
@@ -198,7 +196,7 @@ class SkeletonTable(Report):
         return cols, [[row[c] for c in cols] for row in self.to_dict()["rows"]]
 
 
-def skeleton_gap_check(Q, pi=None, deltas=(0.1, 0.05, 0.01), method="auto"):
+def skeleton_gap_check(Q, pi=None, deltas=(0.1, 0.05, 0.01)):
     """Tabulate ``(1 - lambda_P)/delta`` against the continuous gap.
 
     Parameters
@@ -220,14 +218,13 @@ def skeleton_gap_check(Q, pi=None, deltas=(0.1, 0.05, 0.01), method="auto"):
         raise InvalidInputError("deltas must be positive")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise InvalidInputError("deltas must be strictly decreasing")
-    from .generator import stationary_distribution
     p = _as_probs(pi, Q.n) if pi is not None else \
         stationary_distribution(Q).probs
-    gap_ref = spectral_gap(Q, p, method=method).gap
+    gap_ref = spectral_gap(Q, p).gap
     rows = []
     for d in deltas:
         P = transition_matrix_exp(Q, d)
-        rep = dtmc_spectral_gap(P, p, method=method)
+        rep = dtmc_spectral_gap(P, p)
         ratio = rep.gap / d
         rows.append(SkeletonRow(delta=d, lambda_P=rep.lambda_P, ratio=ratio,
                                 abs_error=abs(ratio - gap_ref)))

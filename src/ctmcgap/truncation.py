@@ -19,7 +19,7 @@ import numpy as np
 from ._report import Report
 from .errors import InvalidInputError, NumericalFailureError
 from .generator import (GeneratorMatrix, ObservableFunction,
-                        StationaryDistribution, _as_probs)
+                        StationaryDistribution, _as_probs, _check_stationary)
 from .spectral import spectral_gap
 
 _TAIL_SUM_RELTOL = 1e-17
@@ -157,70 +157,31 @@ class CollapsedModel:
     retained: tuple
 
 
-def _collapse_finite(model, retained_states):
-    nf = model.finite_size
-    retained = sorted(set(int(s) for s in retained_states))
-    if not retained:
-        raise InvalidInputError("retained set is empty")
-    if retained[0] < 0 or retained[-1] >= nf:
-        raise InvalidInputError("retained states out of range")
-    complement = sorted(set(range(nf)) - set(retained))
-    if not complement:
-        raise InvalidInputError(
-            "retained set covers the whole chain; tail mass is zero")
-    index = {s: k for k, s in enumerate(retained)}
-    m = len(retained)
-    tail_mass = sum(model.weight(k) for k in complement)
+def _collapsed_chain(model, index, feeders, tail_mass, total):
+    """Rates and stationary law of the chain collapsed onto `index`.
+
+    `index` maps each retained state to its row, in row order; the tail
+    state is row ``len(index)``.  `feeders` are the states outside the
+    retained set that may jump into it, `tail_mass` their total weight and
+    `total` the weight of the whole chain.
+    """
+    m = len(index)
     entries = {}
 
     def add(i, j, v):
         entries[(i, j)] = entries.get((i, j), 0.0) + v
 
-    for s in retained:
+    for s, i in index.items():
         for j, rate in model.row(s):
-            if j in index:
-                add(index[s], index[j], rate)
-            else:
-                add(index[s], m, rate)
-    for k in complement:
+            add(i, index.get(j, m), rate)
+    for k in feeders:
         w = model.weight(k)
         for j, rate in model.row(k):
             if j in index:
                 add(m, index[j], w * rate / tail_mass)
-    total = sum(model.weight(s) for s in retained) + tail_mass
-    pi_t = np.array([model.weight(s) for s in retained] + [tail_mass]) / total
-    return retained, m, entries, pi_t
-
-
-def _collapse_prefix(model, n):
-    if model.in_reach is None:
-        raise InvalidInputError(
-            "infinite model needs an in_reach callback to collapse")
-    if n < 1:
-        raise InvalidInputError("prefix size must be >= 1")
-    tail_mass = model.tail_weight(n)
-    if not (tail_mass > 0 and math.isfinite(tail_mass)):
-        raise InvalidInputError(f"tail weight {tail_mass!r} must be positive "
-                                "and finite")
-    entries = {}
-
-    def add(i, j, v):
-        entries[(i, j)] = entries.get((i, j), 0.0) + v
-
-    for s in range(n):
-        for j, rate in model.row(s):
-            if j < n:
-                add(s, j, rate)
-            else:
-                add(s, n, rate)
-    for k in model.in_reach(n):
-        w = model.weight(k)
-        for j, rate in model.row(k):
-            if j < n:
-                add(n, j, w * rate / tail_mass)
-    total = model.tail_weight(0)
-    pi_t = np.array([model.weight(s) for s in range(n)] + [tail_mass]) / total
-    return list(range(n)), n, entries, pi_t
+    rates = [(i, j, v) for (i, j), v in sorted(entries.items())]
+    pi_t = np.array([model.weight(s) for s in index] + [tail_mass]) / total
+    return GeneratorMatrix.from_rates(m + 1, rates), pi_t
 
 
 def collapse(model, retained):
@@ -244,30 +205,45 @@ def collapse(model, retained):
     NumericalFailureError
         If the collapsed stationary law fails its residual check.
     """
-    if np.isscalar(retained):
-        n = int(retained)
-        if model.finite_size is not None:
-            retained_list, m, entries, pi_t = _collapse_finite(
-                model, range(min(n, model.finite_size)))
-        else:
-            retained_list, m, entries, pi_t = _collapse_prefix(model, n)
-    else:
-        if model.finite_size is None:
+    nf = model.finite_size
+    if nf is not None:
+        if np.isscalar(retained):
+            retained = range(min(int(retained), nf))
+        retained = sorted(set(int(s) for s in retained))
+        if not retained:
+            raise InvalidInputError("retained set is empty")
+        if retained[0] < 0 or retained[-1] >= nf:
+            raise InvalidInputError("retained states out of range")
+        feeders = sorted(set(range(nf)) - set(retained))
+        if not feeders:
             raise InvalidInputError(
-                "explicit retained sets require a finite chain; "
-                "use a prefix size for infinite chains")
-        retained_list, m, entries, pi_t = _collapse_finite(model, retained)
-    rates = [(i, j, v) for (i, j), v in sorted(entries.items())]
-    Qt = GeneratorMatrix.from_rates(m + 1, rates)
+                "retained set covers the whole chain; tail mass is zero")
+        tail_mass = sum(model.weight(k) for k in feeders)
+        total = sum(model.weight(s) for s in retained) + tail_mass
+    elif not np.isscalar(retained):
+        raise InvalidInputError(
+            "explicit retained sets require a finite chain; "
+            "use a prefix size for infinite chains")
+    else:
+        if model.in_reach is None:
+            raise InvalidInputError(
+                "infinite model needs an in_reach callback to collapse")
+        n = int(retained)
+        if n < 1:
+            raise InvalidInputError("prefix size must be >= 1")
+        tail_mass = model.tail_weight(n)
+        if not (tail_mass > 0 and math.isfinite(tail_mass)):
+            raise InvalidInputError(f"tail weight {tail_mass!r} must be "
+                                    "positive and finite")
+        retained = list(range(n))
+        feeders = model.in_reach(n)
+        total = model.tail_weight(0)
+    index = {s: k for k, s in enumerate(retained)}
+    Qt, pi_t = _collapsed_chain(model, index, feeders, tail_mass, total)
     pi_tilde = StationaryDistribution(pi_t)
-    resid = float(np.max(np.abs(pi_t @ Qt.matrix)))
-    scale = max(Qt.max_rate(), 1.0)
-    if resid > 1e-10 * scale:
-        raise NumericalFailureError(
-            f"collapsed stationary residual {resid:.3e} exceeds tolerance",
-            residual=resid)
-    return CollapsedModel(generator=Qt, pi_tilde=pi_tilde, tail_index=m,
-                          retained=tuple(retained_list))
+    _check_stationary(pi_t, Qt.matrix, Qt.max_rate(), "collapsed stationary")
+    return CollapsedModel(generator=Qt, pi_tilde=pi_tilde,
+                          tail_index=len(index), retained=tuple(retained))
 
 
 def collapse_function(g, retained):
@@ -332,7 +308,7 @@ class GapSweep(Report):
                 zip(d["sizes"], d["gaps"], d["diffs"], seconds))
 
 
-def gap_convergence_sweep(model, sizes, method="auto", limit_hint=None):
+def gap_convergence_sweep(model, sizes, limit_hint=None):
     """Gap of the collapsed chain at each retained-prefix size.
 
     Parameters
@@ -358,7 +334,7 @@ def gap_convergence_sweep(model, sizes, method="auto", limit_hint=None):
     for s in sizes:
         t0 = time.perf_counter()
         cm = collapse(model, s)
-        gaps.append(spectral_gap(cm.generator, cm.pi_tilde, method=method).gap)
+        gaps.append(spectral_gap(cm.generator, cm.pi_tilde).gap)
         seconds.append(time.perf_counter() - t0)
     diffs = [math.nan] + [abs(b - a) for a, b in zip(gaps, gaps[1:])]
     return GapSweep(sizes=sizes, gaps=gaps, diffs=diffs, seconds=seconds,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ctmcgap import GeneratorMatrix, build_three_state
+from ctmcgap import GeneratorMatrix, _symeig, build_three_state
 
 # exact stationary law and gap of the bundled three-state chain
 THREE_STATE_PI = np.array([1.0 / 3.0, 1.0 / 9.0, 5.0 / 9.0])
@@ -31,6 +31,20 @@ def three_state():
 def two_state():
     # 0 -> 1 at rate 2, 1 -> 0 at rate 1; pi = (1/3, 2/3), gap = 3
     return GeneratorMatrix.from_rates(2, [(0, 1, 2.0), (1, 0, 1.0)])
+
+
+@pytest.fixture
+def perturbed_eigensolver(monkeypatch):
+    """Make the dense eigensolver return a non-eigenvector."""
+    solve = _symeig._dense
+
+    def perturbed(A, v0, largest):
+        value, vector, w = solve(A, v0, largest)
+        vector = vector.copy()
+        vector[0] += 1e-3
+        return value, vector, w
+
+    monkeypatch.setattr(_symeig, "_dense", perturbed)
 
 
 def random_birth_death(rng, max_levels=30):

@@ -129,6 +129,20 @@ def test_gap_plotdata_spectrum(tmp_path, capsys):
     assert len(lines) == 4  # three eigenvalues
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_refused_plotdata_writes_nothing(tmp_path, capsys, to_file):
+    # the Lanczos path has no dense spectrum to plot
+    plot, report = tmp_path / "plot.csv", tmp_path / "report.json"
+    argv = ["gap", "--bd", "2", "1", "10", "--method", "lanczos",
+            "--emit-plotdata", str(plot)]
+    if to_file:
+        argv += ["--output", str(report)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and "dense spectrum" in err
+    assert out == ""
+    assert not plot.exists() and not report.exists()
+
+
 # --------------------------------------------------------------------- verify
 
 def test_verify_small_passes(tmp_path, capsys):

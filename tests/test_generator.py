@@ -2,7 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctmcgap import generator
 from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      NumericalFailureError, ObservableFunction,
                      StationaryDistribution, additive_symmetrization,
@@ -82,10 +86,61 @@ def test_validate_negative_rate():
     assert not rep.admissible
 
 
+def test_validate_admissible_at_large_rates():
+    # rounding in the row sums grows with the rates; it is not a defect
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        rates = [(i, j, float(rng.uniform(0.5e6, 1.5e6)))
+                 for i in range(6) for j in range(6) if i != j]
+        rep = validate_generator(GeneratorMatrix.from_rates(6, rates))
+        assert rep.admissible, rep.messages
+
+
 def test_validate_one_way_chain_not_connected():
     Q = GeneratorMatrix.from_rates(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 2, 0.0)])
     rep = validate_generator(Q)
     assert not rep.strongly_connected
+
+
+def _reference_strongly_connected(matrix):
+    # forward and reverse depth-first reachability from state 0, walking
+    # only stored off-diagonal entries that are strictly positive
+    n = matrix.shape[0]
+
+    def reaches_all(mat):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for k in range(mat.indptr[u], mat.indptr[u + 1]):
+                v = mat.indices[k]
+                if v != u and mat.data[k] > 0 and not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        return bool(seen.all())
+
+    return reaches_all(matrix) and reaches_all(matrix.T.tocsr())
+
+
+# each off-diagonal slot is absent, an explicit zero, positive or negative
+_PATTERNS = st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.sampled_from([None, 0.0, 0.5, 2.0, -1.0]),
+    min_size=n * n, max_size=n * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PATTERNS)
+def test_strong_connectivity_matches_reference_dfs(slots):
+    n = int(round(len(slots) ** 0.5))
+    stored = [(k // n, k % n, v) for k, v in enumerate(slots)
+              if v is not None and k // n != k % n]
+    rows, cols, vals = zip(*stored) if stored else ((), (), ())
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    assert matrix.nnz == len(stored)  # explicit zeros stay stored
+    Q = GeneratorMatrix(matrix)
+    assert (validate_generator(Q).strongly_connected
+            == _reference_strongly_connected(Q.matrix))
 
 
 # ---------------------------------------------------------------- stationarity
@@ -146,6 +201,14 @@ def test_stationary_reducible_raises():
         2, [(0, 1, 1.0), (1, 1, 0.0)])  # no way back: not irreducible
     with pytest.raises(NumericalFailureError):
         stationary_distribution(Q)
+
+
+def test_stationary_rejects_non_stationary_solve(monkeypatch, three_state):
+    # the acceptance test, not the solver, is what stops a wrong pi
+    monkeypatch.setattr(generator, "_gth_solve",
+                        lambda A: np.array([0.5, 0.25, 0.25]))
+    with pytest.raises(NumericalFailureError, match="stationary residual"):
+        stationary_distribution(three_state)
 
 
 def test_stationary_distribution_type_guards():

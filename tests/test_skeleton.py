@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ctmcgap import (GeneratorMatrix, InvalidInputError, StochasticMatrix,
+from ctmcgap import (GeneratorMatrix, InvalidInputError,
+                     NumericalFailureError, StochasticMatrix,
                      dtmc_hoeffding_bound, dtmc_spectral_gap,
                      skeleton_gap_check, spectral_gap, transition_matrix_exp)
 from conftest import THREE_STATE_GAP, THREE_STATE_PI
@@ -57,7 +58,6 @@ def test_exp_preserves_stationary_law(three_state):
 def test_exp_input_guards(three_state):
     with pytest.raises(InvalidInputError):
         transition_matrix_exp(three_state, 0.0)
-    from ctmcgap import NumericalFailureError
     with pytest.raises(NumericalFailureError, match="delta"):
         transition_matrix_exp(three_state, 1e4)
 
@@ -126,6 +126,13 @@ def test_dtmc_gap_rejects_wrong_pi(three_state):
     P = transition_matrix_exp(three_state, 0.1)
     with pytest.raises(InvalidInputError, match="stationary"):
         dtmc_spectral_gap(P, np.array([0.4, 0.3, 0.3]))
+
+
+def test_dtmc_gap_rejects_inaccurate_eigenpair(perturbed_eigensolver,
+                                               three_state):
+    P = transition_matrix_exp(three_state, 0.1)
+    with pytest.raises(NumericalFailureError, match="residual"):
+        dtmc_spectral_gap(P, THREE_STATE_PI)
 
 
 # ------------------------------------------------------------ skeleton table

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ctmcgap import (GeneratorMatrix, InvalidInputError, bd_closed_form_gap,
+from ctmcgap import (GeneratorMatrix, InvalidInputError,
+                     NumericalFailureError, bd_closed_form_gap,
                      bd_lower_bound, build_birth_death, dirichlet_form,
                      drift_certificate_check, rayleigh_quotient, spectral_gap,
                      stationary_distribution, symmetrized_form)
@@ -66,6 +67,17 @@ def test_gap_dense_spectrum_contains_zero_mode(three_state):
     rep = spectral_gap(three_state, THREE_STATE_PI, method="dense")
     assert rep.eigenvalues is not None
     assert np.min(np.abs(rep.eigenvalues)) < 1e-12
+
+
+def test_gap_rejects_wrong_pi(three_state):
+    with pytest.raises(NumericalFailureError, match="stationary"):
+        spectral_gap(three_state, np.array([0.5, 0.25, 0.25]))
+
+
+def test_gap_rejects_inaccurate_eigenpair(perturbed_eigensolver,
+                                          three_state):
+    with pytest.raises(NumericalFailureError, match="residual"):
+        spectral_gap(three_state, THREE_STATE_PI)
 
 
 def test_symmetrized_form_is_symmetric(three_state):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ctmcgap import (CountableModel, InvalidInputError, ObservableFunction,
-                     bd_closed_form_gap, collapse, collapse_function,
-                     gap_convergence_sweep, spectral_gap,
+from ctmcgap import (CountableModel, InvalidInputError,
+                     NumericalFailureError, ObservableFunction,
+                     bd_closed_form_gap, build_three_state, collapse,
+                     collapse_function, gap_convergence_sweep, spectral_gap,
                      stationary_distribution)
 from conftest import THREE_STATE_PI
 
@@ -62,6 +63,24 @@ def test_collapse_zero_tail_mass_rejected(three_state):
         collapse(model, 3)
     with pytest.raises(InvalidInputError, match="tail"):
         collapse(model, [0, 1, 2])
+
+
+def _bd_row(i):
+    # down 2, up 1: product-form weights are 2**-k
+    return [(i + 1, 1.0)] + ([(i - 1, 2.0)] if i > 0 else [])
+
+
+@pytest.mark.parametrize("model, retained", [
+    # weights 0.7**k do not balance the flows of a down-2, up-1 chain
+    (CountableModel(row=_bd_row, weight=lambda k: 0.7 ** k,
+                    tail_weight=lambda n: 0.7 ** n / 0.3,
+                    in_reach=lambda n: (n,)), 6),
+    (CountableModel.from_generator(build_three_state(),
+                                   np.array([0.5, 0.25, 0.25])), [0, 2]),
+])
+def test_collapse_rejects_inconsistent_weights(model, retained):
+    with pytest.raises(NumericalFailureError, match="stationary"):
+        collapse(model, retained)
 
 
 def test_collapse_infinite_needs_prefix(geometric_chain):
