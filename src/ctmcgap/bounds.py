@@ -217,10 +217,11 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
            workers=1):
     """Check the tail bounds against exact simulation on one chain.
 
-    For each epsilon, runs `reps` independent replications of the chain
-    over ``[0, t]``, estimates the probability that the time average of
-    `g` exceeds its stationary mean by epsilon, and compares against the
-    certified bound with exact one-sided confidence slack.
+    Simulates `reps` independent replications of the chain over
+    ``[0, t]`` once, and for each epsilon estimates from those same paths
+    the probability that the time average of `g` exceeds its stationary
+    mean by epsilon, then compares against the certified bound with exact
+    one-sided confidence slack.
 
     Parameters
     ----------
@@ -228,11 +229,11 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     g : ObservableFunction
         The declared range supplies the span in the exponent.
     t : float
-        Averaging horizon.
+        Averaging horizon, positive and finite.
     eps_grid : sequence of float
-        Positive deviation levels (reported in increasing order).
+        Positive, finite deviation levels (reported in increasing order).
     reps : int
-        Replications per epsilon.
+        Replications, shared by every epsilon.
     seed : int
         Base seed; replication `r` uses the stream derived from
         ``(seed, r)`` at every epsilon, so the reported tail estimates are
@@ -254,16 +255,16 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     if not isinstance(g, ObservableFunction):
         raise InvalidInputError("g must be an ObservableFunction "
                                 "(values with a declared range)")
-    eps_list = [float(e) for e in eps_grid]
+    eps_list = sorted(float(e) for e in eps_grid)
     if not eps_list:
         raise InvalidInputError("eps grid is empty")
-    if any(e <= 0 for e in eps_list):
-        raise InvalidInputError("eps values must be positive")
+    if not all(0 < e < math.inf for e in eps_list):
+        raise InvalidInputError("eps values must be positive and finite")
     reps = int(reps)
     if reps < 1:
         raise InvalidInputError("reps must be >= 1")
-    if not t > 0:
-        raise InvalidInputError("t must be positive")
+    if not 0 < t < math.inf:
+        raise InvalidInputError("t must be positive and finite")
     if init is not None and p is None:
         raise InvalidInputError(
             "a non-stationary start needs p for the density-norm bound")
@@ -276,11 +277,10 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
         init = _as_probs(init, Q.n)
         norm = density_pnorm(init, pi, p)
     start = pi.probs if init is None else init
-    order = np.argsort(eps_list, kind="stable")
-    rows = [None] * len(eps_list)
-    for idx, eps in enumerate(eps_list):
-        est = tail_probability_mc(
-            Q, g, start, t, eps, reps, seed=seed, mean=pi_g, workers=workers)
+    estimates = tail_probability_mc(Q, g, start, t, eps_list, reps, seed,
+                                    mean=pi_g, workers=workers)
+    rows = []
+    for eps, est in zip(eps_list, estimates):
         bound_main = ctmc_hoeffding_bound(lam, t, eps, g.lower, g.upper)
         bound_lez = lezaud_bound(lam, t, eps).classical \
             if assert_lezaud_hypotheses else None
@@ -294,12 +294,11 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
         verdict = "PASS" if est.p_hat <= effective + slack else "FAIL"
         miss_slack = (clopper_pearson_upper(reps - est.count, reps)
                       - (1.0 - est.p_hat))
-        rows[idx] = VerificationRow(
+        rows.append(VerificationRow(
             eps=eps, t=float(t), reps=reps, p_hat=est.p_hat,
             ci_upper=est.ci_upper, bound_main=bound_main,
             bound_lezaud=bound_lez, verdict=verdict, bound_nu=bound_nu,
-            uninformative=max(slack, miss_slack) >= 0.5)
-    rows = [rows[i] for i in order]
+            uninformative=max(slack, miss_slack) >= 0.5))
     return VerificationReport(
         rows=rows, gap=lam, gap_method=gap_report.method,
         gap_residual=gap_report.residual, seed=int(seed), pi_g=pi_g,

@@ -10,8 +10,10 @@ reproducible bit-for-bit regardless of scheduling or worker count.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import betaincinv
@@ -55,6 +57,15 @@ class TrajectorySample:
         ends = np.append(self.jump_times[1:], self.horizon)
         sojourns = ends - self.jump_times
         return float(sojourns @ values[self.states] / self.horizon)
+
+
+def _observable_values(g, n):
+    values = g.values if isinstance(g, ObservableFunction) else \
+        np.asarray(g, dtype=float)
+    if values.size != n:
+        raise InvalidInputError(
+            f"observable has {values.size} entries, chain has {n}")
+    return values
 
 
 class _PreparedChain:
@@ -121,7 +132,7 @@ def sample_path(Q, x0, horizon, rng, g=None, max_jumps=DEFAULT_MAX_JUMPS):
     x0 : int
         Initial state.
     horizon : float
-        Nonnegative time horizon; 0 yields a single-point path.
+        Nonnegative, finite time horizon; 0 yields a single-point path.
     rng : numpy.random.Generator
         Source of randomness (see :func:`substream`).
     g : ObservableFunction or array, optional
@@ -141,15 +152,9 @@ def sample_path(Q, x0, horizon, rng, g=None, max_jumps=DEFAULT_MAX_JUMPS):
     if not 0 <= x0 < Q.n:
         raise InvalidInputError(f"initial state {x0} out of range")
     horizon = float(horizon)
-    if horizon < 0:
-        raise InvalidInputError("horizon must be nonnegative")
-    values = None
-    if g is not None:
-        values = g.values if isinstance(g, ObservableFunction) else \
-            np.asarray(g, dtype=float)
-        if values.size != Q.n:
-            raise InvalidInputError(
-                f"observable has {values.size} entries, chain has {Q.n}")
+    if not 0 <= horizon < math.inf:
+        raise InvalidInputError("horizon must be nonnegative and finite")
+    values = None if g is None else _observable_values(g, Q.n)
     prep = _PreparedChain(Q)
     times, states, avg = _walk(prep, x0, horizon, rng, values, max_jumps)
     return TrajectorySample(jump_times=np.asarray(times),
@@ -202,19 +207,15 @@ def _initial_state(init_cum, rng):
     return min(k, init_cum.size - 1)
 
 
-def _count_chunk(prep, init_cum, values, horizon, threshold, seed, lo, hi):
-    count = 0
+def _count_chunk(prep, init_cum, values, horizon, thresholds, seed, lo, hi):
+    """Per threshold, how many of replications ``lo..hi-1`` reach it."""
+    counts = np.zeros(thresholds.size, dtype=np.int64)
     for r in range(lo, hi):
         rng = substream(seed, r)
         x0 = _initial_state(init_cum, rng)
         _, _, avg = _walk(prep, x0, horizon, rng, values, DEFAULT_MAX_JUMPS)
-        if avg - threshold >= 0.0:
-            count += 1
-    return count
-
-
-def _count_chunk_args(args):
-    return _count_chunk(*args)
+        counts += avg - thresholds >= 0.0
+    return counts
 
 
 def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None,
@@ -228,9 +229,11 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None,
     init : StationaryDistribution or array
         Initial distribution; must sum to 1.
     horizon : float
-        Averaging window, positive.
-    eps : float
-        Deviation threshold, positive.
+        Averaging window, positive and finite.
+    eps : float or sequence of float
+        Deviation threshold, positive and finite.  A sequence is judged on
+        one set of replications: each path is simulated once and its time
+        average compared with every threshold.
     reps : int
         Number of independent replications, >= 1.
     seed : int
@@ -244,51 +247,52 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None,
 
     Returns
     -------
-    TailEstimate
-        With a `DEFAULT_CI_LEVEL` upper confidence limit.
+    TailEstimate or list of TailEstimate
+        One estimate for a float `eps`, or one per entry of a sequence in
+        its order, each with a `DEFAULT_CI_LEVEL` upper confidence limit.
 
     Raises
     ------
     ExplosionGuardError
         If a path needs more than `DEFAULT_MAX_JUMPS` jumps.
     """
-    values = g.values if isinstance(g, ObservableFunction) else \
-        np.asarray(g, dtype=float)
-    if values.size != Q.n:
-        raise InvalidInputError(
-            f"observable has {values.size} entries, chain has {Q.n}")
+    values = _observable_values(g, Q.n)
     init = _as_probs(init, Q.n)
     if np.any(init < 0):
         raise InvalidInputError("initial distribution has negative entries")
     if abs(init.sum() - 1.0) > 1e-9:
         raise InvalidInputError(
             f"initial distribution sums to {init.sum()!r}, not 1")
-    if not horizon > 0:
-        raise InvalidInputError("horizon must be positive")
-    if not eps > 0:
-        raise InvalidInputError("eps must be positive")
+    horizon = float(horizon)
+    if not 0 < horizon < math.inf:
+        raise InvalidInputError("horizon must be positive and finite")
+    eps_list = [float(e) for e in np.atleast_1d(eps)]
+    if not eps_list:
+        raise InvalidInputError("eps grid is empty")
+    if not all(0 < e < math.inf for e in eps_list):
+        raise InvalidInputError("eps must be positive and finite")
     reps = int(reps)
     if reps < 1:
         raise InvalidInputError("reps must be >= 1")
     if mean is None:
         pi = stationary_distribution(Q)
         mean = float(pi.probs @ values)
-    threshold = float(mean) + float(eps)
+    thresholds = float(mean) + np.array(eps_list)
     prep = _PreparedChain(Q)
     init_cum = np.cumsum(init)
     workers = max(1, int(workers))
     if workers == 1 or reps < 2 * workers:
-        count = _count_chunk(prep, init_cum, values, float(horizon),
-                             threshold, seed, 0, reps)
+        counts = _count_chunk(prep, init_cum, values, horizon, thresholds,
+                              seed, 0, reps)
     else:
-        edges = np.linspace(0, reps, workers + 1).astype(int)
-        jobs = [(prep, init_cum, values, float(horizon), threshold, seed,
-                 int(lo), int(hi))
-                for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+        # at least two replications per worker, so no chunk is empty
+        edges = np.linspace(0, reps, workers + 1).astype(int).tolist()
+        chunk = partial(_count_chunk, prep, init_cum, values, horizon,
+                        thresholds, seed)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            count = sum(pool.map(_count_chunk_args, jobs))
-    p_hat = count / reps
-    return TailEstimate(p_hat=p_hat, reps=reps,
-                        ci_upper=clopper_pearson_upper(count, reps),
-                        seed=int(seed), epsilon=float(eps),
-                        t=float(horizon), count=count)
+            counts = sum(pool.map(chunk, edges[:-1], edges[1:]))
+    estimates = [TailEstimate(p_hat=c / reps, reps=reps,
+                              ci_upper=clopper_pearson_upper(c, reps),
+                              seed=int(seed), epsilon=e, t=horizon, count=c)
+                 for e, c in zip(eps_list, counts.tolist())]
+    return estimates[0] if np.ndim(eps) == 0 else estimates

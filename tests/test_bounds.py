@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ctmcgap import (InvalidInputError, ObservableFunction,
+from ctmcgap import (InvalidInputError, ObservableFunction, bounds,
                      ctmc_hoeffding_bound, density_pnorm, lezaud_bound,
-                     nu_initial_bound, stationary_distribution, verify)
+                     nu_initial_bound, simulate, stationary_distribution,
+                     tail_probability_mc, verify)
 from conftest import THREE_STATE_GAP, THREE_STATE_PI
 
 
@@ -139,6 +140,46 @@ def test_verify_rows_sorted_by_eps(three_state):
     assert [r.eps for r in rep.rows] == [0.1, 0.2, 0.3]
 
 
+def test_verify_simulates_each_replication_once(three_state, monkeypatch):
+    grid = [0.05, 0.1, 0.15, 0.2]
+    derived = []
+    derive = simulate.substream
+
+    def counted(seed, index):
+        derived.append(index)
+        return derive(seed, index)
+
+    monkeypatch.setattr(simulate, "substream", counted)
+    verify(three_state, _unit_indicator(), t=5.0, eps_grid=grid, reps=50,
+           seed=4, workers=1)
+    assert sorted(derived) == list(range(50))
+
+    pools = []
+
+    class CountedPool(simulate.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountedPool)
+    verify(three_state, _unit_indicator(), t=5.0, eps_grid=grid, reps=50,
+           seed=4, workers=2)
+    assert len(pools) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_rows_match_scalar_estimates(three_state, workers):
+    g = _unit_indicator()
+    pi = stationary_distribution(three_state)
+    rep = verify(three_state, g, t=10.0, eps_grid=[0.2, 0.05, 0.1],
+                 reps=200, seed=8, workers=workers)
+    for row in rep.rows:
+        est = tail_probability_mc(three_state, g, pi, 10.0, row.eps, 200,
+                                  seed=8, mean=rep.pi_g)
+        assert round(row.p_hat * row.reps) == est.count
+        assert (row.p_hat, row.ci_upper) == (est.p_hat, est.ci_upper)
+
+
 def test_verify_common_random_numbers_make_p_hat_monotone(three_state):
     rep = verify(three_state, _unit_indicator(), t=10.0,
                  eps_grid=[0.05, 0.1, 0.15, 0.2], reps=300, seed=11)
@@ -206,6 +247,21 @@ def test_verify_input_guards(three_state):
         verify(three_state, g, t=5.0, eps_grid=[0.1], reps=0, seed=0)
     with pytest.raises(InvalidInputError):
         verify(three_state, g, t=-5.0, eps_grid=[0.1], reps=10, seed=0)
+
+
+def test_verify_rejects_non_finite_input_before_solving(three_state,
+                                                        monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("input should be rejected before any solve")
+
+    monkeypatch.setattr(bounds, "stationary_distribution", unreachable)
+    g = _unit_indicator()
+    for t in (math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="t must be"):
+            verify(three_state, g, t=t, eps_grid=[0.1], reps=10, seed=0)
+    for grid in ([0.1, math.nan], [math.inf], [0.0, 0.1]):
+        with pytest.raises(InvalidInputError, match="eps"):
+            verify(three_state, g, t=5.0, eps_grid=grid, reps=10, seed=0)
     with pytest.raises(InvalidInputError, match="ObservableFunction"):
         verify(three_state, np.array([0.0, 0.0, 1.0]), t=5.0,
                eps_grid=[0.1], reps=10, seed=0)

@@ -203,6 +203,20 @@ def test_verify_bad_eps_list_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [["--t", "inf"], ["--eps", "0.1,inf"],
+                                   ["--eps", "nan"]])
+def test_verify_non_finite_input_exits_2_at_once(flags):
+    # a child with a timeout: an accepted infinite horizon would simulate
+    # until the explosion guard trips
+    src = os.path.dirname(os.path.dirname(climod.__file__))
+    argv = [sys.executable, "-m", "ctmcgap.cli", "verify", "--example",
+            "three-state", "--reps", "1"] + flags
+    out = subprocess.run(argv, capture_output=True, text=True, timeout=15,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 2
+    assert out.stdout == ""
+
+
 def test_verify_fail_rows_exit_1(monkeypatch, capsys):
     import ctmcgap.cli as climod
 

@@ -71,8 +71,9 @@ def test_explosion_guard(two_state):
 def test_sample_path_input_guards(three_state):
     with pytest.raises(InvalidInputError):
         sample_path(three_state, 5, 1.0, substream(0, 0))
-    with pytest.raises(InvalidInputError):
-        sample_path(three_state, 0, -1.0, substream(0, 0))
+    for horizon in (-1.0, np.inf, np.nan):
+        with pytest.raises(InvalidInputError, match="horizon"):
+            sample_path(three_state, 0, horizon, substream(0, 0))
     with pytest.raises(InvalidInputError):
         sample_path(three_state, 0, 1.0, substream(0, 0), g=[1.0, 2.0])
 
@@ -105,13 +106,21 @@ def test_tail_estimate_reproducible(three_state):
     assert a.count == round(a.p_hat * a.reps)
 
 
-def test_tail_estimate_workers_equivalent(three_state):
+@pytest.mark.parametrize("eps", [0.1, [0.2, 0.05, 0.1]],
+                         ids=["scalar", "grid"])
+def test_tail_estimate_workers_equivalent(three_state, eps):
     g = ObservableFunction([0.0, 0.0, 1.0], 0.0, 1.0)
-    serial = tail_probability_mc(three_state, g, THREE_STATE_PI, 10.0, 0.1,
+    serial = tail_probability_mc(three_state, g, THREE_STATE_PI, 10.0, eps,
                                  300, seed=5, workers=1)
-    parallel = tail_probability_mc(three_state, g, THREE_STATE_PI, 10.0, 0.1,
+    parallel = tail_probability_mc(three_state, g, THREE_STATE_PI, 10.0, eps,
                                    300, seed=5, workers=3)
-    assert serial.to_json() == parallel.to_json()
+    assert serial == parallel
+    if isinstance(eps, list):
+        # one estimate per eps, in the given order, from the same paths
+        # as the scalar call for that eps
+        assert serial == [
+            tail_probability_mc(three_state, g, THREE_STATE_PI, 10.0, e,
+                                300, seed=5) for e in eps]
 
 
 def test_tail_impossible_event_is_zero(three_state):
@@ -144,9 +153,14 @@ def test_tail_input_guards(three_state):
     with pytest.raises(InvalidInputError, match="reps"):
         tail_probability_mc(three_state, g, THREE_STATE_PI, 5.0, 0.1, 0,
                             seed=0)
-    with pytest.raises(InvalidInputError):
-        tail_probability_mc(three_state, g, THREE_STATE_PI, 0.0, 0.1, 10,
-                            seed=0)
+    for horizon in (0.0, np.inf, np.nan):
+        with pytest.raises(InvalidInputError, match="horizon"):
+            tail_probability_mc(three_state, g, THREE_STATE_PI, horizon, 0.1,
+                                10, seed=0)
+    for eps in (0.0, np.inf, np.nan, [0.1, np.nan], [0.1, np.inf], []):
+        with pytest.raises(InvalidInputError, match="eps"):
+            tail_probability_mc(three_state, g, THREE_STATE_PI, 5.0, eps, 10,
+                                seed=0)
 
 
 # --------------------------------------------------------- confidence interval
