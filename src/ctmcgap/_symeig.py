@@ -7,11 +7,13 @@ a weighted kernel) reduce to this: the known vector is the square-root
 weight vector, whose eigenvalue is trivial, and the quantity of interest
 is the extremal eigenvalue of the orthogonal complement.
 
-This module owns the two numerical rules of that step: the size up to
-which the full dense spectrum is taken (`DENSE_CUTOFF`; above it an
-iterative Lanczos solver runs), and the acceptance test every returned
-eigenpair must pass (residual at most 1e-10 times the largest entry of the
-matrix, floored at 1).
+This module owns the two numerical rules of that step: which solver runs
+(a sparse matrix whose nonzeros all sit on the three central diagonals
+goes to the tridiagonal solver, any other matrix takes the full dense
+spectrum up to `DENSE_CUTOFF` states and an iterative Lanczos solver
+beyond), and the acceptance test every returned eigenpair must pass
+(residual at most 1e-10 times the largest entry of the matrix, floored at
+1).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalFailureError
 
@@ -56,6 +59,24 @@ def _dense(A, v0, largest):
     idx = np.nonzero(keep)[0]
     pick = idx[np.argmax(w[idx])] if largest else idx[np.argmin(w[idx])]
     return float(w[pick]), V[:, pick].copy(), w
+
+
+def _is_tridiagonal(A):
+    """True when `A` is sparse and every nonzero sits next to the diagonal."""
+    if not sp.issparse(A):
+        return False
+    coo = A.tocoo()
+    nonzero = coo.data != 0
+    return bool(np.all(np.abs(coo.row[nonzero] - coo.col[nonzero]) <= 1))
+
+
+def _tridiagonal(A, v0, largest):
+    # the two extremal eigenpairs at the chosen end; one is the known vector
+    lo = v0.size - 2 if largest else 0
+    w, V = eigh_tridiagonal(A.diagonal(), A.diagonal(1), select="i",
+                            select_range=(lo, lo + 1))
+    pick = 1 - int(np.argmax(np.abs(V.T @ v0)))
+    return float(w[pick]), V[:, pick].copy()
 
 
 def _lanczos(A, v0, largest):
@@ -101,12 +122,16 @@ def deflated_extremal(A, known_vector, largest, method="auto"):
         Unit vector spanning the eigenspace to exclude.
     largest : bool
         Seek the largest remaining eigenvalue (else the smallest).
-    method : {"auto", "dense", "lanczos"}
+    method : {"auto", "dense", "lanczos", "tridiagonal"}
         "dense" takes the full spectrum and drops the eigenvector with the
         largest overlap with `known_vector`; "lanczos" applies a rank-one
         shift to the known direction and asks an iterative solver for the
-        extremal mode of the rest; "auto" is dense up to `DENSE_CUTOFF`
-        states.
+        extremal mode of the rest; "tridiagonal" reads the three central
+        diagonals of `A`, takes the two extremal eigenpairs at the sought
+        end by bisection and inverse iteration, and drops the one with the
+        larger overlap; "auto" is tridiagonal when `A` is sparse with every
+        nonzero next to the diagonal, else dense up to `DENSE_CUTOFF`
+        states and Lanczos beyond.
 
     Returns
     -------
@@ -121,15 +146,21 @@ def deflated_extremal(A, known_vector, largest, method="auto"):
     """
     n = known_vector.size
     if method == "auto":
-        method = "dense" if n <= DENSE_CUTOFF else "lanczos"
-    if method not in ("dense", "lanczos"):
+        if _is_tridiagonal(A):
+            method = "tridiagonal"
+        else:
+            method = "dense" if n <= DENSE_CUTOFF else "lanczos"
+    if method not in ("dense", "lanczos", "tridiagonal"):
         raise ValueError(f"unknown eigensolver method {method!r}")
+    if method == "lanczos" and n < 4:  # ARPACK needs k < n-1
+        method = "dense"
     v0 = known_vector / np.linalg.norm(known_vector)
     eigenvalues = None
-    if method == "dense" or n < 4:  # ARPACK needs k < n-1; tiny n goes dense
+    iterations = 0
+    if method == "dense":
         value, vector, eigenvalues = _dense(A, v0, largest)
-        iterations = 0
-        method = "dense"
+    elif method == "tridiagonal":
+        value, vector = _tridiagonal(A, v0, largest)
     else:
         value, vector, iterations = _lanczos(A, v0, largest)
     Av = A @ vector

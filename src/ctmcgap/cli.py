@@ -111,7 +111,7 @@ def _resolve_model(args, allow_infinite_bd=False):
                 "an infinite chain is not supported by this subcommand; "
                 "give a finite N")
         return None, (down, up, n_levels)
-    Q = build_birth_death([down] * n_levels, [up] * n_levels)
+    Q = build_birth_death(np.full(n_levels, down), np.full(n_levels, up))
     return Q, (down, up, n_levels)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from ._symeig import _is_tridiagonal
 from .errors import InvalidInputError, NumericalFailureError
 
 # Above this size the stationary solve switches from elimination to power
@@ -353,6 +354,49 @@ def _power_iteration_solve(Q):
         residual=_stationary_within(pi, M, Q.max_rate())[1])
 
 
+def _band_rates(Q):
+    """``(up, down)`` with ``up[i] = Q[i, i+1]`` and ``down[i] = Q[i+1, i]``
+    when every nonzero off-diagonal rate of `Q` sits next to the diagonal
+    (a birth-death chain), else None.  O(nnz).
+    """
+    if not _is_tridiagonal(Q.matrix):
+        return None
+    return Q.matrix.diagonal(1), Q.matrix.diagonal(-1)
+
+
+def _exact_cumsum(x):
+    """Cumulative sums of `x`, each within one rounding of the exact sum."""
+    # the high parts lie on a grid coarse enough for every partial sum of
+    # them to be exact; the remainders are too small to lose anything
+    quantum = 2.0 ** (np.ceil(np.log2(np.abs(x).sum() + 1.0)) - 50)
+    high = np.round(x / quantum) * quantum
+    return np.cumsum(high) + np.cumsum(x - high)
+
+
+def _birth_death_log_pi(up, down):
+    """Normalized ``log pi`` of a birth-death chain, in product form.
+
+    ``log pi[k] = sum_{i<k} log(up[i] / down[i]) - log Z``: every entry is
+    within a few roundings of the exact logarithm, and none underflows.
+
+    Raises
+    ------
+    InvalidInputError
+        If a rate between neighbouring states is not positive (a zero rate
+        makes the chain reducible).
+    """
+    bad = np.nonzero(np.minimum(up, down) <= 0)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise InvalidInputError(
+            f"birth-death chain is reducible: rates between states {i} and "
+            f"{i + 1} are {up[i]!r} up and {down[i]!r} down, both must be "
+            "positive")
+    log_mu = np.concatenate([[0.0], _exact_cumsum(np.log(up) - np.log(down))])
+    top = log_mu.max()
+    return log_mu - (top + np.log(np.exp(log_mu - top).sum()))
+
+
 def stationary_distribution(Q, dense_cutoff=DENSE_SOLVE_CUTOFF):
     """Solve ``pi Q = 0`` with ``pi > 0`` summing to 1.
 
@@ -366,7 +410,9 @@ def stationary_distribution(Q, dense_cutoff=DENSE_SOLVE_CUTOFF):
     dense_cutoff : int
         Up to this size, use subtraction-free elimination (componentwise
         relative accuracy); beyond it, power iteration on the uniformized
-        kernel.
+        kernel.  Neither runs for a birth-death (tridiagonal) chain with
+        positive rates, whose ``pi`` is the product form, normalized in
+        log scale and then exponentiated, in O(n).
 
     Returns
     -------
@@ -375,12 +421,18 @@ def stationary_distribution(Q, dense_cutoff=DENSE_SOLVE_CUTOFF):
     Raises
     ------
     NumericalFailureError
-        If the residual test fails, carrying the achieved residual.
+        If the residual test fails, carrying the achieved residual, or if
+        an entry of ``pi`` underflows to 0.
     """
     n = Q.n
     if n == 1:
         return StationaryDistribution([1.0])
-    if n <= dense_cutoff:
+    rates = _band_rates(Q)
+    # a zero rate between neighbours (a reducible chain) is left to the
+    # general solvers to report
+    if rates is not None and np.all(np.minimum(*rates) > 0):
+        pi = np.exp(_birth_death_log_pi(*rates))
+    elif n <= dense_cutoff:
         pi = _gth_solve(Q.to_dense())
     else:
         pi = _power_iteration_solve(Q)
@@ -476,10 +528,9 @@ def build_birth_death(death_rates, birth_rates, labels=None):
             "death and birth rate lists must be 1-D with equal length >= 1")
     if np.any(a <= 0) or np.any(b <= 0):
         raise InvalidInputError("birth and death rates must be positive")
-    N = a.size
-    rates = [(i, i + 1, b[i]) for i in range(N)]
-    rates += [(i, i - 1, a[i - 1]) for i in range(1, N + 1)]
-    return GeneratorMatrix.from_rates(N + 1, rates, labels=labels)
+    exit_rates = np.append(b, 0.0) + np.insert(a, 0, 0.0)
+    Q = sp.diags([a, -exit_rates, b], [-1, 0, 1], format="csr")
+    return GeneratorMatrix(Q, labels=labels)
 
 
 def build_three_state():

@@ -6,7 +6,8 @@ smallest nonzero eigenvalue of the negative additive reversibilization
 ``-(Q + Qhat)/2``, computed through the similarity transform that makes it
 symmetric: ``S[i, j] = sqrt(pi[i]/pi[j]) * Qbar[i, j]``.  The square-root
 weight vector is the eigenvector of the trivial zero mode and is deflated
-explicitly.
+explicitly.  A birth-death (tridiagonal) chain is reversible, so its ``S``
+comes from the rates alone and its ``pi`` from the product form.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._report import Report
 from ._symeig import DENSE_CUTOFF, deflated_extremal
 from .errors import InvalidInputError
-from .generator import (_as_probs, additive_symmetrization,
+from .generator import (_as_probs, _band_rates, _birth_death_log_pi,
+                        _check_stationary, additive_symmetrization,
                         stationary_distribution)
 
 # drift inequalities may be exceeded by this much before they count as broken
@@ -35,14 +38,16 @@ class SpectralReport(Report):
     gap : float
         Smallest nonzero eigenvalue of the negative reversibilized generator.
     method : str
-        "dense", "lanczos", or "closed_form".
+        "dense", "lanczos", "tridiagonal", or "closed_form".
     residual : float
         Eigenpair residual ``||(-S) v - gap * v||_2`` (0 for closed form).
     iterations : int
         Matrix-vector products spent by the iterative solver (0 for direct).
     eigenvector : ndarray or None
         Gap-achieving function `f` on states, normalized to unit pi-norm
-        with ``pi(f) = 0``; its Rayleigh quotient equals `gap`.
+        with ``pi(f) = 0``; its Rayleigh quotient equals `gap`.  None when
+        some entry is not representable (``pi`` spans more than the
+        double range).
     trivial_residual : float
         ``||(-S) sqrt(pi)||_2``, a stationarity cross-check on the inputs.
     eigenvalues : ndarray or None
@@ -71,9 +76,20 @@ def symmetrized_form(Q, pi):
 
     `Qbar` is the additive reversibilization; the result is symmetrized to
     working precision and returned dense (or sparse when `Q` is large),
-    together with the unit vector ``sqrt(pi)``.
+    together with the unit vector ``sqrt(pi)``.  A birth-death
+    (tridiagonal) `Q` is its own reversibilization, and by Kolmogorov's
+    criterion ``S`` then has the diagonal of `Q` and the off-diagonal
+    ``sqrt(Q[i, i+1] Q[i+1, i])``: it is built from the rates alone, in
+    sparse form, and `pi` enters only the returned ``sqrt(pi)``, where
+    entries that underflow to 0 are harmless.
     """
     p = _as_probs(pi, Q.n)
+    rates = _band_rates(Q)
+    if rates is not None:
+        off = np.sqrt(rates[0] * rates[1])
+        S = sp.diags([off, Q.matrix.diagonal(), off], [-1, 0, 1],
+                     format="csr")
+        return S, np.sqrt(p)
     if np.any(p <= 0):
         raise InvalidInputError("weights must be strictly positive")
     Qbar = additive_symmetrization(Q, p)
@@ -95,9 +111,13 @@ def spectral_gap(Q, pi=None, method="auto"):
     Q : GeneratorMatrix
         Admissible generator.
     pi : StationaryDistribution or array, optional
-        Stationary law; solved from `Q` when omitted.
+        Stationary law; solved from `Q` when omitted.  For a birth-death
+        (tridiagonal) chain it is only checked: the product form gives
+        ``log pi``, so entries of ``pi`` below the double range do no harm.
     method : {"auto", "dense", "lanczos"}
-        "auto" is dense up to 500 states, iterative beyond.
+        "auto" is "tridiagonal" when every nonzero off-diagonal rate of `Q`
+        sits next to the diagonal (a birth-death chain; the gap then costs
+        O(n)), and otherwise dense up to 500 states, iterative beyond.
 
     Returns
     -------
@@ -105,6 +125,9 @@ def spectral_gap(Q, pi=None, method="auto"):
 
     Raises
     ------
+    InvalidInputError
+        When a birth-death chain has a zero rate between neighbours
+        (reducible), or a given `pi` has a non-positive entry.
     NumericalFailureError
         When `pi` is not stationary for `Q`, on eigensolver
         non-convergence, or on an out-of-tolerance eigenpair residual.
@@ -113,14 +136,30 @@ def spectral_gap(Q, pi=None, method="auto"):
         return SpectralReport(gap=math.inf, method="dense", residual=0.0,
                               iterations=0, eigenvector=None,
                               trivial_residual=0.0, degenerate=True)
-    p = _as_probs(pi, Q.n) if pi is not None else \
-        stationary_distribution(Q).probs
-    S, sq = symmetrized_form(Q, p)
-    negS = -S
-    result, used = deflated_extremal(negS, sq, largest=False, method=method)
+    rates = _band_rates(Q)
+    if rates is None:
+        p = _as_probs(pi, Q.n) if pi is not None else \
+            stationary_distribution(Q).probs
+        S, sq = symmetrized_form(Q, p)
+        log_pi = np.log(p)
+    else:
+        log_pi = _birth_death_log_pi(*rates)
+        p = np.exp(log_pi)
+        # the product form is stationary only for a conservative diagonal
+        _check_stationary(p, Q.matrix, Q.max_rate(), "stationary")
+        if pi is not None:
+            given = _as_probs(pi, Q.n)
+            if np.any(given <= 0):
+                raise InvalidInputError("weights must be strictly positive")
+            _check_stationary(given, Q.matrix, Q.max_rate(), "stationary")
+        S, sq = symmetrized_form(Q, p)
+    result, used = deflated_extremal(-S, sq, largest=False, method=method)
     # map the symmetric-space eigenvector back to a function on states
-    f = result.vector / sq
-    if f[np.argmax(np.abs(f))] < 0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = result.vector * np.exp(-0.5 * log_pi)
+    if not np.all(np.isfinite(f)):
+        f = None
+    elif f[np.argmax(np.abs(f))] < 0:
         f = -f
     return SpectralReport(gap=result.value, method=used,
                           residual=result.residual,
@@ -162,7 +201,7 @@ def rayleigh_quotient(Q, pi, f):
         raise InvalidInputError(f"function has {f.size} entries, chain has {Q.n}")
     centered = f - float(p @ f)
     var = float(p @ centered ** 2)
-    if var <= 1e-24 * max(1.0, float(np.max(np.abs(f))) ** 2):
+    if var <= 1e-24 * max(1.0, float(p @ f ** 2)):
         raise InvalidInputError("Rayleigh quotient undefined for constant f")
     return dirichlet_form(Q, p, centered) / var
 

@@ -53,3 +53,17 @@ def random_birth_death(rng, max_levels=30):
     a = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n))
     b = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n))
     return a, b
+
+
+@pytest.fixture
+def perturbed_tridiagonal_solver(monkeypatch):
+    """Make the tridiagonal eigensolver return a non-eigenvector."""
+    solve = _symeig._tridiagonal
+
+    def perturbed(A, v0, largest):
+        value, vector = solve(A, v0, largest)
+        vector = vector.copy()
+        vector[0] += 1e-3
+        return value, vector
+
+    monkeypatch.setattr(_symeig, "_tridiagonal", perturbed)

@@ -39,6 +39,41 @@ def test_gap_birth_death_finite(capsys):
                - bd_closed_form_gap(2.0, 1.0, 50)) < 1e-8
 
 
+@pytest.mark.parametrize("down, up", [("2", "1"), ("1.1", "1.0")])
+@pytest.mark.parametrize("N", [1500, 2001, 3000, 10 ** 5, 10 ** 6])
+def test_gap_birth_death_large_matches_closed_form(capsys, N, down, up):
+    # "--bd 2 1 1500" used to exit 3 (pi underflow), and above 2 000 states
+    # the gap was wrong
+    code, out, _ = run(capsys, ["gap", "--bd", down, up, str(N)])
+    assert code == 0
+    obj = json.loads(out)
+    ref = bd_closed_form_gap(float(down), float(up), N)
+    assert abs(obj["gap"] - ref) <= 1e-10 * ref
+    assert obj["method"] == "tridiagonal" and obj["iterations"] == 0
+
+
+def test_sweep_finite_birth_death_above_2000_states(capsys):
+    # collapsing 0..3000 or 0..inf onto a 100- or 200-state prefix gives
+    # the same chain to double precision
+    gaps = []
+    for n in ("3000", "inf"):
+        code, out, _ = run(capsys, ["sweep", "--bd", "1.1", "1", n,
+                                    "--sizes", "100,200", "--format", "json"])
+        assert code == 0
+        gaps.append(json.loads(out)["gaps"])
+    assert np.allclose(gaps[0], gaps[1], rtol=1e-10, atol=0.0)
+
+
+def test_verify_birth_death_above_2000_states(capsys):
+    code, out, _ = run(capsys, ["verify", "--bd", "1.1", "1", "2500",
+                                "--reps", "20", "--t", "1", "--eps", "0.5"])
+    assert code == 0
+    obj = json.loads(out)
+    ref = bd_closed_form_gap(1.1, 1.0, 2500)
+    assert abs(obj["gap"] - ref) <= 1e-10 * ref
+    assert obj["gap_method"] == "tridiagonal"
+
+
 def test_gap_birth_death_infinite_closed_form(capsys):
     code, out, _ = run(capsys, ["gap", "--bd", "2", "1", "inf"])
     assert code == 0

@@ -14,7 +14,8 @@ from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      load_model, load_observable, parse_model,
                      parse_observable, stationary_distribution,
                      validate_generator)
-from conftest import THREE_STATE_DUAL, THREE_STATE_PI, THREE_STATE_SYM
+from conftest import (THREE_STATE_DUAL, THREE_STATE_PI, THREE_STATE_SYM,
+                      random_birth_death)
 
 
 # ---------------------------------------------------------------- construction
@@ -196,6 +197,61 @@ def test_stationary_power_iteration_path(three_state):
     assert np.max(np.abs(pi_elim.probs - pi_iter.probs)) < 1e-9
 
 
+def test_stationary_birth_death_matches_gth():
+    # the product form against subtraction-free elimination, componentwise
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        a, b = random_birth_death(rng)
+        Q = build_birth_death(a, b)
+        pi = stationary_distribution(Q).probs
+        ref = generator._gth_solve(Q.to_dense())
+        assert np.max(np.abs(pi - ref) / ref) < 1e-12
+
+
+def test_exact_cumsum_against_rational_sums():
+    # a plain cumsum of log(1/1.1) drifts by 8e-12 over 3 000 terms
+    from fractions import Fraction
+    rng = np.random.default_rng(11)
+    cases = [np.full(3000, -np.log(1.1))]
+    cases += [rng.normal(size=300) * 10 ** rng.uniform(-3, 3, size=300)
+              for _ in range(5)]
+    for x in cases:
+        got = generator._exact_cumsum(x)
+        total = Fraction(0)
+        for k, v in enumerate(x):
+            total += Fraction(float(v))
+            exact = float(total)
+            assert abs(got[k] - exact) <= np.spacing(abs(exact))
+
+
+def test_stationary_birth_death_closed_form_above_power_cutoff():
+    # truncated geometric law with ratio 1/1.1 on 0..3000; the power
+    # iteration used above 2 000 states stopped far from it
+    N = 3000
+    Q = build_birth_death(np.full(N, 1.1), np.full(N, 1.0))
+    pi = stationary_distribution(Q).probs
+    r = 1.0 / 1.1
+    exact = (1 - r) / (1 - r ** (N + 1)) * r ** np.arange(N + 1)
+    assert np.max(np.abs(pi - exact) / exact) < 1e-12
+
+
+def test_stationary_birth_death_needs_no_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("general solver called for a birth-death chain")
+
+    monkeypatch.setattr(generator, "_gth_solve", refuse)
+    monkeypatch.setattr(generator, "_power_iteration_solve", refuse)
+    for N in (5, 2500):
+        stationary_distribution(build_birth_death([1.1] * N, [1.0] * N))
+
+
+def test_stationary_birth_death_underflow_raises():
+    # pi[k] = 2^-k / Z: entries past about 1 075 are below the double range
+    Q = build_birth_death([2.0] * 1500, [1.0] * 1500)
+    with pytest.raises(NumericalFailureError, match="non-positive"):
+        stationary_distribution(Q)
+
+
 def test_stationary_reducible_raises():
     Q = GeneratorMatrix.from_rates(
         2, [(0, 1, 1.0), (1, 1, 0.0)])  # no way back: not irreducible
@@ -266,6 +322,19 @@ def test_build_birth_death_shape():
     Q = build_birth_death([2.0, 2.0], [1.0, 1.0]).to_dense()
     expect = np.array([[-1.0, 1.0, 0.0], [2.0, -3.0, 1.0], [0.0, 2.0, -2.0]])
     assert np.array_equal(Q, expect)
+
+
+def test_build_birth_death_matches_triplet_construction():
+    # same CSR arrays, so simulated paths pick jump targets in the same order
+    rng = np.random.default_rng(3)
+    for N in (1, 2, 7, 300):
+        a, b = rng.uniform(0.1, 10.0, N), rng.uniform(0.1, 10.0, N)
+        rates = [(i, i + 1, b[i]) for i in range(N)]
+        rates += [(i, i - 1, a[i - 1]) for i in range(1, N + 1)]
+        ref = GeneratorMatrix.from_rates(N + 1, rates).matrix
+        got = build_birth_death(a, b).matrix
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field))
 
 
 def test_build_birth_death_rejects_bad_rates():

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ctmcgap import spectral
 from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      NumericalFailureError, bd_closed_form_gap,
                      bd_lower_bound, build_birth_death, dirichlet_form,
@@ -91,6 +94,111 @@ def test_gap_report_json(three_state):
     d = rep.to_dict()
     assert set(d) == {"gap", "method", "residual", "iterations"}
     assert isinstance(d["gap"], float)
+
+
+# ------------------------------------------------- birth-death (tridiagonal)
+
+@pytest.mark.parametrize("down, up", [(2.0, 1.0), (1.1, 1.0)])
+@pytest.mark.parametrize("N", [1000, 1500, 2001, 3000, 10 ** 5, 10 ** 6])
+def test_bd_gap_matches_closed_form_at_scale(N, down, up):
+    # pi underflows at 1 500 states for (2, 1), and above 2 000 states the
+    # stationary solve used to stop early and give a wrong gap
+    rep = spectral_gap(build_birth_death(np.full(N, down), np.full(N, up)))
+    ref = bd_closed_form_gap(down, up, N)
+    assert abs(rep.gap - ref) <= 1e-10 * ref
+    assert rep.method == "tridiagonal" and rep.iterations == 0
+
+
+def test_bd_gap_needs_no_stationary_solve(monkeypatch):
+    def refuse(Q):
+        raise AssertionError("stationary solve called for a birth-death chain")
+
+    monkeypatch.setattr(spectral, "stationary_distribution", refuse)
+    rep = spectral_gap(build_birth_death([2.0] * 20, [1.0] * 20))
+    assert abs(rep.gap - bd_closed_form_gap(2.0, 1.0, 20)) < 1e-12
+
+
+def _permuted(Q, order):
+    # new state k is old state order[k]
+    return GeneratorMatrix(Q.matrix[order][:, order])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.integers(1, 6), st.integers(496, 503)),
+       st.integers(0, 2 ** 32 - 1))
+def test_bd_tridiagonal_gap_matches_general_paths(N, seed):
+    # sizes straddle the 4-state Lanczos floor and the 500-state dense
+    # cutoff.  The general path solves pi in linear scale, so the rates keep
+    # every pi entry above 1e-300; their drift toward 0 keeps the gap away
+    # from 0, where solvers with absolute error agree to relative 1e-10
+    rng = np.random.default_rng(seed)
+    Q = build_birth_death(rng.uniform(1.5, 2.0, N), rng.uniform(0.6, 1.0, N))
+    rep = spectral_gap(Q)
+    assert rep.method == "tridiagonal"
+    dense = spectral_gap(Q, method="dense")
+    assert dense.method == "dense"
+    assert abs(rep.gap - dense.gap) <= 1e-10 * dense.gap
+    order = rng.permutation(N + 1)
+    permuted = _permuted(Q, order)
+    assume(not np.all(np.abs(np.diff(order)) == 1))  # still tridiagonal
+    other = spectral_gap(permuted)
+    assert other.method in ("dense", "lanczos")
+    assert abs(rep.gap - other.gap) <= 1e-9 * other.gap
+
+
+def test_bd_gap_rejects_inaccurate_eigenpair(perturbed_tridiagonal_solver):
+    with pytest.raises(NumericalFailureError, match="residual"):
+        spectral_gap(build_birth_death([2.0] * 30, [1.0] * 30))
+
+
+def test_bd_gap_rejects_wrong_pi():
+    Q = build_birth_death([2.0] * 30, [1.0] * 30)
+    with pytest.raises(NumericalFailureError, match="stationary"):
+        spectral_gap(Q, np.full(31, 1.0 / 31))
+    pi = stationary_distribution(Q).probs.copy()
+    pi[5] = 0.0
+    with pytest.raises(InvalidInputError, match="positive"):
+        spectral_gap(Q, pi)
+
+
+def test_bd_gap_rejects_non_conservative_diagonal():
+    # the product form is stationary only when rows sum to zero
+    Q = GeneratorMatrix.from_rates(3, [(0, 1, 1.0), (1, 0, 2.0), (1, 2, 1.0),
+                                       (2, 1, 2.0), (2, 2, -3.0)])
+    with pytest.raises(NumericalFailureError, match="stationary"):
+        spectral_gap(Q)
+
+
+@pytest.mark.parametrize("n", [3, 2200])
+def test_bd_gap_zero_rate_is_reducible(n):
+    # no way down from the top state: a tridiagonal but reducible chain
+    rates = [(i, i + 1, 1.0) for i in range(n - 1)]
+    rates += [(i, i - 1, 2.0) for i in range(1, n - 1)]
+    Q = GeneratorMatrix.from_rates(n, rates)
+    with pytest.raises(InvalidInputError, match="reducible"):
+        spectral_gap(Q)
+
+
+def test_bd_gap_eigenvector_contract():
+    N = 200
+    Q = build_birth_death([2.0] * N, [1.0] * N)
+    pi = stationary_distribution(Q).probs
+    rep = spectral_gap(Q)
+    f = rep.eigenvector
+    assert abs(pi @ f) < 1e-12
+    assert abs(pi @ f ** 2 - 1.0) < 1e-10
+    assert abs(rayleigh_quotient(Q, pi, f) - rep.gap) < 1e-10 * rep.gap
+
+
+@pytest.mark.parametrize("down, up, finite", [(1.1, 1.0, True),
+                                              (2.0, 1.0, False)])
+def test_bd_gap_eigenvector_never_inf_or_nan(down, up, finite):
+    # with (2, 1) on 3 000 states pi reaches 2^-3000, so 1/sqrt(pi) overflows
+    rep = spectral_gap(build_birth_death([down] * 3000, [up] * 3000))
+    if finite:
+        assert np.all(np.isfinite(rep.eigenvector))
+    else:
+        assert rep.eigenvector is None
 
 
 # ------------------------------------------------- Dirichlet form and Rayleigh
