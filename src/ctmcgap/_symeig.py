@@ -8,12 +8,11 @@ weight vector, whose eigenvalue is trivial, and the quantity of interest
 is the extremal eigenvalue of the orthogonal complement.
 
 This module owns the two numerical rules of that step: which solver runs
-(a sparse matrix whose nonzeros all sit on the three central diagonals
-goes to the tridiagonal solver, any other matrix takes the full dense
-spectrum up to `DENSE_CUTOFF` states and an iterative Lanczos solver
-beyond), and the acceptance test every returned eigenpair must pass
-(residual at most 1e-10 times the largest entry of the matrix, floored at
-1).
+by default (the full dense spectrum up to `DENSE_CUTOFF` states and an
+iterative Lanczos solver beyond; a caller that knows its matrix is
+tridiagonal asks for the tridiagonal solver), and the acceptance test
+every returned eigenpair must pass (residual at most 1e-10 times the
+largest entry of the matrix, floored at 1).
 """
 
 from __future__ import annotations
@@ -59,15 +58,6 @@ def _dense(A, v0, largest):
     idx = np.nonzero(keep)[0]
     pick = idx[np.argmax(w[idx])] if largest else idx[np.argmin(w[idx])]
     return float(w[pick]), V[:, pick].copy(), w
-
-
-def _is_tridiagonal(A):
-    """True when `A` is sparse and every nonzero sits next to the diagonal."""
-    if not sp.issparse(A):
-        return False
-    coo = A.tocoo()
-    nonzero = coo.data != 0
-    return bool(np.all(np.abs(coo.row[nonzero] - coo.col[nonzero]) <= 1))
 
 
 def _tridiagonal(A, v0, largest):
@@ -129,9 +119,10 @@ def deflated_extremal(A, known_vector, largest, method="auto"):
         extremal mode of the rest; "tridiagonal" reads the three central
         diagonals of `A`, takes the two extremal eigenpairs at the sought
         end by bisection and inverse iteration, and drops the one with the
-        larger overlap; "auto" is tridiagonal when `A` is sparse with every
-        nonzero next to the diagonal, else dense up to `DENSE_CUTOFF`
-        states and Lanczos beyond.
+        larger overlap; "auto" is dense up to `DENSE_CUTOFF` states and
+        Lanczos beyond.  `A` is not scanned for its structure: a caller
+        that knows it is tridiagonal (``spectral_gap`` on a birth-death
+        chain) asks for "tridiagonal".
 
     Returns
     -------
@@ -146,10 +137,7 @@ def deflated_extremal(A, known_vector, largest, method="auto"):
     """
     n = known_vector.size
     if method == "auto":
-        if _is_tridiagonal(A):
-            method = "tridiagonal"
-        else:
-            method = "dense" if n <= DENSE_CUTOFF else "lanczos"
+        method = "dense" if n <= DENSE_CUTOFF else "lanczos"
     if method not in ("dense", "lanczos", "tridiagonal"):
         raise ValueError(f"unknown eigensolver method {method!r}")
     if method == "lanczos" and n < 4:  # ARPACK needs k < n-1

@@ -16,7 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from ._symeig import _is_tridiagonal
 from .errors import InvalidInputError, NumericalFailureError
 
 # Above this size the stationary solve switches from elimination to power
@@ -72,6 +71,7 @@ class GeneratorMatrix:
         self._matrix = m
         self._labels = labels
         self._dense = None
+        self._structure = None
 
     @classmethod
     def from_rates(cls, n, rates, labels=None):
@@ -134,6 +134,22 @@ class GeneratorMatrix:
             self._dense = self._matrix.toarray()
         return self._dense
 
+    def structure(self):
+        """``(band, irreducible)``, read once in O(nnz) (cached).
+
+        `band` is ``(up, down)`` with ``up[i] = Q[i, i+1]`` and
+        ``down[i] = Q[i+1, i]`` when every nonzero off-diagonal rate sits
+        next to the diagonal (a birth-death chain), else None.
+        `irreducible` is true when the positive rates connect every state
+        to every other.
+        """
+        if self._structure is None:
+            band = _band_rates(self._matrix)
+            irreducible = (_strongly_connected(self) if band is None
+                           else bool(np.all(np.minimum(*band) > 0)))
+            self._structure = (band, irreducible)
+        return self._structure
+
     def exit_rates(self):
         """Total jump rate out of each state, ``-Q[i, i]`` for admissible Q."""
         return -self._matrix.diagonal()
@@ -162,7 +178,12 @@ class GeneratorMatrix:
 
 
 class StationaryDistribution:
-    """Strictly positive probability vector, the stationary law of a chain.
+    """Stationary law of a chain, carried as ``log_probs``.
+
+    ``probs`` is its linear-scale view.  A law given in linear scale is kept
+    there bit for bit; one formed in log scale (a birth-death product form)
+    reads ``exp(log_probs)``, so its entries below the double range read 0
+    in ``probs`` while ``log_probs`` keeps them.
 
     Raises
     ------
@@ -184,16 +205,19 @@ class StationaryDistribution:
                 f"probabilities sum to {p.sum()!r}, not 1 within "
                 f"{_PROB_SUM_ATOL}")
         self.probs = p
+        self.log_probs = np.log(p)
+
+    @classmethod
+    def _from_log(cls, log_probs):
+        """The law with the finite, normalized logarithms `log_probs`."""
+        law = cls.__new__(cls)
+        law.probs = np.exp(log_probs)
+        law.log_probs = log_probs
+        return law
 
     @property
     def n(self):
         return self.probs.size
-
-    def as_array(self):
-        return self.probs
-
-    def __getitem__(self, i):
-        return self.probs[i]
 
     def __repr__(self):
         return f"StationaryDistribution(n={self.n})"
@@ -287,7 +311,7 @@ def validate_generator(Q):
         if v < -atol:
             report.negative_entries.append((int(i), int(j), float(v)))
             report.messages.append(f"negative rate {v:.3e} at ({i}, {j})")
-    report.strongly_connected = _strongly_connected(Q)
+    report.strongly_connected = Q.structure()[1]
     if not report.strongly_connected:
         report.messages.append("transition graph is not strongly connected")
     return report
@@ -354,14 +378,13 @@ def _power_iteration_solve(Q):
         residual=_stationary_within(pi, M, Q.max_rate())[1])
 
 
-def _band_rates(Q):
-    """``(up, down)`` with ``up[i] = Q[i, i+1]`` and ``down[i] = Q[i+1, i]``
-    when every nonzero off-diagonal rate of `Q` sits next to the diagonal
-    (a birth-death chain), else None.  O(nnz).
-    """
-    if not _is_tridiagonal(Q.matrix):
+def _band_rates(M):
+    """The band of CSR matrix `M`, as in :meth:`GeneratorMatrix.structure`."""
+    rows = np.repeat(np.arange(M.shape[0], dtype=M.indices.dtype),
+                     np.diff(M.indptr))
+    if np.any(M.data[np.abs(M.indices - rows) > 1] != 0):
         return None
-    return Q.matrix.diagonal(1), Q.matrix.diagonal(-1)
+    return M.diagonal(1), M.diagonal(-1)
 
 
 def _exact_cumsum(x):
@@ -378,41 +401,38 @@ def _birth_death_log_pi(up, down):
 
     ``log pi[k] = sum_{i<k} log(up[i] / down[i]) - log Z``: every entry is
     within a few roundings of the exact logarithm, and none underflows.
-
-    Raises
-    ------
-    InvalidInputError
-        If a rate between neighbouring states is not positive (a zero rate
-        makes the chain reducible).
+    The rates must be positive.
     """
-    bad = np.nonzero(np.minimum(up, down) <= 0)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise InvalidInputError(
-            f"birth-death chain is reducible: rates between states {i} and "
-            f"{i + 1} are {up[i]!r} up and {down[i]!r} down, both must be "
-            "positive")
     log_mu = np.concatenate([[0.0], _exact_cumsum(np.log(up) - np.log(down))])
     top = log_mu.max()
     return log_mu - (top + np.log(np.exp(log_mu - top).sum()))
 
 
-def stationary_distribution(Q, dense_cutoff=DENSE_SOLVE_CUTOFF):
+def _irreducible_band(Q):
+    """The band of ``Q.structure()``; InvalidInputError if `Q` is reducible."""
+    band, irreducible = Q.structure()
+    if not irreducible:
+        raise InvalidInputError(
+            "generator is reducible: its positive rates do not connect "
+            "every state to every other")
+    return band
+
+
+def stationary_distribution(Q):
     """Solve ``pi Q = 0`` with ``pi > 0`` summing to 1.
 
-    The result is accepted when ``max|pi Q|`` is at most 1e-10 times the
-    largest exit rate (floored at 1).
+    A birth-death chain's ``pi`` is the product form, built in log scale in
+    O(n): its ``log_probs`` hold at any size, while ``probs`` reads 0 below
+    the double range.  Any other chain's is solved by subtraction-free
+    elimination (componentwise relative accuracy) up to
+    `DENSE_SOLVE_CUTOFF` states and by power iteration on the uniformized
+    kernel beyond.  The result is accepted when ``max|pi Q|`` is at most
+    1e-10 times the largest exit rate (floored at 1).
 
     Parameters
     ----------
     Q : GeneratorMatrix
         Admissible generator (irreducible, conservative).
-    dense_cutoff : int
-        Up to this size, use subtraction-free elimination (componentwise
-        relative accuracy); beyond it, power iteration on the uniformized
-        kernel.  Neither runs for a birth-death (tridiagonal) chain with
-        positive rates, whose ``pi`` is the product form, normalized in
-        log scale and then exponentiated, in O(n).
 
     Returns
     -------
@@ -420,27 +440,24 @@ def stationary_distribution(Q, dense_cutoff=DENSE_SOLVE_CUTOFF):
 
     Raises
     ------
+    InvalidInputError
+        If `Q` is reducible; checked before any solver runs.
     NumericalFailureError
         If the residual test fails, carrying the achieved residual, or if
-        an entry of ``pi`` underflows to 0.
+        an entry of an elimination or iteration result is not positive.
     """
-    n = Q.n
-    if n == 1:
-        return StationaryDistribution([1.0])
-    rates = _band_rates(Q)
-    # a zero rate between neighbours (a reducible chain) is left to the
-    # general solvers to report
-    if rates is not None and np.all(np.minimum(*rates) > 0):
-        pi = np.exp(_birth_death_log_pi(*rates))
-    elif n <= dense_cutoff:
-        pi = _gth_solve(Q.to_dense())
+    band = _irreducible_band(Q)
+    if band is not None:
+        pi = StationaryDistribution._from_log(_birth_death_log_pi(*band))
     else:
-        pi = _power_iteration_solve(Q)
-    _check_stationary(pi, Q.matrix, Q.max_rate(), "stationary")
-    if np.any(pi <= 0):
-        raise NumericalFailureError(
-            "stationary solve produced non-positive entries")
-    return StationaryDistribution(pi)
+        p = _gth_solve(Q.to_dense()) if Q.n <= DENSE_SOLVE_CUTOFF \
+            else _power_iteration_solve(Q)
+        if np.any(p <= 0):
+            raise NumericalFailureError(
+                "stationary solve produced non-positive entries")
+        pi = StationaryDistribution(p)
+    _check_stationary(pi.probs, Q.matrix, Q.max_rate(), "stationary")
+    return pi
 
 
 def _as_probs(pi, n=None):
@@ -595,7 +612,7 @@ def parse_model(obj, source="<model>"):
             raise InvalidInputError(
                 f"{source}: 'labels' must be a list of length n={n}")
     Q = GeneratorMatrix.from_rates(n, triplets, labels=labels)
-    if not _strongly_connected(Q):
+    if not Q.structure()[1]:
         raise InvalidInputError(
             f"{source}: transition graph is not strongly connected")
     return Q

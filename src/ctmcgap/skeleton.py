@@ -218,13 +218,15 @@ def skeleton_gap_check(Q, pi=None, deltas=(0.1, 0.05, 0.01)):
         raise InvalidInputError("deltas must be positive")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise InvalidInputError("deltas must be strictly decreasing")
-    p = _as_probs(pi, Q.n) if pi is not None else \
-        stationary_distribution(Q).probs
-    gap_ref = spectral_gap(Q, p).gap
+    if pi is None:
+        pi = stationary_distribution(Q)
+        if np.any(pi.probs == 0):  # the kernel is weighted in linear scale
+            raise NumericalFailureError("pi has entries below the double range")
+    gap_ref = spectral_gap(Q, pi).gap
     rows = []
     for d in deltas:
         P = transition_matrix_exp(Q, d)
-        rep = dtmc_spectral_gap(P, p)
+        rep = dtmc_spectral_gap(P, pi)
         ratio = rep.gap / d
         rows.append(SkeletonRow(delta=d, lambda_P=rep.lambda_P, ratio=ratio,
                                 abs_error=abs(ratio - gap_ref)))

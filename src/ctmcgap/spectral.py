@@ -21,8 +21,8 @@ import scipy.sparse as sp
 from ._report import Report
 from ._symeig import DENSE_CUTOFF, deflated_extremal
 from .errors import InvalidInputError
-from .generator import (_as_probs, _band_rates, _birth_death_log_pi,
-                        _check_stationary, additive_symmetrization,
+from .generator import (StationaryDistribution, _as_probs, _check_stationary,
+                        _irreducible_band, additive_symmetrization,
                         stationary_distribution)
 
 # drift inequalities may be exceeded by this much before they count as broken
@@ -81,17 +81,17 @@ def symmetrized_form(Q, pi):
     criterion ``S`` then has the diagonal of `Q` and the off-diagonal
     ``sqrt(Q[i, i+1] Q[i+1, i])``: it is built from the rates alone, in
     sparse form, and `pi` enters only the returned ``sqrt(pi)``, where
-    entries that underflow to 0 are harmless.
+    entries that underflow to 0 are harmless.  Either way `pi` must be
+    stationary for `Q` (NumericalFailureError otherwise).
     """
     p = _as_probs(pi, Q.n)
-    rates = _band_rates(Q)
-    if rates is not None:
-        off = np.sqrt(rates[0] * rates[1])
+    band = Q.structure()[0]
+    if band is not None:
+        _check_stationary(p, Q.matrix, Q.max_rate(), "stationary")
+        off = np.sqrt(band[0] * band[1])
         S = sp.diags([off, Q.matrix.diagonal(), off], [-1, 0, 1],
                      format="csr")
         return S, np.sqrt(p)
-    if np.any(p <= 0):
-        raise InvalidInputError("weights must be strictly positive")
     Qbar = additive_symmetrization(Q, p)
     sq = np.sqrt(p)
     if Q.n <= DENSE_CUTOFF:
@@ -106,14 +106,16 @@ def symmetrized_form(Q, pi):
 def spectral_gap(Q, pi=None, method="auto"):
     """Spectral gap of a continuous-time chain.
 
+    The eigenvector is mapped back to states through ``pi.log_probs``, so
+    entries of ``pi`` below the double range do no harm.
+
     Parameters
     ----------
     Q : GeneratorMatrix
         Admissible generator.
     pi : StationaryDistribution or array, optional
-        Stationary law; solved from `Q` when omitted.  For a birth-death
-        (tridiagonal) chain it is only checked: the product form gives
-        ``log pi``, so entries of ``pi`` below the double range do no harm.
+        Stationary law; solved from `Q` when omitted, and checked for
+        stationarity when given.
     method : {"auto", "dense", "lanczos"}
         "auto" is "tridiagonal" when every nonzero off-diagonal rate of `Q`
         sits next to the diagonal (a birth-death chain; the gap then costs
@@ -126,8 +128,8 @@ def spectral_gap(Q, pi=None, method="auto"):
     Raises
     ------
     InvalidInputError
-        When a birth-death chain has a zero rate between neighbours
-        (reducible), or a given `pi` has a non-positive entry.
+        When `Q` is reducible (checked first), or a given `pi` is not a
+        strictly positive probability vector.
     NumericalFailureError
         When `pi` is not stationary for `Q`, on eigensolver
         non-convergence, or on an out-of-tolerance eigenpair residual.
@@ -136,27 +138,18 @@ def spectral_gap(Q, pi=None, method="auto"):
         return SpectralReport(gap=math.inf, method="dense", residual=0.0,
                               iterations=0, eigenvector=None,
                               trivial_residual=0.0, degenerate=True)
-    rates = _band_rates(Q)
-    if rates is None:
-        p = _as_probs(pi, Q.n) if pi is not None else \
-            stationary_distribution(Q).probs
-        S, sq = symmetrized_form(Q, p)
-        log_pi = np.log(p)
-    else:
-        log_pi = _birth_death_log_pi(*rates)
-        p = np.exp(log_pi)
-        # the product form is stationary only for a conservative diagonal
-        _check_stationary(p, Q.matrix, Q.max_rate(), "stationary")
-        if pi is not None:
-            given = _as_probs(pi, Q.n)
-            if np.any(given <= 0):
-                raise InvalidInputError("weights must be strictly positive")
-            _check_stationary(given, Q.matrix, Q.max_rate(), "stationary")
-        S, sq = symmetrized_form(Q, p)
+    band = _irreducible_band(Q)
+    if pi is None:
+        pi = stationary_distribution(Q)
+    elif not isinstance(pi, StationaryDistribution):
+        pi = StationaryDistribution(_as_probs(pi, Q.n))
+    S, sq = symmetrized_form(Q, pi)
+    if method == "auto" and band is not None:
+        method = "tridiagonal"
     result, used = deflated_extremal(-S, sq, largest=False, method=method)
     # map the symmetric-space eigenvector back to a function on states
     with np.errstate(over="ignore", invalid="ignore"):
-        f = result.vector * np.exp(-0.5 * log_pi)
+        f = result.vector * np.exp(-0.5 * pi.log_probs)
     if not np.all(np.isfinite(f)):
         f = None
     elif f[np.argmax(np.abs(f))] < 0:

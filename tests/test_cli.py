@@ -54,24 +54,30 @@ def test_gap_birth_death_large_matches_closed_form(capsys, N, down, up):
 
 def test_sweep_finite_birth_death_above_2000_states(capsys):
     # collapsing 0..3000 or 0..inf onto a 100- or 200-state prefix gives
-    # the same chain to double precision
-    gaps = []
-    for n in ("3000", "inf"):
-        code, out, _ = run(capsys, ["sweep", "--bd", "1.1", "1", n,
-                                    "--sizes", "100,200", "--format", "json"])
-        assert code == 0
-        gaps.append(json.loads(out)["gaps"])
-    assert np.allclose(gaps[0], gaps[1], rtol=1e-10, atol=0.0)
+    # the same chain to double precision; with rates (2, 1) pi underflows
+    # past about 1 075 states
+    for down in ("1.1", "2"):
+        gaps = []
+        for n in ("3000", "inf"):
+            code, out, _ = run(capsys, ["sweep", "--bd", down, "1", n,
+                                        "--sizes", "100,200",
+                                        "--format", "json"])
+            assert code == 0
+            gaps.append(json.loads(out)["gaps"])
+        assert np.allclose(gaps[0], gaps[1], rtol=1e-10, atol=0.0)
 
 
 def test_verify_birth_death_above_2000_states(capsys):
-    code, out, _ = run(capsys, ["verify", "--bd", "1.1", "1", "2500",
-                                "--reps", "20", "--t", "1", "--eps", "0.5"])
-    assert code == 0
-    obj = json.loads(out)
-    ref = bd_closed_form_gap(1.1, 1.0, 2500)
-    assert abs(obj["gap"] - ref) <= 1e-10 * ref
-    assert obj["gap_method"] == "tridiagonal"
+    # at 1 500 states with rates (2, 1) pi underflows
+    for down, n in ((1.1, 2500), (2.0, 1500)):
+        code, out, _ = run(capsys, ["verify", "--bd", str(down), "1", str(n),
+                                    "--reps", "20", "--t", "1",
+                                    "--eps", "0.5"])
+        assert code == 0
+        obj = json.loads(out)
+        ref = bd_closed_form_gap(down, 1.0, n)
+        assert abs(obj["gap"] - ref) <= 1e-10 * ref
+        assert obj["gap_method"] == "tridiagonal"
 
 
 def test_gap_birth_death_infinite_closed_form(capsys):
@@ -365,6 +371,15 @@ def test_skeleton_infinite_bd_rejected(capsys):
     code, _, err = run(capsys, ["skeleton", "--bd", "2", "1", "inf"])
     assert code == 2
     assert "finite" in err
+
+
+def test_skeleton_underflowing_pi_is_a_numerical_failure(capsys):
+    # the skeleton kernel is weighted by pi in linear scale, which reads 0
+    # past about 1 075 states for rates (2, 1): a numerical limit, not a
+    # bad input
+    code, _, err = run(capsys, ["skeleton", "--bd", "2", "1", "1500"])
+    assert code == 3
+    assert "double range" in err
 
 
 # ------------------------------------------------------------ output contract

@@ -193,8 +193,8 @@ def test_stationary_matches_least_squares_oracle():
 
 def test_stationary_power_iteration_path(three_state):
     pi_elim = stationary_distribution(three_state)
-    pi_iter = stationary_distribution(three_state, dense_cutoff=1)
-    assert np.max(np.abs(pi_elim.probs - pi_iter.probs)) < 1e-9
+    pi_iter = generator._power_iteration_solve(three_state)
+    assert np.max(np.abs(pi_elim.probs - pi_iter)) < 1e-9
 
 
 def test_stationary_birth_death_matches_gth():
@@ -245,17 +245,21 @@ def test_stationary_birth_death_needs_no_elimination(monkeypatch):
         stationary_distribution(build_birth_death([1.1] * N, [1.0] * N))
 
 
-def test_stationary_birth_death_underflow_raises():
-    # pi[k] = 2^-k / Z: entries past about 1 075 are below the double range
-    Q = build_birth_death([2.0] * 1500, [1.0] * 1500)
-    with pytest.raises(NumericalFailureError, match="non-positive"):
-        stationary_distribution(Q)
+def test_stationary_birth_death_log_probs_below_double_range():
+    # pi[k] = 2^-k / Z: entries past about 1 075 are below the double range,
+    # where probs reads 0 and log_probs keeps the truncated geometric law
+    N = 1500
+    pi = stationary_distribution(build_birth_death([2.0] * N, [1.0] * N))
+    r = 0.5
+    exact = np.log((1 - r) / (1 - r ** (N + 1))) + np.arange(N + 1) * np.log(r)
+    assert np.max(np.abs(pi.log_probs - exact) / np.abs(exact)) < 1e-12
+    assert pi.probs[-1] == 0.0
 
 
 def test_stationary_reducible_raises():
     Q = GeneratorMatrix.from_rates(
         2, [(0, 1, 1.0), (1, 1, 0.0)])  # no way back: not irreducible
-    with pytest.raises(NumericalFailureError):
+    with pytest.raises(InvalidInputError, match="reducible"):
         stationary_distribution(Q)
 
 

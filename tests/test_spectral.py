@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ctmcgap import spectral
+from ctmcgap import generator
 from ctmcgap import (GeneratorMatrix, InvalidInputError,
-                     NumericalFailureError, bd_closed_form_gap,
-                     bd_lower_bound, build_birth_death, dirichlet_form,
-                     drift_certificate_check, rayleigh_quotient, spectral_gap,
-                     stationary_distribution, symmetrized_form)
+                     NumericalFailureError, ObservableFunction,
+                     bd_closed_form_gap, bd_lower_bound, build_birth_death,
+                     dirichlet_form, drift_certificate_check,
+                     rayleigh_quotient, spectral_gap, stationary_distribution,
+                     symmetrized_form, verify)
 from conftest import THREE_STATE_GAP, THREE_STATE_PI, random_birth_death
 
 
@@ -109,11 +110,12 @@ def test_bd_gap_matches_closed_form_at_scale(N, down, up):
     assert rep.method == "tridiagonal" and rep.iterations == 0
 
 
-def test_bd_gap_needs_no_stationary_solve(monkeypatch):
-    def refuse(Q):
-        raise AssertionError("stationary solve called for a birth-death chain")
+def test_bd_gap_needs_no_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("general solver called for a birth-death chain")
 
-    monkeypatch.setattr(spectral, "stationary_distribution", refuse)
+    monkeypatch.setattr(generator, "_gth_solve", refuse)
+    monkeypatch.setattr(generator, "_power_iteration_solve", refuse)
     rep = spectral_gap(build_birth_death([2.0] * 20, [1.0] * 20))
     assert abs(rep.gap - bd_closed_form_gap(2.0, 1.0, 20)) < 1e-12
 
@@ -177,6 +179,83 @@ def test_bd_gap_zero_rate_is_reducible(n):
     Q = GeneratorMatrix.from_rates(n, rates)
     with pytest.raises(InvalidInputError, match="reducible"):
         spectral_gap(Q)
+    with pytest.raises(InvalidInputError, match="reducible"):
+        stationary_distribution(Q)
+
+
+def _two_rings(n):
+    # two disjoint directed rings of n states each
+    rates = [(i, (i + 1) % n, 1.0) for i in range(n)]
+    rates += [(n + i, n + (i + 1) % n, 2.0) for i in range(n)]
+    return GeneratorMatrix.from_rates(2 * n, rates), None
+
+
+def _split_birth_death(n):
+    # two birth-death blocks of n states joined by a zero rate both ways;
+    # any mixture of the block laws is a positive stationary pi
+    Q = build_birth_death([2.0] * (2 * n - 1), [1.0] * (2 * n - 1))
+    M = Q.matrix.tolil()
+    M[n - 1, n] = M[n, n - 1] = 0.0
+    M.setdiag(0.0)
+    M.setdiag(-np.asarray(M.sum(axis=1)).ravel())
+    block = stationary_distribution(build_birth_death([2.0] * (n - 1),
+                                                      [1.0] * (n - 1))).probs
+    return GeneratorMatrix(M.tocsr()), np.concatenate([block, block]) / 2
+
+
+@pytest.mark.parametrize("chain", [lambda: _two_rings(1100),
+                                   lambda: _split_birth_death(5)],
+                         ids=["two-rings", "split-birth-death"])
+def test_reducible_chain_is_invalid_input(chain):
+    # refused before any solver runs, given pi or not; the two-ring chain
+    # used to get a gap of about 1e-16 and no error
+    Q, pi = chain()
+    if pi is not None:
+        generator._check_stationary(pi, Q.matrix, Q.max_rate(), "stationary")
+    with pytest.raises(InvalidInputError, match="reducible"):
+        stationary_distribution(Q)
+    with pytest.raises(InvalidInputError, match="reducible"):
+        spectral_gap(Q, pi)
+
+
+def test_one_band_scan_per_gap_and_verify(monkeypatch):
+    scans = []
+    scan = generator._band_rates
+
+    def counting(M):
+        scans.append(M.shape[0])
+        return scan(M)
+
+    monkeypatch.setattr(generator, "_band_rates", counting)
+    spectral_gap(build_birth_death([2.0] * 40, [1.0] * 40))
+    assert scans == [41]
+    verify(build_birth_death([2.0] * 10, [1.0] * 10),
+           ObservableFunction(np.arange(11) / 10.0, 0.0, 1.0), t=1.0,
+           eps_grid=[0.5], reps=10, seed=1)
+    assert scans == [41, 11]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.one_of(st.integers(2, 6), st.integers(497, 503)),
+       st.floats(-3.0, 3.0), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_gap_scales_with_the_rates(n, log_c, birth_death, seed):
+    # sizes straddle the 4-state Lanczos floor and the 500-state dense
+    # cutoff; a general chain is a ring plus random chords, so irreducible
+    rng = np.random.default_rng(seed)
+    if birth_death:
+        Q = build_birth_death(rng.uniform(1.5, 2.0, n - 1),
+                              rng.uniform(0.6, 1.0, n - 1))
+    else:
+        rates = {(i, (i + 1) % n): rng.uniform(0.5, 1.5) for i in range(n)}
+        for i, j in rng.integers(0, n, size=(2 * n, 2)):
+            if i != j:
+                rates[int(i), int(j)] = rng.uniform(0.5, 1.5)
+        Q = GeneratorMatrix.from_rates(n, [(i, j, v) for (i, j), v in
+                                           rates.items()])
+    c = 10.0 ** log_c
+    gap = spectral_gap(Q).gap
+    scaled = spectral_gap(GeneratorMatrix(c * Q.matrix)).gap
+    assert abs(scaled - c * gap) <= 1e-10 * c * gap
 
 
 def test_bd_gap_eigenvector_contract():
