@@ -18,9 +18,11 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidInputError, NumericalFailureError
 
-# Above this size the stationary solve switches from elimination to power
-# iteration on the uniformized kernel.
-DENSE_SOLVE_CUTOFF = 2000
+# Above this size the stationary solve of a chain that is not birth-death
+# switches from elimination to power iteration on the uniformized kernel.
+# At the cutoff the solve's dense copy takes 128 MB and a few seconds.
+DENSE_SOLVE_CUTOFF = 4096
+_GTH_PANEL = 64  # states eliminated per panel of the blocked solve
 
 # Relative to the largest exit rate (floored at 1): the stationarity residual
 # max|p Q|, and row sums, negative rates and detailed-balance defects.
@@ -320,24 +322,36 @@ def validate_generator(Q):
 def _gth_solve(A):
     """Stationary vector of a conservative rate matrix by state elimination.
 
-    Subtraction-free, so every entry keeps full relative accuracy even when
-    the distribution spans hundreds of orders of magnitude.
+    Grassmann-Taksar-Heyman elimination, blocked: states are eliminated
+    from the last down in panels of `_GTH_PANEL`.  Within a panel each
+    elimination updates only the panel's rows and the panel's columns of
+    the rows above; one matrix product then carries the whole panel into
+    the trailing block.  Every update adds products of nonnegative
+    off-diagonal rates (the diagonal is never read), so the method is
+    subtraction-free and every entry keeps full relative accuracy even when
+    the distribution spans hundreds of orders of magnitude.  Chains of at
+    most `_GTH_PANEL` states take exactly the arithmetic of the unblocked
+    loop.
+
+    `A` is a float ndarray the solve owns: it is overwritten.
     """
-    A = A.astype(float, copy=True)
     n = A.shape[0]
-    for k in range(n - 1, 0, -1):
-        s = A[k, :k].sum()
-        if s <= 0:
-            raise NumericalFailureError(
-                f"elimination pivot {s!r} at state {k}; "
-                "generator is likely reducible")
-        f = A[:k, k] / s
-        A[:k, :k] += np.outer(f, A[k, :k])
+    s = np.zeros(n)
+    for hi in range(n, 1, -_GTH_PANEL):
+        lo = max(hi - _GTH_PANEL, 1)
+        for k in range(hi - 1, lo - 1, -1):
+            s[k] = A[k, :k].sum()
+            if s[k] <= 0:
+                raise NumericalFailureError(
+                    f"elimination pivot {s[k]!r} at state {k}; "
+                    "generator is likely reducible")
+            A[lo:k, :k] += np.outer(A[lo:k, k] / s[k], A[k, :k])
+            A[:lo, lo:k] += np.outer(A[:lo, k] / s[k], A[k, lo:k])
+        A[:lo, :lo] += (A[:lo, lo:hi] / s[lo:hi]) @ A[lo:hi, :lo]
     x = np.zeros(n)
     x[0] = 1.0
     for k in range(1, n):
-        s = A[k, :k].sum()
-        x[k] = (x[:k] @ A[:k, k]) / s
+        x[k] = (x[:k] @ A[:k, k]) / s[k]
     return x / x.sum()
 
 
@@ -423,11 +437,12 @@ def stationary_distribution(Q):
 
     A birth-death chain's ``pi`` is the product form, built in log scale in
     O(n): its ``log_probs`` hold at any size, while ``probs`` reads 0 below
-    the double range.  Any other chain's is solved by subtraction-free
-    elimination (componentwise relative accuracy) up to
-    `DENSE_SOLVE_CUTOFF` states and by power iteration on the uniformized
-    kernel beyond.  The result is accepted when ``max|pi Q|`` is at most
-    1e-10 times the largest exit rate (floored at 1).
+    the double range.  Any other chain's is solved in linear scale: by
+    blocked subtraction-free elimination (componentwise relative accuracy;
+    panels of `_GTH_PANEL` states) on a dense copy of `Q` up to
+    `DENSE_SOLVE_CUTOFF` (4 096) states, and by power iteration on the
+    uniformized kernel beyond.  The result is accepted when ``max|pi Q|`` is
+    at most 1e-10 times the largest exit rate (floored at 1).
 
     Parameters
     ----------
@@ -444,17 +459,20 @@ def stationary_distribution(Q):
         If `Q` is reducible; checked before any solver runs.
     NumericalFailureError
         If the residual test fails, carrying the achieved residual, or if
-        an entry of an elimination or iteration result is not positive.
+        an entry of an elimination or iteration result is not positive
+        (NaN included: ``pi`` out of the double range in linear scale).
     """
     band = _irreducible_band(Q)
     if band is not None:
         pi = StationaryDistribution._from_log(_birth_death_log_pi(*band))
     else:
-        p = _gth_solve(Q.to_dense()) if Q.n <= DENSE_SOLVE_CUTOFF \
-            else _power_iteration_solve(Q)
-        if np.any(p <= 0):
+        # an overflow leaves NaN or 0 in p, which the test below rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = _gth_solve(Q.matrix.toarray()) \
+                if Q.n <= DENSE_SOLVE_CUTOFF else _power_iteration_solve(Q)
+        if not np.all(p > 0):
             raise NumericalFailureError(
-                "stationary solve produced non-positive entries")
+                "stationary solve produced non-positive or NaN entries")
         pi = StationaryDistribution(p)
     _check_stationary(pi.probs, Q.matrix, Q.max_rate(), "stationary")
     return pi

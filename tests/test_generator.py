@@ -208,6 +208,85 @@ def test_stationary_birth_death_matches_gth():
         assert np.max(np.abs(pi - ref) / ref) < 1e-12
 
 
+def _gth_reference(A):
+    # the unblocked elimination: one rank-1 update of A[:k, :k] per state
+    A = A.astype(float, copy=True)
+    n = A.shape[0]
+    for k in range(n - 1, 0, -1):
+        s = A[k, :k].sum()
+        if s <= 0:
+            raise NumericalFailureError(
+                f"elimination pivot {s!r} at state {k}; "
+                "generator is likely reducible")
+        f = A[:k, k] / s
+        A[:k, :k] += np.outer(f, A[k, :k])
+    x = np.zeros(n)
+    x[0] = 1.0
+    for k in range(1, n):
+        s = A[k, :k].sum()
+        x[k] = (x[:k] @ A[:k, k]) / s
+    return x / x.sum()
+
+
+def _ring_with_chords(n, skewed, seed):
+    # a ring plus 2n random chords.  A skewed chain drifts toward state 0:
+    # up rates 10^(-290/(n-1)), down rates 1 and downward chords of at most
+    # 1e-4 keep every pi entry between about 1e-291 and 1
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n))
+    if n > 1:
+        i = np.arange(n - 1)
+        rows = rng.integers(1, n, 2 * n)
+        if skewed:
+            A[i, i + 1] = 10.0 ** (-290 / (n - 1))
+            A[i + 1, i] = 1.0
+            A[n - 1, 0] += 1.0
+            cols = (rng.uniform(size=2 * n) * rows).astype(int)
+            rates = rng.uniform(1e-5, 1e-4, 2 * n)
+        else:
+            A[i, i + 1] = rng.uniform(0.1, 10.0, n - 1)
+            A[n - 1, 0] += rng.uniform(0.1, 10.0)
+            cols = (rows + rng.integers(1, n, 2 * n)) % n
+            rates = 10.0 ** rng.uniform(-1.0, 1.0, 2 * n)
+        np.add.at(A, (rows, cols), rates)
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -A.sum(axis=1))
+    return A
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 63, 64, 65, 66, 127, 128, 129, 130,
+                        199, 200, 201]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_gth_blocked_matches_unblocked_loop(n, skewed, seed):
+    # sizes straddle one and two panels of 64 states.  Up to one panel the
+    # arithmetic is the loop's; beyond, only the summation order differs
+    A = _ring_with_chords(n, skewed, seed)
+    ref = _gth_reference(A)
+    got = generator._gth_solve(A.copy())
+    if skewed and n > 1:
+        assert 1e-300 < ref.min() < 1e-280
+    if n <= generator._GTH_PANEL:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+
+def test_gth_pivot_error_from_a_later_panel():
+    # 0 -> 1 -> ... -> 10 feeds the closed ring 10 -> ... -> 199 -> 10, so
+    # state 10, in the third panel, has no way back below it
+    n = 200
+    A = np.zeros((n, n))
+    i = np.arange(10, n)
+    A[i, np.where(i + 1 < n, i + 1, 10)] = 1.0
+    A[np.arange(10), np.arange(1, 11)] = 1.0
+    np.fill_diagonal(A, -A.sum(axis=1))
+    assert 10 < n - 2 * generator._GTH_PANEL
+    with pytest.raises(NumericalFailureError,
+                       match=r"elimination pivot .* at state 10;"):
+        generator._gth_solve(A)
+
+
 def test_exact_cumsum_against_rational_sums():
     # a plain cumsum of log(1/1.1) drifts by 8e-12 over 3 000 terms
     from fractions import Fraction

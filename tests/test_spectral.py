@@ -148,6 +148,25 @@ def test_bd_tridiagonal_gap_matches_general_paths(N, seed):
     assert abs(rep.gap - other.gap) <= 1e-9 * other.gap
 
 
+def test_permuted_bd_gap_by_elimination_or_refusal():
+    # relabelled, a birth-death chain takes the general pi solve.  Power
+    # iteration, used above 2 000 states until the elimination cutoff rose
+    # to 4 096, returned a gap of 1.3e-4 for (1.1, 1) and 2.1e-3 for
+    # (2, 1) at this size.  The pi of (2, 1) leaves the double range in
+    # linear scale, where the only right answer is a numerical failure
+    N = 2500
+    order = np.random.default_rng(0).permutation(N + 1)
+
+    def permuted(down):
+        return _permuted(build_birth_death(np.full(N, down), np.ones(N)),
+                         order)
+
+    ref = bd_closed_form_gap(1.1, 1.0, N)
+    assert abs(spectral_gap(permuted(1.1)).gap - ref) <= 1e-10 * ref
+    with pytest.raises(NumericalFailureError):
+        spectral_gap(permuted(2.0))
+
+
 def test_bd_gap_rejects_inaccurate_eigenpair(perturbed_tridiagonal_solver):
     with pytest.raises(NumericalFailureError, match="residual"):
         spectral_gap(build_birth_death([2.0] * 30, [1.0] * 30))
