@@ -213,8 +213,7 @@ class VerificationReport(Report):
 
 
 def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
-           assert_lezaud_hypotheses=False, regularity_asserted=True,
-           workers=1):
+           assert_lezaud_hypotheses=False, workers=1):
     """Check the tail bounds against exact simulation on one chain.
 
     Simulates `reps` independent replications of the chain over
@@ -304,5 +303,4 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
         gap_residual=gap_report.residual, seed=int(seed), pi_g=pi_g,
         g_sup_norm=float(np.max(np.abs(g.values))),
         g_pi2_norm=float(math.sqrt(pi.probs @ g.values ** 2)),
-        lezaud_hypotheses_asserted=bool(assert_lezaud_hypotheses),
-        regularity_asserted=bool(regularity_asserted))
+        lezaud_hypotheses_asserted=bool(assert_lezaud_hypotheses))

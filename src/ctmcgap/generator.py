@@ -333,7 +333,9 @@ def _gth_solve(A):
     most `_GTH_PANEL` states take exactly the arithmetic of the unblocked
     loop.
 
-    `A` is a float ndarray the solve owns: it is overwritten.
+    `A` is a float ndarray the solve owns: it is overwritten.  A pivot that
+    is not positive raises NumericalFailureError; for an irreducible chain
+    it means that ``pi`` left the double range.
     """
     n = A.shape[0]
     s = np.zeros(n)
@@ -343,8 +345,8 @@ def _gth_solve(A):
             s[k] = A[k, :k].sum()
             if s[k] <= 0:
                 raise NumericalFailureError(
-                    f"elimination pivot {s[k]!r} at state {k}; "
-                    "generator is likely reducible")
+                    f"elimination pivot {s[k]!r} at state {k}; the "
+                    "stationary law underflows the double range")
             A[lo:k, :k] += np.outer(A[lo:k, k] / s[k], A[k, :k])
             A[:lo, lo:k] += np.outer(A[:lo, k] / s[k], A[k, lo:k])
         A[:lo, :lo] += (A[:lo, lo:hi] / s[lo:hi]) @ A[lo:hi, :lo]
@@ -355,24 +357,24 @@ def _gth_solve(A):
     return x / x.sum()
 
 
-def _stationary_within(p, M, scale):
-    """``(ok, residual)`` of the stationarity test for `p` against `M`."""
-    resid = float(np.max(np.abs(p @ M)))
-    return resid <= _STATIONARY_RTOL * max(scale, 1.0), resid
-
-
 def _check_stationary(p, M, scale, what):
     """Raise unless `p` is stationary for `M`; `what` opens the message."""
-    ok, resid = _stationary_within(p, M, scale)
-    if not ok:
+    resid = float(np.max(np.abs(p @ M)))
+    if not resid <= _STATIONARY_RTOL * max(scale, 1.0):
         raise NumericalFailureError(
             f"{what} residual {resid:.3e} exceeds {_STATIONARY_RTOL:.1e} * "
             f"{max(scale, 1.0):.3e}", residual=resid)
 
 
 def _power_iteration_solve(Q):
-    """Left fixed vector of the uniformized kernel, for large sparse chains."""
+    """Left fixed vector of the uniformized kernel, for large sparse chains.
+
+    Stops once every component is stationary to `_STATIONARY_RTOL` relative
+    to its own flow, ``|(pi Q)_j| <= rtol * pi_j * q_j``: an absolute test
+    accepts small entries that are still far from converged.
+    """
     n = Q.n
+    rates = Q.exit_rates()
     q = 1.05 * Q.max_rate()
     if q <= 0:
         raise NumericalFailureError("all exit rates vanish")
@@ -383,13 +385,14 @@ def _power_iteration_solve(Q):
         pi = pi + (pi @ M) / q
         pi = np.maximum(pi, 0.0)
         pi /= pi.sum()
-        if it % check_every == 0 and _stationary_within(pi, M,
-                                                        Q.max_rate())[0]:
-            return pi
+        if it % check_every == 0:
+            flow = pi * rates
+            resid = np.max(np.abs(pi @ M) / np.where(flow > 0, flow, np.nan))
+            if resid <= _STATIONARY_RTOL:
+                return pi
     raise NumericalFailureError(
         f"stationary iteration did not reach tolerance after "
-        f"{_POWER_MAX_ITERATIONS} steps",
-        residual=_stationary_within(pi, M, Q.max_rate())[1])
+        f"{_POWER_MAX_ITERATIONS} steps", residual=float(resid))
 
 
 def _band_rates(M):
@@ -441,8 +444,10 @@ def stationary_distribution(Q):
     blocked subtraction-free elimination (componentwise relative accuracy;
     panels of `_GTH_PANEL` states) on a dense copy of `Q` up to
     `DENSE_SOLVE_CUTOFF` (4 096) states, and by power iteration on the
-    uniformized kernel beyond.  The result is accepted when ``max|pi Q|`` is
-    at most 1e-10 times the largest exit rate (floored at 1).
+    uniformized kernel beyond, run until ``|(pi Q)_j| <= 1e-10 pi_j q_j``
+    for every state `j` with exit rate `q_j`.  The result is accepted when
+    ``max|pi Q|`` is at most 1e-10 times the largest exit rate (floored
+    at 1).
 
     Parameters
     ----------
@@ -459,8 +464,9 @@ def stationary_distribution(Q):
         If `Q` is reducible; checked before any solver runs.
     NumericalFailureError
         If the residual test fails, carrying the achieved residual, or if
-        an entry of an elimination or iteration result is not positive
-        (NaN included: ``pi`` out of the double range in linear scale).
+        ``pi`` leaves the double range in linear scale: then an elimination
+        pivot vanishes, or an entry of an elimination or iteration result
+        is not positive (NaN included).  Reducible chains never get here.
     """
     band = _irreducible_band(Q)
     if band is not None:

@@ -11,6 +11,7 @@ reproducible bit-for-bit regardless of scheduling or worker count.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -68,24 +69,31 @@ def _observable_values(g, n):
     return values
 
 
+def _draw(cum, u):
+    """Category of uniform `u` under the cumulative table `cum`."""
+    return min(bisect_right(cum, u), len(cum) - 1)
+
+
 class _PreparedChain:
-    """Row tables for fast repeated sampling."""
+    """Per-state exit rates, jump targets and cumulative jump probabilities,
+    as plain lists that the walker reads one entry at a time."""
 
     def __init__(self, Q):
-        self.n = Q.n
-        self.exit = Q.exit_rates().astype(float)
+        self.exit = Q.exit_rates().tolist()
         self.targets = []
         self.cum_probs = []
         for i in range(Q.n):
             cols, vals = Q.row_rates(i)
-            self.targets.append(cols.astype(np.int64))
-            total = vals.sum()
-            self.cum_probs.append(np.cumsum(vals) / total if vals.size
-                                  else np.empty(0))
+            if self.exit[i] > 0 and not vals.size:
+                raise InvalidInputError(
+                    f"state {i} has exit rate {self.exit[i]!r} but no "
+                    "positive jump rate")
+            self.targets.append(cols.tolist())
+            self.cum_probs.append((np.cumsum(vals) / vals.sum()).tolist())
 
 
 def _walk(prep, x0, horizon, rng, values, max_jumps):
-    """Simulate one path; returns (times, states, time_average_or_None)."""
+    """Simulate one path; returns (times, states, time average of values)."""
     times = [0.0]
     states = [x0]
     x = x0
@@ -93,34 +101,21 @@ def _walk(prep, x0, horizon, rng, values, max_jumps):
     weighted = 0.0
     while True:
         rate = prep.exit[x]
-        if rate <= 0.0:
-            # absorbing state: sits there forever
-            if values is not None:
-                weighted += (horizon - now) * values[x]
-            break
-        hold = rng.exponential(1.0 / rate)
+        # an absorbing state holds forever and draws nothing
+        hold = math.inf if rate <= 0.0 else rng.exponential(1.0 / rate)
         if now + hold >= horizon:
-            if values is not None:
-                weighted += (horizon - now) * values[x]
+            weighted += (horizon - now) * values[x]
             break
         now += hold
-        if values is not None:
-            weighted += hold * values[x]
-        u = rng.random()
-        k = int(np.searchsorted(prep.cum_probs[x], u, side="right"))
-        if k >= prep.targets[x].size:
-            k = prep.targets[x].size - 1
-        x = int(prep.targets[x][k])
+        weighted += hold * values[x]
+        x = prep.targets[x][_draw(prep.cum_probs[x], rng.random())]
         times.append(now)
         states.append(x)
         if len(times) > max_jumps:
             raise ExplosionGuardError(
                 f"trajectory exceeded {max_jumps} jumps before time "
                 f"{horizon}; explosion guard tripped")
-    avg = None
-    if values is not None:
-        avg = float(values[x0]) if horizon == 0.0 else weighted / horizon
-    return times, states, avg
+    return times, states, values[x0] if horizon == 0.0 else weighted / horizon
 
 
 def sample_path(Q, x0, horizon, rng, g=None, max_jumps=DEFAULT_MAX_JUMPS):
@@ -147,6 +142,8 @@ def sample_path(Q, x0, horizon, rng, g=None, max_jumps=DEFAULT_MAX_JUMPS):
     ------
     ExplosionGuardError
         If the path needs more than `max_jumps` jumps.
+    InvalidInputError
+        If a state has a positive exit rate but no positive jump rate.
     """
     x0 = int(x0)
     if not 0 <= x0 < Q.n:
@@ -154,12 +151,13 @@ def sample_path(Q, x0, horizon, rng, g=None, max_jumps=DEFAULT_MAX_JUMPS):
     horizon = float(horizon)
     if not 0 <= horizon < math.inf:
         raise InvalidInputError("horizon must be nonnegative and finite")
-    values = None if g is None else _observable_values(g, Q.n)
-    prep = _PreparedChain(Q)
-    times, states, avg = _walk(prep, x0, horizon, rng, values, max_jumps)
+    values = [0.0] * Q.n if g is None else _observable_values(g, Q.n).tolist()
+    times, states, avg = _walk(_PreparedChain(Q), x0, horizon, rng, values,
+                               max_jumps)
     return TrajectorySample(jump_times=np.asarray(times),
                             states=np.asarray(states, dtype=np.int64),
-                            horizon=horizon, time_average=avg)
+                            horizon=horizon,
+                            time_average=None if g is None else avg)
 
 
 def clopper_pearson_upper(successes, trials, level=DEFAULT_CI_LEVEL):
@@ -201,18 +199,12 @@ class TailEstimate(Report):
                 "count": int(self.count), "level": float(self.level)}
 
 
-def _initial_state(init_cum, rng):
-    u = rng.random()
-    k = int(np.searchsorted(init_cum, u, side="right"))
-    return min(k, init_cum.size - 1)
-
-
 def _count_chunk(prep, init_cum, values, horizon, thresholds, seed, lo, hi):
     """Per threshold, how many of replications ``lo..hi-1`` reach it."""
     counts = np.zeros(thresholds.size, dtype=np.int64)
     for r in range(lo, hi):
         rng = substream(seed, r)
-        x0 = _initial_state(init_cum, rng)
+        x0 = _draw(init_cum, rng.random())
         _, _, avg = _walk(prep, x0, horizon, rng, values, DEFAULT_MAX_JUMPS)
         counts += avg - thresholds >= 0.0
     return counts
@@ -255,6 +247,8 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None,
     ------
     ExplosionGuardError
         If a path needs more than `DEFAULT_MAX_JUMPS` jumps.
+    InvalidInputError
+        If a state has a positive exit rate but no positive jump rate.
     """
     values = _observable_values(g, Q.n)
     init = _as_probs(init, Q.n)
@@ -279,7 +273,8 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None,
         mean = float(pi.probs @ values)
     thresholds = float(mean) + np.array(eps_list)
     prep = _PreparedChain(Q)
-    init_cum = np.cumsum(init)
+    init_cum = np.cumsum(init).tolist()
+    values = values.tolist()
     workers = max(1, int(workers))
     if workers == 1 or reps < 2 * workers:
         counts = _count_chunk(prep, init_cum, values, horizon, thresholds,

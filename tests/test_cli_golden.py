@@ -53,6 +53,20 @@ GOLDEN = [
      '"ci_upper": 0.0636898591739834, "eps": 0.2, "p_hat": 0.015, '
      '"reps": 200, "t": 20.0, "uninformative": false, "verdict": "PASS"}], '
      '"seed": 12345}\n'),
+    (["verify", "--bd", "2", "1", "30", "--t", "50", "--eps", "0.05,0.1",
+      "--reps", "400", "--workers", "2", "--seed", "11"],
+     '{"all_pass": true, "g_pi2_norm": 2.1579186442602067e-05, '
+     '"g_sup_norm": 1.0, "gap": 0.18608462014047367, '
+     '"gap_method": "tridiagonal", "gap_residual": 6.089894018176666e-16, '
+     '"lezaud_hypotheses_asserted": false, "pi_g": 4.656612875245809e-10, '
+     '"regularity_asserted": true, "rows": ['
+     '{"bound_lezaud": null, "bound_main": 0.9770078643167454, '
+     '"ci_upper": 0.017121126999967824, "eps": 0.05, "p_hat": 0.0, '
+     '"reps": 400, "t": 50.0, "uninformative": false, "verdict": "PASS"}, '
+     '{"bound_lezaud": null, "bound_main": 0.9111549484507151, '
+     '"ci_upper": 0.017121126999967824, "eps": 0.1, "p_hat": 0.0, '
+     '"reps": 400, "t": 50.0, "uninformative": false, "verdict": "PASS"}], '
+     '"seed": 11}\n'),
     (["sweep", "--bd", "2", "1", "inf", "--sizes", "50,500",
       "--format", "json"],
      '{"diffs": [null, 0.004840672233752091], '

@@ -197,6 +197,23 @@ def test_stationary_power_iteration_path(three_state):
     assert np.max(np.abs(pi_elim.probs - pi_iter)) < 1e-9
 
 
+def test_power_iteration_is_componentwise_stationary():
+    # one state above the dense cutoff: a ring plus five random chords per
+    # state, rates Exp(1).  Stopping on max|pi Q| alone accepted a pi whose
+    # entries were off by 6e-7 relative
+    n = generator.DENSE_SOLVE_CUTOFF + 1
+    rng = np.random.default_rng(4097)
+    rows = np.repeat(np.arange(n), 6)
+    steps = np.column_stack([np.ones(n, dtype=int),
+                             rng.integers(2, n, size=(n, 5))])
+    off = sp.csr_matrix((rng.exponential(size=6 * n),
+                         (rows, (rows + steps.ravel()) % n)), shape=(n, n))
+    Q = GeneratorMatrix(off - sp.diags(np.asarray(off.sum(axis=1)).ravel()))
+    pi = stationary_distribution(Q).probs
+    resid = np.abs(pi @ Q.matrix) / (pi * Q.exit_rates())
+    assert resid.max() <= generator._STATIONARY_RTOL
+
+
 def test_stationary_birth_death_matches_gth():
     # the product form against subtraction-free elimination, componentwise
     rng = np.random.default_rng(7)

@@ -1,12 +1,119 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctmcgap import (ExplosionGuardError, InvalidInputError,
-                     ObservableFunction, build_three_state,
+from ctmcgap import (ExplosionGuardError, GeneratorMatrix, InvalidInputError,
+                     ObservableFunction, build_birth_death, build_three_state,
                      clopper_pearson_upper, sample_path,
                      stationary_distribution, substream,
                      tail_probability_mc)
-from conftest import THREE_STATE_PI
+from conftest import THREE_STATE_PI, random_birth_death
+
+
+# ------------------------------------------------------- reference walker
+# The walker as it was with NumPy row tables, np.searchsorted draws and a
+# branch per optional observable.  The list-based walker must draw the same
+# random numbers and return the same doubles.
+
+class _ReferenceChain:
+    """Row tables for fast repeated sampling."""
+
+    def __init__(self, Q):
+        self.n = Q.n
+        self.exit = Q.exit_rates().astype(float)
+        self.targets = []
+        self.cum_probs = []
+        for i in range(Q.n):
+            cols, vals = Q.row_rates(i)
+            self.targets.append(cols.astype(np.int64))
+            total = vals.sum()
+            self.cum_probs.append(np.cumsum(vals) / total if vals.size
+                                  else np.empty(0))
+
+
+def _reference_walk(prep, x0, horizon, rng, values, max_jumps):
+    """Simulate one path; returns (times, states, time_average_or_None)."""
+    times = [0.0]
+    states = [x0]
+    x = x0
+    now = 0.0
+    weighted = 0.0
+    while True:
+        rate = prep.exit[x]
+        if rate <= 0.0:
+            # absorbing state: sits there forever
+            if values is not None:
+                weighted += (horizon - now) * values[x]
+            break
+        hold = rng.exponential(1.0 / rate)
+        if now + hold >= horizon:
+            if values is not None:
+                weighted += (horizon - now) * values[x]
+            break
+        now += hold
+        if values is not None:
+            weighted += hold * values[x]
+        u = rng.random()
+        k = int(np.searchsorted(prep.cum_probs[x], u, side="right"))
+        if k >= prep.targets[x].size:
+            k = prep.targets[x].size - 1
+        x = int(prep.targets[x][k])
+        times.append(now)
+        states.append(x)
+        if len(times) > max_jumps:
+            raise ExplosionGuardError(
+                f"trajectory exceeded {max_jumps} jumps before time "
+                f"{horizon}; explosion guard tripped")
+    avg = None
+    if values is not None:
+        avg = float(values[x0]) if horizon == 0.0 else weighted / horizon
+    return times, states, avg
+
+
+def _reference_initial_state(init_cum, rng):
+    u = rng.random()
+    k = int(np.searchsorted(init_cum, u, side="right"))
+    return min(k, init_cum.size - 1)
+
+
+def _reference_counts(Q, values, init, horizon, thresholds, seed, reps):
+    prep = _ReferenceChain(Q)
+    init_cum = np.cumsum(init)
+    counts = np.zeros(thresholds.size, dtype=np.int64)
+    for r in range(reps):
+        rng = substream(seed, r)
+        x0 = _reference_initial_state(init_cum, rng)
+        _, _, avg = _reference_walk(prep, x0, horizon, rng, values, 10 ** 7)
+        counts += avg - thresholds >= 0.0
+    return counts.tolist()
+
+
+def _ring_with_chords(n, rng):
+    # a ring plus n random chords, rates log-uniform in [1e-3, 1e3]
+    rates = {(i, (i + 1) % n): 0.0 for i in range(n)}
+    for i, j in rng.integers(0, n, size=(n, 2)):
+        if i != j:
+            rates[int(i), int(j)] = 0.0
+    return GeneratorMatrix.from_rates(
+        n, [(i, j, 10.0 ** rng.uniform(-3.0, 3.0)) for i, j in rates])
+
+
+def _chain(kind, rng):
+    if kind == "three-state":
+        return build_three_state()
+    if kind == "two-state":
+        return GeneratorMatrix.from_rates(2, [(0, 1, 2.0), (1, 0, 1.0)])
+    if kind == "absorbing":
+        # one state with no way out, and one that falls into it
+        return GeneratorMatrix([[0.0]]) if rng.random() < 0.5 else \
+            GeneratorMatrix([[-1.5, 1.5], [0.0, 0.0]])
+    if kind == "birth-death":
+        return build_birth_death(*random_birth_death(rng))
+    return _ring_with_chords(int(rng.integers(2, 41)), rng)
+
+
+_KINDS = ["three-state", "two-state", "absorbing", "birth-death", "ring"]
 
 
 # ------------------------------------------------------------------- sampling
@@ -61,6 +168,72 @@ def test_jump_count_scale(two_state):
     counts = [sample_path(two_state, 0, 100.0, substream(11, r)).states.size
               for r in range(300)]
     assert abs(np.mean(counts) / 100.0 - 4.0 / 3.0) < 0.05
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_KINDS), st.sampled_from(["zero", "short", "long"]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_sample_path_matches_reference_walker(kind, span, observe, seed):
+    # horizons in units of the mean holding time at the fastest state:
+    # none, a few jumps, and a few hundred
+    rng = np.random.default_rng(seed)
+    Q = _chain(kind, rng)
+    scale = 1.0 / max(Q.max_rate(), 1e-3)
+    horizon = {"zero": 0.0, "short": rng.uniform(0.1, 5.0) * scale,
+               "long": rng.uniform(50.0, 300.0) * scale}[span]
+    x0 = int(rng.integers(0, Q.n))
+    g = rng.normal(size=Q.n) if observe else None
+    got = sample_path(Q, x0, horizon, substream(seed, 7), g=g)
+    times, states, avg = _reference_walk(_ReferenceChain(Q), x0, horizon,
+                                         substream(seed, 7), g, 10 ** 7)
+    assert got.jump_times.tolist() == times
+    assert got.states.tolist() == states
+    assert got.time_average == avg
+    assert (got.time_average is None) == (g is None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["three-state", "two-state", "birth-death", "ring"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_tail_counts_match_reference_walker(kind, seed):
+    rng = np.random.default_rng(seed)
+    Q = _chain(kind, rng)
+    values = rng.uniform(0.0, 1.0, size=Q.n)
+    init = stationary_distribution(Q).probs
+    horizon = rng.uniform(1.0, 30.0) / Q.max_rate()
+    eps = [0.02, 0.1]
+    mean = float(init @ values)
+    got = tail_probability_mc(Q, values, init, horizon, eps, 40, seed,
+                              mean=mean)
+    assert [e.count for e in got] == _reference_counts(
+        Q, values, init, horizon, mean + np.array(eps), seed, 40)
+
+
+@pytest.mark.parametrize("kind", ["three-state", "ring"])
+def test_pooled_tail_counts_match_reference_walker(kind):
+    rng = np.random.default_rng(2024)
+    Q = _chain(kind, rng)
+    values = rng.uniform(0.0, 1.0, size=Q.n)
+    init = stationary_distribution(Q).probs
+    mean = float(init @ values)
+    eps = [0.01, 0.05]
+    horizon = 20.0 / Q.max_rate()
+    expected = _reference_counts(Q, values, init, horizon,
+                                 mean + np.array(eps), 3, 200)
+    for workers in (1, 2):
+        got = tail_probability_mc(Q, values, init, horizon, eps, 200, 3,
+                                  mean=mean, workers=workers)
+        assert [e.count for e in got] == expected
+
+
+def test_exit_rate_without_jump_rate_is_refused():
+    # state 0 leaves at rate 1 but names no target
+    Q = GeneratorMatrix([[-1.0, 0.0], [1.0, -1.0]])
+    with pytest.raises(InvalidInputError, match="state 0 "):
+        sample_path(Q, 0, 5.0, substream(0, 0))
+    with pytest.raises(InvalidInputError, match="state 0 "):
+        tail_probability_mc(Q, [0.0, 1.0], [0.5, 0.5], 5.0, 0.1, 10, seed=0,
+                            mean=0.5)
 
 
 def test_explosion_guard(two_state):
