@@ -234,9 +234,10 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     reps : int
         Replications, shared by every epsilon.
     seed : int
-        Base seed; replication `r` uses the stream derived from
-        ``(seed, r)`` at every epsilon, so the reported tail estimates are
-        monotone in epsilon by construction (common random numbers).
+        Base seed in ``[0, 2**64)``; replication `r` uses the stream
+        derived from ``(seed, r)`` at every epsilon, so the reported tail
+        estimates are monotone in epsilon by construction (common random
+        numbers).
     init : array, optional
         Initial distribution; default is the stationary law.  When given,
         `p` is required and the verdict tests the non-stationary bound
@@ -246,6 +247,9 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     assert_lezaud_hypotheses : bool
         Set when `g` is centered with sup norm <= 1; only then are the
         exponent-12 bounds reported.
+    workers : int
+        Accepted for compatibility and has no effect: one process walks
+        every replication.
 
     Returns
     -------

@@ -116,6 +116,8 @@ def _resolve_model(args, allow_infinite_bd=False):
 
 
 def _default_workers():
+    # the worker count changes nothing any more, but a malformed value is
+    # still refused
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
         return 1
@@ -231,9 +233,13 @@ def build_parser():
                        help="comma-separated deviation levels")
     p_ver.add_argument("--reps", type=int, default=20000,
                        help="replications per level (default 20000)")
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="random-stream seed in [0, 2**64) "
+                            f"(default {DEFAULT_SEED})")
     p_ver.add_argument("--workers", type=int, default=None,
-                       help=f"process count (default ${THREADS_ENV} or 1)")
+                       help=f"accepted (default ${THREADS_ENV} or 1) but no "
+                            "longer changes anything: one process walks "
+                            "every replication")
     p_ver.add_argument("--lezaud", action="store_true",
                        help="also report the exponent-12 bound (assert "
                             "that g is centered with sup norm <= 1)")

@@ -141,30 +141,22 @@ def test_verify_rows_sorted_by_eps(three_state):
 
 
 def test_verify_simulates_each_replication_once(three_state, monkeypatch):
+    # every replication's stream is set up once for the whole eps grid,
+    # whatever the worker count
     grid = [0.05, 0.1, 0.15, 0.2]
     derived = []
-    derive = simulate.substream
+    seek = simulate._Stream.seek
 
-    def counted(seed, index):
+    def counted(self, seed, index):
         derived.append(index)
-        return derive(seed, index)
+        return seek(self, seed, index)
 
-    monkeypatch.setattr(simulate, "substream", counted)
-    verify(three_state, _unit_indicator(), t=5.0, eps_grid=grid, reps=50,
-           seed=4, workers=1)
-    assert sorted(derived) == list(range(50))
-
-    pools = []
-
-    class CountedPool(simulate.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountedPool)
-    verify(three_state, _unit_indicator(), t=5.0, eps_grid=grid, reps=50,
-           seed=4, workers=2)
-    assert len(pools) == 1
+    monkeypatch.setattr(simulate._Stream, "seek", counted)
+    for workers in (1, 2):
+        derived.clear()
+        verify(three_state, _unit_indicator(), t=5.0, eps_grid=grid,
+               reps=50, seed=4, workers=workers)
+        assert sorted(derived) == list(range(50))
 
 
 @pytest.mark.parametrize("workers", [1, 2])

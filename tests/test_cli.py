@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -292,6 +293,43 @@ def test_verify_workers_env(monkeypatch, tmp_path, capsys):
     assert "CTMCGAP_THREADS" in err
 
 
+def test_verify_output_does_not_depend_on_workers(monkeypatch, capsys):
+    args = ["verify", "--example", "three-state", "--reps", "300",
+            "--eps", "0.1,0.2", "--t", "5"]
+    outs = []
+    for workers in ("1", "2", "5"):
+        outs.append(run(capsys, args + ["--workers", workers])[1])
+    monkeypatch.setenv("CTMCGAP_THREADS", "3")
+    outs.append(run(capsys, args)[1])
+    assert outs[0] and all(out == outs[0] for out in outs)
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_verify_seed_outside_key_range_exits_2(capsys, seed):
+    code, out, err = run(capsys, ["verify", "--example", "three-state",
+                                  "--reps", "10", "--seed", seed])
+    assert code == 2
+    assert out == ""
+    assert "seed" in err and "Traceback" not in err
+
+
+def test_default_verify_matches_reference_tails(capsys):
+    # the 2 000 000-path tails the benchmark oracle records; 20 000 paths
+    # put each p_hat within a few standard errors of them
+    tails_file = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+                  / "reference_tails.json")
+    ref = json.loads(tails_file.read_text())["three-state"]
+    code, out, _ = run(capsys, ["verify", "--example", "three-state"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["eps"] for r in rows] == ref["eps"]
+    p_hat = [r["p_hat"] for r in rows]
+    assert all(a >= b for a, b in zip(p_hat, p_hat[1:]))
+    for r, p in zip(rows, ref["p"]):
+        sigma = math.sqrt(p * (1 - p) / r["reps"] + p * (1 - p) / ref["reps"])
+        assert abs(r["p_hat"] - p) <= 5 * sigma
+
+
 # ---------------------------------------------------------------------- sweep
 
 def test_sweep_infinite_bd(capsys):
@@ -453,11 +491,21 @@ def test_skeleton_stdout_is_the_report(capsys, fmt):
                for r in obj["rows"])
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def _modules_after_cli_import(*names):
     # run the same source tree the tests import
     src = os.path.dirname(os.path.dirname(climod.__file__))
-    code = "import sys, ctmcgap.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, ctmcgap.cli; "
+            f"print([m in sys.modules for m in {names!r}])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "False"
+    return out.strip()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    assert _modules_after_cli_import("scipy.stats") == "[False]"
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # only verify's confidence limit needs it, and imports it when called
+    assert _modules_after_cli_import("scipy.special") == "[False]"

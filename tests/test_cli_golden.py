@@ -2,7 +2,9 @@
 contract is checked on every run.
 
 Captured with NumPy 2.4.6 and SciPy 1.17.1; other versions, or other
-LAPACK builds, may differ in the last digits of eigensolver output.
+LAPACK builds, may differ in the last digits of eigensolver output.  The
+simulated rows of ``verify`` follow the random-stream layout described in
+``ctmcgap.simulate``, and change only with it.
 """
 
 import json
@@ -41,16 +43,16 @@ GOLDEN = [
      '"lezaud_hypotheses_asserted": false, "pi_g": 0.5555555555555555, '
      '"regularity_asserted": true, "rows": ['
      '{"bound_lezaud": null, "bound_main": 0.894696999083407, '
-     '"ci_upper": 0.41347018864488205, "eps": 0.05, "p_hat": 0.305, '
+     '"ci_upper": 0.46561222555462356, "eps": 0.05, "p_hat": 0.355, '
      '"reps": 200, "t": 20.0, "uninformative": false, "verdict": "PASS"}, '
      '{"bound_lezaud": null, "bound_main": 0.6407725852889278, '
-     '"ci_upper": 0.2823022636665314, "eps": 0.1, "p_hat": 0.185, '
+     '"ci_upper": 0.2651442750963153, "eps": 0.1, "p_hat": 0.17, '
      '"reps": 200, "t": 20.0, "uninformative": false, "verdict": "PASS"}, '
      '{"bound_lezaud": null, "bound_main": 0.3673531989251025, '
-     '"ci_upper": 0.14993010363876352, "eps": 0.15, "p_hat": 0.075, '
+     '"ci_upper": 0.13679319286169106, "eps": 0.15, "p_hat": 0.065, '
      '"reps": 200, "t": 20.0, "uninformative": false, "verdict": "PASS"}, '
      '{"bound_lezaud": null, "bound_main": 0.16858374248483438, '
-     '"ci_upper": 0.0636898591739834, "eps": 0.2, "p_hat": 0.015, '
+     '"ci_upper": 0.07994847442984673, "eps": 0.2, "p_hat": 0.025, '
      '"reps": 200, "t": 20.0, "uninformative": false, "verdict": "PASS"}], '
      '"seed": 12345}\n'),
     (["verify", "--bd", "2", "1", "30", "--t", "50", "--eps", "0.05,0.1",

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,19 @@ from ctmcgap import (ExplosionGuardError, GeneratorMatrix, InvalidInputError,
                      clopper_pearson_upper, sample_path,
                      stationary_distribution, substream,
                      tail_probability_mc)
+from ctmcgap import simulate
 from conftest import THREE_STATE_PI, random_birth_death
 
 
 # ------------------------------------------------------- reference walker
-# The walker as it was with NumPy row tables, np.searchsorted draws and a
-# branch per optional observable.  The list-based walker must draw the same
+# A scalar walker on the stream layout: replication r reads Philox keyed
+# (seed, r) from counter 0, its first uniform picks the initial state, and
+# then come blocks of _BLOCK standard exponentials and _BLOCK uniforms, the
+# k-th jump taking the k-th of each.  The lockstep walker must draw the same
 # random numbers and return the same doubles.
+
+BLOCK = simulate._BLOCK
+
 
 class _ReferenceChain:
     """Row tables for fast repeated sampling."""
@@ -40,13 +48,17 @@ def _reference_walk(prep, x0, horizon, rng, values, max_jumps):
     now = 0.0
     weighted = 0.0
     while True:
+        k = (len(times) - 1) % BLOCK
+        if k == 0:
+            exps = rng.standard_exponential(BLOCK)
+            unifs = rng.random(BLOCK)
         rate = prep.exit[x]
         if rate <= 0.0:
             # absorbing state: sits there forever
             if values is not None:
                 weighted += (horizon - now) * values[x]
             break
-        hold = rng.exponential(1.0 / rate)
+        hold = exps[k] / rate
         if now + hold >= horizon:
             if values is not None:
                 weighted += (horizon - now) * values[x]
@@ -54,11 +66,8 @@ def _reference_walk(prep, x0, horizon, rng, values, max_jumps):
         now += hold
         if values is not None:
             weighted += hold * values[x]
-        u = rng.random()
-        k = int(np.searchsorted(prep.cum_probs[x], u, side="right"))
-        if k >= prep.targets[x].size:
-            k = prep.targets[x].size - 1
-        x = int(prep.targets[x][k])
+        j = int(np.searchsorted(prep.cum_probs[x], unifs[k], side="right"))
+        x = int(prep.targets[x][min(j, prep.targets[x].size - 1)])
         times.append(now)
         states.append(x)
         if len(times) > max_jumps:
@@ -171,16 +180,18 @@ def test_jump_count_scale(two_state):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(_KINDS), st.sampled_from(["zero", "short", "long"]),
-       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@given(st.sampled_from(_KINDS),
+       st.sampled_from(["zero", "short", "long", "refill"]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
 def test_sample_path_matches_reference_walker(kind, span, observe, seed):
     # horizons in units of the mean holding time at the fastest state:
-    # none, a few jumps, and a few hundred
+    # none, a few jumps, a few hundred, and enough to need several blocks
     rng = np.random.default_rng(seed)
     Q = _chain(kind, rng)
     scale = 1.0 / max(Q.max_rate(), 1e-3)
     horizon = {"zero": 0.0, "short": rng.uniform(0.1, 5.0) * scale,
-               "long": rng.uniform(50.0, 300.0) * scale}[span]
+               "long": rng.uniform(50.0, 300.0) * scale,
+               "refill": rng.uniform(3.0, 6.0) * BLOCK * scale}[span]
     x0 = int(rng.integers(0, Q.n))
     g = rng.normal(size=Q.n) if observe else None
     got = sample_path(Q, x0, horizon, substream(seed, 7), g=g)
@@ -194,13 +205,15 @@ def test_sample_path_matches_reference_walker(kind, span, observe, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(["three-state", "two-state", "birth-death", "ring"]),
+       st.sampled_from([1.0, 30.0, 4.0 * BLOCK]),
        st.integers(0, 2 ** 32 - 1))
-def test_tail_counts_match_reference_walker(kind, seed):
+def test_tail_counts_match_reference_walker(kind, span, seed):
+    # the longest span makes every path refill its blocks several times
     rng = np.random.default_rng(seed)
     Q = _chain(kind, rng)
     values = rng.uniform(0.0, 1.0, size=Q.n)
     init = stationary_distribution(Q).probs
-    horizon = rng.uniform(1.0, 30.0) / Q.max_rate()
+    horizon = rng.uniform(0.5, 1.0) * span / Q.max_rate()
     eps = [0.02, 0.1]
     mean = float(init @ values)
     got = tail_probability_mc(Q, values, init, horizon, eps, 40, seed,
@@ -211,19 +224,82 @@ def test_tail_counts_match_reference_walker(kind, seed):
 
 @pytest.mark.parametrize("kind", ["three-state", "ring"])
 def test_pooled_tail_counts_match_reference_walker(kind):
+    # more replications than one lockstep chunk holds; the worker count is
+    # accepted and changes nothing
     rng = np.random.default_rng(2024)
     Q = _chain(kind, rng)
     values = rng.uniform(0.0, 1.0, size=Q.n)
     init = stationary_distribution(Q).probs
     mean = float(init @ values)
     eps = [0.01, 0.05]
-    horizon = 20.0 / Q.max_rate()
+    horizon = 5.0 / Q.max_rate()
+    reps = 2 * simulate._CHUNK + 7
     expected = _reference_counts(Q, values, init, horizon,
-                                 mean + np.array(eps), 3, 200)
+                                 mean + np.array(eps), 3, reps)
     for workers in (1, 2):
-        got = tail_probability_mc(Q, values, init, horizon, eps, 200, 3,
+        got = tail_probability_mc(Q, values, init, horizon, eps, reps, 3,
                                   mean=mean, workers=workers)
         assert [e.count for e in got] == expected
+
+
+def test_tail_counts_with_absorbing_state_match_reference_walker():
+    # state 1 holds forever: paths that reach it stop jumping
+    Q = GeneratorMatrix([[-1.5, 1.5], [0.0, 0.0]])
+    values = np.array([1.0, 0.0])
+    init = np.array([0.7, 0.3])
+    eps = [0.1, 0.3, 0.6]
+    got = tail_probability_mc(Q, values, init, 2.0, eps, 300, 9, mean=0.2)
+    assert [e.count for e in got] == _reference_counts(
+        Q, values, init, 2.0, 0.2 + np.array(eps), 9, 300)
+    assert 0 < got[0].count < 300
+
+
+def test_replication_follows_sample_path_on_its_substream(three_state):
+    # replication r of a chunk starting at lo reads substream(seed, r): its
+    # first uniform picks x0, and sample_path on the rest is the same walk
+    seed, lo, hi, horizon = 77, 5, 25, 3.0 * BLOCK
+    values = np.array([0.0, 0.5, 1.0])
+    init_cum = np.cumsum(THREE_STATE_PI)
+    blocks = simulate._ReplicationBlocks(simulate._Stream(), seed, hi - lo)
+    x0 = np.minimum(np.searchsorted(init_cum, blocks.start(lo, hi), "right"),
+                    2)
+    avg = simulate._lockstep(simulate._Chain(three_state), x0, horizon,
+                             values, blocks, 10 ** 7)
+    for i, r in enumerate(range(lo, hi)):
+        rng = substream(seed, r)
+        start = _reference_initial_state(init_cum, rng)
+        assert start == x0[i]
+        path = sample_path(three_state, start, horizon, rng, g=values)
+        assert path.time_average == avg[i]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_lockstep_jump_is_clamped_bisect_right(seed):
+    # rows of many lengths in one call, probed at random uniforms, at every
+    # cumulative value and its neighbours, and at or above a last entry
+    # that rounds below 1
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 70))
+    rates = [(i, j, float(rng.exponential()))
+             for i in range(n) for j in range(n)
+             if i != j and (j == (i + 1) % n or rng.random() < i / n)]
+    Q = GeneratorMatrix.from_rates(n, rates)
+    prep = _ReferenceChain(Q)
+    xs, us = [], []
+    for x in range(n):
+        cum = prep.cum_probs[x]
+        probes = np.concatenate([
+            rng.random(5), cum, np.nextafter(cum, 0.0),
+            np.nextafter(cum, 1.0), [0.0, np.nextafter(1.0, 0.0)]])
+        probes = probes[(probes >= 0.0) & (probes < 1.0)]
+        xs += [x] * probes.size
+        us += probes.tolist()
+    got = simulate._Chain(Q).jump(np.array(xs), np.array(us))
+    want = [prep.targets[x][min(bisect_right(prep.cum_probs[x].tolist(), u),
+                                prep.targets[x].size - 1)]
+            for x, u in zip(xs, us)]
+    assert got.tolist() == want
 
 
 def test_exit_rate_without_jump_rate_is_refused():
@@ -239,6 +315,29 @@ def test_exit_rate_without_jump_rate_is_refused():
 def test_explosion_guard(two_state):
     with pytest.raises(ExplosionGuardError):
         sample_path(two_state, 0, 1e6, substream(0, 0), max_jumps=50)
+
+
+def test_explosion_guard_at_the_same_jump_as_the_reference(two_state):
+    # a path may hold max_jumps jump times and no more
+    rng = substream(4, 0)
+    times, _, _ = _reference_walk(_ReferenceChain(two_state), 0, 40.0, rng,
+                                  None, 10 ** 7)
+    n = len(times)
+    assert sample_path(two_state, 0, 40.0, substream(4, 0),
+                       max_jumps=n).jump_times.tolist() == times
+    with pytest.raises(ExplosionGuardError):
+        sample_path(two_state, 0, 40.0, substream(4, 0), max_jumps=n - 1)
+
+
+def test_explosion_guard_through_tail_estimate(two_state, monkeypatch):
+    monkeypatch.setattr(simulate, "DEFAULT_MAX_JUMPS", 50)
+    with pytest.raises(ExplosionGuardError, match="50 jumps"):
+        tail_probability_mc(two_state, [0.0, 1.0], [0.5, 0.5], 1e3, 0.1, 20,
+                            seed=0, mean=0.5)
+    # paths that stay under the guard are counted as usual
+    est = tail_probability_mc(two_state, [0.0, 1.0], [0.5, 0.5], 5.0, 0.1,
+                              20, seed=0, mean=0.5)
+    assert est.reps == 20
 
 
 def test_sample_path_input_guards(three_state):
@@ -334,6 +433,24 @@ def test_tail_input_guards(three_state):
         with pytest.raises(InvalidInputError, match="eps"):
             tail_probability_mc(three_state, g, THREE_STATE_PI, 5.0, eps, 10,
                                 seed=0)
+    for seed in (-1, 2 ** 64, 1.5):
+        with pytest.raises(InvalidInputError, match="seed"):
+            tail_probability_mc(three_state, g, THREE_STATE_PI, 5.0, 0.1, 10,
+                                seed=seed)
+
+
+def test_substream_key_range():
+    last = 2 ** 64 - 1
+    assert substream(last, last).random() == substream(last, last).random()
+    for seed, index in ((-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)):
+        with pytest.raises(InvalidInputError):
+            substream(seed, index)
+
+
+def test_substream_is_philox_keyed_by_seed_and_index():
+    key = 5 + (9 << 64)  # words (5, 9)
+    expected = np.random.Generator(np.random.Philox(key=key)).random(6)
+    assert np.array_equal(substream(5, 9).random(6), expected)
 
 
 # --------------------------------------------------------- confidence interval
