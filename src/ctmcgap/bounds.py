@@ -213,7 +213,7 @@ class VerificationReport(Report):
 
 
 def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
-           assert_lezaud_hypotheses=False, workers=1):
+           assert_lezaud_hypotheses=False):
     """Check the tail bounds against exact simulation on one chain.
 
     Simulates `reps` independent replications of the chain over
@@ -247,9 +247,6 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     assert_lezaud_hypotheses : bool
         Set when `g` is centered with sup norm <= 1; only then are the
         exponent-12 bounds reported.
-    workers : int
-        Accepted for compatibility and has no effect: one process walks
-        every replication.
 
     Returns
     -------
@@ -258,6 +255,9 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     if not isinstance(g, ObservableFunction):
         raise InvalidInputError("g must be an ObservableFunction "
                                 "(values with a declared range)")
+    if g.values.size != Q.n:
+        raise InvalidInputError(
+            f"observable has {g.values.size} entries, chain has {Q.n}")
     eps_list = sorted(float(e) for e in eps_grid)
     if not eps_list:
         raise InvalidInputError("eps grid is empty")
@@ -281,7 +281,7 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
         norm = density_pnorm(init, pi, p)
     start = pi.probs if init is None else init
     estimates = tail_probability_mc(Q, g, start, t, eps_list, reps, seed,
-                                    mean=pi_g, workers=workers)
+                                    mean=pi_g)
     rows = []
     for eps, est in zip(eps_list, estimates):
         bound_main = ctmc_hoeffding_bound(lam, t, eps, g.lower, g.upper)

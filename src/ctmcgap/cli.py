@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -31,7 +30,6 @@ from .spectral import SpectralReport, bd_closed_form_gap, spectral_gap
 from .truncation import CountableModel, gap_convergence_sweep
 
 DEFAULT_SEED = 12345
-THREADS_ENV = "CTMCGAP_THREADS"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -115,18 +113,6 @@ def _resolve_model(args, allow_infinite_bd=False):
     return Q, (down, up, n_levels)
 
 
-def _default_workers():
-    # the worker count changes nothing any more, but a malformed value is
-    # still refused
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InvalidInputError(f"{THREADS_ENV}={raw!r} is not an integer")
-
-
 def _cmd_gap(args):
     Q, bd_spec = _resolve_model(args, allow_infinite_bd=True)
     if Q is None:
@@ -161,10 +147,8 @@ def _cmd_verify(args):
     else:
         g = _default_observable(Q.n)
     eps = _parse_list(args.eps, float, "eps")
-    workers = args.workers if args.workers is not None else _default_workers()
     return run_verify(Q, g, t=args.t, eps_grid=eps, reps=args.reps,
-                      seed=args.seed, assert_lezaud_hypotheses=args.lezaud,
-                      workers=workers)
+                      seed=args.seed, assert_lezaud_hypotheses=args.lezaud)
 
 
 def _cmd_sweep(args):
@@ -236,10 +220,8 @@ def build_parser():
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="random-stream seed in [0, 2**64) "
                             f"(default {DEFAULT_SEED})")
-    p_ver.add_argument("--workers", type=int, default=None,
-                       help=f"accepted (default ${THREADS_ENV} or 1) but no "
-                            "longer changes anything: one process walks "
-                            "every replication")
+    p_ver.add_argument("--workers", type=int,
+                       help="ignored: one process walks every replication")
     p_ver.add_argument("--lezaud", action="store_true",
                        help="also report the exponent-12 bound (assert "
                             "that g is centered with sup norm <= 1)")

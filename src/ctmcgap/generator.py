@@ -82,40 +82,12 @@ class GeneratorMatrix:
         Off-diagonal triplets give jump rates.  Diagonal triplets, when
         present, are stored as given; for every row without an explicit
         diagonal entry the diagonal is set to minus the row's off-diagonal
-        sum.  A repeated ``(i, j)`` pair is rejected.
+        sum.  Indices must be integers in ``[0, n)`` and rates finite; a
+        repeated ``(i, j)`` pair is rejected.
         """
         if n < 1:
             raise InvalidInputError("n must be >= 1")
-        seen = set()
-        rows, cols, vals = [], [], []
-        diag = {}
-        for entry in rates:
-            try:
-                i, j, rate = entry
-            except (TypeError, ValueError):
-                raise InvalidInputError(f"rate entry {entry!r} is not (i, j, rate)")
-            i, j = int(i), int(j)
-            rate = float(rate)
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvalidInputError(
-                    f"rate entry ({i}, {j}) out of range for n={n}")
-            if not np.isfinite(rate):
-                raise InvalidInputError(f"rate at ({i}, {j}) is not finite")
-            if (i, j) in seen:
-                raise InvalidInputError(f"duplicate rate entry for ({i}, {j})")
-            seen.add((i, j))
-            if i == j:
-                diag[i] = rate
-            else:
-                rows.append(i)
-                cols.append(j)
-                vals.append(rate)
-        off = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        row_sums = np.asarray(off.sum(axis=1)).ravel()
-        d = -row_sums
-        for i, v in diag.items():
-            d[i] = v
-        return cls(off + sp.diags(d, format="csr", shape=(n, n)), labels=labels)
+        return _assemble(n, _checked_triplets(n, rates), labels)
 
     @property
     def n(self):
@@ -179,6 +151,57 @@ class GeneratorMatrix:
         return f"GeneratorMatrix(n={self.n}, nnz={self._matrix.nnz})"
 
 
+def _checked_triplets(n, rates):
+    """The triplets ``(i, j, rate)`` of `rates` as one ``(m, 3)`` float array.
+
+    Indices must be integers (``1.0`` passes) in ``[0, n)``, rates finite,
+    and no ``(i, j)`` pair may repeat, diagonal pairs included.  Each error
+    names the first offending entry by its position ``rates[k]``.
+    """
+    try:
+        a = np.asarray(rates)
+    except (TypeError, ValueError):  # ragged
+        a = np.empty(1, dtype=object)
+    # strings, None and integers past int64 leave no numeric dtype
+    if a.dtype.kind not in "biuf" or a.size and a.shape[1:] != (3,):
+        raise InvalidInputError("rates must be (i, j, rate) triplets of numbers")
+    a = a.reshape(-1, 3).astype(float)
+    ij = a[:, :2]
+    integral = np.all(ij == np.floor(ij), axis=1)  # NaN is not
+    # no state past the largest intp can be addressed, whatever n claims
+    inside = np.all((ij >= 0) & (ij < min(n, np.iinfo(np.intp).max)), axis=1)
+    if not np.all(integral & inside):
+        k = int(np.argmin(integral & inside))
+        what = "out of range" if integral[k] else "not an integer"
+        raise InvalidInputError(
+            f"rates[{k}] index ({ij[k, 0]:.15g}, {ij[k, 1]:.15g}) {what} "
+            f"for n={n}: indices are integers in [0, n)")
+    finite = np.isfinite(a[:, 2])
+    if not np.all(finite):
+        k = int(np.argmin(finite))
+        raise InvalidInputError(f"rates[{k}] rate {a[k, 2]} is not finite")
+    # a stable sort puts each repeat after the earlier entries of its pair
+    order = np.lexsort((ij[:, 1], ij[:, 0]))
+    repeat = np.all(ij[order[1:]] == ij[order[:-1]], axis=1)
+    if np.any(repeat):
+        k = int(order[1:][repeat].min())
+        raise InvalidInputError(f"duplicate rate entry for ({ij[k, 0]:.0f}, "
+                                f"{ij[k, 1]:.0f}) at rates[{k}]")
+    return a
+
+
+def _assemble(n, a, labels):
+    """The generator of the checked triplets `a`, as :meth:`from_rates`."""
+    rows, cols = a[:, 0].astype(np.intp), a[:, 1].astype(np.intp)
+    off = rows != cols
+    M = sp.coo_matrix((a[off, 2], (rows[off], cols[off])),
+                      shape=(n, n)).tocsr()
+    d = -np.asarray(M.sum(axis=1)).ravel()
+    d[rows[~off]] = a[~off, 2]
+    return GeneratorMatrix(M + sp.diags(d, format="csr", shape=(n, n)),
+                           labels=labels)
+
+
 class StationaryDistribution:
     """Stationary law of a chain, carried as ``log_probs``.
 
@@ -234,12 +257,15 @@ class ObservableFunction:
     """
 
     def __init__(self, values, lower, upper):
-        v = np.asarray(values, dtype=float)
+        try:
+            v = np.asarray(values, dtype=float)
+            lower, upper = float(lower), float(upper)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInputError("function values and range must be numbers")
         if v.ndim != 1 or v.size < 1:
             raise InvalidInputError("function values must be 1-D and nonempty")
         if not np.all(np.isfinite(v)):
             raise InvalidInputError("function values must be finite")
-        lower, upper = float(lower), float(upper)
         if not lower <= upper:
             raise InvalidInputError(f"empty range [{lower}, {upper}]")
         if v.min() < lower or v.max() > upper:
@@ -309,10 +335,11 @@ def validate_generator(Q):
         report.row_sum_defects.append((int(i), float(row_sums[i])))
         report.messages.append(f"row {i} sums to {row_sums[i]:.3e}")
     rows, cols, vals = Q.off_diagonal()
-    for i, j, v in zip(rows, cols, vals):
-        if v < -atol:
-            report.negative_entries.append((int(i), int(j), float(v)))
-            report.messages.append(f"negative rate {v:.3e} at ({i}, {j})")
+    neg = vals < -atol
+    report.negative_entries = list(zip(rows[neg].tolist(), cols[neg].tolist(),
+                                       vals[neg].tolist()))
+    report.messages += [f"negative rate {v:.3e} at ({i}, {j})"
+                        for i, j, v in report.negative_entries]
     report.strongly_connected = Q.structure()[1]
     if not report.strongly_connected:
         report.messages.append("transition graph is not strongly connected")
@@ -591,55 +618,48 @@ def parse_model(obj, source="<model>"):
 
         {"n": int, "rates": [[i, j, rate], ...], "labels": [...]?}
 
-    Off-diagonal rates must be nonnegative.  Diagonal entries are ignored
-    and recomputed as minus the row sums.  Duplicate ``(i, j)`` pairs are
-    rejected, and so is a chain whose positive rates do not connect every
-    state to every other (a reducible chain has no unique ``pi``).
+    Triplets are checked as by :meth:`GeneratorMatrix.from_rates`, and
+    off-diagonal rates must be nonnegative; diagonals are then dropped and
+    recomputed as minus the row sums.  A reducible chain has no unique
+    ``pi`` and is rejected, before any O(n) allocation when it has fewer
+    positive off-diagonal rates than states.
     """
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{source}: top level must be an object")
-    try:
-        n = int(obj["n"])
-    except (KeyError, TypeError, ValueError):
-        raise InvalidInputError(f"{source}: missing or non-integer field 'n'")
+    n = obj.get("n")
+    if (isinstance(n, bool) or not isinstance(n, (int, float))
+            or isinstance(n, float) and not n.is_integer() or n < 1):
+        raise InvalidInputError(
+            f"{source}: field 'n' must be a positive integer")
+    n = int(n)
     raw = obj.get("rates")
     if not isinstance(raw, list):
         raise InvalidInputError(f"{source}: field 'rates' must be a list")
-    triplets = []
-    seen = set()
     for k, entry in enumerate(raw):
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise InvalidInputError(
-                f"{source}: rates[{k}] must be [i, j, rate]")
-        i, j, rate = entry
-        try:
-            i, j, rate = int(i), int(j), float(rate)
-        except (TypeError, ValueError):
-            raise InvalidInputError(f"{source}: rates[{k}] has non-numeric fields")
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidInputError(
-                f"{source}: rates[{k}] index ({i}, {j}) out of range for n={n}")
-        if (i, j) in seen:
-            raise InvalidInputError(
-                f"{source}: duplicate rate entry for ({i}, {j}) at rates[{k}]")
-        seen.add((i, j))
-        if i == j:
-            continue  # diagonals are recomputed
-        if rate < 0 or not np.isfinite(rate):
-            raise InvalidInputError(
-                f"{source}: rates[{k}] value {rate!r} must be a finite "
-                "nonnegative number")
-        triplets.append((i, j, rate))
+            raise InvalidInputError(f"{source}: rates[{k}] must be [i, j, rate]")
     labels = obj.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or len(labels) != n:
-            raise InvalidInputError(
-                f"{source}: 'labels' must be a list of length n={n}")
-    Q = GeneratorMatrix.from_rates(n, triplets, labels=labels)
-    if not Q.structure()[1]:
+    if labels is not None and (not isinstance(labels, list)
+                               or len(labels) != n):
         raise InvalidInputError(
-            f"{source}: transition graph is not strongly connected")
-    return Q
+            f"{source}: 'labels' must be a list of length n={n}")
+    try:
+        a = _checked_triplets(n, raw)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{source}: {exc}")
+    off = a[:, 0] != a[:, 1]
+    negative = off & (a[:, 2] < 0)
+    if np.any(negative):
+        k = int(np.argmax(negative))
+        raise InvalidInputError(
+            f"{source}: rates[{k}] value {a[k, 2]} must be nonnegative")
+    # a strongly connected graph on n >= 2 states has at least n edges
+    if n < 2 or np.count_nonzero(off & (a[:, 2] > 0)) >= n:
+        Q = _assemble(n, a[off], labels)
+        if Q.structure()[1]:
+            return Q
+    raise InvalidInputError(
+        f"{source}: transition graph is not strongly connected")
 
 
 def _read_json(path, what):
@@ -651,6 +671,8 @@ def _read_json(path, what):
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}, "
                                 f"column {exc.colno}: {exc.msg}")
+    except (OSError, ValueError) as exc:  # a directory, bytes not UTF-8
+        raise InvalidInputError(f"cannot read {what} file {path}: {exc}")
 
 
 def load_model(path):

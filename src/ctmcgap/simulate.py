@@ -380,8 +380,7 @@ def _count_reaching(Q, values, init, horizon, thresholds, seed, reps):
     return counts
 
 
-def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None,
-                        workers=1):
+def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None):
     """Estimate ``P(time average of g - mean >= eps)`` by simulation.
 
     Parameters
@@ -404,9 +403,6 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None,
     mean : float, optional
         Stationary mean of `g`; computed from the stationary law of `Q`
         when omitted.
-    workers : int
-        Accepted for compatibility and has no effect: one process walks
-        every replication.
 
     Returns
     -------
@@ -441,7 +437,6 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None,
     if reps < 1:
         raise InvalidInputError("reps must be >= 1")
     seed = _key_word(seed, "seed")
-    int(workers)  # still type-checked, although it changes nothing
     if mean is None:
         pi = stationary_distribution(Q)
         mean = float(pi.probs @ values)

@@ -141,8 +141,7 @@ def test_verify_rows_sorted_by_eps(three_state):
 
 
 def test_verify_simulates_each_replication_once(three_state, monkeypatch):
-    # every replication's stream is set up once for the whole eps grid,
-    # whatever the worker count
+    # every replication's stream is set up once for the whole eps grid
     grid = [0.05, 0.1, 0.15, 0.2]
     derived = []
     seek = simulate._Stream.seek
@@ -152,19 +151,21 @@ def test_verify_simulates_each_replication_once(three_state, monkeypatch):
         return seek(self, seed, index)
 
     monkeypatch.setattr(simulate._Stream, "seek", counted)
-    for workers in (1, 2):
-        derived.clear()
-        verify(three_state, _unit_indicator(), t=5.0, eps_grid=grid,
-               reps=50, seed=4, workers=workers)
-        assert sorted(derived) == list(range(50))
+    verify(three_state, _unit_indicator(), t=5.0, eps_grid=grid, reps=50,
+           seed=4)
+    assert sorted(derived) == list(range(50))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_verify_rows_match_scalar_estimates(three_state, workers):
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_verify_rows_match_scalar_estimates(three_state, monkeypatch, chunks):
+    # verify walks the 200 replications in `chunks` lockstep chunks, the
+    # scalar estimates in one; the rows agree all the same
     g = _unit_indicator()
     pi = stationary_distribution(three_state)
-    rep = verify(three_state, g, t=10.0, eps_grid=[0.2, 0.05, 0.1],
-                 reps=200, seed=8, workers=workers)
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_CHUNK", -(-200 // chunks))
+        rep = verify(three_state, g, t=10.0, eps_grid=[0.2, 0.05, 0.1],
+                     reps=200, seed=8)
     for row in rep.rows:
         est = tail_probability_mc(three_state, g, pi, 10.0, row.eps, 200,
                                   seed=8, mean=rep.pi_g)

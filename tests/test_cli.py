@@ -135,6 +135,67 @@ def test_gap_reducible_model_exits_2(tmp_path, capsys, rates):
     assert "strongly connected" in err and str(path) in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "rates": [[0, 1, 1.0], [Infinity, 0, 1.0]]}',
+    '{"n": Infinity, "rates": [[0, 1, 1.0], [1, 0, 1.0]]}',
+    '{"n": 10000000000000, "rates": [[0, 1, 1.0], [1, 0, 1.0]]}',
+    '{"n": 2, "rates": [[0.5, 1, 1.0], [1, 0, 1.0]]}',
+    '{"n": 2, "rates": [[0, 1, 1.0], [1.9, 0, 1.0]]}',
+    '{"n": 2.5, "rates": [[0, 1, 1.0], [1, 0, 1.0]]}',
+    '{"n": 2, "rates": [[0, 1, 1.0], [1, 0, 1.0], [1, 1, 0.0], [1, 1, 0.0]]}',
+], ids=["inf-index", "inf-n", "huge-n", "index-0.5", "index-1.9",
+        "n-2.5", "repeated-diagonal"])
+def test_gap_malformed_model_fuzz_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "fuzz.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["gap", "--model", str(path)])
+    assert code == 2
+    assert out == "" and str(path) in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"values": ["x", 0, 1], "range": [0, 1]}',
+    '{"values": [0, 0, 1], "range": [0, "b"]}',
+    '{"values": [0, 0, 1], "range": [0, null]}',
+    '{"values": [0, 1], "range": [0, 1]}',
+], ids=["string-value", "string-bound", "null-bound", "wrong-length"])
+def test_verify_malformed_function_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code, out, _ = run(capsys, ["verify", "--example", "three-state",
+                                "--reps", "10", "--function", str(path)])
+    assert code == 2 and out == ""
+
+
+def test_unreadable_model_file_exits_2(tmp_path, capsys):
+    (tmp_path / "latin1.json").write_bytes(
+        b'{"n": 1, "rates": [], "labels": ["\xe9"]}')
+    for path in (tmp_path, tmp_path / "latin1.json"):
+        code, _, err = run(capsys, ["gap", "--model", str(path)])
+        assert code == 2 and "cannot read model file" in err
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--model", '{"n": 2, "rates": [[0, 1, 1.0], [Infinity, 0, 1.0]]}'),
+    ("--function", '{"values": ["x", 0, 1], "range": [0, 1]}'),
+], ids=["model", "function"])
+def test_malformed_file_exits_2_without_traceback_in_a_process(tmp_path,
+                                                                flag, text):
+    # main() catches three exception types; only a real process shows that
+    # nothing else escapes
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    model = [] if flag == "--model" else ["--example", "three-state"]
+    src = os.path.dirname(os.path.dirname(climod.__file__))
+    argv = [sys.executable, "-m", "ctmcgap.cli", "verify", "--reps", "1",
+            flag, str(path)] + model
+    out = subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr and "error:" in out.stderr
+
+
 def test_gap_requires_exactly_one_source(capsys):
     code, _, err = run(capsys, ["gap", "--example", "three-state",
                                 "--bd", "2", "1", "5"])
@@ -279,28 +340,13 @@ def test_verify_fail_rows_exit_1(monkeypatch, capsys):
     assert code == 1
 
 
-def test_verify_workers_env(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("CTMCGAP_THREADS", "2")
-    out_path = tmp_path / "v.json"
-    code, _, _ = run(capsys, ["verify", "--example", "three-state",
-                              "--reps", "60", "--eps", "0.1", "--t", "2",
-                              "--output", str(out_path)])
-    assert code == 0
-    monkeypatch.setenv("CTMCGAP_THREADS", "not-a-number")
-    code, _, err = run(capsys, ["verify", "--example", "three-state",
-                                "--reps", "10", "--eps", "0.1", "--t", "2"])
-    assert code == 2
-    assert "CTMCGAP_THREADS" in err
-
-
-def test_verify_output_does_not_depend_on_workers(monkeypatch, capsys):
+def test_verify_output_does_not_depend_on_workers(capsys):
+    # --workers still parses, so that old command lines run, and is ignored
     args = ["verify", "--example", "three-state", "--reps", "300",
             "--eps", "0.1,0.2", "--t", "5"]
-    outs = []
+    outs = [run(capsys, args)[1]]
     for workers in ("1", "2", "5"):
         outs.append(run(capsys, args + ["--workers", workers])[1])
-    monkeypatch.setenv("CTMCGAP_THREADS", "3")
-    outs.append(run(capsys, args)[1])
     assert outs[0] and all(out == outs[0] for out in outs)
 
 

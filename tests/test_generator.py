@@ -41,6 +41,30 @@ def test_from_rates_rejects_out_of_range():
         GeneratorMatrix.from_rates(2, [(0, 2, 1.0)])
 
 
+@pytest.mark.parametrize("rates, msg", [
+    ([(0, 1, 1.0), (1.9, 0, 1.0)], r"rates\[1\] index \(1.9, 0\) not an integer"),
+    ([(0.5, 1, 1.0)], r"rates\[0\] index \(0.5, 1\) not an integer"),
+    ([(0, 1, 1.0), (float("nan"), 0, 1.0)], r"rates\[1\] .* not an integer"),
+    ([(0, 1, 1.0), (1, float("inf"), 1.0)], r"rates\[1\] .* out of range"),
+    ([(0, 1, 1.0), (-1, 0, 1.0)], r"rates\[1\] .* out of range"),
+    ([(0, 1, 1.0), (1, 0, float("inf"))], r"rates\[1\] rate inf is not finite"),
+    ([(0, 0, float("nan"))], r"rates\[0\] rate nan is not finite"),
+    ([(1, 1, 1.0), (0, 1, 1.0), (1, 1, 2.0), (0, 1, 3.0)],
+     r"duplicate rate entry for \(1, 1\) at rates\[2\]"),
+    ([(0, 1, 1.0), (1,)], "triplets"),
+    ([(0, 1, "x")], "triplets of numbers"),
+])
+def test_from_rates_names_the_first_bad_entry(rates, msg):
+    with pytest.raises(InvalidInputError, match=msg):
+        GeneratorMatrix.from_rates(2, rates)
+
+
+def test_from_rates_accepts_integral_float_indices():
+    Q = GeneratorMatrix.from_rates(2, [(0.0, 1.0, 2.0), (1.0, 0, 1.0)])
+    assert np.array_equal(Q.to_dense(), [[-2.0, 2.0], [1.0, -1.0]])
+    assert GeneratorMatrix.from_rates(3, []).matrix.nnz == 0
+
+
 def test_labels_length_checked():
     with pytest.raises(InvalidInputError, match="labels"):
         GeneratorMatrix.from_rates(2, [(0, 1, 1.0), (1, 0, 1.0)],
@@ -85,6 +109,20 @@ def test_validate_negative_rate():
     rep = validate_generator(Q)
     assert (0, 1, -0.5) in rep.negative_entries
     assert not rep.admissible
+
+
+def test_validate_lists_negative_rates_in_order():
+    # -1e-13 at (1, 2) lies within the tolerance and is not listed
+    Q = GeneratorMatrix(np.array([[1.5, -1.0, -0.5], [2.0, -2.0, -1e-13],
+                                  [-3.0, 4.0, -1.0]]))
+    rep = validate_generator(Q)
+    assert rep.negative_entries == [(0, 1, -1.0), (0, 2, -0.5), (2, 0, -3.0)]
+    assert all(type(i) is int and type(j) is int and type(v) is float
+               for i, j, v in rep.negative_entries)
+    assert rep.messages == ["negative rate -1.000e+00 at (0, 1)",
+                            "negative rate -5.000e-01 at (0, 2)",
+                            "negative rate -3.000e+00 at (2, 0)",
+                            "transition graph is not strongly connected"]
 
 
 def test_validate_admissible_at_large_rates():
@@ -486,10 +524,80 @@ def test_model_file_errors(tmp_path):
     ({"n": 2, "rates": [[0, 1, 1.0], [0, 1, 2.0]]}, "duplicate"),
     ({"n": 2, "rates": [[0, 1, -1.0]]}, "nonnegative"),
     ({"n": 2, "rates": [[0, 1, 1.0]], "labels": ["a"]}, "labels"),
+    ({"n": 2.5, "rates": []}, "'n'"),
+    ({"n": float("inf"), "rates": []}, "'n'"),
+    ({"n": True, "rates": []}, "'n'"),
+    ({"n": "2", "rates": []}, "'n'"),
+    ({"n": 2, "rates": [[0, 1, 1.0], ["1.0", 0, 1.0]]}, "numbers"),
+    ({"n": 2, "rates": [[0, 1, 1.0], [None, 0, 1.0]]}, "numbers"),
+    ({"n": 2, "rates": [[0, 1, 1.0], [1.9, 0, 1.0]]}, "not an integer"),
+    ({"n": 2, "rates": [[0, 1, 1.0], [1, 0, 1.0], [0, 0, 1.0], [0, 0, 2.0]]},
+     "duplicate"),
+    ({"n": 2, "rates": [[0, 1, 1.0], [1, 0, 1.0], [1, 1, float("nan")]]},
+     "not finite"),
 ])
 def test_model_schema_violations(obj, msg):
     with pytest.raises(InvalidInputError, match=msg):
         parse_model(obj)
+
+
+def test_model_with_fewer_rates_than_states_is_refused_before_allocating():
+    # 10**13 states would need terabytes; two rates cannot connect them
+    for n in (10 ** 13, 10 ** 400):
+        with pytest.raises(InvalidInputError, match="strongly connected"):
+            parse_model({"n": n, "rates": [[0, 1, 1.0], [1, 0, 1.0]]})
+
+
+def _loop_from_rates(n, triplets):
+    # the per-entry assembly the vectorized check replaced
+    rows, cols, vals, diag = [], [], [], {}
+    for i, j, rate in triplets:
+        i, j, rate = int(i), int(j), float(rate)
+        if i == j:
+            diag[i] = rate
+        else:
+            rows.append(i)
+            cols.append(j)
+            vals.append(rate)
+    off = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    d = -np.asarray(off.sum(axis=1)).ravel()
+    for i, v in diag.items():
+        d[i] = v
+    return off + sp.diags(d, format="csr", shape=(n, n))
+
+
+@st.composite
+def _ring_triplets(draw):
+    # a positive ring keeps the chain irreducible; extra pairs, diagonal
+    # ones included, carry zero, integer or float rates in any order
+    n = draw(st.integers(2, 25))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          unique=True, max_size=3 * n))
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    pairs += [(i, j) for i, j in extra if j != (i + 1) % n]
+    rates = [draw(st.floats(0.01, 1e3)) for _ in range(n)]
+    rates += [draw(st.one_of(st.just(0), st.integers(0, 9),
+                             st.floats(0.0, 1e3))) for _ in pairs[n:]]
+    order = draw(st.permutations(range(len(pairs))))
+    as_float = draw(st.booleans())
+    kind = float if as_float else int
+    return n, [[kind(pairs[k][0]), kind(pairs[k][1]), rates[k]] for k in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ring_triplets())
+def test_triplet_assembly_matches_plain_loop(case):
+    n, triplets = case
+    off_diagonal = [t for t in triplets if t[0] != t[1]]
+    for got, ref in [
+            (GeneratorMatrix.from_rates(n, triplets).matrix,
+             _loop_from_rates(n, triplets)),
+            (parse_model({"n": n, "rates": triplets}).matrix,
+             _loop_from_rates(n, off_diagonal))]:
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(ref, part))
+            assert getattr(got, part).dtype == getattr(ref, part).dtype
 
 
 def test_observable_roundtrip(tmp_path):
@@ -505,6 +613,18 @@ def test_observable_range_must_cover_values():
         parse_observable({"values": [0.0, 2.0], "range": [0, 1]})
     with pytest.raises(InvalidInputError, match="range"):
         parse_observable({"values": [0.0], "range": [1]})
+
+
+@pytest.mark.parametrize("obj", [
+    {"values": ["x", 0, 1], "range": [0, 1]},
+    {"values": [0, 0, 1], "range": [0, "b"]},
+    {"values": [0, 0, 1], "range": [0, None]},
+    {"values": [[0], [0, 1], 1], "range": [0, 1]},
+    {"values": [0, 0, 1], "range": [0, 10 ** 400]},
+])
+def test_observable_non_numbers_are_invalid_input(obj):
+    with pytest.raises(InvalidInputError, match="numbers"):
+        parse_observable(obj)
 
 
 def test_observable_span():

@@ -224,8 +224,7 @@ def test_tail_counts_match_reference_walker(kind, span, seed):
 
 @pytest.mark.parametrize("kind", ["three-state", "ring"])
 def test_pooled_tail_counts_match_reference_walker(kind):
-    # more replications than one lockstep chunk holds; the worker count is
-    # accepted and changes nothing
+    # more replications than one lockstep chunk holds
     rng = np.random.default_rng(2024)
     Q = _chain(kind, rng)
     values = rng.uniform(0.0, 1.0, size=Q.n)
@@ -236,10 +235,9 @@ def test_pooled_tail_counts_match_reference_walker(kind):
     reps = 2 * simulate._CHUNK + 7
     expected = _reference_counts(Q, values, init, horizon,
                                  mean + np.array(eps), 3, reps)
-    for workers in (1, 2):
-        got = tail_probability_mc(Q, values, init, horizon, eps, reps, 3,
-                                  mean=mean, workers=workers)
-        assert [e.count for e in got] == expected
+    got = tail_probability_mc(Q, values, init, horizon, eps, reps, 3,
+                              mean=mean)
+    assert [e.count for e in got] == expected
 
 
 def test_tail_counts_with_absorbing_state_match_reference_walker():
@@ -380,17 +378,21 @@ def test_tail_estimate_reproducible(three_state):
 
 @pytest.mark.parametrize("eps", [0.1, [0.2, 0.05, 0.1]],
                          ids=["scalar", "grid"])
-def test_tail_estimate_workers_equivalent(three_state, eps):
+def test_tail_estimate_workers_equivalent(three_state, monkeypatch, eps):
+    # the replications are shared out among lockstep chunks; how many
+    # chunks take them changes nothing
     g = ObservableFunction([0.0, 0.0, 1.0], 0.0, 1.0)
-    serial = tail_probability_mc(three_state, g, THREE_STATE_PI, 10.0, eps,
-                                 300, seed=5, workers=1)
-    parallel = tail_probability_mc(three_state, g, THREE_STATE_PI, 10.0, eps,
-                                   300, seed=5, workers=3)
-    assert serial == parallel
+    whole = tail_probability_mc(three_state, g, THREE_STATE_PI, 10.0, eps,
+                                300, seed=5)
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_CHUNK", 64)
+        split = tail_probability_mc(three_state, g, THREE_STATE_PI, 10.0,
+                                    eps, 300, seed=5)
+    assert whole == split
     if isinstance(eps, list):
         # one estimate per eps, in the given order, from the same paths
         # as the scalar call for that eps
-        assert serial == [
+        assert whole == [
             tail_probability_mc(three_state, g, THREE_STATE_PI, 10.0, e,
                                 300, seed=5) for e in eps]
 
