@@ -154,7 +154,7 @@ def deflated_extremal(A, known_vector, largest, method="auto"):
     Av = A @ vector
     residual = float(np.linalg.norm(Av - value * vector))
     scale = max(float(abs(A).max()), 1.0)
-    if residual > _RESIDUAL_RTOL * scale:
+    if not residual <= _RESIDUAL_RTOL * scale:  # NaN fails too
         raise NumericalFailureError(
             f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_RTOL:.1e} "
             f"relative to scale {scale:.3e}", residual=residual)

@@ -30,6 +30,10 @@ from .spectral import SpectralReport, bd_closed_form_gap, spectral_gap
 from .truncation import CountableModel, gap_convergence_sweep
 
 DEFAULT_SEED = 12345
+# Largest --bd N and sweep --sizes entry accepted.  Each state costs a few
+# hundred bytes across the build and the solve (319 MB peak at 10**6), so
+# larger sizes are refused before anything of that size is allocated.
+MAX_STATES = 10 ** 7
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -101,8 +105,9 @@ def _resolve_model(args, allow_infinite_bd=False):
             n_levels = int(n_s)
         except ValueError:
             raise InvalidInputError(f"bad birth-death size {n_s!r}")
-        if n_levels < 1:
-            raise InvalidInputError("birth-death size must be >= 1")
+        if not 1 <= n_levels <= MAX_STATES:
+            raise InvalidInputError(
+                f"birth-death size must be in [1, {MAX_STATES}]")
     if math.isinf(n_levels):
         if not allow_infinite_bd:
             raise InvalidInputError(
@@ -153,6 +158,8 @@ def _cmd_verify(args):
 
 def _cmd_sweep(args):
     sizes = _parse_list(args.sizes, int, "sizes")
+    if max(sizes) > MAX_STATES:
+        raise InvalidInputError(f"sizes must be at most {MAX_STATES}")
     Q, bd_spec = _resolve_model(args, allow_infinite_bd=True)
     limit = None
     if Q is None:

@@ -520,6 +520,13 @@ def _as_probs(pi, n=None):
     return p
 
 
+def _as_law(pi, n):
+    """Accept StationaryDistribution or array; return the former."""
+    p = _as_probs(pi, n)
+    return pi if isinstance(pi, StationaryDistribution) else \
+        StationaryDistribution(p)
+
+
 def dual_generator(Q, pi):
     """Time-reversed generator ``Qhat[i, j] = pi[j] Q[j, i] / pi[i]``.
 

@@ -17,8 +17,8 @@ import numpy as np
 from ._report import Report
 from ._symeig import deflated_extremal
 from .errors import InvalidInputError, NumericalFailureError
-from .generator import _as_probs, stationary_distribution
-from .spectral import spectral_gap
+from .generator import _as_law, stationary_distribution
+from .spectral import _symmetric_part, spectral_gap
 
 # exp(delta * q) overflows the uniformization weights past this point
 _MAX_UNIFORMIZATION_EXPONENT = 700.0
@@ -129,6 +129,9 @@ class DtmcGapReport:
 def dtmc_spectral_gap(P, pi):
     """Spectral gap of a discrete-time kernel with stationary law `pi`.
 
+    `lambda_P` is the second eigenvalue of the dense
+    ``_symmetric_part(P, log pi)``, so `pi` may underflow.
+
     Parameters
     ----------
     P : StochasticMatrix
@@ -141,10 +144,8 @@ def dtmc_spectral_gap(P, pi):
     """
     if not isinstance(P, StochasticMatrix):
         P = StochasticMatrix(P)
-    p = _as_probs(pi, P.n)
-    if np.any(p <= 0):
-        raise InvalidInputError("pi must be strictly positive")
-    resid = float(np.max(np.abs(p @ P.matrix - p)))
+    pi = _as_law(pi, P.n)
+    resid = float(np.max(np.abs(pi.probs @ P.matrix - pi.probs)))
     if resid > _STATIONARITY_ATOL:
         raise InvalidInputError(
             f"pi is not stationary for P: residual {resid:.3e} exceeds "
@@ -152,12 +153,9 @@ def dtmc_spectral_gap(P, pi):
     if P.n == 1:
         return DtmcGapReport(lambda_P=0.0, gap=1.0, method="dense",
                              residual=0.0)
-    # the weighted similarity transform of the additive reversibilization
-    # equals the symmetric part of the transformed kernel itself
-    sq = np.sqrt(p)
-    W = P.matrix * (sq[:, None] / sq[None, :])
-    T = 0.5 * (W + W.T)
-    result, used = deflated_extremal(T, sq, largest=True)
+    T = _symmetric_part(P.matrix, pi.log_probs)
+    result, used = deflated_extremal(T, np.sqrt(pi.probs), largest=True,
+                                     method="dense")
     lam = result.value
     if lam > 1.0 + 1e-12:
         raise NumericalFailureError(
@@ -218,10 +216,7 @@ def skeleton_gap_check(Q, pi=None, deltas=(0.1, 0.05, 0.01)):
         raise InvalidInputError("deltas must be positive")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise InvalidInputError("deltas must be strictly decreasing")
-    if pi is None:
-        pi = stationary_distribution(Q)
-        if np.any(pi.probs == 0):  # the kernel is weighted in linear scale
-            raise NumericalFailureError("pi has entries below the double range")
+    pi = stationary_distribution(Q) if pi is None else _as_law(pi, Q.n)
     gap_ref = spectral_gap(Q, pi).gap
     rows = []
     for d in deltas:

@@ -4,10 +4,11 @@ complementary lower bounds (birth-death weights, drift certificates).
 The gap of a chain with generator `Q` and stationary law `pi` is the
 smallest nonzero eigenvalue of the negative additive reversibilization
 ``-(Q + Qhat)/2``, computed through the similarity transform that makes it
-symmetric: ``S[i, j] = sqrt(pi[i]/pi[j]) * Qbar[i, j]``.  The square-root
-weight vector is the eigenvector of the trivial zero mode and is deflated
-explicitly.  A birth-death (tridiagonal) chain is reversible, so its ``S``
-comes from the rates alone and its ``pi`` from the product form.
+symmetric: ``S[i, j] = sqrt(pi[i]/pi[j]) * Qbar[i, j]``, from ``log pi``.
+The square-root weight vector is the eigenvector of the trivial zero mode
+and is deflated explicitly.  A birth-death (tridiagonal) chain is
+reversible, so its ``S`` comes from the rates alone and its ``pi`` from
+the product form.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._report import Report
-from ._symeig import DENSE_CUTOFF, deflated_extremal
+from ._symeig import deflated_extremal
 from .errors import InvalidInputError
-from .generator import (StationaryDistribution, _as_probs, _check_stationary,
-                        _irreducible_band, additive_symmetrization,
-                        stationary_distribution)
+from .generator import (_as_law, _as_probs, _check_stationary,
+                        _irreducible_band, stationary_distribution)
 
 # drift inequalities may be exceeded by this much before they count as broken
 _DRIFT_SLACK = 1e-12
@@ -71,36 +71,45 @@ class SpectralReport(Report):
                 "iterations": int(self.iterations)}
 
 
+def _symmetric_part(M, log_pi):
+    """``(W + W.T) / 2`` with ``W[i, j] = M[i, j] exp((l[i] - l[j]) / 2)``.
+
+    ``l = log_pi``.  A sparse `M` gives CSR, weighted at its stored
+    triplets; a dense `M` is weighted at its nonzero entries only.
+    """
+    if sp.issparse(M):
+        M = M.tocoo()
+        w = np.exp(0.5 * (log_pi[M.row] - log_pi[M.col]))
+        W = sp.csr_matrix((M.data * w, (M.row, M.col)), shape=M.shape)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = np.where(M != 0, M * np.exp(
+                0.5 * (log_pi[:, None] - log_pi[None, :])), 0.0)
+    return 0.5 * (W + W.T)
+
+
 def symmetrized_form(Q, pi):
     """Symmetric matrix ``S = D Qbar D^-1`` with ``D = diag(sqrt(pi))``.
 
-    `Qbar` is the additive reversibilization; the result is symmetrized to
-    working precision and returned dense (or sparse when `Q` is large),
-    together with the unit vector ``sqrt(pi)``.  A birth-death
-    (tridiagonal) `Q` is its own reversibilization, and by Kolmogorov's
-    criterion ``S`` then has the diagonal of `Q` and the off-diagonal
-    ``sqrt(Q[i, i+1] Q[i+1, i])``: it is built from the rates alone, in
-    sparse form, and `pi` enters only the returned ``sqrt(pi)``, where
-    entries that underflow to 0 are harmless.  Either way `pi` must be
-    stationary for `Q` (NumericalFailureError otherwise).
+    `Qbar` is the additive reversibilization; ``S`` is returned in CSR
+    form with the vector ``sqrt(pi)``.  A general `Q` gives
+    ``_symmetric_part(Q, log pi)``.  A birth-death (tridiagonal) `Q` is its
+    own reversibilization, and by Kolmogorov's criterion ``S`` then has the
+    diagonal of `Q` and the off-diagonal ``sqrt(Q[i, i+1] Q[i+1, i])``,
+    from the rates alone.  Either way entries of `pi` that underflow to 0
+    are harmless, and `pi` must be stationary for `Q`
+    (NumericalFailureError otherwise).
     """
-    p = _as_probs(pi, Q.n)
+    pi = _as_law(pi, Q.n)
+    _check_stationary(pi.probs, Q.matrix, Q.max_rate(), "stationary")
     band = Q.structure()[0]
-    if band is not None:
-        _check_stationary(p, Q.matrix, Q.max_rate(), "stationary")
+    if band is None:
+        S = _symmetric_part(Q.matrix, pi.log_probs)
+    else:
         off = np.sqrt(band[0] * band[1])
         S = sp.diags([off, Q.matrix.diagonal(), off], [-1, 0, 1],
                      format="csr")
-        return S, np.sqrt(p)
-    Qbar = additive_symmetrization(Q, p)
-    sq = np.sqrt(p)
-    if Q.n <= DENSE_CUTOFF:
-        S = Qbar.to_dense() * (sq[:, None] / sq[None, :])
-        S = 0.5 * (S + S.T)
-    else:
-        S = Qbar.matrix.multiply(sq[:, None]).multiply(1.0 / sq[None, :]).tocsr()
-        S = ((S + S.T) * 0.5).tocsr()
-    return S, sq
+    return S, np.sqrt(pi.probs)
 
 
 def spectral_gap(Q, pi=None, method="auto"):
@@ -139,10 +148,7 @@ def spectral_gap(Q, pi=None, method="auto"):
                               iterations=0, eigenvector=None,
                               trivial_residual=0.0, degenerate=True)
     band = _irreducible_band(Q)
-    if pi is None:
-        pi = stationary_distribution(Q)
-    elif not isinstance(pi, StationaryDistribution):
-        pi = StationaryDistribution(_as_probs(pi, Q.n))
+    pi = stationary_distribution(Q) if pi is None else _as_law(pi, Q.n)
     S, sq = symmetrized_form(Q, pi)
     if method == "auto" and band is not None:
         method = "tridiagonal"

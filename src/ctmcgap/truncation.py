@@ -19,7 +19,7 @@ import numpy as np
 from ._report import Report
 from .errors import InvalidInputError, NumericalFailureError
 from .generator import (GeneratorMatrix, ObservableFunction,
-                        StationaryDistribution, _as_probs, _check_stationary)
+                        StationaryDistribution, _as_law, _check_stationary)
 from .spectral import spectral_gap
 
 _TAIL_SUM_RELTOL = 1e-17
@@ -34,12 +34,12 @@ class CountableModel:
     row : callable
         ``row(i)`` returns the finitely many ``(j, rate)`` pairs out of
         state `i` (off-diagonal, positive rates only).
-    weight : callable
-        ``weight(k)`` is an unnormalized stationary weight of state `k`
-        (any fixed positive multiple of the stationary law).
-    tail_weight : callable
-        ``tail_weight(n)`` is the total weight of states ``n, n+1, ...``
-        (finite for positive-recurrent chains).
+    log_weight : callable
+        ``log_weight(k)`` is the log of an unnormalized stationary weight
+        of state `k` (any fixed positive multiple of the stationary law).
+    log_tail_weight : callable
+        ``log_tail_weight(n)`` is the logarithm of the total weight of
+        states ``n, n+1, ...`` (finite for positive-recurrent chains).
     in_reach : callable, optional
         ``in_reach(n)`` lists the states ``>= n`` that have an edge into
         ``{0..n-1}``.  Required for infinite chains.
@@ -47,11 +47,11 @@ class CountableModel:
         State count when the chain is actually finite.
     """
 
-    def __init__(self, row, weight, tail_weight, in_reach=None,
+    def __init__(self, row, log_weight, log_tail_weight, in_reach=None,
                  finite_size=None):
         self.row = row
-        self.weight = weight
-        self.tail_weight = tail_weight
+        self.log_weight = log_weight
+        self.log_tail_weight = log_tail_weight
         self.in_reach = in_reach
         self.finite_size = finite_size
 
@@ -68,7 +68,7 @@ class CountableModel:
 
         For constant rates the chain is positive recurrent only when the
         death rate exceeds the birth rate; that is checked eagerly and the
-        geometric tail is summed in closed form.
+        geometric tail is summed in closed form (else by log-sum-exp).
         """
         a = death_rate if callable(death_rate) else (lambda k, _v=float(death_rate): _v)
         b = birth_rate if callable(birth_rate) else (lambda k, _v=float(birth_rate): _v)
@@ -81,33 +81,35 @@ class CountableModel:
                 raise InvalidInputError(
                     "constant-rate chain needs death rate > birth rate "
                     "for positive recurrence")
-        weights = [1.0]  # product-form weights, grown on demand
+        log_weights = [0.0]  # product-form log weights, grown on demand
 
-        def weight(k):
-            while len(weights) <= k:
-                m = len(weights)
+        def log_weight(k):
+            while len(log_weights) <= k:
+                m = len(log_weights)
                 up = b(m - 1)
                 down = a(m)
                 if up <= 0 or down <= 0:
                     raise InvalidInputError(f"non-positive rate at level {m}")
-                weights.append(weights[-1] * up / down)
-            return weights[k]
+                log_weights.append(log_weights[-1] + math.log(up / down))
+            return log_weights[k]
 
         if constant:
             r = beta / alpha
 
-            def tail_weight(n):
+            def log_tail_weight(n):
                 # geometric: sum_{k>=n} mu_n r^(k-n) = mu_n / (1 - r)
-                return weight(n) / (1.0 - r)
+                return log_weight(n) - math.log1p(-r)
         else:
-            def tail_weight(n):
-                total = 0.0
-                k = n
+            def log_tail_weight(n):
+                top, total, k = log_weight(n), 0.0, n
                 while True:
-                    term = weight(k)
+                    lw = log_weight(k)
+                    if lw > top:  # terms are relative to the largest
+                        total, top = total * math.exp(top - lw), lw
+                    term = math.exp(lw - top)
                     total += term
                     if term <= _TAIL_SUM_RELTOL * total:
-                        return total
+                        return top + math.log(total)
                     k += 1
                     if k - n > _TAIL_SUM_MAX_TERMS:
                         raise NumericalFailureError(
@@ -124,22 +126,20 @@ class CountableModel:
             # only level n feeds back into {0..n-1}
             return (n,)
 
-        return cls(row=row, weight=weight, tail_weight=tail_weight,
-                   in_reach=in_reach, finite_size=None)
+        return cls(row, log_weight, log_tail_weight, in_reach)
 
     @classmethod
     def from_generator(cls, Q, pi):
         """Wrap a finite chain so it can be collapsed like a countable one."""
-        p = _as_probs(pi, Q.n)
-        suffix = np.concatenate([np.cumsum(p[::-1])[::-1], [0.0]])
+        log_p = _as_law(pi, Q.n).log_probs
+        suffix = np.logaddexp.accumulate(np.append(log_p, -np.inf)[::-1])[::-1]
 
         def row(i):
             cols, vals = Q.row_rates(i)
             return list(zip(cols.tolist(), vals.tolist()))
 
-        return cls(row=row, weight=lambda k: float(p[k]),
-                   tail_weight=lambda n: float(suffix[n]),
-                   in_reach=None, finite_size=Q.n)
+        return cls(row, lambda k: float(log_p[k]),
+                   lambda n: float(suffix[n]), finite_size=Q.n)
 
 
 @dataclass
@@ -157,13 +157,13 @@ class CollapsedModel:
     retained: tuple
 
 
-def _collapsed_chain(model, index, feeders, tail_mass, total):
+def _collapsed_chain(model, index, feeders, log_tail):
     """Rates and stationary law of the chain collapsed onto `index`.
 
     `index` maps each retained state to its row, in row order; the tail
     state is row ``len(index)``.  `feeders` are the states outside the
-    retained set that may jump into it, `tail_mass` their total weight and
-    `total` the weight of the whole chain.
+    retained set that may jump into it, and `log_tail` is the log of their
+    total weight.
     """
     m = len(index)
     entries = {}
@@ -175,13 +175,14 @@ def _collapsed_chain(model, index, feeders, tail_mass, total):
         for j, rate in model.row(s):
             add(i, index.get(j, m), rate)
     for k in feeders:
-        w = model.weight(k)
+        share = math.exp(model.log_weight(k) - log_tail)
         for j, rate in model.row(k):
             if j in index:
-                add(m, index[j], w * rate / tail_mass)
+                add(m, index[j], rate * share)
     rates = [(i, j, v) for (i, j), v in sorted(entries.items())]
-    pi_t = np.array([model.weight(s) for s in index] + [tail_mass]) / total
-    return GeneratorMatrix.from_rates(m + 1, rates), pi_t
+    log_w = np.array([model.log_weight(s) for s in index] + [log_tail])
+    law = StationaryDistribution._from_log(log_w - model.log_tail_weight(0))
+    return GeneratorMatrix.from_rates(m + 1, rates), law
 
 
 def collapse(model, retained):
@@ -218,8 +219,7 @@ def collapse(model, retained):
         if not feeders:
             raise InvalidInputError(
                 "retained set covers the whole chain; tail mass is zero")
-        tail_mass = sum(model.weight(k) for k in feeders)
-        total = sum(model.weight(s) for s in retained) + tail_mass
+        log_tail = np.logaddexp.reduce([model.log_weight(k) for k in feeders])
     elif not np.isscalar(retained):
         raise InvalidInputError(
             "explicit retained sets require a finite chain; "
@@ -231,17 +231,16 @@ def collapse(model, retained):
         n = int(retained)
         if n < 1:
             raise InvalidInputError("prefix size must be >= 1")
-        tail_mass = model.tail_weight(n)
-        if not (tail_mass > 0 and math.isfinite(tail_mass)):
-            raise InvalidInputError(f"tail weight {tail_mass!r} must be "
-                                    "positive and finite")
+        log_tail = model.log_tail_weight(n)
+        if not math.isfinite(log_tail):
+            raise InvalidInputError(f"log tail weight {log_tail!r} must be "
+                                    "finite")
         retained = list(range(n))
         feeders = model.in_reach(n)
-        total = model.tail_weight(0)
     index = {s: k for k, s in enumerate(retained)}
-    Qt, pi_t = _collapsed_chain(model, index, feeders, tail_mass, total)
-    pi_tilde = StationaryDistribution(pi_t)
-    _check_stationary(pi_t, Qt.matrix, Qt.max_rate(), "collapsed stationary")
+    Qt, pi_tilde = _collapsed_chain(model, index, feeders, log_tail)
+    _check_stationary(pi_tilde.probs, Qt.matrix, Qt.max_rate(),
+                      "collapsed stationary")
     return CollapsedModel(generator=Qt, pi_tilde=pi_tilde,
                           tail_index=len(index), retained=tuple(retained))
 

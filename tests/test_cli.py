@@ -4,9 +4,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import ctmcgap.cli as climod
 from ctmcgap import (SpectralReport, bd_closed_form_gap, build_birth_death,
@@ -66,6 +68,43 @@ def test_sweep_finite_birth_death_above_2000_states(capsys):
             assert code == 0
             gaps.append(json.loads(out)["gaps"])
         assert np.allclose(gaps[0], gaps[1], rtol=1e-10, atol=0.0)
+
+
+def _collapsed_bd_gap(down, up, n):
+    # the chain on 0..n-1 plus a tail state that returns to n-1 at rate
+    # down - up, solved as a symmetric tridiagonal matrix on its own
+    diag = np.full(n + 1, down + up)
+    diag[0], diag[n] = up, down - up
+    off = np.full(n, math.sqrt(down * up))
+    off[-1] = math.sqrt(up * (down - up))
+    w, _ = eigh_tridiagonal(diag, -off, select="i", select_range=(1, 1))
+    return w[0]
+
+
+@pytest.mark.parametrize("down, sizes", [("2", [1000, 1100]),
+                                         ("1.1", [1000, 5000, 20000])])
+def test_sweep_where_weights_underflow(capsys, down, sizes):
+    # the tail weight of (2, 1) at 1 100 states, and pi of (1.1, 1) at
+    # 20 000, are below the double range; they are kept in log scale
+    code, out, err = run(capsys, ["sweep", "--bd", down, "1", "inf",
+                                  "--sizes", ",".join(map(str, sizes)),
+                                  "--format", "json"])
+    assert code == 0, err
+    for n, gap in zip(sizes, json.loads(out)["gaps"]):
+        ref = _collapsed_bd_gap(float(down), 1.0, n)
+        assert abs(gap - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("argv", [
+    [*cmd, size] for size in (str(climod.MAX_STATES + 1), "10000000000000")
+    for cmd in (["gap", "--bd", "2", "1"], ["verify", "--bd", "2", "1"],
+                ["sweep", "--bd", "2", "1", "inf", "--sizes"])])
+def test_sizes_past_the_cap_exit_2_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2 and out == ""
+    assert str(climod.MAX_STATES) in err
 
 
 def test_verify_birth_death_above_2000_states(capsys):
@@ -457,13 +496,14 @@ def test_skeleton_infinite_bd_rejected(capsys):
     assert "finite" in err
 
 
-def test_skeleton_underflowing_pi_is_a_numerical_failure(capsys):
-    # the skeleton kernel is weighted by pi in linear scale, which reads 0
-    # past about 1 075 states for rates (2, 1): a numerical limit, not a
-    # bad input
-    code, _, err = run(capsys, ["skeleton", "--bd", "2", "1", "1500"])
-    assert code == 3
-    assert "double range" in err
+def test_skeleton_of_underflowing_pi_meets_the_reversible_oracle():
+    # pi of the (2, 1) chain reads 0 past about 1 075 states; the kernel is
+    # weighted in log scale, and the skeleton of a reversible chain has
+    # lambda_P = exp(-delta * gap) exactly
+    Q = build_birth_death(np.full(1099, 2.0), np.full(1099, 1.0))
+    table = skeleton_gap_check(Q, deltas=[0.1])
+    lam = table.rows[0].lambda_P
+    assert abs(lam - math.exp(-0.1 * table.gap_reference)) <= 1e-12
 
 
 # ------------------------------------------------------------ output contract

@@ -18,10 +18,10 @@ from ctmcgap.cli import main
 GOLDEN = [
     (["gap", "--example", "three-state"],
      '{"gap": 2.2254033307585166, "iterations": 0, "method": "dense", '
-     '"residual": 3.1401849173675503e-16}\n'),
+     '"residual": 6.280369834735101e-16}\n'),
     (["gap", "--example", "three-state", "--format", "csv"],
      "gap,method,residual,iterations\n"
-     "2.2254033307585166,dense,3.1401849173675503e-16,0\n"),
+     "2.2254033307585166,dense,6.280369834735101e-16,0\n"),
     (["gap", "--bd", "2", "1", "100", "--method", "lanczos"],
      '{"gap": 0.17294103553987047, "iterations": 231, "method": "lanczos", '
      '"residual": 2.3463831478397193e-15}\n'),
@@ -29,8 +29,8 @@ GOLDEN = [
      '{"gap": 0.17158680509713603, "iterations": 0, '
      '"method": "tridiagonal", "residual": 5.853135664346862e-16}\n'),
     (["gap", "--model", "MODEL"],
-     '{"gap": 0.35141745201378266, "iterations": 0, "method": "dense", '
-     '"residual": 3.6899259589487185e-15}\n'),
+     '{"gap": 0.35141745201378344, "iterations": 0, "method": "dense", '
+     '"residual": 3.624957285599153e-15}\n'),
     (["skeleton", "--example", "three-state"],
      "delta,lambda_P,ratio,abs_error\n"
      "0.1,0.7982017533070647,2.0179824669293533,0.20742086382916325\n"
@@ -39,7 +39,7 @@ GOLDEN = [
     (["verify", "--example", "three-state", "--reps", "200"],
      '{"all_pass": true, "g_pi2_norm": 0.7453559924999298, '
      '"g_sup_norm": 1.0, "gap": 2.2254033307585166, "gap_method": "dense", '
-     '"gap_residual": 3.1401849173675503e-16, '
+     '"gap_residual": 6.280369834735101e-16, '
      '"lezaud_hypotheses_asserted": false, "pi_g": 0.5555555555555555, '
      '"regularity_asserted": true, "rows": ['
      '{"bound_lezaud": null, "bound_main": 0.894696999083407, '

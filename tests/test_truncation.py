@@ -72,8 +72,9 @@ def _bd_row(i):
 
 @pytest.mark.parametrize("model, retained", [
     # weights 0.7**k do not balance the flows of a down-2, up-1 chain
-    (CountableModel(row=_bd_row, weight=lambda k: 0.7 ** k,
-                    tail_weight=lambda n: 0.7 ** n / 0.3,
+    (CountableModel(row=_bd_row, log_weight=lambda k: k * math.log(0.7),
+                    log_tail_weight=lambda n: n * math.log(0.7)
+                    - math.log(0.3),
                     in_reach=lambda n: (n,)), 6),
     (CountableModel.from_generator(build_three_state(),
                                    np.array([0.5, 0.25, 0.25])), [0, 2]),
@@ -108,9 +109,11 @@ def test_countable_model_guards():
 def test_birth_death_callable_rates_match_constant(geometric_chain):
     callable_model = CountableModel.birth_death(lambda k: 2.0, lambda k: 1.0)
     for n in (1, 3, 7):
-        w1, w2 = geometric_chain.weight(n), callable_model.weight(n)
+        w1, w2 = (math.exp(m.log_weight(n))
+                  for m in (geometric_chain, callable_model))
         assert abs(w1 - w2) < 1e-15
-        t1, t2 = geometric_chain.tail_weight(n), callable_model.tail_weight(n)
+        t1, t2 = (math.exp(m.log_tail_weight(n))
+                  for m in (geometric_chain, callable_model))
         assert abs(t1 - t2) < 1e-12 * t1
 
 
