@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalFailureError
@@ -70,6 +69,8 @@ def _tridiagonal(A, v0, largest):
 
 
 def _lanczos(A, v0, largest):
+    import scipy.sparse.linalg as spla
+
     n = v0.size
     maxiter = max(1000, 50 * n)
     # push the known eigenvalue out of the way with a rank-one shift

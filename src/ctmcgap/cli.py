@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -48,9 +49,16 @@ class _OutputError(Exception):
 
 def _write_text(text, path):
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone; send what is still buffered to the null
+            # device, so that the flush at interpreter exit cannot fail too
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            raise _OutputError("stdout was closed before the report was "
+                               "written") from None
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.linalg.lapack import dtrtri
 
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -304,6 +304,8 @@ class ValidationReport:
 
 
 def _strongly_connected(Q):
+    from scipy.sparse.csgraph import connected_components
+
     # the edges are the strictly positive off-diagonal rates
     rows, cols, vals = Q.off_diagonal()
     keep = vals > 0
@@ -350,15 +352,22 @@ def _gth_solve(A):
     """Stationary vector of a conservative rate matrix by state elimination.
 
     Grassmann-Taksar-Heyman elimination, blocked: states are eliminated
-    from the last down in panels of `_GTH_PANEL`.  Within a panel each
-    elimination updates only the panel's rows and the panel's columns of
-    the rows above; one matrix product then carries the whole panel into
-    the trailing block.  Every update adds products of nonnegative
-    off-diagonal rates (the diagonal is never read), so the method is
-    subtraction-free and every entry keeps full relative accuracy even when
-    the distribution spans hundreds of orders of magnitude.  Chains of at
-    most `_GTH_PANEL` states take exactly the arithmetic of the unblocked
-    loop.
+    from the last down in panels of `_GTH_PANEL`.  A panel is eliminated
+    in a work block of its own rates plus one lumped column, each panel
+    state's total rate into the states left of the panel, so every pivot
+    is still the row's sum left of its diagonal.  The panel's final rows
+    and columns outside it then follow as matrix products with the
+    unit-triangular transforms ``(I - triu(B, 1)/s)^-1`` and
+    ``(I - tril(B, -1)/s)^-1`` of the eliminated block `B` and its pivots
+    `s`, which are sums of powers of nonnegative matrices; the rows above
+    the panel and the trailing block are updated a strip of rows at a
+    time, so no temporary of the matrix's size is made.  Every update adds
+    products of nonnegative off-diagonal rates (the diagonal is never
+    read), so the method is subtraction-free and every entry keeps full
+    relative accuracy even when the distribution spans hundreds of orders
+    of magnitude.  The last panel is eliminated in `A` itself, so chains of
+    at most `_GTH_PANEL` states take exactly the arithmetic of the
+    unblocked loop.
 
     `A` is a float ndarray the solve owns: it is overwritten.  A pivot that
     is not positive raises NumericalFailureError; for an irreducible chain
@@ -368,15 +377,34 @@ def _gth_solve(A):
     s = np.zeros(n)
     for hi in range(n, 1, -_GTH_PANEL):
         lo = max(hi - _GTH_PANEL, 1)
-        for k in range(hi - 1, lo - 1, -1):
-            s[k] = A[k, :k].sum()
-            if s[k] <= 0:
+        # row and column k >= 1 of W are state lo-1+k; column 0 lumps the
+        # states 0 .. lo-1 (row 0 is state 0 when lo == 1, else zeros)
+        if lo == 1:
+            W = A[:hi, :hi]
+        else:
+            W = np.zeros((hi - lo + 1, hi - lo + 1))
+            W[1:, 0] = A[lo:hi, :lo].sum(axis=1)
+            W[1:, 1:] = A[lo:hi, lo:hi]
+        for k in range(hi - lo, 0, -1):
+            pivot = s[lo - 1 + k] = W[k, :k].sum()
+            if pivot <= 0:
                 raise NumericalFailureError(
-                    f"elimination pivot {s[k]!r} at state {k}; the "
+                    f"elimination pivot {pivot!r} at state {lo - 1 + k}; the "
                     "stationary law underflows the double range")
-            A[lo:k, :k] += np.outer(A[lo:k, k] / s[k], A[k, :k])
-            A[:lo, lo:k] += np.outer(A[:lo, k] / s[k], A[k, lo:k])
-        A[:lo, :lo] += (A[:lo, lo:hi] / s[lo:hi]) @ A[lo:hi, :lo]
+            W[:k, :k] += np.outer(W[:k, k] / pivot, W[k, :k])
+        if lo == 1:
+            break
+        B, d = W[1:, 1:], s[lo:hi]
+        A[lo:hi, lo:hi] = B
+        eye = np.eye(hi - lo)
+        U, _ = dtrtri(eye - np.triu(B, 1) / d)
+        L, _ = dtrtri(eye - np.tril(B, -1) / d[:, None], lower=1)
+        X = (U / d[:, None]) @ A[lo:hi, :lo]  # panel rows, each over its pivot
+        for i in range(0, lo, _GTH_PANEL):
+            rows = slice(i, min(i + _GTH_PANEL, lo))
+            C = A[rows, lo:hi] @ L  # the panel columns of these rows
+            A[rows, lo:hi] = C
+            A[rows, :lo] += C @ X
     x = np.zeros(n)
     x[0] = 1.0
     for k in range(1, n):
@@ -468,9 +496,12 @@ def stationary_distribution(Q):
     A birth-death chain's ``pi`` is the product form, built in log scale in
     O(n): its ``log_probs`` hold at any size, while ``probs`` reads 0 below
     the double range.  Any other chain's is solved in linear scale: by
-    blocked subtraction-free elimination (componentwise relative accuracy;
-    panels of `_GTH_PANEL` states) on a dense copy of `Q` up to
-    `DENSE_SOLVE_CUTOFF` (4 096) states, and by power iteration on the
+    blocked subtraction-free elimination (componentwise relative accuracy)
+    on a dense copy of `Q` up to `DENSE_SOLVE_CUTOFF` (4 096) states, each
+    panel of `_GTH_PANEL` states eliminated with one lumped column for the
+    states left of it, its rows and columns outside it formed by
+    nonnegative unit-triangular transforms, and the trailing block updated
+    in strips of rows; and by power iteration on the
     uniformized kernel beyond, run until ``|(pi Q)_j| <= 1e-10 pi_j q_j``
     for every state `j` with exit rate `q_j`.  The result is accepted when
     ``max|pi Q|`` is at most 1e-10 times the largest exit rate (floored

@@ -82,15 +82,24 @@ class CountableModel:
                     "constant-rate chain needs death rate > birth rate "
                     "for positive recurrence")
         log_weights = [0.0]  # product-form log weights, grown on demand
+        # their running sum and its rounding error (Neumaier): a weight stays
+        # within a few roundings of the exact sum of its terms at any level
+        high = low = 0.0
 
         def log_weight(k):
+            nonlocal high, low
             while len(log_weights) <= k:
                 m = len(log_weights)
                 up = b(m - 1)
                 down = a(m)
                 if up <= 0 or down <= 0:
                     raise InvalidInputError(f"non-positive rate at level {m}")
-                log_weights.append(log_weights[-1] + math.log(up / down))
+                term = math.log(up / down)
+                new = high + term
+                low += ((high - new) + term if abs(high) >= abs(term)
+                        else (term - new) + high)
+                high = new
+                log_weights.append(high + low)
             return log_weights[k]
 
         if constant:

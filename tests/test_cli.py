@@ -577,15 +577,19 @@ def test_skeleton_stdout_is_the_report(capsys, fmt):
                for r in obj["rows"])
 
 
-def _modules_after_cli_import(*names):
-    # run the same source tree the tests import
+def _modules_after_cli_import(*names, argv=None):
+    # run the same source tree the tests import; with `argv`, report again
+    # after main(argv) has run
     src = os.path.dirname(os.path.dirname(climod.__file__))
-    code = ("import sys, ctmcgap.cli; "
-            f"print([m in sys.modules for m in {names!r}])")
+    seen = f"[m in sys.modules for m in {names!r}]"
+    code = f"import sys, ctmcgap.cli; seen = {seen}; "
+    if argv is not None:
+        code += f"ctmcgap.cli.main({argv!r}); seen += {seen}; "
+    code += "print(seen)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
-    return out.strip()
+    return out.splitlines()[-1]
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -595,3 +599,31 @@ def test_cli_import_leaves_out_scipy_stats():
 def test_cli_import_leaves_out_scipy_special():
     # only verify's confidence limit needs it, and imports it when called
     assert _modules_after_cli_import("scipy.special") == "[False]"
+
+
+def test_birth_death_gap_leaves_out_csgraph_and_sparse_linalg():
+    # a general chain's irreducibility check and the Lanczos solver import
+    # them when called; a birth-death gap needs neither
+    assert _modules_after_cli_import(
+        "scipy.sparse.csgraph", "scipy.sparse.linalg",
+        argv=["gap", "--bd", "2", "1", "10"]) == "[False, False, False, False]"
+
+
+def test_closed_stdout_exits_4_without_traceback():
+    # the reader of stdout is gone before anything is written: the report
+    # cannot be delivered, which is an output error and not a FAIL verdict
+    src = os.path.dirname(os.path.dirname(climod.__file__))
+    argv = [sys.executable, "-m", "ctmcgap.cli", "verify", "--example",
+            "three-state", "--reps", "20"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
+                             text=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert out.returncode == climod.EXIT_IO
+    assert "output error:" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert "Exception ignored" not in out.stderr

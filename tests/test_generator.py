@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,30 @@ def test_gth_pivot_error_from_a_later_panel():
     with pytest.raises(NumericalFailureError,
                        match=r"elimination pivot .* at state 10;"):
         generator._gth_solve(A)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([255, 256, 257, 320, 385]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_gth_many_panels_match_unblocked_loop(n, skewed, seed):
+    # three to six panels: rows and columns outside each panel come from the
+    # triangular transforms, and the trailing block is updated in strips
+    A = _ring_with_chords(n, skewed, seed)
+    ref = _gth_reference(A)
+    got = generator._gth_solve(A.copy())
+    assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+
+def test_gth_makes_no_temporary_of_the_matrix_size():
+    A = _ring_with_chords(1024, False, 5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        generator._gth_solve(A)
+        extra = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert extra < A.nbytes / 4
 
 
 def test_exact_cumsum_against_rational_sums():

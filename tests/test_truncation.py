@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,6 +16,17 @@ from conftest import THREE_STATE_PI
 def geometric_chain():
     # constant-rate chain drifting toward 0: down 2, up 1
     return CountableModel.birth_death(2.0, 1.0)
+
+
+def test_birth_death_log_weight_has_no_accumulated_rounding():
+    # callable rates take the level-by-level sum; the reference adds the
+    # same terms, log(up / down), to 50 digits
+    model = CountableModel.birth_death(lambda k: 1.1, lambda k: 1.0)
+    term = Decimal(math.log(1.0 / 1.1))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for k in (5000, 20000):
+            assert abs(Decimal(model.log_weight(k)) - k * term) <= 1e-12
 
 
 # ----------------------------------------------------------------- collapsing
