@@ -182,7 +182,6 @@ class VerificationReport(Report):
     g_sup_norm: float
     g_pi2_norm: float
     lezaud_hypotheses_asserted: bool = False
-    regularity_asserted: bool = True
 
     @property
     def all_pass(self):
@@ -197,7 +196,6 @@ class VerificationReport(Report):
                 "g_pi2_norm": float(self.g_pi2_norm),
                 "lezaud_hypotheses_asserted":
                     bool(self.lezaud_hypotheses_asserted),
-                "regularity_asserted": bool(self.regularity_asserted),
                 "all_pass": self.all_pass}
 
     def _csv_table(self):

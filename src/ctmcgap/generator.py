@@ -191,7 +191,7 @@ def _checked_triplets(n, rates):
 
 
 def _assemble(n, a, labels):
-    """The generator of the checked triplets `a`, as :meth:`from_rates`."""
+    """The generator of valid triplets `a` (repeats add), as `from_rates`."""
     rows, cols = a[:, 0].astype(np.intp), a[:, 1].astype(np.intp)
     off = rows != cols
     M = sp.coo_matrix((a[off, 2], (rows[off], cols[off])),
@@ -468,16 +468,17 @@ def _exact_cumsum(x):
     return np.cumsum(high) + np.cumsum(x - high)
 
 
-def _birth_death_log_pi(up, down):
-    """Normalized ``log pi`` of a birth-death chain, in product form.
+def _log_sum_exp(x):
+    """``log(sum(exp(x)))`` of a nonempty array, free of overflow."""
+    top = x.max()
+    return top + np.log(np.exp(x - top).sum())
 
-    ``log pi[k] = sum_{i<k} log(up[i] / down[i]) - log Z``: every entry is
-    within a few roundings of the exact logarithm, and none underflows.
-    The rates must be positive.
-    """
-    log_mu = np.concatenate([[0.0], _exact_cumsum(np.log(up) - np.log(down))])
-    top = log_mu.max()
-    return log_mu - (top + np.log(np.exp(log_mu - top).sum()))
+
+def _birth_death_log_mu(up, down):
+    """``log mu[k] = sum_{i<k} log(up[i]) - log(down[i])``, the product form
+    of a birth-death chain with positive rates: each entry within a few
+    roundings of the exact sum of its terms, and none underflows."""
+    return np.concatenate([[0.0], _exact_cumsum(np.log(up) - np.log(down))])
 
 
 def _irreducible_band(Q):
@@ -528,7 +529,8 @@ def stationary_distribution(Q):
     """
     band = _irreducible_band(Q)
     if band is not None:
-        pi = StationaryDistribution._from_log(_birth_death_log_pi(*band))
+        log_mu = _birth_death_log_mu(*band)
+        pi = StationaryDistribution._from_log(log_mu - _log_sum_exp(log_mu))
     else:
         # an overflow leaves NaN or 0 in p, which the test below rejects
         with np.errstate(over="ignore", invalid="ignore"):
@@ -617,6 +619,21 @@ def is_reversible(Q, pi):
     return worst <= _RATE_RTOL * max(Q.max_rate(), 1.0)
 
 
+def _birth_death_rates(death_rates, birth_rates, level=1):
+    """Positive finite down and up rates of one length; entry i links
+    levels ``level + i - 1`` and ``level + i``."""
+    a = np.asarray(death_rates, dtype=float)
+    b = np.asarray(birth_rates, dtype=float)
+    if a.ndim != 1 or b.ndim != 1 or a.size != b.size or a.size < 1:
+        raise InvalidInputError(
+            "death and birth rate lists must be 1-D with equal length >= 1")
+    bad = ~((a > 0) & (b > 0) & (a < np.inf) & (b < np.inf))  # NaN too
+    if bad.any():
+        raise InvalidInputError(f"rate at level {level + int(np.argmax(bad))} "
+                                "is not positive and finite")
+    return a, b
+
+
 def build_birth_death(death_rates, birth_rates, labels=None):
     """Tridiagonal generator on states ``0..N``.
 
@@ -627,13 +644,7 @@ def build_birth_death(death_rates, birth_rates, labels=None):
     birth_rates : sequence of float, length N
         Up rates ``b_0..b_{N-1}``; ``Q[i, i+1] = b_i`` for ``i = 0..N-1``.
     """
-    a = np.asarray(death_rates, dtype=float)
-    b = np.asarray(birth_rates, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.size != b.size or a.size < 1:
-        raise InvalidInputError(
-            "death and birth rate lists must be 1-D with equal length >= 1")
-    if np.any(a <= 0) or np.any(b <= 0):
-        raise InvalidInputError("birth and death rates must be positive")
+    a, b = _birth_death_rates(death_rates, birth_rates)
     exit_rates = np.append(b, 0.0) + np.insert(a, 0, 0.0)
     Q = sp.diags([a, -exit_rates, b], [-1, 0, 1], format="csr")
     return GeneratorMatrix(Q, labels=labels)

@@ -137,18 +137,25 @@ class _Chain:
         exit_rates = Q.exit_rates()
         # an absorbing state's rate is +0.0, so its holding time is infinite
         self.exit = np.where(exit_rates > 0, exit_rates, 0.0)
-        rows = [Q.row_rates(i) for i in range(Q.n)]
-        for i, (_, vals) in enumerate(rows):
-            if self.exit[i] > 0 and not vals.size:
-                raise InvalidInputError(
-                    f"state {i} has exit rate {float(self.exit[i])!r} but no "
-                    "positive jump rate")
-        sizes = np.array([vals.size for _, vals in rows])
+        rows, cols, vals = Q.off_diagonal()  # in CSR order
+        keep = vals > 0
+        sizes = np.bincount(rows[keep], minlength=Q.n)
+        stuck = (self.exit > 0) & (sizes == 0)
+        if np.any(stuck):
+            i = int(np.argmax(stuck))
+            raise InvalidInputError(
+                f"state {i} has exit rate {float(self.exit[i])!r} but no "
+                "positive jump rate")
         ends = np.cumsum(sizes)
         self.start, self.last = ends - sizes, ends - 1
-        self.targets = np.concatenate([cols for cols, _ in rows])
-        self.cum = np.concatenate([np.cumsum(vals) / vals.sum()
-                                   for _, vals in rows])
+        self.targets, self.cum = cols[keep], vals[keep]
+        # each row's rates v become np.cumsum(v) / v.sum(), bit for bit,
+        # for all rows of one length at once
+        for length in np.unique(sizes[sizes > 0]).tolist():
+            at = self.start[sizes == length, None] + np.arange(length)
+            block = self.cum[at]
+            self.cum[at] = (np.cumsum(block, axis=1)
+                            / block.sum(axis=1, keepdims=True))
         # bisection steps that settle a search over len(row) - 1 entries
         self.depth = int(sizes.max() - 1).bit_length()
 

@@ -22,7 +22,8 @@ import scipy.sparse as sp
 from ._report import Report
 from ._symeig import deflated_extremal
 from .errors import InvalidInputError
-from .generator import (_as_law, _as_probs, _check_stationary,
+from .generator import (_as_law, _as_probs, _birth_death_log_mu,
+                        _birth_death_rates, _check_stationary,
                         _irreducible_band, stationary_distribution)
 
 # drift inequalities may be exceeded by this much before they count as broken
@@ -264,24 +265,17 @@ def bd_lower_bound(death_rates, birth_rates):
     BirthDeathBoundReport
         With ``lower_bound = 1 / (4 delta) <= gap``.
     """
-    a = np.asarray(death_rates, dtype=float)
-    b = np.asarray(birth_rates, dtype=float)
-    if a.ndim != 1 or a.size != b.size or a.size < 1:
-        raise InvalidInputError(
-            "death and birth rate lists must have equal length >= 1")
-    if np.any(a <= 0) or np.any(b <= 0):
-        raise InvalidInputError("rates must be positive")
-    N = a.size
-    mu = np.empty(N + 1)
-    mu[0] = 1.0
-    for k in range(1, N + 1):
-        mu[k] = mu[k - 1] * b[k - 1] / a[k - 1]
-    head = np.cumsum(mu[:N])              # sum of mu[0..n] for n in 0..N-1
-    flow = 1.0 / (mu[:N] * b)             # 1 / (mu[k] b[k]) for k in 0..N-1
-    tail = np.cumsum(flow[::-1])[::-1]    # sum over k in n..N-1
-    delta = float(np.max(head * tail))
-    return BirthDeathBoundReport(mu=mu, delta=delta,
-                                 lower_bound=1.0 / (4.0 * delta))
+    a, b = _birth_death_rates(death_rates, birth_rates)
+    log_mu = _birth_death_log_mu(b, a)
+    # logs of: the sum of mu[0..n], and of 1 / (mu[k] b[k]) over k in n..N-1
+    log_head = np.logaddexp.accumulate(log_mu[:-1])
+    log_tail = np.logaddexp.accumulate((-log_mu[:-1] - np.log(b))[::-1])[::-1]
+    log_delta = float(np.max(log_head + log_tail))
+    # past the double range, mu and delta read inf and the bound 0
+    with np.errstate(over="ignore"):
+        return BirthDeathBoundReport(
+            mu=np.exp(log_mu), delta=float(np.exp(log_delta)),
+            lower_bound=float(np.exp(-log_delta)) / 4.0)
 
 
 @dataclass

@@ -19,11 +19,56 @@ import numpy as np
 from ._report import Report
 from .errors import InvalidInputError, NumericalFailureError
 from .generator import (GeneratorMatrix, ObservableFunction,
-                        StationaryDistribution, _as_law, _check_stationary)
+                        StationaryDistribution, _as_law, _assemble,
+                        _birth_death_log_mu, _birth_death_rates,
+                        _check_stationary, _log_sum_exp)
 from .spectral import spectral_gap
 
 _TAIL_SUM_RELTOL = 1e-17
 _TAIL_SUM_MAX_TERMS = 10_000_000
+_TAIL_BLOCK = 4096  # tail levels summed per pass, none of them kept
+
+
+class _ProductForm:
+    """``log mu_k`` (``mu_0 = 1``) of a birth-death chain with down rates
+    ``a(k)``, ``k >= 1``, and up rates ``b(k)``; `ratio` is ``b / a`` when
+    both are constant.  The levels asked for so far sit in one array that
+    doubles as it grows, recomputed from level 0 at each growth so that its
+    rounding does not build up with the level."""
+
+    def __init__(self, a, b, ratio=None):
+        self.a, self.b, self.ratio = a, b, ratio
+        self.log_mu = np.zeros(1)
+
+    def log_mu_from(self, lo, hi):
+        """``log mu_k / mu_lo`` for ``k = lo..hi``."""
+        down, up = _birth_death_rates([self.a(k + 1) for k in range(lo, hi)],
+                                      [self.b(k) for k in range(lo, hi)],
+                                      lo + 1)
+        return _birth_death_log_mu(up, down)
+
+    def log_weight(self, k):
+        if k >= self.log_mu.size:
+            self.log_mu = self.log_mu_from(0, max(2 * self.log_mu.size, k))
+        return float(self.log_mu[k])
+
+    def log_tail_weight(self, n):
+        """``log mu_n + log sum_{k>=n} mu_k / mu_n``: the geometric sum in
+        closed form, else `_TAIL_BLOCK` levels at a time until a block ends
+        on a term below `_TAIL_SUM_RELTOL` of the sum."""
+        if self.ratio is not None:
+            return self.log_weight(n) - math.log1p(-self.ratio)
+        total, offset = -math.inf, 0.0
+        for lo in range(n, n + _TAIL_SUM_MAX_TERMS, _TAIL_BLOCK):
+            # log mu_k / mu_n for k = lo..lo + _TAIL_BLOCK, the last of
+            # which starts the next block
+            rel = offset + self.log_mu_from(lo, lo + _TAIL_BLOCK)
+            total = float(np.logaddexp(total, _log_sum_exp(rel[:-1])))
+            if rel[-2] - total <= math.log(_TAIL_SUM_RELTOL):
+                return self.log_weight(n) + total
+            offset = float(rel[-1])
+        raise NumericalFailureError("tail weight sum did not converge; "
+                                    "is the chain positive recurrent?")
 
 
 class CountableModel:
@@ -68,12 +113,13 @@ class CountableModel:
 
         For constant rates the chain is positive recurrent only when the
         death rate exceeds the birth rate; that is checked eagerly and the
-        geometric tail is summed in closed form (else by log-sum-exp).
+        geometric tail is summed in closed form (else block by block in log
+        scale).
         """
         a = death_rate if callable(death_rate) else (lambda k, _v=float(death_rate): _v)
         b = birth_rate if callable(birth_rate) else (lambda k, _v=float(birth_rate): _v)
-        constant = not callable(death_rate) and not callable(birth_rate)
-        if constant:
+        ratio = None
+        if not (callable(death_rate) or callable(birth_rate)):
             alpha, beta = float(death_rate), float(birth_rate)
             if alpha <= 0 or beta <= 0:
                 raise InvalidInputError("rates must be positive")
@@ -81,61 +127,15 @@ class CountableModel:
                 raise InvalidInputError(
                     "constant-rate chain needs death rate > birth rate "
                     "for positive recurrence")
-        log_weights = [0.0]  # product-form log weights, grown on demand
-        # their running sum and its rounding error (Neumaier): a weight stays
-        # within a few roundings of the exact sum of its terms at any level
-        high = low = 0.0
-
-        def log_weight(k):
-            nonlocal high, low
-            while len(log_weights) <= k:
-                m = len(log_weights)
-                up = b(m - 1)
-                down = a(m)
-                if up <= 0 or down <= 0:
-                    raise InvalidInputError(f"non-positive rate at level {m}")
-                term = math.log(up / down)
-                new = high + term
-                low += ((high - new) + term if abs(high) >= abs(term)
-                        else (term - new) + high)
-                high = new
-                log_weights.append(high + low)
-            return log_weights[k]
-
-        if constant:
-            r = beta / alpha
-
-            def log_tail_weight(n):
-                # geometric: sum_{k>=n} mu_n r^(k-n) = mu_n / (1 - r)
-                return log_weight(n) - math.log1p(-r)
-        else:
-            def log_tail_weight(n):
-                top, total, k = log_weight(n), 0.0, n
-                while True:
-                    lw = log_weight(k)
-                    if lw > top:  # terms are relative to the largest
-                        total, top = total * math.exp(top - lw), lw
-                    term = math.exp(lw - top)
-                    total += term
-                    if term <= _TAIL_SUM_RELTOL * total:
-                        return top + math.log(total)
-                    k += 1
-                    if k - n > _TAIL_SUM_MAX_TERMS:
-                        raise NumericalFailureError(
-                            "tail weight sum did not converge; "
-                            "is the chain positive recurrent?")
+            ratio = beta / alpha
+        weights = _ProductForm(a, b, ratio)
 
         def row(i):
-            out = [(i + 1, b(i))]
-            if i > 0:
-                out.append((i - 1, a(i)))
-            return out
+            return [(i + 1, b(i)), (i - 1, a(i))] if i else [(1, b(0))]
 
-        def in_reach(n):
-            # only level n feeds back into {0..n-1}
-            return (n,)
-
-        return cls(row, log_weight, log_tail_weight, in_reach)
+        # only level n feeds back into {0..n-1}
+        return cls(row, weights.log_weight, weights.log_tail_weight,
+                   lambda n: (n,))
 
     @classmethod
     def from_generator(cls, Q, pi):
@@ -166,32 +166,38 @@ class CollapsedModel:
     retained: tuple
 
 
-def _collapsed_chain(model, index, feeders, log_tail):
-    """Rates and stationary law of the chain collapsed onto `index`.
+def _collapsed_chain(model, retained, feeders, log_tail):
+    """Rates and stationary law of the chain collapsed onto `retained`.
 
-    `index` maps each retained state to its row, in row order; the tail
-    state is row ``len(index)``.  `feeders` are the states outside the
-    retained set that may jump into it, and `log_tail` is the log of their
-    total weight.
+    `retained` lists the kept states in increasing order, one row each; the
+    tail state is row ``len(retained)`` and takes the rates out of the set.
+    `feeders` are the states outside it that may jump in; their rates into
+    the set, each scaled by the feeder's share of the tail weight (log
+    `log_tail`), leave the tail.  Rates on the same cell add up.
     """
-    m = len(index)
-    entries = {}
-
-    def add(i, j, v):
-        entries[(i, j)] = entries.get((i, j), 0.0) + v
-
-    for s, i in index.items():
-        for j, rate in model.row(s):
-            add(i, index.get(j, m), rate)
-    for k in feeders:
-        share = math.exp(model.log_weight(k) - log_tail)
-        for j, rate in model.row(k):
-            if j in index:
-                add(m, index[j], rate * share)
-    rates = [(i, j, v) for (i, j), v in sorted(entries.items())]
-    log_w = np.array([model.log_weight(s) for s in index] + [log_tail])
+    m = len(retained)
+    shares = [1.0] * m + [math.exp(model.log_weight(k) - log_tail)
+                          for k in feeders]
+    # one pass that keeps no row alive: far fewer garbage-collector runs
+    sizes, dst, rate = [], [], []
+    for s, share in zip(list(retained) + list(feeders), shares):
+        out = model.row(s)
+        sizes.append(len(out))
+        for j, v in out:
+            dst.append(j)
+            rate.append(v * share)
+    src = np.repeat(np.minimum(np.arange(len(sizes)), m), sizes)
+    dst, rate = np.array(dst, dtype=np.int64), np.array(rate, dtype=float)
+    # each target's row, or the tail's for a state outside the set
+    kept = np.asarray(retained, dtype=np.int64)
+    col = np.searchsorted(kept, dst)
+    inside = kept[np.minimum(col, m - 1)] == dst
+    col[~inside] = m
+    keep = (src < m) | inside
+    Q = _assemble(m + 1, np.column_stack([src, col, rate])[keep], None)
+    log_w = np.array([model.log_weight(s) for s in retained] + [log_tail])
     law = StationaryDistribution._from_log(log_w - model.log_tail_weight(0))
-    return GeneratorMatrix.from_rates(m + 1, rates), law
+    return Q, law
 
 
 def collapse(model, retained):
@@ -246,12 +252,11 @@ def collapse(model, retained):
                                     "finite")
         retained = list(range(n))
         feeders = model.in_reach(n)
-    index = {s: k for k, s in enumerate(retained)}
-    Qt, pi_tilde = _collapsed_chain(model, index, feeders, log_tail)
+    Qt, pi_tilde = _collapsed_chain(model, retained, feeders, log_tail)
     _check_stationary(pi_tilde.probs, Qt.matrix, Qt.max_rate(),
                       "collapsed stationary")
     return CollapsedModel(generator=Qt, pi_tilde=pi_tilde,
-                          tail_index=len(index), retained=tuple(retained))
+                          tail_index=len(retained), retained=tuple(retained))
 
 
 def collapse_function(g, retained):

@@ -429,6 +429,17 @@ def test_sweep_infinite_bd(capsys):
     assert dists[0] > dists[1] > dists[2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--bd", "inf", "1", "inf", "--sizes", "5"],
+    ["sweep", "--bd", "nan", "1", "inf", "--sizes", "5"],
+    ["gap", "--bd", "inf", "1", "5"],
+])
+def test_non_finite_bd_rate_exits_2(capsys, argv):
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "rate at level 1 is not positive and finite" in err
+
+
 def test_sweep_finite_model(capsys):
     code, out, _ = run(capsys, ["sweep", "--bd", "2", "1", "30",
                                 "--sizes", "10,20"])

@@ -41,7 +41,7 @@ GOLDEN = [
      '"g_sup_norm": 1.0, "gap": 2.2254033307585166, "gap_method": "dense", '
      '"gap_residual": 6.280369834735101e-16, '
      '"lezaud_hypotheses_asserted": false, "pi_g": 0.5555555555555555, '
-     '"regularity_asserted": true, "rows": ['
+     '"rows": ['
      '{"bound_lezaud": null, "bound_main": 0.894696999083407, '
      '"ci_upper": 0.46561222555462356, "eps": 0.05, "p_hat": 0.355, '
      '"reps": 200, "t": 20.0, "uninformative": false, "verdict": "PASS"}, '
@@ -61,7 +61,7 @@ GOLDEN = [
      '"g_sup_norm": 1.0, "gap": 0.18608462014047367, '
      '"gap_method": "tridiagonal", "gap_residual": 6.089894018176666e-16, '
      '"lezaud_hypotheses_asserted": false, "pi_g": 4.656612875245809e-10, '
-     '"regularity_asserted": true, "rows": ['
+     '"rows": ['
      '{"bound_lezaud": null, "bound_main": 0.9770078643167454, '
      '"ci_upper": 0.017121126999967824, "eps": 0.05, "p_hat": 0.0, '
      '"reps": 400, "t": 50.0, "uninformative": false, "verdict": "PASS"}, '

@@ -2,6 +2,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -298,6 +299,44 @@ def test_lockstep_jump_is_clamped_bisect_right(seed):
                                 prep.targets[x].size - 1)]
             for x, u in zip(xs, us)]
     assert got.tolist() == want
+
+
+def _per_row_tables(Q):
+    """The jump tables as built one row at a time with ``Q.row_rates``."""
+    rows = [Q.row_rates(i) for i in range(Q.n)]
+    sizes = np.array([vals.size for _, vals in rows])
+    ends = np.cumsum(sizes)
+    return (ends - sizes, ends - 1, np.concatenate([c for c, _ in rows]),
+            np.concatenate([np.cumsum(v) / v.sum() for _, v in rows]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
+def test_chain_tables_match_per_row_build(n, seed):
+    # ragged rows of up to 40 stored entries, some rates exactly 0, and
+    # most diagonals stored (0.0 on an absorbing state); a row without its
+    # diagonal has exit rate 0 and is absorbing too
+    rng = np.random.default_rng(seed)
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        k = int(rng.integers(0, min(40, n - 1) + 1))
+        js = rng.choice(np.delete(np.arange(n), i), size=k, replace=False)
+        v = np.where(rng.random(k) < 0.2, 0.0, rng.exponential(size=k))
+        rows += [i] * k
+        cols += js.tolist()
+        vals += v.tolist()
+        if rng.random() < 0.7:
+            rows.append(i)
+            cols.append(i)
+            vals.append(-v.sum())
+    M = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    Q = GeneratorMatrix(M)
+    chain = simulate._Chain(Q)
+    start, last, targets, cum = _per_row_tables(Q)
+    assert np.array_equal(chain.start, start)
+    assert np.array_equal(chain.last, last)
+    assert np.array_equal(chain.targets, targets)
+    assert chain.cum.tobytes() == cum.tobytes()
 
 
 def test_exit_rate_without_jump_rate_is_refused():

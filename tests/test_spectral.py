@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +399,17 @@ def test_bd_lower_bound_scale_covariance():
     r1 = bd_lower_bound(a, b)
     r2 = bd_lower_bound(2 * a, 2 * b)
     assert abs(r2.lower_bound - 2 * r1.lower_bound) < 1e-12
+
+
+def test_bd_lower_bound_past_the_double_range():
+    # mu_k = 2**-k underflows past level 1 074 and delta, about 2**3000,
+    # overflows: the bound reads 0, and no step warns
+    a, b = np.full(3000, 2.0), np.full(3000, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = bd_lower_bound(a, b)
+    gap = spectral_gap(build_birth_death(a, b)).gap
+    assert 0.0 <= rep.lower_bound <= gap
 
 
 # ------------------------------------------------------------ drift certificate

@@ -3,10 +3,13 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctmcgap import (CountableModel, InvalidInputError,
+from ctmcgap import (CountableModel, GeneratorMatrix, InvalidInputError,
                      NumericalFailureError, ObservableFunction,
-                     bd_closed_form_gap, build_three_state, collapse,
+                     StationaryDistribution, bd_closed_form_gap,
+                     build_birth_death, build_three_state, collapse,
                      collapse_function, gap_convergence_sweep, spectral_gap,
                      stationary_distribution)
 from conftest import THREE_STATE_PI
@@ -27,6 +30,100 @@ def test_birth_death_log_weight_has_no_accumulated_rounding():
         ctx.prec = 50
         for k in (5000, 20000):
             assert abs(Decimal(model.log_weight(k)) - k * term) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 10, 1000])
+@pytest.mark.parametrize("down", [1.1, 1.001, "k"])
+def test_birth_death_callable_tail_matches_decimal_reference(down, n):
+    # log mu_n + log sum_{k>=n} mu_k / mu_n, to 50 digits: a geometric tail
+    # for a constant down rate and up 1 (at 1.001 the sum spans ten blocks
+    # of levels), and sum_{k>=n} 1/k! for down rate k and up 1
+    with localcontext() as ctx:
+        ctx.prec = 50
+        if down != "k":
+            model = CountableModel.birth_death(lambda k: down, lambda k: 1.0)
+            r = 1 / Decimal(down)
+            want = n * r.ln() - (1 - r).ln()
+        else:
+            model = CountableModel.birth_death(lambda k: float(k),
+                                               lambda k: 1.0)
+            ratio, term, k = Decimal(1), Decimal(1), n
+            while term > Decimal(10) ** -60:
+                k += 1
+                term /= k
+                ratio += term
+            want = ratio.ln() - Decimal(math.factorial(n)).ln()
+        assert abs(Decimal(model.log_tail_weight(n)) - want) <= 1e-12
+
+
+_DOWN = st.lists(st.floats(1.0, 4.0), min_size=1, max_size=12)
+_UP = st.lists(st.floats(0.05, 0.95), min_size=1, max_size=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_DOWN, _UP, st.integers(1, 200))
+def test_collapsed_prefix_is_birth_death_with_weighted_return(down, up, n):
+    # rates repeat with the level; every up rate is below every down rate,
+    # so the chain is positive recurrent
+    a = lambda k: down[k % len(down)]  # noqa: E731
+    b = lambda k: up[k % len(up)]  # noqa: E731
+    model = CountableModel.birth_death(a, b)
+    cm = collapse(model, n)
+    share = math.exp(model.log_weight(n) - model.log_tail_weight(n))
+    want = build_birth_death([a(k) for k in range(1, n)] + [a(n) * share],
+                             [b(k) for k in range(n)])
+    np.testing.assert_allclose(cm.generator.to_dense(), want.to_dense(),
+                               rtol=1e-15, atol=0)
+
+
+def _reference_collapsed_chain(model, index, feeders, log_tail):
+    """The collapsed chain built entry by entry in a dict, as a reference.
+
+    `index` maps each retained state to its row; the tail is the last row.
+    """
+    m = len(index)
+    entries = {}
+
+    def add(i, j, v):
+        entries[(i, j)] = entries.get((i, j), 0.0) + v
+
+    for s, i in index.items():
+        for j, rate in model.row(s):
+            add(i, index.get(j, m), rate)
+    for k in feeders:
+        share = math.exp(model.log_weight(k) - log_tail)
+        for j, rate in model.row(k):
+            if j in index:
+                add(m, index[j], rate * share)
+    rates = [(i, j, v) for (i, j), v in sorted(entries.items())]
+    log_w = np.array([model.log_weight(s) for s in index] + [log_tail])
+    law = StationaryDistribution._from_log(log_w - model.log_tail_weight(0))
+    return GeneratorMatrix.from_rates(m + 1, rates), law
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.integers(0, 2 ** 32 - 1))
+def test_collapse_matches_dict_reference(n, seed):
+    # a random strongly connected chain (a ring plus random chords); the
+    # first retained state jumps to every other state, so with at least
+    # two states outside the set its row has two targets in the tail
+    rng = np.random.default_rng(seed)
+    R = np.where(rng.random((n, n)) < 0.5, rng.exponential(size=(n, n)), 0.0)
+    R[np.arange(n), (np.arange(n) + 1) % n] += 1.0
+    retained = np.sort(rng.choice(n, size=int(rng.integers(1, n - 1)),
+                                  replace=False)).tolist()
+    R[retained[0]] = rng.exponential(size=n)
+    np.fill_diagonal(R, 0.0)
+    Q = GeneratorMatrix(R - np.diag(R.sum(axis=1)))
+    model = CountableModel.from_generator(Q, stationary_distribution(Q))
+    cm = collapse(model, retained)
+    feeders = sorted(set(range(n)) - set(retained))
+    log_tail = np.logaddexp.reduce([model.log_weight(k) for k in feeders])
+    index = {s: k for k, s in enumerate(retained)}
+    Qr, law = _reference_collapsed_chain(model, index, feeders, log_tail)
+    np.testing.assert_allclose(cm.generator.to_dense(), Qr.to_dense(),
+                               rtol=1e-14, atol=0)
+    assert np.array_equal(cm.pi_tilde.log_probs, law.log_probs)
 
 
 # ----------------------------------------------------------------- collapsing
