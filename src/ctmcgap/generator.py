@@ -18,9 +18,8 @@ from scipy.linalg.lapack import dtrtri
 
 from .errors import InvalidInputError, NumericalFailureError
 
-# Above this size the stationary solve of a chain that is not birth-death
-# switches from elimination to power iteration on the uniformized kernel.
-# At the cutoff the solve's dense copy takes 128 MB and a few seconds.
+# Largest chain, not birth-death, whose stationary solve may fall back on
+# elimination; its dense copy then takes 128 MB and a few seconds.
 DENSE_SOLVE_CUTOFF = 4096
 _GTH_PANEL = 64  # states eliminated per panel of the blocked solve
 
@@ -29,7 +28,12 @@ _GTH_PANEL = 64  # states eliminated per panel of the blocked solve
 _STATIONARY_RTOL = 1e-10
 _RATE_RTOL = 1e-12
 _PROB_SUM_ATOL = 1e-12  # a probability vector sums to 1 within this
-_POWER_MAX_ITERATIONS = 200_000
+# The stationary iteration: steps it may take, steps between residual
+# checks, and the componentwise residual at which it replaces elimination
+# (its two iterates then agree to ten times that).
+_ITERATION_BUDGET = 10_000
+_ITERATION_CHECK = 10
+_ITERATION_RTOL = 1e-13
 
 
 class GeneratorMatrix:
@@ -210,12 +214,23 @@ class StationaryDistribution:
     reads ``exp(log_probs)``, so its entries below the double range read 0
     in ``probs`` while ``log_probs`` keeps them.
 
+    A law from :func:`stationary_distribution` records how it was solved:
+    `solver` is "product_form", "iteration" or "elimination", `iterations`
+    the steps of the iteration (0 for the others), and `residual` the
+    componentwise residual ``max_j |(pi Q)_j| / (pi_j q_j)`` (0 for the
+    product form, a closed form).  A law built from given probabilities
+    has `solver` None.
+
     Raises
     ------
     InvalidInputError
         If any entry is not strictly positive or the sum deviates from 1
         by more than 1e-12.
     """
+
+    solver = None
+    iterations = 0
+    residual = None
 
     def __init__(self, probs):
         p = np.asarray(probs, dtype=float)
@@ -421,33 +436,55 @@ def _check_stationary(p, M, scale, what):
             f"{max(scale, 1.0):.3e}", residual=resid)
 
 
-def _power_iteration_solve(Q):
-    """Left fixed vector of the uniformized kernel, for large sparse chains.
+def _power_iteration_solve(Q, target):
+    """``pi_j <- pi_j + (pi Q)_j / (1.05 q_j)`` from two starting laws.
 
-    Stops once every component is stationary to `_STATIONARY_RTOL` relative
-    to its own flow, ``|(pi Q)_j| <= rtol * pi_j * q_j``: an absolute test
-    accepts small entries that are still far from converged.
+    Each state is uniformized at its own exit rate `q_j` (damped Jacobi):
+    with one rate `q` for all states, a state leaving at ``q_j << q``
+    barely moves per step, and its change falls below the rounding of
+    ``pi_j`` once ``|(pi Q)_j| / (pi_j q_j)`` nears ``eps q / q_j``.  The
+    iteration runs on the scaled transpose in CSR, from the uniform law and
+    from a fixed pseudo-random one side by side: on a nearly decomposable
+    chain the componentwise residual reaches its floor while the mass of
+    each cluster still holds its start's share, so only agreement of the
+    two shows that ``pi`` is found.
+
+    The residual, the larger of the two iterates', is checked every
+    `_ITERATION_CHECK` steps.  The iteration stops at its rounding floor
+    (at most `_ITERATION_RTOL` and no longer falling); when its decay per
+    check over the later half of the checks so far cannot bring it to
+    `target` within `_ITERATION_BUDGET` steps; or at the end of that
+    budget.  A zero entry of an iterate gives a residual of inf or NaN,
+    which no tolerance accepts.
+
+    Returns ``(pi, steps, residual, spread)``: the last iterate from the
+    uniform law, normalized, the residual, and the largest relative
+    difference between the two iterates over the entries of `pi`.
     """
-    n = Q.n
-    rates = Q.exit_rates()
-    q = 1.05 * Q.max_rate()
-    if q <= 0:
-        raise NumericalFailureError("all exit rates vanish")
-    M = Q.matrix
-    pi = np.full(n, 1.0 / n)
-    check_every = 50
-    for it in range(1, _POWER_MAX_ITERATIONS + 1):
-        pi = pi + (pi @ M) / q
-        pi = np.maximum(pi, 0.0)
-        pi /= pi.sum()
-        if it % check_every == 0:
-            flow = pi * rates
-            resid = np.max(np.abs(pi @ M) / np.where(flow > 0, flow, np.nan))
-            if resid <= _STATIONARY_RTOL:
-                return pi
-    raise NumericalFailureError(
-        f"stationary iteration did not reach tolerance after "
-        f"{_POWER_MAX_ITERATIONS} steps", residual=float(resid))
+    # a zero exit rate (a defective Q) or entry of pi gives inf or NaN
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        step = (sp.diags(1.0 / (1.05 * Q.exit_rates())) @ Q.matrix.T).tocsr()
+        pis = np.column_stack([np.ones(Q.n),
+                               np.random.default_rng(0).uniform(size=Q.n)])
+        history = []
+        for steps in range(0, _ITERATION_BUDGET + 1, _ITERATION_CHECK):
+            pis /= pis.sum(axis=0)
+            y = step @ pis
+            resid = 1.05 * np.max(np.abs(y) / pis)
+            history.append(resid)
+            k = steps // _ITERATION_CHECK
+            if k:
+                decay = resid / history[k // 2]
+                left = (_ITERATION_BUDGET - steps) / _ITERATION_CHECK
+                floor = resid <= _ITERATION_RTOL and not resid < history[-2]
+                hopeless = not (resid <= target or resid
+                                * decay ** (left / (k - k // 2)) <= target)
+                if floor or hopeless or steps == _ITERATION_BUDGET:
+                    spread = np.max(np.abs(pis[:, 1] - pis[:, 0]) / pis[:, 0])
+                    return pis[:, 0].copy(), steps, float(resid), float(spread)
+            pis += y
+            for _ in range(_ITERATION_CHECK - 1):
+                pis += step @ pis
 
 
 def _band_rates(M):
@@ -494,19 +531,33 @@ def _irreducible_band(Q):
 def stationary_distribution(Q):
     """Solve ``pi Q = 0`` with ``pi > 0`` summing to 1.
 
-    A birth-death chain's ``pi`` is the product form, built in log scale in
-    O(n): its ``log_probs`` hold at any size, while ``probs`` reads 0 below
-    the double range.  Any other chain's is solved in linear scale: by
-    blocked subtraction-free elimination (componentwise relative accuracy)
-    on a dense copy of `Q` up to `DENSE_SOLVE_CUTOFF` (4 096) states, each
-    panel of `_GTH_PANEL` states eliminated with one lumped column for the
-    states left of it, its rows and columns outside it formed by
-    nonnegative unit-triangular transforms, and the trailing block updated
-    in strips of rows; and by power iteration on the
-    uniformized kernel beyond, run until ``|(pi Q)_j| <= 1e-10 pi_j q_j``
-    for every state `j` with exit rate `q_j`.  The result is accepted when
-    ``max|pi Q|`` is at most 1e-10 times the largest exit rate (floored
-    at 1).
+    The first rung that applies gives ``pi``:
+
+    1. A birth-death chain's is the product form, built in log scale in
+       O(n): its ``log_probs`` hold at any size, while ``probs`` reads 0
+       below the double range.
+    2. Any other chain's, up to `DENSE_SOLVE_CUTOFF` (4 096) states, is
+       iterated, each state uniformized at its own exit rate,
+       ``pi_j <- pi_j + (pi Q)_j / (1.05 q_j)``, when the whole budget of
+       10 000 sparse steps costs fewer flops than elimination,
+       ``budget * nnz < n^3/3``.  It is taken once every state is
+       stationary relative to its own flow, ``|(pi Q)_j| <= 1e-13 pi_j
+       q_j``, the residual no longer falls, and the iterates from two
+       starting laws agree to 1e-12 in every entry.  It stops early once
+       the decay of its residual cannot reach 1e-13 within the budget.
+    3. Otherwise, or when the iteration stops short of that, blocked
+       subtraction-free elimination (componentwise relative accuracy) on a
+       dense copy of `Q`, each panel of `_GTH_PANEL` states eliminated with
+       one lumped column for the states left of it, its rows and columns
+       outside it formed by nonnegative unit-triangular transforms, and the
+       trailing block updated in strips of rows.
+    4. A larger chain's is the same iteration with the same budget, taken
+       at a componentwise residual of 1e-10 with its iterates 1e-9 apart,
+       and refused otherwise.
+
+    The result is accepted when ``max|pi Q|`` is at most 1e-10 times the
+    largest exit rate (floored at 1); its `solver`, `iterations` and
+    `residual` say how it was found.
 
     Parameters
     ----------
@@ -524,22 +575,44 @@ def stationary_distribution(Q):
     NumericalFailureError
         If the residual test fails, carrying the achieved residual, or if
         ``pi`` leaves the double range in linear scale: then an elimination
-        pivot vanishes, or an entry of an elimination or iteration result
-        is not positive (NaN included).  Reducible chains never get here.
+        pivot vanishes, or an entry of an elimination result is not
+        positive (NaN included), or the iteration of a chain above the
+        cutoff stops short of its tolerance.  Reducible chains never get
+        here.
     """
     band = _irreducible_band(Q)
     if band is not None:
         log_mu = _birth_death_log_mu(*band)
         pi = StationaryDistribution._from_log(log_mu - _log_sum_exp(log_mu))
+        pi.solver, pi.residual = "product_form", 0.0
     else:
-        # an overflow leaves NaN or 0 in p, which the test below rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = _gth_solve(Q.matrix.toarray()) \
-                if Q.n <= DENSE_SOLVE_CUTOFF else _power_iteration_solve(Q)
+        n, p = Q.n, None
+        capped = n > DENSE_SOLVE_CUTOFF  # no elimination to fall back on
+        if capped or _ITERATION_BUDGET * Q.matrix.nnz < n ** 3 / 3:
+            tol = _STATIONARY_RTOL if capped else _ITERATION_RTOL
+            p, steps, resid, spread = _power_iteration_solve(Q, tol)
+            solver = "iteration"
+            if not (resid <= tol and spread <= 10 * tol):
+                if capped:
+                    raise NumericalFailureError(
+                        f"stationary iteration stopped after {steps} steps "
+                        f"at componentwise residual {resid:.3e} with its "
+                        f"two starts {spread:.1e} apart; it needs "
+                        f"{tol:.0e} and {10 * tol:.0e}", residual=resid)
+                p = None
+        if p is None:
+            # an overflow leaves NaN or 0 in p, which the test below rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                p = _gth_solve(Q.matrix.toarray())
+            with np.errstate(divide="ignore", invalid="ignore"):
+                resid = float(np.max(np.abs(p @ Q.matrix)
+                                     / (p * Q.exit_rates())))
+            solver, steps = "elimination", 0
         if not np.all(p > 0):
             raise NumericalFailureError(
                 "stationary solve produced non-positive or NaN entries")
         pi = StationaryDistribution(p)
+        pi.solver, pi.iterations, pi.residual = solver, steps, resid
     _check_stationary(pi.probs, Q.matrix, Q.max_rate(), "stationary")
     return pi
 

@@ -79,35 +79,51 @@ def transition_matrix_exp(Q, delta):
         When ``delta * q`` is too large for the Poisson weights (> 700);
         split the interval instead.
     """
-    if not delta > 0:
+    return _transition_matrices(Q, [delta])[0]
+
+
+def _transition_matrices(Q, deltas):
+    """``transition_matrix_exp(Q, d)`` for every `d` in `deltas`, each sum
+    taken from one shared sequence of powers of the kernel."""
+    if not all(d > 0 for d in deltas):
         raise InvalidInputError("delta must be positive")
     n = Q.n
     q = Q.max_rate()
     if q == 0.0:
-        return StochasticMatrix(np.eye(n))
-    x = float(delta) * q
-    if x > _MAX_UNIFORMIZATION_EXPONENT:
+        return [StochasticMatrix(np.eye(n)) for _ in deltas]
+    xs = [float(d) * q for d in deltas]
+    if max(xs) > _MAX_UNIFORMIZATION_EXPONENT:
         raise NumericalFailureError(
-            f"delta * max_rate = {x:.3e} too large for uniformization; "
+            f"delta * max_rate = {max(xs):.3e} too large for uniformization; "
             "use a smaller delta")
+    weights = [_poisson_weights(x) for x in xs]
     kernel = np.eye(n) + Q.to_dense() / q
+    outs = [w[0] * np.eye(n) for w in weights]
+    power = np.eye(n)
+    for m in range(1, max(map(len, weights))):
+        power = power @ kernel
+        for out, w in zip(outs, weights):
+            if m < len(w):
+                out += w[m] * power
+    return [StochasticMatrix(out) for out in outs]
+
+
+def _poisson_weights(x):
+    """``exp(-x) x^m / m!`` for ``m = 0, 1, ...`` until the mass left out is
+    at most `_POISSON_TAIL_TOL`."""
     max_terms = int(math.ceil(x + 40.0 * math.sqrt(x) + 40.0))
     weight = math.exp(-x)
+    weights = [weight]
     accumulated = weight
-    out = weight * np.eye(n)
-    power = np.eye(n)
     for m in range(1, max_terms + 1):
-        power = power @ kernel
         weight *= x / m
-        out += weight * power
+        weights.append(weight)
         accumulated += weight
         if 1.0 - accumulated <= _POISSON_TAIL_TOL:
-            break
-    else:
-        raise NumericalFailureError(
-            f"Poisson tail {1.0 - accumulated:.3e} above {_POISSON_TAIL_TOL} "
-            f"after {max_terms} terms", residual=1.0 - accumulated)
-    return StochasticMatrix(out)
+            return weights
+    raise NumericalFailureError(
+        f"Poisson tail {1.0 - accumulated:.3e} above {_POISSON_TAIL_TOL} "
+        f"after {max_terms} terms", residual=1.0 - accumulated)
 
 
 @dataclass
@@ -219,8 +235,7 @@ def skeleton_gap_check(Q, pi=None, deltas=(0.1, 0.05, 0.01)):
     pi = stationary_distribution(Q) if pi is None else _as_law(pi, Q.n)
     gap_ref = spectral_gap(Q, pi).gap
     rows = []
-    for d in deltas:
-        P = transition_matrix_exp(Q, d)
+    for d, P in zip(deltas, _transition_matrices(Q, deltas)):
         rep = dtmc_spectral_gap(P, pi)
         ratio = rep.gap / d
         rows.append(SkeletonRow(delta=d, lambda_P=rep.lambda_P, ratio=ratio,

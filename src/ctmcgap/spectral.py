@@ -241,8 +241,10 @@ class BirthDeathBoundReport:
     """Weighted-path lower bound on a birth-death gap.
 
     ``mu`` are the product-form weights with ``mu[0] = 1``; `delta` is the
-    largest product of a head mass and a tail of reciprocal flow rates, and
-    the certified bound is ``1 / (4 delta)``.
+    largest product of a head mass and a tail of reciprocal flow rates, of
+    the chain or of its mirror image (state `k` relabelled ``N - k``, the
+    same gap), whichever is smaller, and the certified bound is
+    ``1 / (4 delta)``.
     """
 
     mu: np.ndarray
@@ -267,15 +269,23 @@ def bd_lower_bound(death_rates, birth_rates):
     """
     a, b = _birth_death_rates(death_rates, birth_rates)
     log_mu = _birth_death_log_mu(b, a)
-    # logs of: the sum of mu[0..n], and of 1 / (mu[k] b[k]) over k in n..N-1
-    log_head = np.logaddexp.accumulate(log_mu[:-1])
-    log_tail = np.logaddexp.accumulate((-log_mu[:-1] - np.log(b))[::-1])[::-1]
-    log_delta = float(np.max(log_head + log_tail))
+    # a chain drifting toward state 0 gets a bound near 2^-N, its mirror not
+    log_delta = min(_bd_log_delta(log_mu, b),
+                    _bd_log_delta(_birth_death_log_mu(a[::-1], b[::-1]),
+                                  a[::-1]))
     # past the double range, mu and delta read inf and the bound 0
     with np.errstate(over="ignore"):
         return BirthDeathBoundReport(
             mu=np.exp(log_mu), delta=float(np.exp(log_delta)),
             lower_bound=float(np.exp(-log_delta)) / 4.0)
+
+
+def _bd_log_delta(log_mu, b):
+    """``log delta`` of `bd_lower_bound` for one orientation of the chain."""
+    # logs of: the sum of mu[0..n], and of 1 / (mu[k] b[k]) over k in n..N-1
+    log_head = np.logaddexp.accumulate(log_mu[:-1])
+    log_tail = np.logaddexp.accumulate((-log_mu[:-1] - np.log(b))[::-1])[::-1]
+    return float(np.max(log_head + log_tail))
 
 
 @dataclass

@@ -67,3 +67,32 @@ def perturbed_tridiagonal_solver(monkeypatch):
         return value, vector
 
     monkeypatch.setattr(_symeig, "_tridiagonal", perturbed)
+
+
+def ring_with_chords(n, skewed, seed):
+    """Dense generator of a ring plus 2n random chords.
+
+    A skewed chain drifts toward state 0: up rates 10^(-290/(n-1)), down
+    rates 1 and downward chords of at most 1e-4 keep every pi entry between
+    about 1e-291 and 1.
+    """
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n))
+    if n > 1:
+        i = np.arange(n - 1)
+        rows = rng.integers(1, n, 2 * n)
+        if skewed:
+            A[i, i + 1] = 10.0 ** (-290 / (n - 1))
+            A[i + 1, i] = 1.0
+            A[n - 1, 0] += 1.0
+            cols = (rng.uniform(size=2 * n) * rows).astype(int)
+            rates = rng.uniform(1e-5, 1e-4, 2 * n)
+        else:
+            A[i, i + 1] = rng.uniform(0.1, 10.0, n - 1)
+            A[n - 1, 0] += rng.uniform(0.1, 10.0)
+            cols = (rows + rng.integers(1, n, 2 * n)) % n
+            rates = 10.0 ** rng.uniform(-1.0, 1.0, 2 * n)
+        np.add.at(A, (rows, cols), rates)
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -A.sum(axis=1))
+    return A

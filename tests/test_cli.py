@@ -517,6 +517,24 @@ def test_skeleton_of_underflowing_pi_meets_the_reversible_oracle():
     assert abs(lam - math.exp(-0.1 * table.gap_reference)) <= 1e-12
 
 
+def test_relabelled_birth_death_above_the_cap_exits_3_in_seconds(tmp_path,
+                                                               capsys):
+    # its pi leaves the double range in linear scale; the iteration gives
+    # up once its residual's decay is hopeless, where it used to take 189 s
+    N = 5000
+    order = np.random.default_rng(0).permutation(N + 1)
+    where = np.argsort(order)  # old state k is new state where[k]
+    rates = [[int(where[k]), int(where[k + 1]), 1.0] for k in range(N)]
+    rates += [[int(where[k + 1]), int(where[k]), 2.0] for k in range(N)]
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps({"n": N + 1, "rates": rates}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["gap", "--model", str(path)])
+    assert code == 3 and out == ""
+    assert "componentwise residual" in err
+    assert time.perf_counter() - start < 10.0
+
+
 # ------------------------------------------------------------ output contract
 
 def _cli_stdout(capsys, argv):

@@ -16,7 +16,7 @@ from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      parse_observable, stationary_distribution,
                      validate_generator)
 from conftest import (THREE_STATE_DUAL, THREE_STATE_PI, THREE_STATE_SYM,
-                      random_birth_death)
+                      random_birth_death, ring_with_chords)
 
 
 # ---------------------------------------------------------------- construction
@@ -232,8 +232,13 @@ def test_stationary_matches_least_squares_oracle():
 
 def test_stationary_power_iteration_path(three_state):
     pi_elim = stationary_distribution(three_state)
-    pi_iter = generator._power_iteration_solve(three_state)
+    pi_iter, steps, resid, spread = generator._power_iteration_solve(
+        three_state, generator._ITERATION_RTOL)
     assert np.max(np.abs(pi_elim.probs - pi_iter)) < 1e-9
+    assert resid <= generator._ITERATION_RTOL and spread <= 1e-12
+    assert 0 < steps < generator._ITERATION_BUDGET
+    assert pi_elim.solver == "elimination" and pi_elim.iterations == 0
+    assert pi_elim.residual <= generator._ITERATION_RTOL
 
 
 def test_power_iteration_is_componentwise_stationary():
@@ -251,6 +256,96 @@ def test_power_iteration_is_componentwise_stationary():
     pi = stationary_distribution(Q).probs
     resid = np.abs(pi @ Q.matrix) / (pi * Q.exit_rates())
     assert resid.max() <= generator._STATIONARY_RTOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 4, 5, 40, 200, 700]), st.integers(0, 2 ** 32 - 1))
+def test_iteration_matches_elimination_componentwise(n, seed):
+    # a ring plus chords mixes well: the iteration reaches its rounding
+    # floor well within its budget and agrees with elimination entrywise
+    A = ring_with_chords(n, False, seed)
+    pi, steps, resid, spread = generator._power_iteration_solve(
+        GeneratorMatrix(A), generator._ITERATION_RTOL)
+    assert resid <= generator._ITERATION_RTOL and spread <= 1e-12
+    assert steps < generator._ITERATION_BUDGET
+    ref = generator._gth_solve(A)
+    assert np.max(np.abs(pi - ref) / ref) <= 1e-12
+
+
+def test_iteration_ranks_above_elimination_past_the_crossover():
+    # 10 000 sparse steps cost fewer flops than elimination at 1 500 states
+    # of a ring with chords, not at 40; stdout does not show which ran
+    small = stationary_distribution(
+        GeneratorMatrix(ring_with_chords(40, False, 1)))
+    assert (small.solver, small.iterations) == ("elimination", 0)
+    A = ring_with_chords(1500, False, 2)
+    large = stationary_distribution(GeneratorMatrix(A))
+    assert large.solver == "iteration"
+    assert 0 < large.iterations < generator._ITERATION_BUDGET
+    assert large.residual <= generator._ITERATION_RTOL
+    ref = generator._gth_solve(A)
+    assert np.max(np.abs(large.probs - ref) / ref) <= 1e-12
+
+
+def _relabelled_birth_death(down, N, seed=0):
+    Q = build_birth_death(np.full(N, down), np.ones(N))
+    order = np.random.default_rng(seed).permutation(N + 1)
+    return GeneratorMatrix(Q.matrix[order][:, order]), order
+
+
+def test_iteration_out_of_budget_falls_back_on_elimination():
+    # relabelled, the (1.1, 1) chain is past the crossover but mixes too
+    # slowly for the budget, which the decay of its residual shows within
+    # a tenth of it; elimination then gives its product form
+    N = 600
+    Q, order = _relabelled_birth_death(1.1, N)
+    _, steps, resid, _ = generator._power_iteration_solve(
+        Q, generator._ITERATION_RTOL)
+    assert steps <= generator._ITERATION_BUDGET / 10
+    assert resid > generator._ITERATION_RTOL
+    pi = stationary_distribution(Q)
+    assert (pi.solver, pi.iterations) == ("elimination", 0)
+    r = 1.0 / 1.1
+    exact = (1 - r) / (1 - r ** (N + 1)) * r ** np.arange(N + 1)
+    assert np.max(np.abs(pi.probs - exact[order]) / exact[order]) < 1e-12
+
+
+def test_iteration_above_the_cap_refuses_once_hopeless():
+    # relabelled, the pi of the (2, 1) chain leaves the double range, and
+    # above the cap there is no elimination to fall back on.  Iterating
+    # 200 000 steps took 189 s before the same refusal; the residual's
+    # decay now shows within a few hundred steps that it cannot succeed
+    Q, _ = _relabelled_birth_death(2.0, 5000)
+    with pytest.raises(NumericalFailureError,
+                       match="stopped after [0-9]+ steps at componentwise"
+                       ) as failure:
+        stationary_distribution(Q)
+    assert failure.value.residual > generator._STATIONARY_RTOL
+
+
+def _two_clusters(m, coupling):
+    # two rings with chords, joined by one rate each way: 0 -> m and m -> 0
+    A = np.zeros((2 * m, 2 * m))
+    A[:m, :m] = ring_with_chords(m, False, 3)
+    A[m:, m:] = ring_with_chords(m, False, 4)
+    A[[0, m], [m, 0]] = coupling, 2 * coupling
+    A[[0, m], [0, m]] -= coupling, 2 * coupling
+    return A
+
+
+@pytest.mark.parametrize("coupling", [1e-13, 1e-11, 1e-8])
+def test_nearly_decomposable_chain_is_not_taken_from_the_iteration(coupling):
+    # each cluster mixes within a few dozen steps, and after that the
+    # error in the clusters' masses shows in the residual only times the
+    # coupling: the residual reaches its floor while each start's split of
+    # the mass stands.  The uniform start's split was off by 30 percent
+    A = _two_clusters(250, coupling)
+    pi = stationary_distribution(GeneratorMatrix(A))
+    ref = generator._gth_solve(A.copy())
+    assert np.max(np.abs(pi.probs - ref) / ref) <= 1e-12
+    _, _, _, spread = generator._power_iteration_solve(
+        GeneratorMatrix(A), generator._ITERATION_RTOL)
+    assert spread > 1e-2 and pi.solver == "elimination"
 
 
 def test_stationary_birth_death_matches_gth():
@@ -284,32 +379,6 @@ def _gth_reference(A):
     return x / x.sum()
 
 
-def _ring_with_chords(n, skewed, seed):
-    # a ring plus 2n random chords.  A skewed chain drifts toward state 0:
-    # up rates 10^(-290/(n-1)), down rates 1 and downward chords of at most
-    # 1e-4 keep every pi entry between about 1e-291 and 1
-    rng = np.random.default_rng(seed)
-    A = np.zeros((n, n))
-    if n > 1:
-        i = np.arange(n - 1)
-        rows = rng.integers(1, n, 2 * n)
-        if skewed:
-            A[i, i + 1] = 10.0 ** (-290 / (n - 1))
-            A[i + 1, i] = 1.0
-            A[n - 1, 0] += 1.0
-            cols = (rng.uniform(size=2 * n) * rows).astype(int)
-            rates = rng.uniform(1e-5, 1e-4, 2 * n)
-        else:
-            A[i, i + 1] = rng.uniform(0.1, 10.0, n - 1)
-            A[n - 1, 0] += rng.uniform(0.1, 10.0)
-            cols = (rows + rng.integers(1, n, 2 * n)) % n
-            rates = 10.0 ** rng.uniform(-1.0, 1.0, 2 * n)
-        np.add.at(A, (rows, cols), rates)
-    np.fill_diagonal(A, 0.0)
-    np.fill_diagonal(A, -A.sum(axis=1))
-    return A
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1, 2, 3, 63, 64, 65, 66, 127, 128, 129, 130,
                         199, 200, 201]),
@@ -317,7 +386,7 @@ def _ring_with_chords(n, skewed, seed):
 def test_gth_blocked_matches_unblocked_loop(n, skewed, seed):
     # sizes straddle one and two panels of 64 states.  Up to one panel the
     # arithmetic is the loop's; beyond, only the summation order differs
-    A = _ring_with_chords(n, skewed, seed)
+    A = ring_with_chords(n, skewed, seed)
     ref = _gth_reference(A)
     got = generator._gth_solve(A.copy())
     if skewed and n > 1:
@@ -349,14 +418,14 @@ def test_gth_pivot_error_from_a_later_panel():
 def test_gth_many_panels_match_unblocked_loop(n, skewed, seed):
     # three to six panels: rows and columns outside each panel come from the
     # triangular transforms, and the trailing block is updated in strips
-    A = _ring_with_chords(n, skewed, seed)
+    A = ring_with_chords(n, skewed, seed)
     ref = _gth_reference(A)
     got = generator._gth_solve(A.copy())
     assert np.max(np.abs(got - ref) / ref) <= 1e-13
 
 
 def test_gth_makes_no_temporary_of_the_matrix_size():
-    A = _ring_with_chords(1024, False, 5)
+    A = ring_with_chords(1024, False, 5)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -394,14 +463,11 @@ def test_stationary_birth_death_closed_form_above_power_cutoff():
     assert np.max(np.abs(pi - exact) / exact) < 1e-12
 
 
-def test_stationary_birth_death_needs_no_elimination(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("general solver called for a birth-death chain")
-
-    monkeypatch.setattr(generator, "_gth_solve", refuse)
-    monkeypatch.setattr(generator, "_power_iteration_solve", refuse)
+def test_stationary_birth_death_needs_no_elimination():
     for N in (5, 2500):
-        stationary_distribution(build_birth_death([1.1] * N, [1.0] * N))
+        pi = stationary_distribution(build_birth_death([1.1] * N, [1.0] * N))
+        assert (pi.solver, pi.iterations, pi.residual) == ("product_form",
+                                                           0, 0.0)
 
 
 def test_stationary_birth_death_log_probs_below_double_range():

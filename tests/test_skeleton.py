@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctmcgap import skeleton
 from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      NumericalFailureError, StochasticMatrix,
-                     dtmc_hoeffding_bound, dtmc_spectral_gap,
-                     skeleton_gap_check, spectral_gap, transition_matrix_exp)
-from conftest import THREE_STATE_GAP, THREE_STATE_PI
+                     build_birth_death, dtmc_hoeffding_bound,
+                     dtmc_spectral_gap, skeleton_gap_check, spectral_gap,
+                     transition_matrix_exp)
+from conftest import THREE_STATE_GAP, THREE_STATE_PI, ring_with_chords
 
 
 # ------------------------------------------------------------- uniformization
@@ -120,6 +124,46 @@ def test_dtmc_gap_matches_eigh_oracle(three_state):
     W = P.matrix * (sq[:, None] / sq[None, :])
     w = np.linalg.eigvalsh(0.5 * (W + W.T))
     assert abs(rep.lambda_P - w[-2]) < 1e-12
+
+
+def test_one_power_sequence_gives_each_delta_bit_for_bit():
+    # the sums of all deltas share one sequence of kernel powers, taken to
+    # the largest delta's term count, and each equals its own one-delta sum
+    Q = GeneratorMatrix(ring_with_chords(60, False, 3))
+    deltas = [0.3, 0.1, 0.05, 0.01]
+    shared = skeleton._transition_matrices(Q, deltas)
+    for d, P in zip(deltas, shared):
+        assert np.array_equal(P.matrix, transition_matrix_exp(Q, d).matrix)
+
+
+def _reversible_chain(n, rng):
+    # symmetric conductances on a ring plus n chords, each row divided by a
+    # state's mass m: detailed balance holds for pi proportional to m
+    i = np.arange(n)
+    rows = np.concatenate([i, rng.integers(0, n, n)])
+    cols = np.concatenate([(i + 1) % n, rng.integers(0, n, n)])
+    C = np.zeros((n, n))
+    np.add.at(C, (rows, cols), 10.0 ** rng.uniform(-1.0, 1.0, 2 * n))
+    C = C + C.T
+    np.fill_diagonal(C, 0.0)
+    A = C / rng.uniform(0.5, 2.0, n)[:, None]
+    np.fill_diagonal(A, -A.sum(axis=1))
+    return GeneratorMatrix(A)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 30), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_reversible_skeleton_meets_the_exponential_oracle(n, birth_death,
+                                                          seed):
+    # exp(delta Q) of a reversible chain is self-adjoint in L2(pi), so its
+    # second eigenvalue is exp(-delta * gap) exactly
+    rng = np.random.default_rng(seed)
+    Q = (build_birth_death(*rng.uniform(0.1, 10.0, (2, n - 1)))
+         if birth_death else _reversible_chain(n, rng))
+    table = skeleton_gap_check(Q)
+    for row in table.rows:
+        assert abs(row.lambda_P
+                   - math.exp(-row.delta * table.gap_reference)) <= 1e-12
 
 
 def test_dtmc_gap_rejects_wrong_pi(three_state):

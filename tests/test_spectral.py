@@ -6,14 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ctmcgap import generator
+from ctmcgap import generator, spectral
 from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      NumericalFailureError, ObservableFunction,
                      bd_closed_form_gap, bd_lower_bound, build_birth_death,
                      dirichlet_form, drift_certificate_check,
                      rayleigh_quotient, spectral_gap, stationary_distribution,
                      symmetrized_form, verify)
-from conftest import THREE_STATE_GAP, THREE_STATE_PI, random_birth_death
+from conftest import (THREE_STATE_GAP, THREE_STATE_PI, random_birth_death,
+                      ring_with_chords)
 
 
 # ------------------------------------------------------------------------ gap
@@ -112,13 +113,17 @@ def test_bd_gap_matches_closed_form_at_scale(N, down, up):
 
 
 def test_bd_gap_needs_no_elimination(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("general solver called for a birth-death chain")
+    solvers = []
 
-    monkeypatch.setattr(generator, "_gth_solve", refuse)
-    monkeypatch.setattr(generator, "_power_iteration_solve", refuse)
+    def recording(Q):
+        pi = stationary_distribution(Q)
+        solvers.append(pi.solver)
+        return pi
+
+    monkeypatch.setattr(spectral, "stationary_distribution", recording)
     rep = spectral_gap(build_birth_death([2.0] * 20, [1.0] * 20))
     assert abs(rep.gap - bd_closed_form_gap(2.0, 1.0, 20)) < 1e-12
+    assert solvers == ["product_form"]
 
 
 def _permuted(Q, order):
@@ -147,6 +152,22 @@ def test_bd_tridiagonal_gap_matches_general_paths(N, seed):
     other = spectral_gap(permuted)
     assert other.method in ("dense", "lanczos")
     assert abs(rep.gap - other.gap) <= 1e-9 * other.gap
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.one_of(st.integers(3, 40), st.integers(400, 440)),
+       st.integers(0, 2 ** 32 - 1))
+def test_gap_invariant_under_relabelling(n, seed):
+    # sizes on both sides of the cost crossover of the pi solve: elimination
+    # below it, the iteration above; a chain and its relabelling take the
+    # same solver and have one gap
+    Q = GeneratorMatrix(ring_with_chords(n, False, seed))
+    other = _permuted(Q, np.random.default_rng(seed).permutation(n))
+    pi, pi_other = stationary_distribution(Q), stationary_distribution(other)
+    solver = "iteration" if n >= 400 else "elimination"
+    assert pi.solver == pi_other.solver == solver
+    gap = spectral_gap(Q, pi).gap
+    assert abs(spectral_gap(other, pi_other).gap - gap) <= 1e-12 * gap
 
 
 def test_permuted_bd_gap_by_elimination_or_refusal():
@@ -402,14 +423,35 @@ def test_bd_lower_bound_scale_covariance():
 
 
 def test_bd_lower_bound_past_the_double_range():
-    # mu_k = 2**-k underflows past level 1 074 and delta, about 2**3000,
-    # overflows: the bound reads 0, and no step warns
+    # mu_k = 2**-k underflows past level 1 074 and the chain's own delta,
+    # about 2**3000, overflows; its mirror's does not, and no step warns
     a, b = np.full(3000, 2.0), np.full(3000, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = bd_lower_bound(a, b)
     gap = spectral_gap(build_birth_death(a, b)).gap
     assert 0.0 <= rep.lower_bound <= gap
+    # up 2, down 1 to the middle and up 1, down 2 beyond: mu peaks at
+    # 2**1500, and delta overflows in both orientations
+    a = np.repeat([1.0, 2.0], 1500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = bd_lower_bound(a, a[::-1])
+    assert rep.delta == np.inf and rep.lower_bound == 0.0
+
+
+def test_bd_lower_bound_takes_the_better_orientation():
+    # a chain and its mirror image have one gap and now one bound; (2, 1)
+    # at 1 000 levels got 1.2e-302 from its own orientation, its mirror 0.125
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        a, b = random_birth_death(rng)
+        assert (bd_lower_bound(a, b).lower_bound
+                == bd_lower_bound(b[::-1], a[::-1]).lower_bound)
+    a, b = np.full(1000, 2.0), np.ones(1000)
+    rep = bd_lower_bound(a, b)
+    assert 0.1 <= rep.lower_bound <= bd_closed_form_gap(2.0, 1.0, 1000)
+    assert rep.lower_bound == bd_lower_bound(b, a).lower_bound
 
 
 # ------------------------------------------------------------ drift certificate
