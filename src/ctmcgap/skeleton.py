@@ -17,7 +17,7 @@ import numpy as np
 from ._report import Report
 from ._symeig import deflated_extremal
 from .errors import InvalidInputError, NumericalFailureError
-from .generator import _as_law, stationary_distribution
+from .generator import DENSE_SOLVE_CUTOFF, _as_law, stationary_distribution
 from .spectral import _symmetric_part, spectral_gap
 
 # exp(delta * q) overflows the uniformization weights past this point
@@ -75,6 +75,9 @@ def transition_matrix_exp(Q, delta):
 
     Raises
     ------
+    InvalidInputError
+        When `delta` is not finite and positive, or `Q` has more than
+        `generator.DENSE_SOLVE_CUTOFF` states (the result is dense).
     NumericalFailureError
         When ``delta * q`` is too large for the Poisson weights (> 700);
         split the interval instead.
@@ -85,9 +88,12 @@ def transition_matrix_exp(Q, delta):
 def _transition_matrices(Q, deltas):
     """``transition_matrix_exp(Q, d)`` for every `d` in `deltas`, each sum
     taken from one shared sequence of powers of the kernel."""
-    if not all(d > 0 for d in deltas):
-        raise InvalidInputError("delta must be positive")
+    if not all(0 < d < math.inf for d in deltas):
+        raise InvalidInputError("delta must be finite and positive")
     n = Q.n
+    if n > DENSE_SOLVE_CUTOFF:
+        raise InvalidInputError(f"{n} states exceed the dense cap of "
+                                f"{DENSE_SOLVE_CUTOFF} for exp(delta Q)")
     q = Q.max_rate()
     if q == 0.0:
         return [StochasticMatrix(np.eye(n)) for _ in deltas]
@@ -170,8 +176,7 @@ def dtmc_spectral_gap(P, pi):
         return DtmcGapReport(lambda_P=0.0, gap=1.0, method="dense",
                              residual=0.0)
     T = _symmetric_part(P.matrix, pi.log_probs)
-    result, used = deflated_extremal(T, np.sqrt(pi.probs), largest=True,
-                                     method="dense")
+    result, used = deflated_extremal(T, np.sqrt(pi.probs), largest=True)
     lam = result.value
     if lam > 1.0 + 1e-12:
         raise NumericalFailureError(
@@ -219,23 +224,28 @@ def skeleton_gap_check(Q, pi=None, deltas=(0.1, 0.05, 0.01)):
     pi : StationaryDistribution or array, optional
         Solved from `Q` when omitted.
     deltas : sequence of float
-        Strictly decreasing positive sampling intervals.
+        Strictly decreasing, finite and positive sampling intervals.
 
     Returns
     -------
     SkeletonTable
+
+    Raises
+    ------
+    InvalidInputError
+        On bad `deltas`, a reducible `Q`, or, before the gap is solved, a
+        `Q` of more states than `transition_matrix_exp` takes.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise InvalidInputError("need at least one delta")
-    if any(d <= 0 for d in deltas):
-        raise InvalidInputError("deltas must be positive")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise InvalidInputError("deltas must be strictly decreasing")
     pi = stationary_distribution(Q) if pi is None else _as_law(pi, Q.n)
+    kernels = _transition_matrices(Q, deltas)
     gap_ref = spectral_gap(Q, pi).gap
     rows = []
-    for d, P in zip(deltas, _transition_matrices(Q, deltas)):
+    for d, P in zip(deltas, kernels):
         rep = dtmc_spectral_gap(P, pi)
         ratio = rep.gap / d
         rows.append(SkeletonRow(delta=d, lambda_P=rep.lambda_P, ratio=ratio,

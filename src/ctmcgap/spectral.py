@@ -50,7 +50,8 @@ class SpectralReport(Report):
         some entry is not representable (``pi`` spans more than the
         double range).
     trivial_residual : float
-        ``||(-S) sqrt(pi)||_2``, a stationarity cross-check on the inputs.
+        ``||(-S) v - (v . (-S) v) v||_2`` at ``v = sqrt(pi)``, a
+        stationarity cross-check on the inputs.
     eigenvalues : ndarray or None
         Full spectrum of ``-S`` in ascending order (dense method only).
     degenerate : bool
@@ -151,9 +152,10 @@ def spectral_gap(Q, pi=None, method="auto"):
     band = _irreducible_band(Q)
     pi = stationary_distribution(Q) if pi is None else _as_law(pi, Q.n)
     S, sq = symmetrized_form(Q, pi)
+    S.data *= -1  # -S in place: the gap is its smallest nontrivial eigenvalue
     if method == "auto" and band is not None:
         method = "tridiagonal"
-    result, used = deflated_extremal(-S, sq, largest=False, method=method)
+    result, used = deflated_extremal(S, sq, largest=False, method=method)
     # map the symmetric-space eigenvector back to a function on states
     with np.errstate(over="ignore", invalid="ignore"):
         f = result.vector * np.exp(-0.5 * pi.log_probs)

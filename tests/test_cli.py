@@ -15,6 +15,7 @@ from ctmcgap import (SpectralReport, bd_closed_form_gap, build_birth_death,
                      build_three_state, skeleton_gap_check, spectral_gap,
                      verify)
 from ctmcgap.cli import main
+from ctmcgap.generator import DENSE_SOLVE_CUTOFF
 from conftest import THREE_STATE_GAP
 
 
@@ -105,6 +106,39 @@ def test_sizes_past_the_cap_exit_2_at_once(capsys, argv):
     assert time.perf_counter() - t0 < 2.0
     assert code == 2 and out == ""
     assert str(climod.MAX_STATES) in err
+
+
+_ABOVE_MAX = str(climod.MAX_STATES + 1)
+_ABOVE_DENSE = str(DENSE_SOLVE_CUTOFF * 50)
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["gap", "--bd", "2", "1", _ABOVE_MAX], climod.MAX_STATES),
+    (["gap", "--bd", "2", "1", _ABOVE_DENSE, "--method", "dense"],
+     DENSE_SOLVE_CUTOFF),
+    (["skeleton", "--bd", "2", "1", _ABOVE_DENSE], DENSE_SOLVE_CUTOFF),
+    (["skeleton", "--bd", "2", "1", "5", "--deltas", "inf"], None),
+    (["skeleton", "--bd", "2", "1", "5", "--deltas", "nan"], None),
+    (["skeleton", "--bd", "2", "1", "5", "--deltas", "0"], None),
+    (["sweep", "--bd", "2", "1", "inf", "--sizes", _ABOVE_MAX],
+     climod.MAX_STATES),
+], ids=["bd-max", "gap-dense", "skeleton-dense", "delta-inf", "delta-nan",
+        "delta-0", "sizes-max"])
+def test_hostile_input_is_refused_at_once_in_a_process(argv, cap):
+    # a child with a timeout: each is refused before anything of the
+    # chain's square size is allocated, with one error line and no traceback
+    src = os.path.dirname(os.path.dirname(climod.__file__))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "ctmcgap.cli", *argv],
+                         capture_output=True, text=True, timeout=30,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert time.perf_counter() - start < 10.0
+    assert out.returncode == 2 and out.stdout == ""
+    assert "Traceback" not in out.stderr
+    [line] = out.stderr.splitlines()
+    assert line.startswith("error:")
+    if cap is not None:
+        assert str(cap) in line
 
 
 def test_verify_birth_death_above_2000_states(capsys):

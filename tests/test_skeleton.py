@@ -11,7 +11,7 @@ from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      NumericalFailureError, StochasticMatrix,
                      build_birth_death, dtmc_hoeffding_bound,
                      dtmc_spectral_gap, skeleton_gap_check, spectral_gap,
-                     transition_matrix_exp)
+                     stationary_distribution, transition_matrix_exp)
 from conftest import THREE_STATE_GAP, THREE_STATE_PI, ring_with_chords
 
 
@@ -164,6 +164,17 @@ def test_reversible_skeleton_meets_the_exponential_oracle(n, birth_death,
     for row in table.rows:
         assert abs(row.lambda_P
                    - math.exp(-row.delta * table.gap_reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("chain", ["three-state", "ring"])
+def test_dtmc_trivial_residual_is_measured_at_its_eigenvalue(three_state,
+                                                             chain):
+    # the known vector of a kernel has eigenvalue 1, not 0
+    Q = (three_state if chain == "three-state"
+         else GeneratorMatrix(ring_with_chords(300, False, 1)))
+    rep = dtmc_spectral_gap(transition_matrix_exp(Q, 0.1),
+                            stationary_distribution(Q))
+    assert rep.trivial_residual <= 1e-12
 
 
 def test_dtmc_gap_rejects_wrong_pi(three_state):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ctmcgap import generator, spectral
+from ctmcgap import _symeig, generator, spectral
 from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      NumericalFailureError, ObservableFunction,
                      bd_closed_form_gap, bd_lower_bound, build_birth_death,
@@ -67,6 +67,30 @@ def test_gap_eigenvector_contract(three_state):
     assert abs(THREE_STATE_PI @ f ** 2 - 1.0) < 1e-12  # unit pi-norm
     assert abs(rayleigh_quotient(three_state, THREE_STATE_PI, f)
                - rep.gap) < 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(3, 60), st.integers(0, 2 ** 32 - 1))
+def test_gap_is_the_least_rayleigh_quotient(n, seed):
+    # the gap bounds the quotient of every nonconstant f from below and is
+    # met at the reported eigenvector
+    Q = GeneratorMatrix(ring_with_chords(n, False, seed))
+    pi = stationary_distribution(Q)
+    rep = spectral_gap(Q, pi)
+    f = np.random.default_rng(seed).standard_normal(n)
+    assert rayleigh_quotient(Q, pi, f) >= rep.gap * (1.0 - 1e-10)
+    assert abs(rayleigh_quotient(Q, pi, rep.eigenvector)
+               - rep.gap) <= 1e-10 * rep.gap
+
+
+def test_auto_takes_the_dense_solver_for_an_ndarray():
+    # past the sparse cutoff too: the array is already dense
+    n = _symeig.DENSE_CUTOFF + 1
+    A = np.diag(np.arange(n, dtype=float))
+    v0 = np.zeros(n)
+    v0[0] = 1.0
+    result, used = _symeig.deflated_extremal(A, v0, largest=False)
+    assert used == "dense" and result.value == 1.0
 
 
 def test_gap_dense_spectrum_contains_zero_mode(three_state):
