@@ -18,17 +18,13 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from ._report import render_csv
-from .bounds import verify as run_verify
 from .errors import InvalidInputError, NumericalFailureError
-from .generator import (ObservableFunction, build_birth_death,
-                        build_three_state, load_model, load_observable,
-                        stationary_distribution)
-from .skeleton import skeleton_gap_check
-from .spectral import SpectralReport, bd_closed_form_gap, spectral_gap
-from .truncation import CountableModel, gap_convergence_sweep
+
+# Only the standard library and the two modules above load with the CLI, so
+# that --help, usage errors and size refusals never wait for NumPy and SciPy.
+# Each command imports its pipeline once its arguments are checked, before
+# any numeric work.
 
 DEFAULT_SEED = 12345
 # Largest --bd N and sweep --sizes entry accepted.  Each state costs a few
@@ -98,8 +94,10 @@ def _resolve_model(args, allow_infinite_bd=False):
         raise InvalidInputError(
             "choose exactly one of --model, --example, --bd")
     if args.model is not None:
+        from .generator import load_model
         return load_model(args.model), None
     if args.example is not None:
+        from .generator import build_three_state
         return build_three_state(), None
     down_s, up_s, n_s = args.bd
     try:
@@ -122,12 +120,15 @@ def _resolve_model(args, allow_infinite_bd=False):
                 "an infinite chain is not supported by this subcommand; "
                 "give a finite N")
         return None, (down, up, n_levels)
+    import numpy as np
+    from .generator import build_birth_death
     Q = build_birth_death(np.full(n_levels, down), np.full(n_levels, up))
     return Q, (down, up, n_levels)
 
 
 def _cmd_gap(args):
     Q, bd_spec = _resolve_model(args, allow_infinite_bd=True)
+    from .spectral import SpectralReport, bd_closed_form_gap, spectral_gap
     if Q is None:
         down, up, _ = bd_spec
         # positive recurrence needs more down- than up-rate; the gap has a
@@ -148,6 +149,8 @@ def _gap_plot(report):
 
 def _default_observable(n):
     # indicator of the last state; range [0, 1]
+    import numpy as np
+    from .generator import ObservableFunction
     values = np.zeros(n)
     values[n - 1] = 1.0
     return ObservableFunction(values, 0.0, 1.0)
@@ -155,13 +158,15 @@ def _default_observable(n):
 
 def _cmd_verify(args):
     Q, _ = _resolve_model(args)
+    from .bounds import verify
+    from .generator import load_observable
     if args.function is not None:
         g = load_observable(args.function)
     else:
         g = _default_observable(Q.n)
     eps = _parse_list(args.eps, float, "eps")
-    return run_verify(Q, g, t=args.t, eps_grid=eps, reps=args.reps,
-                      seed=args.seed, assert_lezaud_hypotheses=args.lezaud)
+    return verify(Q, g, t=args.t, eps_grid=eps, reps=args.reps,
+                  seed=args.seed, assert_lezaud_hypotheses=args.lezaud)
 
 
 def _cmd_sweep(args):
@@ -169,6 +174,9 @@ def _cmd_sweep(args):
     if max(sizes) > MAX_STATES:
         raise InvalidInputError(f"sizes must be at most {MAX_STATES}")
     Q, bd_spec = _resolve_model(args, allow_infinite_bd=True)
+    from .generator import stationary_distribution
+    from .spectral import bd_closed_form_gap
+    from .truncation import CountableModel, gap_convergence_sweep
     limit = None
     if Q is None:
         down, up, _ = bd_spec
@@ -182,6 +190,7 @@ def _cmd_sweep(args):
 
 def _cmd_skeleton(args):
     Q, _ = _resolve_model(args)
+    from .skeleton import skeleton_gap_check
     deltas = _parse_list(args.deltas, float, "deltas")
     return skeleton_gap_check(Q, deltas=deltas)
 
@@ -238,8 +247,8 @@ def build_parser():
     p_ver.add_argument("--workers", type=int,
                        help="ignored: one process walks every replication")
     p_ver.add_argument("--lezaud", action="store_true",
-                       help="also report the exponent-12 bound (assert "
-                            "that g is centered with sup norm <= 1)")
+                       help="also report the exponent-12 bound, when "
+                            "g - pi(g) has sup norm <= 1")
     p_ver.add_argument("--format", choices=["json", "csv"], default="json")
     p_ver.add_argument("--output", metavar="PATH")
     p_ver.add_argument("--emit-plotdata", metavar="PATH",

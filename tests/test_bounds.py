@@ -130,8 +130,8 @@ def test_verify_small_run_passes(three_state):
     for r in rep.rows:
         assert r.verdict == "PASS"
         assert r.p_hat <= r.bound_main + (r.ci_upper - r.p_hat)
-        assert r.bound_lezaud is None  # hypotheses not asserted
-    assert not rep.lezaud_hypotheses_asserted
+        assert r.bound_lezaud is None  # not asked for
+    assert rep.lezaud_hypotheses is None
 
 
 def test_verify_rows_sorted_by_eps(three_state):
@@ -206,12 +206,43 @@ def test_verify_single_rep_is_uninformative(three_state):
 
 
 def test_verify_lezaud_rows_when_asserted(three_state):
+    # the last state's indicator: g - pi(g) lies in [-5/9, 4/9], and the
+    # tail event is about that centered function
     rep = verify(three_state, _unit_indicator(), t=10.0, eps_grid=[0.1],
                  reps=50, seed=1, assert_lezaud_hypotheses=True)
     r = rep.rows[0]
     assert abs(r.bound_lezaud
                - math.exp(-rep.gap * 10.0 * 0.1 ** 2 / 12.0)) < 1e-15
-    assert rep.lezaud_hypotheses_asserted
+    assert rep.lezaud_hypotheses == "hold"
+    assert rep.to_dict()["lezaud_hypotheses"] == "hold"
+    # shifting g changes sup|g|, not g - pi(g)
+    shifted = ObservableFunction([0.9, 0.9, 1.9], 0.9, 1.9)
+    rep = verify(three_state, shifted, t=10.0, eps_grid=[0.1], reps=50,
+                 seed=1, assert_lezaud_hypotheses=True)
+    assert rep.lezaud_hypotheses == "hold"
+    assert rep.rows[0].bound_lezaud == r.bound_lezaud
+
+
+def test_verify_lezaud_refused_when_sup_norm_exceeds_one(three_state):
+    # the doubled indicator: g - pi(g) lies in [-10/9, 8/9]
+    doubled = ObservableFunction([0.0, 0.0, 2.0], 0.0, 2.0)
+    rep = verify(three_state, doubled, t=10.0, eps_grid=[0.1, 0.2], reps=50,
+                 seed=1, assert_lezaud_hypotheses=True)
+    assert all(r.bound_lezaud is None for r in rep.rows)
+    assert rep.lezaud_hypotheses == f"sup|g - pi(g)| = {rep.pi_g!r} > 1"
+    assert rep.lezaud_hypotheses.startswith("sup|g - pi(g)| = 1.111")
+
+
+def test_verify_lezaud_non_stationary_start_carries_l2_density(three_state):
+    # the prefactor is ||d init / d pi||_2 = sqrt(3) whatever `p` the
+    # density-norm bound uses
+    init = np.array([1.0, 0.0, 0.0])
+    rep = verify(three_state, _unit_indicator(), t=10.0, eps_grid=[0.1],
+                 reps=50, seed=1, init=init, p=math.inf,
+                 assert_lezaud_hypotheses=True)
+    assert rep.lezaud_hypotheses == "hold"
+    expect = math.sqrt(3.0) * math.exp(-rep.gap * 10.0 * 0.1 ** 2 / 12.0)
+    assert abs(rep.rows[0].bound_lezaud - expect) < 1e-12
 
 
 def test_verify_nu_start(three_state):

@@ -366,6 +366,25 @@ def test_verify_custom_function(tmp_path, capsys):
     assert abs(json.loads(out)["pi_g"] - 1.0 / 3.0) < 1e-12
 
 
+def test_verify_lezaud_reports_its_check(tmp_path, capsys):
+    # the default indicator gives g - pi(g) in [-5/9, 4/9]; doubled, the
+    # centered function reaches -10/9
+    argv = ["verify", "--example", "three-state", "--reps", "50",
+            "--eps", "0.2", "--t", "5", "--lezaud"]
+    code, out, _ = run(capsys, argv)
+    obj = json.loads(out)
+    assert code == 0 and obj["lezaud_hypotheses"] == "hold"
+    assert all(r["bound_lezaud"] is not None for r in obj["rows"])
+    fpath = tmp_path / "g.json"
+    fpath.write_text(json.dumps({"values": [0.0, 0.0, 2.0],
+                                 "range": [0, 2]}))
+    code, out, _ = run(capsys, argv + ["--function", str(fpath)])
+    obj = json.loads(out)
+    assert code == 0
+    assert obj["lezaud_hypotheses"].startswith("sup|g - pi(g)| = 1.11")
+    assert all(r["bound_lezaud"] is None for r in obj["rows"])
+
+
 def test_verify_zero_reps_exits_2(capsys):
     code, _, err = run(capsys, ["verify", "--example", "three-state",
                                 "--reps", "0"])
@@ -394,7 +413,7 @@ def test_verify_non_finite_input_exits_2_at_once(flags):
 
 
 def test_verify_fail_rows_exit_1(monkeypatch, capsys):
-    import ctmcgap.cli as climod
+    import ctmcgap.bounds
 
     class FakeRow:
         verdict = "FAIL"
@@ -406,7 +425,8 @@ def test_verify_fail_rows_exit_1(monkeypatch, capsys):
         def to_json(self):
             return "{}"
 
-    monkeypatch.setattr(climod, "run_verify",
+    # the command imports verify from its module when it runs
+    monkeypatch.setattr(ctmcgap.bounds, "verify",
                         lambda *a, **kw: FakeReport())
     code, _, _ = run(capsys, ["verify", "--example", "three-state",
                               "--reps", "10"])
@@ -610,14 +630,16 @@ def test_verify_stdout_is_the_report(capsys, fmt):
 def test_sweep_stdout_is_the_report(monkeypatch, capsys, fmt):
     # the seconds differ between runs, so compare with the report the CLI
     # itself computed
+    import ctmcgap.truncation
     sweeps = []
-    original = climod.gap_convergence_sweep
+    original = ctmcgap.truncation.gap_convergence_sweep
 
     def recording_sweep(*args, **kwargs):
         sweeps.append(original(*args, **kwargs))
         return sweeps[-1]
 
-    monkeypatch.setattr(climod, "gap_convergence_sweep", recording_sweep)
+    monkeypatch.setattr(ctmcgap.truncation, "gap_convergence_sweep",
+                        recording_sweep)
     out = _cli_stdout(capsys, ["sweep", "--bd", "2", "1", "inf",
                                "--sizes", "5,10", "--format", fmt])
     (sweep,) = sweeps
@@ -640,12 +662,12 @@ def test_skeleton_stdout_is_the_report(capsys, fmt):
                for r in obj["rows"])
 
 
-def _modules_after_cli_import(*names, argv=None):
+def _modules_after_cli_import(*names, argv=None, module="ctmcgap.cli"):
     # run the same source tree the tests import; with `argv`, report again
     # after main(argv) has run
     src = os.path.dirname(os.path.dirname(climod.__file__))
     seen = f"[m in sys.modules for m in {names!r}]"
-    code = f"import sys, ctmcgap.cli; seen = {seen}; "
+    code = f"import sys, {module}; seen = {seen}; "
     if argv is not None:
         code += f"ctmcgap.cli.main({argv!r}); seen += {seen}; "
     code += "print(seen)"
@@ -664,12 +686,40 @@ def test_cli_import_leaves_out_scipy_special():
     assert _modules_after_cli_import("scipy.special") == "[False]"
 
 
+NUMERIC_MODULES = ("numpy", "scipy", "ctmcgap.generator", "ctmcgap._symeig",
+                   "ctmcgap.spectral", "ctmcgap.simulate", "ctmcgap.bounds",
+                   "ctmcgap.truncation", "ctmcgap.skeleton")
+
+
+@pytest.mark.parametrize("module", ["ctmcgap", "ctmcgap.cli"])
+def test_import_loads_nothing_numeric(module):
+    # the package resolves its names on first use, and each command imports
+    # its own pipeline
+    assert _modules_after_cli_import(*NUMERIC_MODULES, module=module) \
+        == str([False] * len(NUMERIC_MODULES))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["gap", "--no-such-flag"],
+    ["gap"],
+    ["gap", "--bd", "2", "1", "10000001"],
+    ["sweep", "--bd", "2", "1", "inf", "--sizes", "10000001"],
+], ids=["help", "usage-error", "no-model", "bd-above-max",
+        "sizes-above-max"])
+def test_refusals_exit_before_numpy_loads(argv):
+    assert _modules_after_cli_import("numpy", "scipy", argv=argv) \
+        == "[False, False, False, False]"
+
+
 def test_birth_death_gap_leaves_out_csgraph_and_sparse_linalg():
     # a general chain's irreducibility check and the Lanczos solver import
-    # them when called; a birth-death gap needs neither
+    # them when called; a birth-death gap needs neither, and loads NumPy
+    # only once the command runs
     assert _modules_after_cli_import(
-        "scipy.sparse.csgraph", "scipy.sparse.linalg",
-        argv=["gap", "--bd", "2", "1", "10"]) == "[False, False, False, False]"
+        "numpy", "scipy.sparse.csgraph", "scipy.sparse.linalg",
+        argv=["gap", "--bd", "2", "1", "10"]) \
+        == "[False, False, False, True, False, False]"
 
 
 def test_closed_stdout_exits_4_without_traceback():

@@ -40,7 +40,7 @@ GOLDEN = [
      '{"all_pass": true, "g_pi2_norm": 0.7453559924999298, '
      '"g_sup_norm": 1.0, "gap": 2.2254033307585166, "gap_method": "dense", '
      '"gap_residual": 6.280369834735101e-16, '
-     '"lezaud_hypotheses_asserted": false, "pi_g": 0.5555555555555555, '
+     '"lezaud_hypotheses": null, "pi_g": 0.5555555555555555, '
      '"rows": ['
      '{"bound_lezaud": null, "bound_main": 0.894696999083407, '
      '"ci_upper": 0.46561222555462356, "eps": 0.05, "p_hat": 0.355, '
@@ -60,7 +60,7 @@ GOLDEN = [
      '{"all_pass": true, "g_pi2_norm": 2.1579186442602067e-05, '
      '"g_sup_norm": 1.0, "gap": 0.18608462014047367, '
      '"gap_method": "tridiagonal", "gap_residual": 6.089894018176666e-16, '
-     '"lezaud_hypotheses_asserted": false, "pi_g": 4.656612875245809e-10, '
+     '"lezaud_hypotheses": null, "pi_g": 4.656612875245809e-10, '
      '"rows": ['
      '{"bound_lezaud": null, "bound_main": 0.9770078643167454, '
      '"ci_upper": 0.017121126999967824, "eps": 0.05, "p_hat": 0.0, '

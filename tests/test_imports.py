@@ -1,8 +1,12 @@
 """Every import in the package modules is used, and so is every private
-top-level name."""
+top-level name; every public name resolves, on first use, to its module's
+object."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -95,3 +99,43 @@ def test_dead_private_name_is_caught():
     }
     assert _dead_private_names(sources) == [("a.py", 2, "_SPARE"),
                                             ("a.py", 5, "_dead")]
+
+
+def test_public_names_are_their_modules_objects():
+    for name in ctmcgap.__all__:
+        obj = getattr(ctmcgap, name)
+        home = sys.modules[obj.__module__]
+        assert home.__name__.startswith("ctmcgap.")
+        assert getattr(home, name) is obj
+        # the import hook itself, not only the value it cached
+        assert ctmcgap.__getattr__(name) is obj
+        namespace = {}
+        exec(f"from ctmcgap import {name}", namespace)
+        assert namespace[name] is obj
+
+
+def test_dir_lists_the_public_names():
+    listed = dir(ctmcgap)
+    assert "__all__" in listed and set(ctmcgap.__all__) <= set(listed)
+
+
+def test_unknown_names_raise_and_submodules_still_import():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ctmcgap.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from ctmcgap import no_such_name", {})
+    namespace = {}
+    exec("from ctmcgap import _symeig", namespace)
+    assert namespace["_symeig"] is sys.modules["ctmcgap._symeig"]
+
+
+def test_a_public_name_loads_its_module_on_first_access():
+    src = os.path.dirname(os.path.dirname(ctmcgap.__file__))
+    probe = ("('spectral_gap' in vars(ctmcgap), "
+             "'ctmcgap.spectral' in sys.modules)")
+    code = (f"import sys, ctmcgap; before = {probe}; ctmcgap.spectral_gap; "
+            f"print(before + {probe})")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "(False, False, True, True)"
