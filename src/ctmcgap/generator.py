@@ -3,8 +3,10 @@ stationary distributions, time reversal, and additive reversibilization.
 
 A rate matrix (generator) `Q` has nonnegative off-diagonal entries and zero
 row sums; `Q[i, j]` is the jump rate from state `i` to state `j`.  Matrices
-are stored sparsely with the diagonal kept explicit.  All objects here are
-treated as immutable after construction.
+are stored as NumPy arrays in compressed sparse row form, the diagonal kept
+explicit; SciPy is imported only by the functions that hand a matrix to a
+SciPy algorithm.  All objects here are treated as immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dtrtri
 
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -51,31 +51,50 @@ class GeneratorMatrix:
     Construction does not enforce admissibility (zero row sums, nonnegative
     off-diagonal, irreducibility); use :func:`validate_generator` to check.
     This keeps deliberately defective matrices constructible for diagnosis.
+
+    The entries are held as the three CSR arrays; a sparse input that is
+    already float64 is kept without a copy.  The SciPy view ``matrix`` is
+    built on first use.
     """
 
     def __init__(self, matrix, labels=None):
-        if sp.issparse(matrix):
-            m = matrix.tocsr().astype(float)
-        else:
-            arr = np.asarray(matrix, dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        if hasattr(matrix, "tocsr"):  # a SciPy sparse matrix or array
+            m = matrix.tocsr().astype(float, copy=False)
+            if m.shape[0] != m.shape[1]:
                 raise InvalidInputError(
-                    f"generator must be square, got shape {arr.shape}")
-            m = sp.csr_matrix(arr)
-        if m.shape[0] != m.shape[1]:
+                    f"generator must be square, got shape {m.shape}")
+            self._init(m.indptr, m.indices, m.data, labels)
+            return
+        arr = np.asarray(matrix, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidInputError(
-                f"generator must be square, got shape {m.shape}")
-        if m.shape[0] < 1:
+                f"generator must be square, got shape {arr.shape}")
+        rows, cols = np.nonzero(arr)
+        self._init(_row_pointers(rows, arr.shape[0]), cols, arr[rows, cols],
+                   labels)
+
+    @classmethod
+    def _from_csr(cls, indptr, indices, data, labels=None):
+        """The generator with CSR arrays ``(indptr, indices, data)``."""
+        Q = cls.__new__(cls)
+        Q._init(indptr, indices, data, labels)
+        return Q
+
+    def _init(self, indptr, indices, data, labels):
+        n = indptr.size - 1
+        if n < 1:
             raise InvalidInputError("generator needs at least one state")
-        if not np.all(np.isfinite(m.data)):
+        if not np.all(np.isfinite(data)):
             raise InvalidInputError("generator entries must be finite")
         if labels is not None:
             labels = [str(s) for s in labels]
-            if len(labels) != m.shape[0]:
+            if len(labels) != n:
                 raise InvalidInputError(
-                    f"{len(labels)} labels for {m.shape[0]} states")
-        self._matrix = m
+                    f"{len(labels)} labels for {n} states")
+        self._indptr, self._indices, self._data = indptr, indices, data
         self._labels = labels
+        self._rows = None
+        self._matrix = None
         self._dense = None
         self._structure = None
 
@@ -95,22 +114,53 @@ class GeneratorMatrix:
 
     @property
     def n(self):
-        return self._matrix.shape[0]
+        return self._indptr.size - 1
+
+    @property
+    def nnz(self):
+        return self._data.size
 
     @property
     def matrix(self):
-        """The generator in CSR form.  Do not mutate."""
+        """The generator as a SciPy CSR matrix (built once; do not mutate)."""
+        if self._matrix is None:
+            import scipy.sparse as sp
+
+            self._matrix = sp.csr_matrix(
+                (self._data, self._indices, self._indptr),
+                shape=(self.n, self.n))
         return self._matrix
 
     @property
     def labels(self):
         return self._labels
 
+    def _row_index(self):
+        """The row of every stored entry (cached)."""
+        if self._rows is None:
+            rows = np.arange(self.n, dtype=self._indices.dtype)
+            self._rows = np.repeat(rows, np.diff(self._indptr))
+        return self._rows
+
+    def _toarray(self):
+        """A new dense copy of the generator; repeated entries add."""
+        dense = np.zeros((self.n, self.n))
+        np.add.at(dense, (self._row_index(), self._indices), self._data)
+        return dense
+
     def to_dense(self):
         """Dense ndarray view of the generator (cached; do not mutate)."""
         if self._dense is None:
-            self._dense = self._matrix.toarray()
+            self._dense = self._toarray()
         return self._dense
+
+    def diagonal(self, k=0):
+        """The `k`-th diagonal, ``Q[i, i + k]``, as an array of ``n - |k|``."""
+        rows = self._row_index()
+        hit = self._indices - rows == k
+        at = rows[hit] if k >= 0 else self._indices[hit]
+        return np.bincount(at, weights=self._data[hit],
+                           minlength=self.n - abs(k))
 
     def structure(self):
         """``(band, irreducible)``, read once in O(nnz) (cached).
@@ -122,7 +172,7 @@ class GeneratorMatrix:
         to every other.
         """
         if self._structure is None:
-            band = _band_rates(self._matrix)
+            band = _band_rates(self)
             irreducible = (_strongly_connected(self) if band is None
                            else bool(np.all(np.minimum(*band) > 0)))
             self._structure = (band, irreducible)
@@ -130,7 +180,7 @@ class GeneratorMatrix:
 
     def exit_rates(self):
         """Total jump rate out of each state, ``-Q[i, i]`` for admissible Q."""
-        return -self._matrix.diagonal()
+        return -self.diagonal()
 
     def max_rate(self):
         """Largest exit rate; sets the scale for relative tolerances."""
@@ -139,20 +189,41 @@ class GeneratorMatrix:
 
     def off_diagonal(self):
         """Off-diagonal entries as arrays ``(rows, cols, values)``."""
-        coo = self._matrix.tocoo()
-        keep = coo.row != coo.col
-        return coo.row[keep], coo.col[keep], coo.data[keep]
+        rows = self._row_index()
+        keep = rows != self._indices
+        return rows[keep], self._indices[keep], self._data[keep]
 
     def row_rates(self, i):
         """Jump targets and rates out of state `i` (strictly positive only)."""
-        lo, hi = self._matrix.indptr[i], self._matrix.indptr[i + 1]
-        cols = self._matrix.indices[lo:hi]
-        vals = self._matrix.data[lo:hi]
+        lo, hi = self._indptr[i], self._indptr[i + 1]
+        cols = self._indices[lo:hi]
+        vals = self._data[lo:hi]
         keep = (cols != i) & (vals > 0)
         return cols[keep], vals[keep]
 
+    def vecmat(self, p):
+        """``p @ Q``, each column summed in row order."""
+        return np.bincount(self._indices,
+                           weights=self._data * p[self._row_index()],
+                           minlength=self.n)
+
     def __repr__(self):
-        return f"GeneratorMatrix(n={self.n}, nnz={self._matrix.nnz})"
+        return f"GeneratorMatrix(n={self.n}, nnz={self.nnz})"
+
+
+def _row_pointers(rows, n):
+    """CSR row pointers of entries whose rows `rows` ascend, for `n` rows."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _row_sums(indptr, data):
+    """Row sums of CSR entries, added as SciPy's ``sum(axis=1)`` adds them."""
+    sums = np.zeros(indptr.size - 1)
+    filled = np.flatnonzero(np.diff(indptr))
+    sums[filled] = np.add.reduceat(data, indptr[filled])
+    return sums
 
 
 def _checked_triplets(n, rates):
@@ -195,15 +266,38 @@ def _checked_triplets(n, rates):
 
 
 def _assemble(n, a, labels):
-    """The generator of valid triplets `a` (repeats add), as `from_rates`."""
+    """The generator of valid triplets `a` (repeats add), as `from_rates`.
+
+    Entries come out row by row in ascending column order, with exact
+    zeros dropped and each row's diagonal minus the sum of the rest unless
+    given.  Repeated cells, which only a collapsed chain makes, are added
+    by SciPy's COO-to-CSR conversion: its sort fixes no order among them in
+    a row of more than 16 entries, so no other code adds them alike.
+    """
     rows, cols = a[:, 0].astype(np.intp), a[:, 1].astype(np.intp)
     off = rows != cols
-    M = sp.coo_matrix((a[off, 2], (rows[off], cols[off])),
-                      shape=(n, n)).tocsr()
-    d = -np.asarray(M.sum(axis=1)).ravel()
-    d[rows[~off]] = a[~off, 2]
-    return GeneratorMatrix(M + sp.diags(d, format="csr", shape=(n, n)),
-                           labels=labels)
+    given = rows[~off]  # rows with a diagonal triplet
+    rows, cols, vals = rows[off], cols[off], a[off, 2]
+    order = np.lexsort((cols, rows))
+    r, c = rows[order], cols[order]
+    if np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])):
+        import scipy.sparse as sp
+
+        M = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        rows = np.repeat(np.arange(n), np.diff(M.indptr))
+        cols, vals = M.indices, M.data
+    else:
+        rows, cols, vals = r, c, vals[order]
+    d = -_row_sums(_row_pointers(rows, n), vals)
+    d[given] = a[~off, 2]
+    # the diagonal entry goes before the first column right of it
+    at = np.searchsorted(rows * n + cols, np.arange(n) * (n + 1))
+    rows, cols = np.insert(rows, at, np.arange(n)), np.insert(cols, at,
+                                                             np.arange(n))
+    vals = np.insert(vals, at, d)
+    keep = vals != 0
+    return GeneratorMatrix._from_csr(_row_pointers(rows[keep], n),
+                                     cols[keep], vals[keep], labels)
 
 
 class StationaryDistribution:
@@ -319,6 +413,7 @@ class ValidationReport:
 
 
 def _strongly_connected(Q):
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
     # the edges are the strictly positive off-diagonal rates
@@ -347,7 +442,7 @@ def validate_generator(Q):
     """
     report = ValidationReport()
     atol = _RATE_RTOL * max(Q.max_rate(), 1.0)
-    row_sums = np.asarray(Q.matrix.sum(axis=1)).ravel()
+    row_sums = _row_sums(Q._indptr, Q._data)
     for i in np.nonzero(np.abs(row_sums) > atol)[0]:
         report.row_sum_defects.append((int(i), float(row_sums[i])))
         report.messages.append(f"row {i} sums to {row_sums[i]:.3e}")
@@ -388,6 +483,8 @@ def _gth_solve(A):
     is not positive raises NumericalFailureError; for an irreducible chain
     it means that ``pi`` left the double range.
     """
+    from scipy.linalg.lapack import dtrtri
+
     n = A.shape[0]
     s = np.zeros(n)
     for hi in range(n, 1, -_GTH_PANEL):
@@ -427,13 +524,15 @@ def _gth_solve(A):
     return x / x.sum()
 
 
-def _check_stationary(p, M, scale, what):
-    """Raise unless `p` is stationary for `M`; `what` opens the message."""
-    resid = float(np.max(np.abs(p @ M)))
-    if not resid <= _STATIONARY_RTOL * max(scale, 1.0):
+def _check_stationary(p, Q, what):
+    """Raise unless `p` is stationary for generator `Q`, within 1e-10 of its
+    largest exit rate (floored at 1); `what` opens the message."""
+    resid = float(np.max(np.abs(Q.vecmat(p))))
+    scale = max(Q.max_rate(), 1.0)
+    if not resid <= _STATIONARY_RTOL * scale:
         raise NumericalFailureError(
             f"{what} residual {resid:.3e} exceeds {_STATIONARY_RTOL:.1e} * "
-            f"{max(scale, 1.0):.3e}", residual=resid)
+            f"{scale:.3e}", residual=resid)
 
 
 def _power_iteration_solve(Q, target):
@@ -461,6 +560,8 @@ def _power_iteration_solve(Q, target):
     uniform law, normalized, the residual, and the largest relative
     difference between the two iterates over the entries of `pi`.
     """
+    import scipy.sparse as sp
+
     # a zero exit rate (a defective Q) or entry of pi gives inf or NaN
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         step = (sp.diags(1.0 / (1.05 * Q.exit_rates())) @ Q.matrix.T).tocsr()
@@ -487,13 +588,11 @@ def _power_iteration_solve(Q, target):
                 pis += step @ pis
 
 
-def _band_rates(M):
-    """The band of CSR matrix `M`, as in :meth:`GeneratorMatrix.structure`."""
-    rows = np.repeat(np.arange(M.shape[0], dtype=M.indices.dtype),
-                     np.diff(M.indptr))
-    if np.any(M.data[np.abs(M.indices - rows) > 1] != 0):
+def _band_rates(Q):
+    """The band of `Q`, as in :meth:`GeneratorMatrix.structure`."""
+    if np.any(Q._data[np.abs(Q._indices - Q._row_index()) > 1] != 0):
         return None
-    return M.diagonal(1), M.diagonal(-1)
+    return Q.diagonal(1), Q.diagonal(-1)
 
 
 def _exact_cumsum(x):
@@ -588,7 +687,7 @@ def stationary_distribution(Q):
     else:
         n, p = Q.n, None
         capped = n > DENSE_SOLVE_CUTOFF  # no elimination to fall back on
-        if capped or _ITERATION_BUDGET * Q.matrix.nnz < n ** 3 / 3:
+        if capped or _ITERATION_BUDGET * Q.nnz < n ** 3 / 3:
             tol = _STATIONARY_RTOL if capped else _ITERATION_RTOL
             p, steps, resid, spread = _power_iteration_solve(Q, tol)
             solver = "iteration"
@@ -603,9 +702,9 @@ def stationary_distribution(Q):
         if p is None:
             # an overflow leaves NaN or 0 in p, which the test below rejects
             with np.errstate(over="ignore", invalid="ignore"):
-                p = _gth_solve(Q.matrix.toarray())
+                p = _gth_solve(Q._toarray())
             with np.errstate(divide="ignore", invalid="ignore"):
-                resid = float(np.max(np.abs(p @ Q.matrix)
+                resid = float(np.max(np.abs(Q.vecmat(p))
                                      / (p * Q.exit_rates())))
             solver, steps = "elimination", 0
         if not np.all(p > 0):
@@ -613,7 +712,7 @@ def stationary_distribution(Q):
                 "stationary solve produced non-positive or NaN entries")
         pi = StationaryDistribution(p)
         pi.solver, pi.iterations, pi.residual = solver, steps, resid
-    _check_stationary(pi.probs, Q.matrix, Q.max_rate(), "stationary")
+    _check_stationary(pi.probs, Q, "stationary")
     return pi
 
 
@@ -652,15 +751,9 @@ def dual_generator(Q, pi):
         raise InvalidInputError("time reversal needs strictly positive pi")
     rows, cols, vals = Q.off_diagonal()
     # entry Q[j, i] = v contributes Qhat[i, j] = pi[j] v / pi[i]
-    hat_rows, hat_cols = cols, rows
-    hat_vals = vals * p[rows] / p[cols]
-    off = sp.coo_matrix((hat_vals, (hat_rows, hat_cols)),
-                        shape=(Q.n, Q.n)).tocsr()
-    diag = -np.asarray(off.sum(axis=1)).ravel()
-    Qhat = GeneratorMatrix(off + sp.diags(diag, format="csr", shape=(Q.n, Q.n)),
-                           labels=Q.labels)
-    _check_stationary(p, Qhat.matrix, Q.max_rate(),
-                      "pi is not stationary for the reversal:")
+    hat = np.column_stack([cols, rows, vals * p[rows] / p[cols]])
+    Qhat = _assemble(Q.n, hat, Q.labels)
+    _check_stationary(p, Qhat, "pi is not stationary for the reversal:")
     return Qhat
 
 
@@ -719,8 +812,16 @@ def build_birth_death(death_rates, birth_rates, labels=None):
     """
     a, b = _birth_death_rates(death_rates, birth_rates)
     exit_rates = np.append(b, 0.0) + np.insert(a, 0, 0.0)
-    Q = sp.diags([a, -exit_rates, b], [-1, 0, 1], format="csr")
-    return GeneratorMatrix(Q, labels=labels)
+    n = exit_rates.size
+    # rows of (Q[i, i-1], Q[i, i], Q[i, i+1]), less the two outside the matrix
+    data = np.column_stack([np.insert(a, 0, 0.0), -exit_rates,
+                            np.append(b, 0.0)]).ravel()[1:-1]
+    index = np.int32 if 3 * n < 2 ** 31 else np.intp  # as SciPy picks
+    cols = np.repeat(np.arange(n, dtype=index), 3)
+    cols[0::3] -= 1
+    cols[2::3] += 1
+    indptr = np.clip(3 * np.arange(n + 1, dtype=index) - 1, 0, 3 * n - 2)
+    return GeneratorMatrix._from_csr(indptr, cols[1:-1], data, labels)
 
 
 def build_three_state():

@@ -7,8 +7,8 @@ smallest nonzero eigenvalue of the negative additive reversibilization
 symmetric: ``S[i, j] = sqrt(pi[i]/pi[j]) * Qbar[i, j]``, from ``log pi``.
 The square-root weight vector is the eigenvector of the trivial zero mode
 and is deflated explicitly.  A birth-death (tridiagonal) chain is
-reversible, so its ``S`` comes from the rates alone and its ``pi`` from
-the product form.
+reversible, so its ``-S`` comes from the rates alone (a `BirthDeathForm`,
+solved with NumPy alone) and its ``pi`` from the product form.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._report import Report
-from ._symeig import deflated_extremal
+from ._symeig import BirthDeathForm, deflated_extremal
 from .errors import InvalidInputError
 from .generator import (_as_law, _as_probs, _birth_death_log_mu,
                         _birth_death_rates, _check_stationary,
@@ -79,7 +78,9 @@ def _symmetric_part(M, log_pi):
     ``l = log_pi``.  A sparse `M` gives CSR, weighted at its stored
     triplets; a dense `M` is weighted at its nonzero entries only.
     """
-    if sp.issparse(M):
+    if not isinstance(M, np.ndarray):
+        import scipy.sparse as sp
+
         M = M.tocoo()
         w = np.exp(0.5 * (log_pi[M.row] - log_pi[M.col]))
         W = sp.csr_matrix((M.data * w, (M.row, M.col)), shape=M.shape)
@@ -96,21 +97,26 @@ def symmetrized_form(Q, pi):
     `Qbar` is the additive reversibilization; ``S`` is returned in CSR
     form with the vector ``sqrt(pi)``.  A general `Q` gives
     ``_symmetric_part(Q, log pi)``.  A birth-death (tridiagonal) `Q` is its
-    own reversibilization, and by Kolmogorov's criterion ``S`` then has the
-    diagonal of `Q` and the off-diagonal ``sqrt(Q[i, i+1] Q[i+1, i])``,
-    from the rates alone.  Either way entries of `pi` that underflow to 0
-    are harmless, and `pi` must be stationary for `Q`
-    (NumericalFailureError otherwise).
+    own reversibilization, and by Kolmogorov's criterion ``S`` is then
+    minus the `BirthDeathForm` of its rates: minus the exit rates on the
+    diagonal and ``sqrt(Q[i, i+1] Q[i+1, i])`` beside it, from the rates
+    alone.  Either way entries of `pi` that underflow to 0 are harmless,
+    and `pi` must be stationary for `Q` (NumericalFailureError otherwise).
+
+    :func:`spectral_gap` forms ``S`` here for the dense and Lanczos
+    solvers; its default route for a birth-death chain, the bidiagonal
+    solver, needs no ``S``.
     """
     pi = _as_law(pi, Q.n)
-    _check_stationary(pi.probs, Q.matrix, Q.max_rate(), "stationary")
+    _check_stationary(pi.probs, Q, "stationary")
     band = Q.structure()[0]
     if band is None:
         S = _symmetric_part(Q.matrix, pi.log_probs)
     else:
-        off = np.sqrt(band[0] * band[1])
-        S = sp.diags([off, Q.matrix.diagonal(), off], [-1, 0, 1],
-                     format="csr")
+        import scipy.sparse as sp
+
+        A = BirthDeathForm(*band)  # -S
+        S = sp.diags([-A.off, -A.diag, -A.off], [-1, 0, 1], format="csr")
     return S, np.sqrt(pi.probs)
 
 
@@ -130,7 +136,8 @@ def spectral_gap(Q, pi=None, method="auto"):
     method : {"auto", "dense", "lanczos"}
         "auto" is "tridiagonal" when every nonzero off-diagonal rate of `Q`
         sits next to the diagonal (a birth-death chain; the gap then costs
-        O(n)), and otherwise dense up to 500 states, iterative beyond.
+        O(n) per bisection step, with NumPy alone and no ``S``), and
+        otherwise dense up to 500 states, iterative beyond.
 
     Returns
     -------
@@ -143,7 +150,8 @@ def spectral_gap(Q, pi=None, method="auto"):
         strictly positive probability vector.
     NumericalFailureError
         When `pi` is not stationary for `Q`, on eigensolver
-        non-convergence, or on an out-of-tolerance eigenpair residual.
+        non-convergence, when the tridiagonal gap cannot be certified to
+        1e-10, or on an out-of-tolerance eigenpair residual.
     """
     if Q.n == 1:
         return SpectralReport(gap=math.inf, method="dense", residual=0.0,
@@ -151,11 +159,15 @@ def spectral_gap(Q, pi=None, method="auto"):
                               trivial_residual=0.0, degenerate=True)
     band = _irreducible_band(Q)
     pi = stationary_distribution(Q) if pi is None else _as_law(pi, Q.n)
-    S, sq = symmetrized_form(Q, pi)
-    S.data *= -1  # -S in place: the gap is its smallest nontrivial eigenvalue
+    # the gap is the smallest nontrivial eigenvalue of -S
     if method == "auto" and band is not None:
-        method = "tridiagonal"
-    result, used = deflated_extremal(S, sq, largest=False, method=method)
+        _check_stationary(pi.probs, Q, "stationary")
+        A = BirthDeathForm(*band, log_pi=pi.log_probs)
+        sq = np.sqrt(pi.probs)
+    else:
+        A, sq = symmetrized_form(Q, pi)
+        A.data *= -1  # in place
+    result, used = deflated_extremal(A, sq, largest=False, method=method)
     # map the symmetric-space eigenvector back to a function on states
     with np.errstate(over="ignore", invalid="ignore"):
         f = result.vector * np.exp(-0.5 * pi.log_probs)
@@ -234,8 +246,11 @@ def bd_closed_form_gap(alpha, beta, n_levels):
     N = int(n_levels)
     if N < 1:
         raise InvalidInputError("n_levels must be >= 1 or infinity")
-    return alpha + beta - 2.0 * math.sqrt(alpha * beta) * math.cos(
-        math.pi / (N + 1))
+    # alpha + beta - 2 sqrt(alpha beta) cos(pi / (N + 1)), as two terms
+    # that do not cancel
+    return ((math.sqrt(alpha) - math.sqrt(beta)) ** 2
+            + 4.0 * math.sqrt(alpha * beta)
+            * math.sin(math.pi / (2 * N + 2)) ** 2)
 
 
 @dataclass

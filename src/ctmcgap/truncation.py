@@ -253,8 +253,7 @@ def collapse(model, retained):
         retained = list(range(n))
         feeders = model.in_reach(n)
     Qt, pi_tilde = _collapsed_chain(model, retained, feeders, log_tail)
-    _check_stationary(pi_tilde.probs, Qt.matrix, Qt.max_rate(),
-                      "collapsed stationary")
+    _check_stationary(pi_tilde.probs, Qt, "collapsed stationary")
     return CollapsedModel(generator=Qt, pi_tilde=pi_tilde,
                           tail_index=len(retained), retained=tuple(retained))
 

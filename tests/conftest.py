@@ -60,8 +60,8 @@ def perturbed_tridiagonal_solver(monkeypatch):
     """Make the tridiagonal eigensolver return a non-eigenvector."""
     solve = _symeig._tridiagonal
 
-    def perturbed(A, v0, largest):
-        value, vector = solve(A, v0, largest)
+    def perturbed(A):
+        value, vector = solve(A)
         vector = vector.copy()
         vector[0] += 1e-3
         return value, vector

@@ -714,12 +714,32 @@ def test_refusals_exit_before_numpy_loads(argv):
 
 def test_birth_death_gap_leaves_out_csgraph_and_sparse_linalg():
     # a general chain's irreducibility check and the Lanczos solver import
-    # them when called; a birth-death gap needs neither, and loads NumPy
-    # only once the command runs
+    # them when called; a birth-death gap or sweep needs no SciPy at all,
+    # and loads NumPy only once the command runs
+    for argv in (["gap", "--bd", "2", "1", "10"],
+                 ["sweep", "--bd", "2", "1", "inf", "--sizes", "10,20"],
+                 ["gap", "--bd", "2", "1", "inf"]):
+        assert _modules_after_cli_import("numpy", "scipy", argv=argv) \
+            == "[False, False, True, False]"
+
+
+def test_birth_death_verify_loads_only_scipy_special():
+    # the confidence limit needs scipy.special; nothing on the way to the
+    # gap needs scipy.sparse or scipy.linalg
+    argv = ["verify", "--bd", "2", "1", "30", "--reps", "20"]
     assert _modules_after_cli_import(
-        "numpy", "scipy.sparse.csgraph", "scipy.sparse.linalg",
-        argv=["gap", "--bd", "2", "1", "10"]) \
+        "scipy.special", "scipy.sparse", "scipy.linalg", argv=argv) \
         == "[False, False, False, True, False, False]"
+
+
+def test_model_gap_still_loads_csgraph(tmp_path):
+    # a general chain's irreducibility check is SciPy's
+    model = tmp_path / "chain.json"
+    model.write_text(json.dumps({"n": 3, "rates": [[0, 1, 1.0], [1, 2, 1.0],
+                                                   [2, 0, 1.0]]}))
+    assert _modules_after_cli_import(
+        "scipy.sparse.csgraph", argv=["gap", "--model", str(model)]) \
+        == "[False, True]"
 
 
 def test_closed_stdout_exits_4_without_traceback():

@@ -691,6 +691,29 @@ def test_triplet_assembly_matches_plain_loop(case):
             assert getattr(got, part).dtype == getattr(ref, part).dtype
 
 
+@st.composite
+def _repeated_triplets(draw):
+    # off-diagonal rates, several on one cell, zeros included, at most 16
+    # in all: past 16 entries a row, SciPy's sort leaves repeats unordered
+    n = draw(st.integers(2, 6))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1),
+                      st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+    return n, [[i, (i + k) % n, r]
+               for i, k, r in draw(st.lists(cells, max_size=16))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_repeated_triplets())
+def test_repeated_triplets_add_as_scipy_adds_them(case):
+    # a collapsed chain routes several rates into one cell; they add in the
+    # order given, and the row sums add as SciPy's sum(axis=1) adds them
+    n, triplets = case
+    got = generator._assemble(n, np.array(triplets).reshape(-1, 3), None)
+    ref = _loop_from_rates(n, triplets)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.matrix, part), getattr(ref, part))
+
+
 def test_observable_roundtrip(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"values": [0.0, 0.0, 1.0], "range": [0, 1]}))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from ctmcgap import _symeig, generator, spectral
 from ctmcgap import (GeneratorMatrix, InvalidInputError,
@@ -13,6 +14,7 @@ from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      dirichlet_form, drift_certificate_check,
                      rayleigh_quotient, spectral_gap, stationary_distribution,
                      symmetrized_form, verify)
+from ctmcgap.cli import main
 from conftest import (THREE_STATE_GAP, THREE_STATE_PI, random_birth_death,
                       ring_with_chords)
 
@@ -213,8 +215,144 @@ def test_permuted_bd_gap_by_elimination_or_refusal():
         spectral_gap(permuted(2.0))
 
 
+@pytest.mark.parametrize("N", [1000, 10 ** 5, 10 ** 6])
+def test_symmetric_walk_gap_matches_closed_form(N):
+    # the gap 4 sin^2(pi / (2N + 2)), 9.9e-12 at 10^6 states, sits far
+    # below eps times the unit rates: the edge-chain test resolves it
+    rep = spectral_gap(build_birth_death(np.ones(N), np.ones(N)))
+    ref = bd_closed_form_gap(1.0, 1.0, N)
+    assert abs(rep.gap - ref) <= 1e-10 * ref
+    assert abs(ref - 4 * math.sin(math.pi / (2 * N + 2)) ** 2) <= 1e-15 * ref
+
+
+def test_three_well_gap_takes_the_edge_bisection(monkeypatch):
+    # two outer wells drain into a deeper middle one at nearly one rate:
+    # the gap, 2.5e-27 of the rates, and the next eigenvalue differ by
+    # 2.4e-4 of themselves, so only a vector from a bracket resolved
+    # relative to the gap converges; 40-digit reference from mpmath
+    i = np.arange(61)
+    V = -30 * np.cos(4 * np.pi * i / 60) - 9 * np.exp(-((i - 30) / 4) ** 2)
+    shifts = []
+    edges = _symeig._reduce_edges
+    monkeypatch.setattr(_symeig, "_reduce_edges",
+                        lambda x, *args: shifts.append(x) or edges(x, *args))
+    rep = spectral_gap(build_birth_death(np.exp(V[1:] - V[:-1]), np.ones(60)))
+    ref = 2.4984595533188913332e-27
+    assert abs(rep.gap - ref) <= 1e-10 * ref
+    assert max(shifts) > 0
+
+
+def _double_well(h, N=1000):
+    # down rates e^h on the left half, e^-h on the right: pi piles up at
+    # both ends, and a barrier of about e^(-h N / 2) parts them
+    x = np.linspace(-1, 1, N)
+    return build_birth_death(np.exp(np.where(x < 0, h, -h)), np.ones(N))
+
+
+def test_deep_double_well_gap():
+    # the gap, 4e-218, and the eigenfunction's differences, up to e^750,
+    # leave no room in double precision but in logs; reference from a
+    # 320-digit Sturm-count bisection
+    rep = spectral_gap(_double_well(1.0))
+    ref = 4.162373543768044101381e-218
+    assert abs(rep.gap - ref) <= 1e-10 * ref
+
+
+def test_gap_below_the_double_range_is_refused():
+    # about e^(-750): no double holds it, so no number
+    with pytest.raises(NumericalFailureError):
+        spectral_gap(_double_well(1.5))
+
+
+def _rounding_of_rayleigh_quotient(Q, p, f):
+    # how far the Rayleigh quotient of f can move when each entry of f is
+    # rounded to double precision: on a plateau of f the true differences
+    # lie below the rounding of its entries
+    c = f - p @ f
+    rates = Q.diagonal(1)
+    d = np.abs(np.diff(c))
+    e = np.finfo(float).eps * (np.abs(c[:-1]) + np.abs(c[1:]))
+    return 4 * float(np.sum(p[:-1] * rates * (2 * d + e) * e) / (p @ c ** 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([*range(1, 9), 60, 499, 500, 501, 502]),
+       st.integers(0, 2 ** 32 - 1))
+def test_bidiagonal_gap_matches_lapack(N, seed):
+    # rates log-uniform in [1e-3, 1e3]; LAPACK on -S is the reference, to
+    # within its own absolute accuracy.  Gaps far below eps times the
+    # largest rate are common here, and none is refused
+    rng = np.random.default_rng(seed)
+    down, up = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (2, N)))
+    Q = build_birth_death(down, up)
+    exits = np.append(up, 0.0) + np.insert(down, 0, 0.0)
+    ref = eigh_tridiagonal(exits, -np.sqrt(up * down), eigvals_only=True,
+                           select="i", select_range=(1, 1))[0]
+    rep = spectral_gap(Q)
+    assert rep.method == "tridiagonal" and rep.iterations == 0
+    assert abs(rep.gap - ref) <= 1e-12 * exits.max()
+    if N == 1:
+        assert rep.gap == up[0] + down[0]
+    if rep.eigenvector is not None:
+        p = stationary_distribution(Q).probs
+        f = rep.eigenvector
+        assert abs(rayleigh_quotient(Q, p, f) - rep.gap) <= (
+            1e-10 * rep.gap + _rounding_of_rayleigh_quotient(Q, p, f))
+
+
+def test_bd_gap_refuses_an_uncertified_lower_end(monkeypatch, capsys):
+    # positive-definiteness tests that never pass leave no certified lower
+    # end: exit 3, and no number
+    monkeypatch.setattr(_symeig, "_reduce", lambda *args: None)
+    monkeypatch.setattr(_symeig, "_reduce_edges", lambda *args: None)
+    assert main(["gap", "--bd", "2", "1", "30"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "positive-definiteness" in out.err
+
+
+def test_bd_gap_refuses_a_rayleigh_quotient_off_the_bracket(monkeypatch,
+                                                           capsys):
+    # a solve that returns its right-hand side gives a Rayleigh quotient
+    # far above the bracket; nothing certifies it
+    monkeypatch.setattr(_symeig, "_solve", lambda levels, last, y: y)
+    assert main(["gap", "--bd", "2", "1", "30"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "Rayleigh quotient" in out.err
+
+
+def test_small_bd_gap_does_not_rest_on_the_bisection(monkeypatch):
+    # tests that pass up to twice the gap leave the bisection at twice the
+    # gap; a gap below 1e-4 of the rates comes from the unshifted solves,
+    # bracketed by Collatz-Wielandt, and does not move
+    for name in ("_reduce", "_reduce_edges"):
+        test = getattr(_symeig, name)
+        monkeypatch.setattr(_symeig, name,
+                            lambda x, *args, test=test: test(x / 2, *args))
+    rep = spectral_gap(build_birth_death(np.ones(1000), np.ones(1000)))
+    ref = bd_closed_form_gap(1.0, 1.0, 1000)
+    assert abs(rep.gap - ref) <= 1e-10 * ref
+
+
+def test_small_bd_gap_refuses_an_unbracketed_value(monkeypatch, capsys):
+    # with no unshifted solve, nothing bounds a small gap from below
+    monkeypatch.setattr(_symeig, "_POLISH_STEPS", 0)
+    assert main(["gap", "--bd", "1", "1", "1000"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "Collatz-Wielandt" in out.err
+
+
 def test_bd_gap_rejects_inaccurate_eigenpair(perturbed_tridiagonal_solver):
     with pytest.raises(NumericalFailureError, match="residual"):
+        spectral_gap(build_birth_death([2.0] * 30, [1.0] * 30))
+
+
+def test_bd_gap_rejects_a_zero_eigenvector(monkeypatch):
+    # a zero vector has residual 0; an eigenvector that overflowed on its
+    # way to unit length used to come out as one
+    solve = _symeig._tridiagonal
+    monkeypatch.setattr(_symeig, "_tridiagonal",
+                        lambda A: (solve(A)[0], np.zeros(A.up.size + 1)))
+    with pytest.raises(NumericalFailureError, match="unit vector"):
         spectral_gap(build_birth_death([2.0] * 30, [1.0] * 30))
 
 
@@ -276,7 +414,7 @@ def test_reducible_chain_is_invalid_input(chain):
     # used to get a gap of about 1e-16 and no error
     Q, pi = chain()
     if pi is not None:
-        generator._check_stationary(pi, Q.matrix, Q.max_rate(), "stationary")
+        generator._check_stationary(pi, Q, "stationary")
     with pytest.raises(InvalidInputError, match="reducible"):
         stationary_distribution(Q)
     with pytest.raises(InvalidInputError, match="reducible"):
@@ -287,9 +425,9 @@ def test_one_band_scan_per_gap_and_verify(monkeypatch):
     scans = []
     scan = generator._band_rates
 
-    def counting(M):
-        scans.append(M.shape[0])
-        return scan(M)
+    def counting(Q):
+        scans.append(Q.n)
+        return scan(Q)
 
     monkeypatch.setattr(generator, "_band_rates", counting)
     spectral_gap(build_birth_death([2.0] * 40, [1.0] * 40))
