@@ -26,10 +26,9 @@ _EXPORTS = {
     "generator": ("GeneratorMatrix", "ObservableFunction",
                   "StationaryDistribution", "ValidationReport",
                   "additive_symmetrization", "build_birth_death",
-                  "build_three_state", "dual_generator", "is_reversible",
-                  "load_model", "load_observable", "parse_model",
-                  "parse_observable", "stationary_distribution",
-                  "validate_generator"),
+                  "build_three_state", "load_model", "load_observable",
+                  "parse_model", "parse_observable",
+                  "stationary_distribution", "validate_generator"),
     "simulate": ("TailEstimate", "TrajectorySample", "clopper_pearson_upper",
                  "sample_path", "substream", "tail_probability_mc"),
     "skeleton": ("DtmcGapReport", "SkeletonRow", "SkeletonTable",

@@ -28,7 +28,7 @@ from .errors import InvalidInputError, NumericalFailureError
 
 DEFAULT_SEED = 12345
 # Largest --bd N and sweep --sizes entry accepted.  Each state costs a few
-# hundred bytes across the build and the solve (282 MB peak at 10**6), so
+# hundred bytes across the build and the solve (233 MB peak at 10**6), so
 # larger sizes are refused before anything of that size is allocated.
 MAX_STATES = 10 ** 7
 

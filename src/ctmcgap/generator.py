@@ -1,5 +1,5 @@
 """Rate matrices of continuous-time Markov chains: construction, validation,
-stationary distributions, time reversal, and additive reversibilization.
+stationary distributions, and additive reversibilization.
 
 A rate matrix (generator) `Q` has nonnegative off-diagonal entries and zero
 row sums; `Q[i, j]` is the jump rate from state `i` to state `j`.  Matrices
@@ -24,7 +24,7 @@ DENSE_SOLVE_CUTOFF = 4096
 _GTH_PANEL = 64  # states eliminated per panel of the blocked solve
 
 # Relative to the largest exit rate (floored at 1): the stationarity residual
-# max|p Q|, and row sums, negative rates and detailed-balance defects.
+# max|p Q|, and row sums and negative rates.
 _STATIONARY_RTOL = 1e-10
 _RATE_RTOL = 1e-12
 _PROB_SUM_ATOL = 1e-12  # a probability vector sums to 1 within this
@@ -95,7 +95,6 @@ class GeneratorMatrix:
         self._labels = labels
         self._rows = None
         self._matrix = None
-        self._dense = None
         self._structure = None
 
     @classmethod
@@ -142,17 +141,11 @@ class GeneratorMatrix:
             self._rows = np.repeat(rows, np.diff(self._indptr))
         return self._rows
 
-    def _toarray(self):
-        """A new dense copy of the generator; repeated entries add."""
+    def to_dense(self):
+        """A new dense ndarray copy of the generator; repeated entries add."""
         dense = np.zeros((self.n, self.n))
         np.add.at(dense, (self._row_index(), self._indices), self._data)
         return dense
-
-    def to_dense(self):
-        """Dense ndarray view of the generator (cached; do not mutate)."""
-        if self._dense is None:
-            self._dense = self._toarray()
-        return self._dense
 
     def diagonal(self, k=0):
         """The `k`-th diagonal, ``Q[i, i + k]``, as an array of ``n - |k|``."""
@@ -702,7 +695,7 @@ def stationary_distribution(Q):
         if p is None:
             # an overflow leaves NaN or 0 in p, which the test below rejects
             with np.errstate(over="ignore", invalid="ignore"):
-                p = _gth_solve(Q._toarray())
+                p = _gth_solve(Q.to_dense())
             with np.errstate(divide="ignore", invalid="ignore"):
                 resid = float(np.max(np.abs(Q.vecmat(p))
                                      / (p * Q.exit_rates())))
@@ -732,57 +725,45 @@ def _as_law(pi, n):
         StationaryDistribution(p)
 
 
-def dual_generator(Q, pi):
-    """Time-reversed generator ``Qhat[i, j] = pi[j] Q[j, i] / pi[i]``.
+def _symmetric_part(M, log_pi):
+    """``(W + W.T) / 2`` with ``W[i, j] = M[i, j] exp((l[i] - l[j]) / 2)``.
 
-    The reversal has the same stationary distribution and the same exit
-    rates; its diagonal is recomputed so rows sum to zero exactly.
-
-    Raises
-    ------
-    InvalidInputError
-        If `pi` has a zero (or negative) entry.
-    NumericalFailureError
-        If `pi` is not stationary for the result within 1e-10 relative to
-        the largest exit rate of `Q`.
+    ``l = log_pi``.  A sparse `M` gives CSR, weighted at its stored
+    triplets; a dense `M` is weighted at its nonzero entries only.
     """
-    p = _as_probs(pi, Q.n)
-    if np.any(p <= 0):
-        raise InvalidInputError("time reversal needs strictly positive pi")
-    rows, cols, vals = Q.off_diagonal()
-    # entry Q[j, i] = v contributes Qhat[i, j] = pi[j] v / pi[i]
-    hat = np.column_stack([cols, rows, vals * p[rows] / p[cols]])
-    Qhat = _assemble(Q.n, hat, Q.labels)
-    _check_stationary(p, Qhat, "pi is not stationary for the reversal:")
-    return Qhat
+    if not isinstance(M, np.ndarray):
+        import scipy.sparse as sp
+
+        M = M.tocoo()
+        w = np.exp(0.5 * (log_pi[M.row] - log_pi[M.col]))
+        W = sp.csr_matrix((M.data * w, (M.row, M.col)), shape=M.shape)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = np.where(M != 0, M * np.exp(
+                0.5 * (log_pi[:, None] - log_pi[None, :])), 0.0)
+    return 0.5 * (W + W.T)
 
 
 def additive_symmetrization(Q, pi):
-    """Reversible generator ``(Q + Qhat) / 2`` with `Qhat` the time reversal.
+    """Additive reversibilization ``(Q + Qhat) / 2``, `Qhat` the time reversal
+    ``Qhat[i, j] = pi[j] Q[j, i] / pi[i]``; its gap is the gap of `Q`.
 
-    Detailed balance of the result with respect to `pi` is verified; the
-    spectral gap of the original chain is by definition the gap of this
-    reversibilization.
+    Off the diagonal ``Qbar[i, j] = S[i, j] exp((l[j] - l[i]) / 2)``, with
+    ``l = log pi`` and ``S = _symmetric_part(Q, l)`` the matrix the gap is
+    read from, so detailed balance holds by construction and entries of
+    `pi` below the double range do no harm; each diagonal entry is minus
+    its row sum.  A `pi` given as an array must be a strictly positive
+    probability vector (InvalidInputError), and `pi` must be stationary
+    for `Q` (NumericalFailureError).
     """
-    p = _as_probs(pi, Q.n)
-    Qhat = dual_generator(Q, p)
-    Qbar = GeneratorMatrix((Q.matrix + Qhat.matrix) * 0.5, labels=Q.labels)
-    if not is_reversible(Qbar, p):
-        raise NumericalFailureError(
-            "additive symmetrization failed detailed balance")
-    return Qbar
-
-
-def is_reversible(Q, pi):
-    """Detailed balance test: ``pi[i] Q[i, j] == pi[j] Q[j, i]`` for all pairs.
-
-    The comparison is within 1e-12 times the largest exit rate.
-    """
-    p = _as_probs(pi, Q.n)
-    F = Q.matrix.multiply(p[:, None])
-    asym = (F - F.T).tocoo()
-    worst = float(np.max(np.abs(asym.data))) if asym.nnz else 0.0
-    return worst <= _RATE_RTOL * max(Q.max_rate(), 1.0)
+    pi = _as_law(pi, Q.n)
+    _check_stationary(pi.probs, Q, "stationary")
+    log_pi = pi.log_probs
+    S = _symmetric_part(Q.matrix, log_pi).tocoo()
+    off = S.row != S.col
+    rows, cols = S.row[off], S.col[off]
+    vals = S.data[off] * np.exp(0.5 * (log_pi[cols] - log_pi[rows]))
+    return _assemble(Q.n, np.column_stack([rows, cols, vals]), Q.labels)
 
 
 def _birth_death_rates(death_rates, birth_rates, level=1):

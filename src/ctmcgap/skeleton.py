@@ -17,8 +17,9 @@ import numpy as np
 from ._report import Report
 from ._symeig import deflated_extremal
 from .errors import InvalidInputError, NumericalFailureError
-from .generator import DENSE_SOLVE_CUTOFF, _as_law, stationary_distribution
-from .spectral import _symmetric_part, spectral_gap
+from .generator import (DENSE_SOLVE_CUTOFF, _as_law, _symmetric_part,
+                        stationary_distribution)
+from .spectral import spectral_gap
 
 # exp(delta * q) overflows the uniformization weights past this point
 _MAX_UNIFORMIZATION_EXPONENT = 700.0

@@ -23,7 +23,8 @@ from ._symeig import BirthDeathForm, deflated_extremal
 from .errors import InvalidInputError
 from .generator import (_as_law, _as_probs, _birth_death_log_mu,
                         _birth_death_rates, _check_stationary,
-                        _irreducible_band, stationary_distribution)
+                        _irreducible_band, _symmetric_part,
+                        stationary_distribution)
 
 # drift inequalities may be exceeded by this much before they count as broken
 _DRIFT_SLACK = 1e-12
@@ -45,9 +46,11 @@ class SpectralReport(Report):
         Matrix-vector products spent by the iterative solver (0 for direct).
     eigenvector : ndarray or None
         Gap-achieving function `f` on states, normalized to unit pi-norm
-        with ``pi(f) = 0``; its Rayleigh quotient equals `gap`.  None when
-        some entry is not representable (``pi`` spans more than the
-        double range).
+        with ``pi(f) = 0``.  Its :func:`rayleigh_quotient` equals `gap`
+        only while the differences of its entries survive their rounding:
+        on a 1 000-state double well, where `f` is flat in each well, it
+        is off by 8e184 relative.  None when some entry is not
+        representable (``pi`` spans more than the double range).
     trivial_residual : float
         ``||(-S) v - (v . (-S) v) v||_2`` at ``v = sqrt(pi)``, a
         stationarity cross-check on the inputs.
@@ -70,25 +73,6 @@ class SpectralReport(Report):
         return {"gap": float(self.gap), "method": self.method,
                 "residual": float(self.residual),
                 "iterations": int(self.iterations)}
-
-
-def _symmetric_part(M, log_pi):
-    """``(W + W.T) / 2`` with ``W[i, j] = M[i, j] exp((l[i] - l[j]) / 2)``.
-
-    ``l = log_pi``.  A sparse `M` gives CSR, weighted at its stored
-    triplets; a dense `M` is weighted at its nonzero entries only.
-    """
-    if not isinstance(M, np.ndarray):
-        import scipy.sparse as sp
-
-        M = M.tocoo()
-        w = np.exp(0.5 * (log_pi[M.row] - log_pi[M.col]))
-        W = sp.csr_matrix((M.data * w, (M.row, M.col)), shape=M.shape)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            W = np.where(M != 0, M * np.exp(
-                0.5 * (log_pi[:, None] - log_pi[None, :])), 0.0)
-    return 0.5 * (W + W.T)
 
 
 def symmetrized_form(Q, pi):

@@ -4,17 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctmcgap import generator
 from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      NumericalFailureError, ObservableFunction,
                      StationaryDistribution, additive_symmetrization,
-                     build_birth_death, dual_generator, is_reversible,
-                     load_model, load_observable, parse_model,
-                     parse_observable, stationary_distribution,
-                     validate_generator)
+                     build_birth_death, load_model, load_observable,
+                     parse_model, parse_observable, spectral_gap,
+                     stationary_distribution, validate_generator)
 from conftest import (THREE_STATE_DUAL, THREE_STATE_PI, THREE_STATE_SYM,
                       random_birth_death, ring_with_chords)
 
@@ -503,35 +502,38 @@ def test_stationary_distribution_type_guards():
         StationaryDistribution([0.5, 0.6])
 
 
-# ----------------------------------------------------- reversal and symmetrics
+# ------------------------------------------------ additive reversibilization
 
 def test_dual_three_state(three_state):
-    Qhat = dual_generator(three_state, THREE_STATE_PI)
-    assert np.max(np.abs(Qhat.to_dense() - THREE_STATE_DUAL)) < 1e-12
-
-
-def test_dual_is_involution(three_state):
-    Qhat = dual_generator(three_state, THREE_STATE_PI)
-    back = dual_generator(Qhat, THREE_STATE_PI)
-    assert np.max(np.abs(back.to_dense() - three_state.to_dense())) < 1e-12
+    Qbar = additive_symmetrization(three_state, THREE_STATE_PI)
+    Qhat = 2.0 * Qbar.to_dense() - three_state.to_dense()  # time reversal
+    assert np.max(np.abs(Qhat - THREE_STATE_DUAL)) < 1e-12
 
 
 def test_dual_of_reversible_is_identity_map():
     Q = build_birth_death([2.0, 3.0], [1.0, 1.5])
     pi = stationary_distribution(Q)
-    Qhat = dual_generator(Q, pi)
-    assert np.max(np.abs(Qhat.to_dense() - Q.to_dense())) < 1e-14
+    Qbar = additive_symmetrization(Q, pi)
+    assert np.max(np.abs(Qbar.to_dense() - Q.to_dense())) < 1e-14
 
 
 def test_dual_rejects_zero_pi(three_state):
     with pytest.raises(InvalidInputError, match="positive"):
-        dual_generator(three_state, np.array([0.5, 0.5, 0.0]))
+        additive_symmetrization(three_state, np.array([0.5, 0.5, 0.0]))
+
+
+def test_symmetrization_rejects_a_law_that_is_not_stationary(three_state):
+    with pytest.raises(NumericalFailureError, match="stationary residual"):
+        additive_symmetrization(three_state, np.array([0.5, 0.25, 0.25]))
 
 
 def test_symmetrization_three_state(three_state):
     Qbar = additive_symmetrization(three_state, THREE_STATE_PI)
     assert np.max(np.abs(Qbar.to_dense() - THREE_STATE_SYM)) < 1e-12
-    assert is_reversible(Qbar, THREE_STATE_PI)
+    assert Qbar.labels == three_state.labels
+    # reversible: its own reversibilization
+    again = additive_symmetrization(Qbar, THREE_STATE_PI)
+    assert np.max(np.abs(again.to_dense() - Qbar.to_dense())) < 1e-12
 
 
 def test_symmetrization_preserves_stationary_law(three_state):
@@ -540,9 +542,46 @@ def test_symmetrization_preserves_stationary_law(three_state):
 
 
 def test_is_reversible(three_state):
-    assert not is_reversible(three_state, THREE_STATE_PI)
+    Qbar = additive_symmetrization(three_state, THREE_STATE_PI)
+    assert np.max(np.abs(Qbar.to_dense() - three_state.to_dense())) > 0.1
     Q = build_birth_death([1.0, 2.0, 0.5], [0.3, 0.7, 1.1])
-    assert is_reversible(Q, stationary_distribution(Q))
+    Qbar = additive_symmetrization(Q, stationary_distribution(Q))
+    assert np.max(np.abs(Qbar.to_dense() - Q.to_dense())) < 1e-14
+
+
+_BD_1500 = "(2, 1) birth-death chain at 1 500 levels"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 5, 40, 200, 700, "birth-death", _BD_1500]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(_BD_1500, False, 0)  # its pi underflows in 426 entries
+def test_additive_symmetrization_is_a_reversible_projection(kind, skewed,
+                                                            seed):
+    if kind == _BD_1500:
+        Q = build_birth_death([2.0] * 1500, [1.0] * 1500)
+    elif kind == "birth-death":
+        Q = build_birth_death(*random_birth_death(np.random.default_rng(seed)))
+    else:
+        Q = GeneratorMatrix(ring_with_chords(kind, skewed, seed))
+    pi = stationary_distribution(Q)
+    Qbar = additive_symmetrization(Q, pi)
+    scale = max(Q.max_rate(), 1.0)
+    dense = Qbar.to_dense()
+    assert np.max(np.abs(dense.sum(axis=1))) <= 1e-12 * scale
+    # detailed balance, pi[i] Qbar[i, j] = pi[j] Qbar[j, i], in logs
+    rows, cols, vals = Qbar.off_diagonal()
+    back = dense[cols, rows]
+    assert np.all(vals > 0) and np.all(back > 0)
+    log_pi = pi.log_probs
+    balance = (log_pi[rows] + np.log(vals)) - (log_pi[cols] + np.log(back))
+    assert np.max(np.abs(balance), initial=0.0) <= 1e-12
+    again = additive_symmetrization(Qbar, pi).to_dense()
+    np.testing.assert_allclose(again, dense, rtol=1e-12, atol=0.0)
+    if Q.structure()[0] is not None:  # birth-death chains are reversible
+        np.testing.assert_allclose(dense, Q.to_dense(), rtol=1e-12, atol=0.0)
+    want = spectral_gap(Q, pi).gap
+    assert abs(spectral_gap(Qbar, pi).gap - want) <= 1e-10 * want
 
 
 # -------------------------------------------------------------------- builders

@@ -1,11 +1,12 @@
 """Every import in the package modules is used, and so is every private
 top-level name; every public name resolves, on first use, to its module's
-object; and the modules a birth-death command runs import SciPy only
-inside the functions that call it."""
+object and has its row in the README; and the modules a birth-death
+command runs import SciPy only inside the functions that call it."""
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -177,3 +178,29 @@ def test_a_public_name_loads_its_module_on_first_access():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == "(False, False, True, True)"
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _public_name_rows(text):
+    """``(listed, removed)``: the names of the rows of the README's "Public
+    names" table, and the names its "Removed:" line gives."""
+    section = text.split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+    removed = section.split("\nRemoved:", 1)[1].split(".", 1)[0]
+    return listed, re.findall(r"`(\w+)`", removed)
+
+
+def test_readme_has_one_row_per_public_name():
+    listed, removed = _public_name_rows(README.read_text(encoding="utf-8"))
+    assert sorted(listed) == ctmcgap.__all__
+    assert removed and not set(removed) & set(dir(ctmcgap))
+
+
+def test_missing_public_name_row_is_caught():
+    text = ("Intro.\n\n## Public names\n\n| Name | Computes |\n"
+            "| ---- | ---- |\n| `spectral_gap` | the gap |\n\n"
+            "Removed: `old_name`. Text.\n"
+            "\n## Next\n| `not_listed` | x |\n")
+    assert _public_name_rows(text) == (["spectral_gap"], ["old_name"])

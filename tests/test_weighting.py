@@ -12,7 +12,7 @@ from ctmcgap import (GeneratorMatrix, NumericalFailureError, _symeig,
                      build_birth_death, rayleigh_quotient,
                      skeleton_gap_check, spectral_gap,
                      stationary_distribution)
-from ctmcgap.spectral import _symmetric_part
+from ctmcgap.generator import _symmetric_part
 from conftest import random_birth_death
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
