@@ -10,10 +10,10 @@ is the extremal eigenvalue of the orthogonal complement.
 This module owns the rules of that step: which solver runs by default
 (the bidiagonal solver for a birth-death chain given by its rates, dense
 for an ndarray and for a sparse matrix of up to `DENSE_CUTOFF` states,
-Lanczos beyond), how the dense solver drops the known vector (of the two
-eigenpairs at the sought end, the one along it), and the test every
-eigenpair must pass (residual at most 1e-10 times the largest entry of the
-matrix, floored at 1).
+Lanczos beyond; all three in NumPy), how the dense solver drops the known
+vector (of the two eigenpairs at the sought end, the one along it), and
+the test every eigenpair must pass (residual at most 1e-10 times the
+largest entry of the matrix, floored at 1).
 
 The bidiagonal solver uses NumPy alone, needs neither the known vector nor
 ``pi`` for the gap, and drops nothing.  A birth-death chain with up rates
@@ -46,6 +46,20 @@ the shift (`_reduce_edges`), and the result is certified the same way.
 For such a gap ``v`` is summed from the positive differences of ``v /
 sqrt(pi)`` (`_eigenvector`).  A gap that lies, or whose ``w`` has an
 entry that lies, outside the double range is refused.
+
+The Lanczos solver is a thick-restart (Krylov-Schur) Lanczos in NumPy
+(Wu & Simon 2000, SIAM J. Matrix Anal. Appl. 22; Stewart 2001, SIAM J.
+Matrix Anal. Appl. 23).  It runs on ``A`` plus a rank-one shift that
+sends the known vector's eigenvalue past the infinity norm, from a fixed
+Philox start vector orthogonal to it.  It builds a basis of `_KRYLOV_DIM`
+vectors, each orthogonalized twice against all before it, and takes the
+Ritz pairs of the projected matrix.  It stops when the Krylov estimate of
+the wanted pair's residual, ``beta |s_m|`` (``beta`` the last coupling,
+``s_m`` the last entry of the Ritz vector in the basis), is at most ``eps
+max(|theta|, eps^(2/3))``, ARPACK's test at ``tol=0``: unlike a residual
+formed from ``A``, it does not stall at ``eps |A|``.  Otherwise it
+restarts from the `_KEPT` Ritz vectors nearest the wanted end and the
+residual direction, at most ``max(1000, 50 n)`` times.
 """
 
 from __future__ import annotations
@@ -60,6 +74,12 @@ from .generator import DENSE_SOLVE_CUTOFF
 
 # Deterministic entropy for the Lanczos start vector.
 _START_SEED = 0x5CE17A
+# Thick-restart Lanczos: basis size, Ritz vectors kept across a restart,
+# and the restart budget, max(_MIN_RESTARTS, _RESTARTS_PER_STATE * n).
+_KRYLOV_DIM = 30
+_KEPT = 15
+_MIN_RESTARTS = 1000
+_RESTARTS_PER_STATE = 50
 DENSE_CUTOFF = 500      # "auto" takes the dense spectrum of sparse A up to this
 _RESIDUAL_RTOL = 1e-10  # accept ||A v - value v||_2 up to this * max|A| (>= 1)
 # The bidiagonal solver: the bisection stops at _BRACKET_RTOL relative
@@ -120,10 +140,10 @@ def _drop_known(w, V, v0):
 
 def _dense(A, v0, largest):
     if not isinstance(A, np.ndarray):
-        if A.shape[0] > DENSE_SOLVE_CUTOFF:
-            raise InvalidInputError(f"{A.shape[0]} states exceed the dense "
+        if A.n > DENSE_SOLVE_CUTOFF:
+            raise InvalidInputError(f"{A.n} states exceed the dense "
                                     f"cap of {DENSE_SOLVE_CUTOFF}")
-        A = A.toarray()
+        A = A.to_dense()
     w, V = np.linalg.eigh(A)
     end = slice(-2, None) if largest else slice(0, 2)
     return (*_drop_known(w[end], V[:, end], v0), w)
@@ -388,32 +408,57 @@ def _eigenvector(A, w, slow):
 
 
 def _lanczos(A, v0, largest):
-    import scipy.sparse.linalg as spla
+    """The extremal eigenpair of `A` off `v0` by thick-restart Lanczos.
 
+    Returns ``(value, vector, matvecs)``; see the module docstring.
+    """
     n = v0.size
-    maxiter = max(1000, 50 * n)
+    budget = max(_MIN_RESTARTS, _RESTARTS_PER_STATE * n)
     # push the known eigenvalue past the infinity norm with a rank-one shift
-    shift = 1.1 * float(np.max(abs(A).sum(axis=1))) + 1.0
+    shift = 1.1 * float(np.max(abs(A) @ np.ones(n))) + 1.0
     sign = -1.0 if largest else 1.0
-    counter = {"mv": 0}
-
-    def matvec(x):
-        counter["mv"] += 1
-        return A @ x + sign * shift * (v0 @ x) * v0
-
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    end = slice(None, None, -1) if largest else slice(None)  # wanted first
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_START_SEED)))
     start = rng.standard_normal(n)
     start -= (v0 @ start) * v0
-    start /= np.linalg.norm(start)
-    try:
-        w, V = spla.eigsh(op, k=1, which="LA" if largest else "SA",
-                          v0=start, maxiter=maxiter, tol=0.0)
-    except spla.ArpackNoConvergence as exc:
-        raise NumericalFailureError(
-            f"eigensolver did not converge within {maxiter} iterations",
-            residual=None) from exc
-    return float(w[0]), V[:, 0].copy(), counter["mv"]
+    m = min(_KRYLOV_DIM, n)
+    V = np.zeros((m + 1, n))  # the basis, one vector per row
+    V[0] = start / np.linalg.norm(start)
+    T = np.zeros((m, m))      # A projected on the basis
+    kept = matvecs = 0
+    for _ in range(budget):
+        size = m
+        for j in range(kept, m):
+            w = A @ V[j] + sign * shift * (v0 @ V[j]) * v0
+            matvecs += 1
+            for _ in range(2):  # orthogonalize against the whole basis, twice
+                h = V[:j + 1] @ w
+                w -= h @ V[:j + 1]
+                T[j, j] += h[j]
+            beta = float(np.linalg.norm(w))
+            if j + 1 == n or not beta > _EPS * shift:  # an invariant space
+                size, beta = j + 1, 0.0
+                break
+            V[j + 1] = w / beta
+            if j + 1 < m:
+                T[j, j + 1] = T[j + 1, j] = beta
+        theta, Y = np.linalg.eigh(T[:size, :size])
+        theta, Y = theta[end], Y[:, end]
+        # ARPACK's test at tol=0, on the Krylov estimate of the residual
+        if beta * abs(Y[-1, 0]) <= _EPS * max(abs(theta[0]), _EPS ** (2 / 3)):
+            vector = Y[:, 0] @ V[:size]
+            return float(theta[0]), vector / np.linalg.norm(vector), matvecs
+        # restart from the Ritz vectors nearest the wanted end and the
+        # residual direction: T becomes diagonal bordered by their couplings
+        kept = _KEPT
+        V[:kept] = Y[:, :kept].T @ V[:m]
+        V[kept] = V[m]
+        T[:] = 0.0
+        T[range(kept), range(kept)] = theta[:kept]
+        T[kept, :kept] = T[:kept, kept] = beta * Y[-1, :kept]
+    raise NumericalFailureError(
+        f"eigensolver did not converge within {budget} restarts "
+        f"({matvecs} matrix-vector products)", residual=None)
 
 
 def deflated_extremal(A, known_vector, largest, method="auto"):
@@ -421,7 +466,7 @@ def deflated_extremal(A, known_vector, largest, method="auto"):
 
     Parameters
     ----------
-    A : ndarray, sparse matrix or BirthDeathForm, symmetric
+    A : ndarray, generator._CSR or BirthDeathForm, symmetric
     known_vector : ndarray
         Unit vector spanning the eigenspace to exclude.
     largest : bool
@@ -429,8 +474,8 @@ def deflated_extremal(A, known_vector, largest, method="auto"):
     method : {"auto", "dense", "lanczos", "tridiagonal"}
         "dense" takes the full spectrum and drops, of the two eigenpairs
         at the sought end, the one along `known_vector`.  "lanczos"
-        applies a rank-one shift to the known direction and asks an
-        iterative solver for the extremal mode of the rest.
+        applies a rank-one shift to the known direction and runs the
+        thick-restart Lanczos of the module docstring on the rest.
         "tridiagonal" is the bidiagonal solver of the module docstring: it
         takes a `BirthDeathForm`, seeks the smallest eigenvalue, needs no
         deflation (its null vector is the known one), and certifies the
@@ -449,9 +494,9 @@ def deflated_extremal(A, known_vector, largest, method="auto"):
         When "dense" is asked of a sparse `A` above
         `generator.DENSE_SOLVE_CUTOFF` states, before it is copied.
     NumericalFailureError
-        On non-convergence, when the bidiagonal solver cannot certify its
-        value, or when the eigenpair residual exceeds 1e-10 times the
-        largest entry of `A` (floored at 1).
+        When Lanczos exhausts its restarts, when the bidiagonal solver
+        cannot certify its value, or when the eigenpair residual exceeds
+        1e-10 times the largest entry of `A` (floored at 1).
     """
     n = known_vector.size
     band = isinstance(A, BirthDeathForm)
@@ -464,7 +509,7 @@ def deflated_extremal(A, known_vector, largest, method="auto"):
     if band != (method == "tridiagonal") or band and largest:
         raise ValueError("the tridiagonal solver takes a BirthDeathForm and "
                          "seeks its smallest eigenvalue")
-    if method == "lanczos" and n < 4:  # ARPACK needs k < n-1
+    if method == "lanczos" and n < 4:  # too few states for a Krylov space
         method = "dense"
     v0 = known_vector / np.linalg.norm(known_vector)
     eigenvalues = None

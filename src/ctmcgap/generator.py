@@ -36,7 +36,81 @@ _ITERATION_CHECK = 10
 _ITERATION_RTOL = 1e-13
 
 
-class GeneratorMatrix:
+class _CSR:
+    """A square matrix in compressed sparse row form, held as NumPy arrays.
+
+    `_indptr`, `_indices` and `_data` are the CSR arrays, each row's
+    entries in ascending column order.  ``A @ x`` sums each row in stored
+    order, as SciPy's ``csr_matvec`` does, so its results are bit for bit
+    SciPy's.  The SciPy view ``matrix`` is built on first use, only for
+    callers that want a SciPy matrix.
+    """
+
+    def __init__(self, indptr, indices, data):
+        self._indptr, self._indices, self._data = indptr, indices, data
+        self._rows = None
+        self._matrix = None
+
+    @property
+    def n(self):
+        return self._indptr.size - 1
+
+    @property
+    def nnz(self):
+        return self._data.size
+
+    @property
+    def data(self):
+        """The stored entries (the array itself: writes change the matrix)."""
+        return self._data
+
+    @property
+    def matrix(self):
+        """The matrix as a SciPy CSR matrix (built once; do not mutate)."""
+        if self._matrix is None:
+            import scipy.sparse as sp
+
+            self._matrix = sp.csr_matrix(
+                (self._data, self._indices, self._indptr),
+                shape=(self.n, self.n))
+        return self._matrix
+
+    def _row_index(self):
+        """The row of every stored entry (cached)."""
+        if self._rows is None:
+            rows = np.arange(self.n, dtype=self._indices.dtype)
+            self._rows = np.repeat(rows, np.diff(self._indptr))
+        return self._rows
+
+    def to_dense(self):
+        """A new dense ndarray copy of the matrix; repeated entries add."""
+        dense = np.zeros((self.n, self.n))
+        np.add.at(dense, (self._row_index(), self._indices), self._data)
+        return dense
+
+    def off_diagonal(self):
+        """Off-diagonal entries as arrays ``(rows, cols, values)``."""
+        rows = self._row_index()
+        keep = rows != self._indices
+        return rows[keep], self._indices[keep], self._data[keep]
+
+    def __matmul__(self, x):
+        """``A @ x`` for a vector `x`, each row summed in stored order."""
+        return np.bincount(self._row_index(),
+                           weights=self._data * x[self._indices],
+                           minlength=self.n)
+
+    def vecmat(self, p):
+        """``p @ A``, each column summed in row order."""
+        return np.bincount(self._indices,
+                           weights=self._data * p[self._row_index()],
+                           minlength=self.n)
+
+    def __abs__(self):
+        return _CSR(self._indptr, self._indices, np.abs(self._data))
+
+
+class GeneratorMatrix(_CSR):
     """Rate matrix of a continuous-time Markov chain on `n` states.
 
     Parameters
@@ -91,10 +165,8 @@ class GeneratorMatrix:
             if len(labels) != n:
                 raise InvalidInputError(
                     f"{len(labels)} labels for {n} states")
-        self._indptr, self._indices, self._data = indptr, indices, data
+        super().__init__(indptr, indices, data)
         self._labels = labels
-        self._rows = None
-        self._matrix = None
         self._structure = None
 
     @classmethod
@@ -112,40 +184,8 @@ class GeneratorMatrix:
         return _assemble(n, _checked_triplets(n, rates), labels)
 
     @property
-    def n(self):
-        return self._indptr.size - 1
-
-    @property
-    def nnz(self):
-        return self._data.size
-
-    @property
-    def matrix(self):
-        """The generator as a SciPy CSR matrix (built once; do not mutate)."""
-        if self._matrix is None:
-            import scipy.sparse as sp
-
-            self._matrix = sp.csr_matrix(
-                (self._data, self._indices, self._indptr),
-                shape=(self.n, self.n))
-        return self._matrix
-
-    @property
     def labels(self):
         return self._labels
-
-    def _row_index(self):
-        """The row of every stored entry (cached)."""
-        if self._rows is None:
-            rows = np.arange(self.n, dtype=self._indices.dtype)
-            self._rows = np.repeat(rows, np.diff(self._indptr))
-        return self._rows
-
-    def to_dense(self):
-        """A new dense ndarray copy of the generator; repeated entries add."""
-        dense = np.zeros((self.n, self.n))
-        np.add.at(dense, (self._row_index(), self._indices), self._data)
-        return dense
 
     def diagonal(self, k=0):
         """The `k`-th diagonal, ``Q[i, i + k]``, as an array of ``n - |k|``."""
@@ -180,12 +220,6 @@ class GeneratorMatrix:
         rates = self.exit_rates()
         return float(rates.max()) if rates.size else 0.0
 
-    def off_diagonal(self):
-        """Off-diagonal entries as arrays ``(rows, cols, values)``."""
-        rows = self._row_index()
-        keep = rows != self._indices
-        return rows[keep], self._indices[keep], self._data[keep]
-
     def row_rates(self, i):
         """Jump targets and rates out of state `i` (strictly positive only)."""
         lo, hi = self._indptr[i], self._indptr[i + 1]
@@ -193,12 +227,6 @@ class GeneratorMatrix:
         vals = self._data[lo:hi]
         keep = (cols != i) & (vals > 0)
         return cols[keep], vals[keep]
-
-    def vecmat(self, p):
-        """``p @ Q``, each column summed in row order."""
-        return np.bincount(self._indices,
-                           weights=self._data * p[self._row_index()],
-                           minlength=self.n)
 
     def __repr__(self):
         return f"GeneratorMatrix(n={self.n}, nnz={self.nnz})"
@@ -406,16 +434,35 @@ class ValidationReport:
 
 
 def _strongly_connected(Q):
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
+    """Whether state 0 reaches every state along the edges of `Q`, and is
+    reached from every state: a search forward, then one backward."""
     # the edges are the strictly positive off-diagonal rates
     rows, cols, vals = Q.off_diagonal()
     keep = vals > 0
-    graph = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                          shape=(Q.n, Q.n))
-    count, _ = connected_components(graph, directed=True, connection="strong")
-    return count == 1
+    rows, cols = rows[keep], cols[keep]
+    back = np.argsort(cols, kind="stable")
+    return all(len(_bfs_order(_row_pointers(tails, Q.n), heads)) == Q.n
+               for tails, heads in ((rows, cols), (cols[back], rows[back])))
+
+
+def _bfs_order(indptr, indices):
+    """The states reached from state 0 along the edges ``i -> indices[k]``,
+    ``indptr[i] <= k < indptr[i + 1]``, in breadth-first order.
+
+    One pass over Python lists, O(n + nnz) however deep the graph: a
+    level-by-level NumPy search pays one round trip per level, which on a
+    relabelled path is one per state.
+    """
+    indptr, indices = indptr.tolist(), indices.tolist()
+    seen = [False] * (len(indptr) - 1)
+    seen[0] = True
+    order = [0]
+    for u in order:  # grows while it is read
+        for v in indices[indptr[u]:indptr[u + 1]]:
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+    return order
 
 
 def validate_generator(Q):
@@ -462,10 +509,11 @@ def _gth_solve(A):
     and columns outside it then follow as matrix products with the
     unit-triangular transforms ``(I - triu(B, 1)/s)^-1`` and
     ``(I - tril(B, -1)/s)^-1`` of the eliminated block `B` and its pivots
-    `s`, which are sums of powers of nonnegative matrices; the rows above
-    the panel and the trailing block are updated a strip of rows at a
-    time, so no temporary of the matrix's size is made.  Every update adds
-    products of nonnegative off-diagonal rates (the diagonal is never
+    `s`, which are sums of powers of nonnegative matrices, each formed as
+    a product of ``I + N^(2^j)`` (`_unit_triangular_inverse`); the rows
+    above the panel and the trailing block are updated a strip of rows at
+    a time, so no temporary of the matrix's size is made.  Every update
+    adds products of nonnegative off-diagonal rates (the diagonal is never
     read), so the method is subtraction-free and every entry keeps full
     relative accuracy even when the distribution spans hundreds of orders
     of magnitude.  The last panel is eliminated in `A` itself, so chains of
@@ -476,8 +524,6 @@ def _gth_solve(A):
     is not positive raises NumericalFailureError; for an irreducible chain
     it means that ``pi`` left the double range.
     """
-    from scipy.linalg.lapack import dtrtri
-
     n = A.shape[0]
     s = np.zeros(n)
     for hi in range(n, 1, -_GTH_PANEL):
@@ -501,9 +547,8 @@ def _gth_solve(A):
             break
         B, d = W[1:, 1:], s[lo:hi]
         A[lo:hi, lo:hi] = B
-        eye = np.eye(hi - lo)
-        U, _ = dtrtri(eye - np.triu(B, 1) / d)
-        L, _ = dtrtri(eye - np.tril(B, -1) / d[:, None], lower=1)
+        U = _unit_triangular_inverse(np.triu(B, 1) / d)
+        L = _unit_triangular_inverse(np.tril(B, -1) / d[:, None])
         X = (U / d[:, None]) @ A[lo:hi, :lo]  # panel rows, each over its pivot
         for i in range(0, lo, _GTH_PANEL):
             rows = slice(i, min(i + _GTH_PANEL, lo))
@@ -515,6 +560,20 @@ def _gth_solve(A):
     for k in range(1, n):
         x[k] = (x[:k] @ A[:k, k]) / s[k]
     return x / x.sum()
+
+
+def _unit_triangular_inverse(N):
+    """``(I - N)^-1`` of a strictly triangular `N` of size `p`.
+
+    ``N^p = 0``, so the inverse is ``sum_k N^k``, formed as the product of
+    ``I + N^(2^j)`` over ``2^j < p``: about ``2 log2 p`` matrix products,
+    and, for a nonnegative `N`, free of subtraction like the elimination.
+    """
+    inverse = np.eye(len(N)) + N
+    for _ in range((len(N) - 1).bit_length() - 1):
+        N = N @ N
+        inverse += inverse @ N
+    return inverse
 
 
 def _check_stationary(p, Q, what):
@@ -535,7 +594,7 @@ def _power_iteration_solve(Q, target):
     with one rate `q` for all states, a state leaving at ``q_j << q``
     barely moves per step, and its change falls below the rounding of
     ``pi_j`` once ``|(pi Q)_j| / (pi_j q_j)`` nears ``eps q / q_j``.  The
-    iteration runs on the scaled transpose in CSR, from the uniform law and
+    iteration runs on `Q`'s own CSR arrays, from the uniform law and
     from a fixed pseudo-random one side by side: on a nearly decomposable
     chain the componentwise residual reaches its floor while the mass of
     each cluster still holds its start's share, so only agreement of the
@@ -553,17 +612,19 @@ def _power_iteration_solve(Q, target):
     uniform law, normalized, the residual, and the largest relative
     difference between the two iterates over the entries of `pi`.
     """
-    import scipy.sparse as sp
-
     # a zero exit rate (a defective Q) or entry of pi gives inf or NaN
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        step = (sp.diags(1.0 / (1.05 * Q.exit_rates())) @ Q.matrix.T).tocsr()
-        pis = np.column_stack([np.ones(Q.n),
-                               np.random.default_rng(0).uniform(size=Q.n)])
+        scale = 1.0 / (1.05 * Q.exit_rates())
+
+        def step(pis):
+            return np.stack([Q.vecmat(p) for p in pis]) * scale
+
+        pis = np.stack([np.ones(Q.n),
+                        np.random.default_rng(0).uniform(size=Q.n)])
         history = []
         for steps in range(0, _ITERATION_BUDGET + 1, _ITERATION_CHECK):
-            pis /= pis.sum(axis=0)
-            y = step @ pis
+            pis /= pis.sum(axis=1, keepdims=True)
+            y = step(pis)
             resid = 1.05 * np.max(np.abs(y) / pis)
             history.append(resid)
             k = steps // _ITERATION_CHECK
@@ -574,11 +635,11 @@ def _power_iteration_solve(Q, target):
                 hopeless = not (resid <= target or resid
                                 * decay ** (left / (k - k // 2)) <= target)
                 if floor or hopeless or steps == _ITERATION_BUDGET:
-                    spread = np.max(np.abs(pis[:, 1] - pis[:, 0]) / pis[:, 0])
-                    return pis[:, 0].copy(), steps, float(resid), float(spread)
+                    spread = np.max(np.abs(pis[1] - pis[0]) / pis[0])
+                    return pis[0].copy(), steps, float(resid), float(spread)
             pis += y
             for _ in range(_ITERATION_CHECK - 1):
-                pis += step @ pis
+                pis += step(pis)
 
 
 def _band_rates(Q):
@@ -728,20 +789,26 @@ def _as_law(pi, n):
 def _symmetric_part(M, log_pi):
     """``(W + W.T) / 2`` with ``W[i, j] = M[i, j] exp((l[i] - l[j]) / 2)``.
 
-    ``l = log_pi``.  A sparse `M` gives CSR, weighted at its stored
-    triplets; a dense `M` is weighted at its nonzero entries only.
+    ``l = log_pi``.  A CSR `M` (a `GeneratorMatrix`) gives a `_CSR`,
+    weighted at its stored entries: each pair ``W[i, j] + W[j, i]`` is
+    added once, and a sum of 0 is not stored.  A dense `M` is weighted at
+    its nonzero entries only.
     """
-    if not isinstance(M, np.ndarray):
-        import scipy.sparse as sp
-
-        M = M.tocoo()
-        w = np.exp(0.5 * (log_pi[M.row] - log_pi[M.col]))
-        W = sp.csr_matrix((M.data * w, (M.row, M.col)), shape=M.shape)
-    else:
+    if isinstance(M, np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
             W = np.where(M != 0, M * np.exp(
                 0.5 * (log_pi[:, None] - log_pi[None, :])), 0.0)
-    return 0.5 * (W + W.T)
+        return 0.5 * (W + W.T)
+    # cell numbers i n + j pass int32 from n = 46 341 states
+    n = M.n
+    rows, cols = M._row_index().astype(np.int64), M._indices.astype(np.int64)
+    W = M._data * np.exp(0.5 * (log_pi[rows] - log_pi[cols]))
+    cells, at = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
+                          return_inverse=True)
+    sums = np.bincount(at, weights=np.concatenate([W, W]))
+    keep = sums != 0
+    cells = cells[keep]
+    return _CSR(_row_pointers(cells // n, n), cells % n, 0.5 * sums[keep])
 
 
 def additive_symmetrization(Q, pi):
@@ -759,10 +826,8 @@ def additive_symmetrization(Q, pi):
     pi = _as_law(pi, Q.n)
     _check_stationary(pi.probs, Q, "stationary")
     log_pi = pi.log_probs
-    S = _symmetric_part(Q.matrix, log_pi).tocoo()
-    off = S.row != S.col
-    rows, cols = S.row[off], S.col[off]
-    vals = S.data[off] * np.exp(0.5 * (log_pi[cols] - log_pi[rows]))
+    rows, cols, vals = _symmetric_part(Q, log_pi).off_diagonal()
+    vals = vals * np.exp(0.5 * (log_pi[cols] - log_pi[rows]))
     return _assemble(Q.n, np.column_stack([rows, cols, vals]), Q.labels)
 
 
@@ -793,16 +858,24 @@ def build_birth_death(death_rates, birth_rates, labels=None):
     """
     a, b = _birth_death_rates(death_rates, birth_rates)
     exit_rates = np.append(b, 0.0) + np.insert(a, 0, 0.0)
-    n = exit_rates.size
-    # rows of (Q[i, i-1], Q[i, i], Q[i, i+1]), less the two outside the matrix
-    data = np.column_stack([np.insert(a, 0, 0.0), -exit_rates,
-                            np.append(b, 0.0)]).ravel()[1:-1]
+    return GeneratorMatrix._from_csr(*_tridiagonal_csr(a, -exit_rates, b),
+                                     labels)
+
+
+def _tridiagonal_csr(below, diag, above):
+    """CSR arrays ``(indptr, indices, data)`` of the tridiagonal matrix with
+    ``M[i + 1, i] = below[i]``, ``M[i, i] = diag[i]``, ``M[i, i + 1] =
+    above[i]``, every entry stored."""
+    n = diag.size
+    # rows of (M[i, i-1], M[i, i], M[i, i+1]), less the two outside the matrix
+    data = np.column_stack([np.insert(below, 0, 0.0), diag,
+                            np.append(above, 0.0)]).ravel()[1:-1]
     index = np.int32 if 3 * n < 2 ** 31 else np.intp  # as SciPy picks
     cols = np.repeat(np.arange(n, dtype=index), 3)
     cols[0::3] -= 1
     cols[2::3] += 1
     indptr = np.clip(3 * np.arange(n + 1, dtype=index) - 1, 0, 3 * n - 2)
-    return GeneratorMatrix._from_csr(indptr, cols[1:-1], data, labels)
+    return indptr, cols[1:-1], data
 
 
 def build_three_state():

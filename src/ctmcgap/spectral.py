@@ -21,9 +21,9 @@ import numpy as np
 from ._report import Report
 from ._symeig import BirthDeathForm, deflated_extremal
 from .errors import InvalidInputError
-from .generator import (_as_law, _as_probs, _birth_death_log_mu,
+from .generator import (_CSR, _as_law, _as_probs, _birth_death_log_mu,
                         _birth_death_rates, _check_stationary,
-                        _irreducible_band, _symmetric_part,
+                        _irreducible_band, _symmetric_part, _tridiagonal_csr,
                         stationary_distribution)
 
 # drift inequalities may be exceeded by this much before they count as broken
@@ -87,20 +87,24 @@ def symmetrized_form(Q, pi):
     alone.  Either way entries of `pi` that underflow to 0 are harmless,
     and `pi` must be stationary for `Q` (NumericalFailureError otherwise).
 
-    :func:`spectral_gap` forms ``S`` here for the dense and Lanczos
-    solvers; its default route for a birth-death chain, the bidiagonal
-    solver, needs no ``S``.
+    :func:`spectral_gap` forms the same ``S``, held in NumPy, for the
+    dense and Lanczos solvers; its default route for a birth-death chain,
+    the bidiagonal solver, needs no ``S``.
     """
+    S, sq = _symmetrized(Q, pi)
+    return S.matrix, sq
+
+
+def _symmetrized(Q, pi):
+    """``(S, sqrt(pi))`` of :func:`symmetrized_form`, `S` a NumPy `_CSR`."""
     pi = _as_law(pi, Q.n)
     _check_stationary(pi.probs, Q, "stationary")
     band = Q.structure()[0]
     if band is None:
-        S = _symmetric_part(Q.matrix, pi.log_probs)
+        S = _symmetric_part(Q, pi.log_probs)
     else:
-        import scipy.sparse as sp
-
         A = BirthDeathForm(*band)  # -S
-        S = sp.diags([-A.off, -A.diag, -A.off], [-1, 0, 1], format="csr")
+        S = _CSR(*_tridiagonal_csr(-A.off, -A.diag, -A.off))
     return S, np.sqrt(pi.probs)
 
 
@@ -149,8 +153,8 @@ def spectral_gap(Q, pi=None, method="auto"):
         A = BirthDeathForm(*band, log_pi=pi.log_probs)
         sq = np.sqrt(pi.probs)
     else:
-        A, sq = symmetrized_form(Q, pi)
-        A.data *= -1  # in place
+        A, sq = _symmetrized(Q, pi)
+        np.negative(A.data, out=A.data)
     result, used = deflated_extremal(A, sq, largest=False, method=method)
     # map the symmetric-space eigenvector back to a function on states
     with np.errstate(over="ignore", invalid="ignore"):
@@ -331,7 +335,7 @@ def drift_certificate_check(Q, V, beta, excluded_state):
     j = int(excluded_state)
     if not 0 <= j < Q.n:
         raise InvalidInputError(f"excluded state {j} out of range")
-    drift = Q.matrix @ V
+    drift = Q @ V
     excess = drift + beta * V
     violations = [(int(i), float(excess[i]))
                   for i in range(Q.n)

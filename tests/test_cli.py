@@ -16,7 +16,7 @@ from ctmcgap import (SpectralReport, bd_closed_form_gap, build_birth_death,
                      verify)
 from ctmcgap.cli import main
 from ctmcgap.generator import DENSE_SOLVE_CUTOFF
-from conftest import THREE_STATE_GAP
+from conftest import THREE_STATE_GAP, ring_with_chords
 
 
 def run(capsys, argv):
@@ -732,14 +732,23 @@ def test_birth_death_verify_loads_only_scipy_special():
         == "[False, False, False, True, False, False]"
 
 
-def test_model_gap_still_loads_csgraph(tmp_path):
-    # a general chain's irreducibility check is SciPy's
+@pytest.mark.parametrize("argv", [
+    ["gap", "--model", "MODEL"],
+    ["skeleton", "--model", "MODEL"],
+    ["gap", "--example", "three-state"],
+    ["gap", "--bd", "2", "1", "100", "--method", "lanczos"],
+], ids=["gap-model", "skeleton-model", "gap-example", "gap-bd-lanczos"])
+def test_general_chain_commands_load_no_scipy(tmp_path, argv):
+    # irreducibility, pi, S and both eigensolvers are NumPy: the model's pi
+    # takes the blocked elimination, the bd chain the Lanczos solver.  Any
+    # scipy.* module would load the scipy package first.
+    Q = ring_with_chords(300, False, 3)
+    i, j = np.nonzero(Q - np.diag(np.diag(Q)))
     model = tmp_path / "chain.json"
-    model.write_text(json.dumps({"n": 3, "rates": [[0, 1, 1.0], [1, 2, 1.0],
-                                                   [2, 0, 1.0]]}))
-    assert _modules_after_cli_import(
-        "scipy.sparse.csgraph", argv=["gap", "--model", str(model)]) \
-        == "[False, True]"
+    model.write_text(json.dumps(
+        {"n": 300, "rates": np.column_stack([i, j, Q[i, j]]).tolist()}))
+    argv = [str(model) if a == "MODEL" else a for a in argv]
+    assert _modules_after_cli_import("scipy", argv=argv) == "[False, False]"
 
 
 def test_closed_stdout_exits_4_without_traceback():

@@ -168,18 +168,60 @@ _PATTERNS = st.integers(1, 7).flatmap(lambda n: st.lists(
     min_size=n * n, max_size=n * n))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_PATTERNS)
-def test_strong_connectivity_matches_reference_dfs(slots):
+def _pattern_matrix(slots):
     n = int(round(len(slots) ** 0.5))
     stored = [(k // n, k % n, v) for k, v in enumerate(slots)
               if v is not None and k // n != k % n]
     rows, cols, vals = zip(*stored) if stored else ((), (), ())
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     assert matrix.nnz == len(stored)  # explicit zeros stay stored
+    return matrix
+
+
+@st.composite
+def _relabelled_graphs(draw):
+    # a path walked both ways, or a ring with n chords, on 2-300 states in
+    # a random order, so that no band is left; one edge may be dropped
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    i = np.arange(n)
+    if draw(st.booleans()):
+        rows, cols = np.r_[i[:-1], i[1:]], np.r_[i[1:], i[:-1]]
+    else:
+        rows = np.r_[i, rng.integers(0, n, n)]
+        cols = np.r_[(i + 1) % n, rng.integers(0, n, n)]
+        keep = rows != cols
+        rows, cols = rows[keep], cols[keep]
+    if draw(st.booleans()):
+        k = int(rng.integers(rows.size))
+        rows, cols = np.delete(rows, k), np.delete(cols, k)
+    order = rng.permutation(n)
+    return sp.csr_matrix((rng.uniform(0.5, 2.0, rows.size),
+                          (order[rows], order[cols])), shape=(n, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_PATTERNS.map(_pattern_matrix), _relabelled_graphs()))
+def test_strong_connectivity_matches_reference_dfs(matrix):
+    from scipy.sparse.csgraph import connected_components
+
     Q = GeneratorMatrix(matrix)
-    assert (validate_generator(Q).strongly_connected
-            == _reference_strongly_connected(Q.matrix))
+    expected = _reference_strongly_connected(Q.matrix)
+    rows, cols, vals = Q.off_diagonal()
+    keep = vals > 0  # csgraph takes every stored entry for an edge
+    edges = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                          shape=(Q.n, Q.n))
+    count, _ = connected_components(edges, directed=True, connection="strong")
+    assert (count == 1) == expected
+    assert validate_generator(Q).strongly_connected == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 200), st.integers(0, 2 ** 32 - 1))
+def test_matvec_adds_each_row_as_scipy_does(n, seed):
+    Q = GeneratorMatrix(ring_with_chords(n, False, seed))
+    x = np.random.default_rng(seed).standard_normal(n)
+    assert np.array_equal(Q @ x, Q.matrix @ x)
 
 
 # ---------------------------------------------------------------- stationarity
@@ -550,6 +592,17 @@ def test_is_reversible(three_state):
 
 
 _BD_1500 = "(2, 1) birth-death chain at 1 500 levels"
+
+
+def test_additive_symmetrization_of_a_chain_past_int32_cells():
+    # the chain's indices are int32, while its cell numbers i n + j pass
+    # 2^31; a birth-death chain is its own reversibilization
+    rates = np.random.default_rng(3).uniform(0.5, 2.0, (2, 50_000))
+    Q = build_birth_death(*rates)
+    Qbar = additive_symmetrization(Q, stationary_distribution(Q))
+    (rows, cols, vals), (r, c, v) = Qbar.off_diagonal(), Q.off_diagonal()
+    assert np.array_equal(rows, r) and np.array_equal(cols, c)
+    np.testing.assert_allclose(vals, v, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -67,7 +67,8 @@ def _scipy_at_import(source):
 
 
 @pytest.mark.parametrize("name", ["generator", "spectral", "_symeig",
-                                  "truncation", "simulate", "bounds"])
+                                  "truncation", "simulate", "bounds",
+                                  "skeleton"])
 def test_birth_death_modules_import_no_scipy(name):
     path = pathlib.Path(ctmcgap.__file__).parent / f"{name}.py"
     assert _scipy_at_import(path.read_text(encoding="utf-8")) == []

@@ -15,6 +15,7 @@ from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      rayleigh_quotient, spectral_gap, stationary_distribution,
                      symmetrized_form, verify)
 from ctmcgap.cli import main
+from ctmcgap.skeleton import transition_matrix_exp
 from conftest import (THREE_STATE_GAP, THREE_STATE_PI, random_birth_death,
                       ring_with_chords)
 
@@ -53,6 +54,40 @@ def test_gap_dense_vs_lanczos():
     lanczos = spectral_gap(Q, pi, method="lanczos")
     assert lanczos.method == "lanczos" and lanczos.iterations > 0
     assert abs(dense.gap - lanczos.gap) < 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(20, 600), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_lanczos_matches_dense_on_general_chains(n, seed, largest):
+    # the CTMC gap is the least eigenvalue of -S off sqrt(pi); a skeleton's
+    # lambda_P is the largest of its kernel's T off sqrt(pi)
+    Q = GeneratorMatrix(ring_with_chords(n, False, seed))
+    pi = stationary_distribution(Q)
+    if largest:
+        P = transition_matrix_exp(Q, 0.05)
+        A = generator._symmetric_part(P.matrix, pi.log_probs)
+    else:
+        A, _ = spectral._symmetrized(Q, pi)
+        np.negative(A.data, out=A.data)
+    sq = np.sqrt(pi.probs)
+    dense, _ = _symeig.deflated_extremal(A, sq, largest, method="dense")
+    lanczos, used = _symeig.deflated_extremal(A, sq, largest,
+                                              method="lanczos")
+    assert used == "lanczos" and lanczos.iterations > 0
+    assert abs(lanczos.value - dense.value) <= 1e-12 * abs(dense.value)
+
+
+def test_lanczos_out_of_restarts_is_a_numerical_failure(monkeypatch, capsys):
+    # one restart of the basis is far too few for this chain
+    monkeypatch.setattr(_symeig, "_MIN_RESTARTS", 1)
+    monkeypatch.setattr(_symeig, "_RESTARTS_PER_STATE", 0)
+    Q = build_birth_death([2.0] * 100, [1.0] * 100)
+    with pytest.raises(NumericalFailureError,
+                       match="did not converge within 1 restarts"):
+        spectral_gap(Q, method="lanczos")
+    assert main(["gap", "--bd", "2", "1", "100", "--method", "lanczos"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "did not converge" in err
 
 
 def test_gap_matches_symmetrized_chain(three_state):
