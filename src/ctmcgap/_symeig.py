@@ -7,13 +7,12 @@ a weighted kernel) reduce to this: the known vector is the square-root
 weight vector, whose eigenvalue is trivial, and the quantity of interest
 is the extremal eigenvalue of the orthogonal complement.
 
-This module owns the rules of that step: which solver runs by default
-(the bidiagonal solver for a birth-death chain given by its rates, dense
-for an ndarray and for a sparse matrix of up to `DENSE_CUTOFF` states,
-Lanczos beyond; all three in NumPy), how the dense solver drops the known
-vector (of the two eigenpairs at the sought end, the one along it), and
-the test every eigenpair must pass (residual at most 1e-10 times the
-largest entry of the matrix, floored at 1).
+This module solves; the caller picks the solver (the size rules live in
+`generator`).  It owns the three solvers, all in NumPy (bidiagonal, dense
+and Lanczos), how the dense solver drops the known vector (of the two
+eigenpairs at the sought end, the one along it), and the test every
+eigenpair must pass (residual at most 1e-10 times the largest entry of
+the matrix, floored at 1).
 
 The bidiagonal solver uses NumPy alone, needs neither the known vector nor
 ``pi`` for the gap, and drops nothing.  A birth-death chain with up rates
@@ -69,8 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
-from .generator import DENSE_SOLVE_CUTOFF
+from .errors import NumericalFailureError
 
 # Deterministic entropy for the Lanczos start vector.
 _START_SEED = 0x5CE17A
@@ -80,7 +78,6 @@ _KRYLOV_DIM = 30
 _KEPT = 15
 _MIN_RESTARTS = 1000
 _RESTARTS_PER_STATE = 50
-DENSE_CUTOFF = 500      # "auto" takes the dense spectrum of sparse A up to this
 _RESIDUAL_RTOL = 1e-10  # accept ||A v - value v||_2 up to this * max|A| (>= 1)
 # The bidiagonal solver: the bisection stops at _BRACKET_RTOL relative
 # width; the gap is certified to _CERTIFIED_RTOL; inverse iteration takes
@@ -139,12 +136,7 @@ def _drop_known(w, V, v0):
 
 
 def _dense(A, v0, largest):
-    if not isinstance(A, np.ndarray):
-        if A.n > DENSE_SOLVE_CUTOFF:
-            raise InvalidInputError(f"{A.n} states exceed the dense "
-                                    f"cap of {DENSE_SOLVE_CUTOFF}")
-        A = A.to_dense()
-    w, V = np.linalg.eigh(A)
+    w, V = np.linalg.eigh(A if isinstance(A, np.ndarray) else A.to_dense())
     end = slice(-2, None) if largest else slice(0, 2)
     return (*_drop_known(w[end], V[:, end], v0), w)
 
@@ -461,7 +453,7 @@ def _lanczos(A, v0, largest):
         f"({matvecs} matrix-vector products)", residual=None)
 
 
-def deflated_extremal(A, known_vector, largest, method="auto"):
+def deflated_extremal(A, known_vector, largest, method):
     """Extremal eigenvalue of symmetric `A` ignoring one known eigenvector.
 
     Parameters
@@ -471,17 +463,16 @@ def deflated_extremal(A, known_vector, largest, method="auto"):
         Unit vector spanning the eigenspace to exclude.
     largest : bool
         Seek the largest remaining eigenvalue (else the smallest).
-    method : {"auto", "dense", "lanczos", "tridiagonal"}
-        "dense" takes the full spectrum and drops, of the two eigenpairs
-        at the sought end, the one along `known_vector`.  "lanczos"
-        applies a rank-one shift to the known direction and runs the
-        thick-restart Lanczos of the module docstring on the rest.
+    method : {"dense", "lanczos", "tridiagonal"}
+        The solver, run as given (Lanczos on fewer than 4 states runs
+        dense).  "dense" takes the full spectrum and drops, of the two
+        eigenpairs at the sought end, the one along `known_vector`.
+        "lanczos" applies a rank-one shift to the known direction and runs
+        the thick-restart Lanczos of the module docstring on the rest.
         "tridiagonal" is the bidiagonal solver of the module docstring: it
         takes a `BirthDeathForm`, seeks the smallest eigenvalue, needs no
         deflation (its null vector is the known one), and certifies the
-        value to 1e-10 relative or refuses it.  "auto" is
-        "tridiagonal" for a `BirthDeathForm`, dense for an ndarray and for
-        a sparse `A` of up to `DENSE_CUTOFF` states, Lanczos beyond.
+        value to 1e-10 relative or refuses it.
 
     Returns
     -------
@@ -491,8 +482,9 @@ def deflated_extremal(A, known_vector, largest, method="auto"):
     Raises
     ------
     InvalidInputError
-        When "dense" is asked of a sparse `A` above
-        `generator.DENSE_SOLVE_CUTOFF` states, before it is copied.
+        When "dense" is asked of a sparse `A` that its `to_dense` refuses.
+    ValueError
+        On an unknown method, or "tridiagonal" misused.
     NumericalFailureError
         When Lanczos exhausts its restarts, when the bidiagonal solver
         cannot certify its value, or when the eigenpair residual exceeds
@@ -500,10 +492,6 @@ def deflated_extremal(A, known_vector, largest, method="auto"):
     """
     n = known_vector.size
     band = isinstance(A, BirthDeathForm)
-    if method == "auto":
-        method = ("tridiagonal" if band else "dense"
-                  if isinstance(A, np.ndarray) or n <= DENSE_CUTOFF
-                  else "lanczos")
     if method not in ("dense", "lanczos", "tridiagonal"):
         raise ValueError(f"unknown eigensolver method {method!r}")
     if band != (method == "tridiagonal") or band and largest:

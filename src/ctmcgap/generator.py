@@ -18,9 +18,12 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 
-# Largest chain, not birth-death, whose stationary solve may fall back on
-# elimination; its dense copy then takes 128 MB and a few seconds.
+# The size rules, here alone.  `to_dense` refuses more states than
+# DENSE_SOLVE_CUTOFF (128 MB): no elimination, dense spectrum or skeleton
+# beyond.  `spectral_gap` takes a general chain's dense spectrum up to
+# DENSE_GAP_CUTOFF states and Lanczos beyond.
 DENSE_SOLVE_CUTOFF = 4096
+DENSE_GAP_CUTOFF = 500
 _GTH_PANEL = 64  # states eliminated per panel of the blocked solve
 
 # Relative to the largest exit rate (floored at 1): the stationarity residual
@@ -83,7 +86,11 @@ class _CSR:
         return self._rows
 
     def to_dense(self):
-        """A new dense ndarray copy of the matrix; repeated entries add."""
+        """A new dense ndarray copy of the matrix; repeated entries add.
+        Refused (InvalidInputError) above `DENSE_SOLVE_CUTOFF` states."""
+        if self.n > DENSE_SOLVE_CUTOFF:
+            raise InvalidInputError(f"{self.n} states exceed the dense cap "
+                                    f"of {DENSE_SOLVE_CUTOFF}")
         dense = np.zeros((self.n, self.n))
         np.add.at(dense, (self._row_index(), self._indices), self._data)
         return dense

@@ -17,8 +17,7 @@ import numpy as np
 from ._report import Report
 from ._symeig import deflated_extremal
 from .errors import InvalidInputError, NumericalFailureError
-from .generator import (DENSE_SOLVE_CUTOFF, _as_law, _symmetric_part,
-                        stationary_distribution)
+from .generator import _as_law, _symmetric_part, stationary_distribution
 from .spectral import spectral_gap
 
 # exp(delta * q) overflows the uniformization weights past this point
@@ -77,8 +76,8 @@ def transition_matrix_exp(Q, delta):
     Raises
     ------
     InvalidInputError
-        When `delta` is not finite and positive, or `Q` has more than
-        `generator.DENSE_SOLVE_CUTOFF` states (the result is dense).
+        When `delta` is not finite and positive, or `Q.to_dense` refuses `Q`
+        (the result is dense), before any n x n array exists.
     NumericalFailureError
         When ``delta * q`` is too large for the Poisson weights (> 700);
         split the interval instead.
@@ -91,20 +90,16 @@ def _transition_matrices(Q, deltas):
     taken from one shared sequence of powers of the kernel."""
     if not all(0 < d < math.inf for d in deltas):
         raise InvalidInputError("delta must be finite and positive")
-    n = Q.n
-    if n > DENSE_SOLVE_CUTOFF:
-        raise InvalidInputError(f"{n} states exceed the dense cap of "
-                                f"{DENSE_SOLVE_CUTOFF} for exp(delta Q)")
-    q = Q.max_rate()
-    if q == 0.0:
-        return [StochasticMatrix(np.eye(n)) for _ in deltas]
+    kernel = Q.to_dense()  # the first n x n array, refused above the cap
+    n, q = Q.n, Q.max_rate()
     xs = [float(d) * q for d in deltas]
     if max(xs) > _MAX_UNIFORMIZATION_EXPONENT:
         raise NumericalFailureError(
             f"delta * max_rate = {max(xs):.3e} too large for uniformization; "
             "use a smaller delta")
     weights = [_poisson_weights(x) for x in xs]
-    kernel = np.eye(n) + Q.to_dense() / q
+    kernel /= q or 1.0  # I + Q/q, in place; Q = 0 leaves I
+    kernel.flat[::n + 1] += 1.0
     outs = [w[0] * np.eye(n) for w in weights]
     power = np.eye(n)
     for m in range(1, max(map(len, weights))):
@@ -177,7 +172,8 @@ def dtmc_spectral_gap(P, pi):
         return DtmcGapReport(lambda_P=0.0, gap=1.0, method="dense",
                              residual=0.0)
     T = _symmetric_part(P.matrix, pi.log_probs)
-    result, used = deflated_extremal(T, np.sqrt(pi.probs), largest=True)
+    result, used = deflated_extremal(T, np.sqrt(pi.probs), largest=True,
+                                     method="dense")
     lam = result.value
     if lam > 1.0 + 1e-12:
         raise NumericalFailureError(

@@ -21,10 +21,10 @@ import numpy as np
 from ._report import Report
 from ._symeig import BirthDeathForm, deflated_extremal
 from .errors import InvalidInputError
-from .generator import (_CSR, _as_law, _as_probs, _birth_death_log_mu,
-                        _birth_death_rates, _check_stationary,
-                        _irreducible_band, _symmetric_part, _tridiagonal_csr,
-                        stationary_distribution)
+from .generator import (DENSE_GAP_CUTOFF, _CSR, _as_law, _as_probs,
+                        _birth_death_log_mu, _birth_death_rates,
+                        _check_stationary, _irreducible_band, _symmetric_part,
+                        _tridiagonal_csr, stationary_distribution)
 
 # drift inequalities may be exceeded by this much before they count as broken
 _DRIFT_SLACK = 1e-12
@@ -91,14 +91,14 @@ def symmetrized_form(Q, pi):
     dense and Lanczos solvers; its default route for a birth-death chain,
     the bidiagonal solver, needs no ``S``.
     """
+    pi = _as_law(pi, Q.n)
+    _check_stationary(pi.probs, Q, "stationary")
     S, sq = _symmetrized(Q, pi)
     return S.matrix, sq
 
 
 def _symmetrized(Q, pi):
-    """``(S, sqrt(pi))`` of :func:`symmetrized_form`, `S` a NumPy `_CSR`."""
-    pi = _as_law(pi, Q.n)
-    _check_stationary(pi.probs, Q, "stationary")
+    """``(S, sqrt(pi))`` of :func:`symmetrized_form`, `pi` unchecked."""
     band = Q.structure()[0]
     if band is None:
         S = _symmetric_part(Q, pi.log_probs)
@@ -120,12 +120,12 @@ def spectral_gap(Q, pi=None, method="auto"):
         Admissible generator.
     pi : StationaryDistribution or array, optional
         Stationary law; solved from `Q` when omitted, and checked for
-        stationarity when given.
+        stationarity once when given.
     method : {"auto", "dense", "lanczos"}
-        "auto" is "tridiagonal" when every nonzero off-diagonal rate of `Q`
-        sits next to the diagonal (a birth-death chain; the gap then costs
-        O(n) per bisection step, with NumPy alone and no ``S``), and
-        otherwise dense up to 500 states, iterative beyond.
+        "auto", resolved here, is "tridiagonal" when every nonzero
+        off-diagonal rate of `Q` sits next to the diagonal (a birth-death
+        chain: O(n) per bisection step, NumPy alone, no ``S``), and else
+        dense up to `generator.DENSE_GAP_CUTOFF` (500) states, Lanczos beyond.
 
     Returns
     -------
@@ -134,8 +134,9 @@ def spectral_gap(Q, pi=None, method="auto"):
     Raises
     ------
     InvalidInputError
-        When `Q` is reducible (checked first), or a given `pi` is not a
-        strictly positive probability vector.
+        When `Q` is reducible (checked first), a given `pi` is not a
+        strictly positive probability vector, or "dense" exceeds
+        `generator.DENSE_SOLVE_CUTOFF` states.
     NumericalFailureError
         When `pi` is not stationary for `Q`, on eigensolver
         non-convergence, when the tridiagonal gap cannot be certified to
@@ -146,13 +147,18 @@ def spectral_gap(Q, pi=None, method="auto"):
                               iterations=0, eigenvector=None,
                               trivial_residual=0.0, degenerate=True)
     band = _irreducible_band(Q)
-    pi = stationary_distribution(Q) if pi is None else _as_law(pi, Q.n)
+    if pi is None:
+        pi = stationary_distribution(Q)  # checked as it is solved
+    else:
+        pi = _as_law(pi, Q.n)
+        _check_stationary(pi.probs, Q, "stationary")
     # the gap is the smallest nontrivial eigenvalue of -S
     if method == "auto" and band is not None:
-        _check_stationary(pi.probs, Q, "stationary")
-        A = BirthDeathForm(*band, log_pi=pi.log_probs)
+        method, A = "tridiagonal", BirthDeathForm(*band, log_pi=pi.log_probs)
         sq = np.sqrt(pi.probs)
     else:
+        if method == "auto":
+            method = "dense" if Q.n <= DENSE_GAP_CUTOFF else "lanczos"
         A, sq = _symmetrized(Q, pi)
         np.negative(A.data, out=A.data)
     result, used = deflated_extremal(A, sq, largest=False, method=method)

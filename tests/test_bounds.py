@@ -263,6 +263,30 @@ def test_verify_nu_requires_p(three_state):
                reps=10, seed=0, init=np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("run, outcome", [
+    (lambda Q: ctmc_hoeffding_bound(1.0, 1.0, 0.0, 0.0, 1.0),
+     "eps must be positive"),
+    (lambda Q: density_pnorm([0.5, 0.5], [1.0, 0.0], 2.0),
+     "pi must be strictly positive"),
+    (lambda Q: density_pnorm([1.5, -0.5], [0.5, 0.5], 2.0),
+     "nu must be nonnegative"),
+    (lambda Q: nu_initial_bound(1.0, 1.0, 0.1, 1.0, 1.0, 2.0, 1.0),
+     "range must have positive width"),
+    # sqrt(3) exp(-gap t eps^2 / 2), the density's 2-norm at p = 2
+    (lambda Q: verify(Q, _unit_indicator(), t=5.0, eps_grid=[0.1], reps=10,
+                      seed=0, init=[1.0, 0.0, 0.0], p=2.0)
+     .to_dict()["rows"][0]["bound_nu"],
+     math.sqrt(3.0) * math.exp(-THREE_STATE_GAP * 5.0 * 0.01 / 2.0)),
+], ids=["eps-0", "pi-not-positive", "nu-negative", "zero-span",
+        "verify-bound-nu"])
+def test_bound_guards_and_the_reported_nu_bound(three_state, run, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(InvalidInputError, match=outcome):
+            run(three_state)
+    else:
+        assert abs(run(three_state) - outcome) < 1e-12
+
+
 def test_verify_input_guards(three_state):
     g = _unit_indicator()
     with pytest.raises(InvalidInputError):

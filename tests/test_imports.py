@@ -1,7 +1,9 @@
 """Every import in the package modules is used, and so is every private
 top-level name; every public name resolves, on first use, to its module's
-object and has its row in the README; and the modules a birth-death
-command runs import SciPy only inside the functions that call it."""
+object and has its row in the README; the modules a birth-death command
+runs import SciPy only inside the functions that call it; and the size
+rules live in `generator` alone, so that the eigensolvers of `_symeig`
+import nothing of the package but its errors."""
 
 import ast
 import os
@@ -80,6 +82,70 @@ def test_scipy_at_import_is_caught():
               "class A:\n    import scipy\n"
               "def f():\n    import scipy.special\n")
     assert _scipy_at_import(source) == [2, 4, 6]
+
+
+def _package_imports(source):
+    """The package modules a module imports, by full dotted name, whether
+    relatively or by name (``from .errors import E``: ctmcgap.errors)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("ctmcgap." if node.level else "") + (node.module or "")
+            module = module.rstrip(".")
+            names = ([f"{module}.{alias.name}" for alias in node.names]
+                     if module == "ctmcgap" else [module])
+        else:
+            continue
+        found.update(name for name in names
+                     if name.split(".")[0] == "ctmcgap")
+    return found
+
+
+def test_symeig_imports_only_the_errors_of_the_package():
+    path = pathlib.Path(ctmcgap.__file__).parent / "_symeig.py"
+    assert _package_imports(path.read_text(encoding="utf-8")) \
+        == {"ctmcgap.errors"}
+
+
+def test_package_import_is_caught():
+    source = ("import numpy\nfrom .errors import E\nfrom . import spectral\n"
+              "import ctmcgap.bounds\nfrom ctmcgap import skeleton\n"
+              "from ctmcgap.generator import DENSE_SOLVE_CUTOFF\n")
+    assert _package_imports(source) == {
+        "ctmcgap.errors", "ctmcgap.spectral", "ctmcgap.bounds",
+        "ctmcgap.skeleton", "ctmcgap.generator"}
+
+
+def _size_constants(sources):
+    """(module, name) of each name assigned anywhere whose name holds
+    CUTOFF, the mark of a size rule."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            found.update((module, t.id) for t in targets
+                         if isinstance(t, ast.Name) and "CUTOFF" in t.id)
+    return sorted(found)
+
+
+def test_size_rules_are_defined_in_generator_alone():
+    package = pathlib.Path(ctmcgap.__file__).parent
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(package.glob("*.py"))}
+    assert _size_constants(sources) == [("generator.py", "DENSE_GAP_CUTOFF"),
+                                        ("generator.py", "DENSE_SOLVE_CUTOFF")]
+
+
+def test_stray_size_constant_is_caught():
+    sources = {"generator.py": "DENSE_SOLVE_CUTOFF = 4096\n",
+               "_symeig.py": ("from .generator import DENSE_SOLVE_CUTOFF\n"
+                              "class A:\n    DENSE_CUTOFF: int = 500\n")}
+    assert _size_constants(sources) == [("_symeig.py", "DENSE_CUTOFF"),
+                                        ("generator.py", "DENSE_SOLVE_CUTOFF")]
 
 
 def _private_definitions(source):

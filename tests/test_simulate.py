@@ -166,6 +166,24 @@ def test_average_method_matches_inline(three_state):
     assert abs(s.average(g) - s.time_average) < 1e-15
 
 
+@pytest.mark.parametrize("run, outcome", [
+    (lambda Q, g: simulate.TrajectorySample(
+        np.array([0.0]), np.array([2]), 0.0).average(g.values), 0.75),
+    (lambda Q, g: tail_probability_mc(Q, g, [1.2, -0.2, 0.0], 1.0, [0.1],
+                                      10, 0),
+     "initial distribution has negative entries"),
+], ids=["average-at-horizon-0", "negative-init"])
+def test_a_zero_horizon_and_a_negative_start(three_state, run, outcome):
+    # a path of horizon 0 averages to its initial state's value; a start
+    # law with a negative entry is refused
+    g = ObservableFunction([0.0, 0.25, 0.75], 0.0, 1.0)
+    if isinstance(outcome, str):
+        with pytest.raises(InvalidInputError, match=outcome):
+            run(three_state, g)
+    else:
+        assert run(three_state, g) == outcome
+
+
 def test_two_state_occupation_long_run(two_state):
     # pi = (1/3, 2/3); a long path spends about 2/3 of its time in state 1
     s = sample_path(two_state, 0, 10_000.0, substream(7, 0), g=[0.0, 1.0])

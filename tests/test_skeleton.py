@@ -190,6 +190,18 @@ def test_dtmc_gap_rejects_inaccurate_eigenpair(perturbed_eigensolver,
         dtmc_spectral_gap(P, THREE_STATE_PI)
 
 
+@pytest.mark.parametrize("P, pi, lambda_P", [
+    ([[0.9, 0.1], [0.2, 0.8]], [2.0 / 3.0, 1.0 / 3.0], 0.7),
+    ([[1.0]], [1.0], 0.0),
+], ids=["plain-array", "one-state"])
+def test_dtmc_gap_of_a_plain_array_and_of_one_state(P, pi, lambda_P):
+    # a plain array is taken as a StochasticMatrix; one state has gap 1
+    rep = dtmc_spectral_gap(np.array(P), pi)
+    assert rep.method == "dense"
+    assert abs(rep.lambda_P - lambda_P) < 1e-12
+    assert abs(rep.gap - (1.0 - lambda_P)) < 1e-12
+
+
 # ------------------------------------------------------------ skeleton table
 
 def test_skeleton_check_three_state(three_state):

@@ -120,14 +120,60 @@ def test_gap_is_the_least_rayleigh_quotient(n, seed):
                - rep.gap) <= 1e-10 * rep.gap
 
 
-def test_auto_takes_the_dense_solver_for_an_ndarray():
-    # past the sparse cutoff too: the array is already dense
-    n = _symeig.DENSE_CUTOFF + 1
-    A = np.diag(np.arange(n, dtype=float))
-    v0 = np.zeros(n)
-    v0[0] = 1.0
-    result, used = _symeig.deflated_extremal(A, v0, largest=False)
-    assert used == "dense" and result.value == 1.0
+def test_each_gap_route_holds_to_its_boundary():
+    # spectral_gap alone picks the solver: a general chain takes the dense
+    # spectrum up to the cutoff and Lanczos one state above it, and either
+    # agrees with the other solver; a birth-death chain of any size takes
+    # the bidiagonal solver
+    for n, route, other in ((generator.DENSE_GAP_CUTOFF, "dense", "lanczos"),
+                            (generator.DENSE_GAP_CUTOFF + 1, "lanczos",
+                             "dense")):
+        Q = GeneratorMatrix(ring_with_chords(n, False, n))
+        pi = stationary_distribution(Q)
+        rep = spectral_gap(Q, pi)
+        check = spectral_gap(Q, pi, method=other)
+        assert (rep.method, check.method) == (route, other)
+        assert abs(rep.gap - check.gap) <= 1e-12 * check.gap
+    Q = build_birth_death([2.0] * 1000, [1.0] * 1000)
+    assert spectral_gap(Q).method == "tridiagonal"
+
+
+def test_the_dense_cap_is_one_error_wherever_it_is_met():
+    # to_dense alone enforces it, before any n x n array exists
+    n = generator.DENSE_SOLVE_CUTOFF + 1
+    Q = build_birth_death([2.0] * (n - 1), [1.0] * (n - 1))
+    messages = set()
+    for refused in (Q.to_dense, lambda: transition_matrix_exp(Q, 0.1),
+                    lambda: spectral_gap(Q, method="dense")):
+        with pytest.raises(InvalidInputError) as exc:
+            refused()
+        messages.add(str(exc.value))
+    assert messages == {f"{n} states exceed the dense cap of "
+                        f"{generator.DENSE_SOLVE_CUTOFF}"}
+
+
+_PATH3 = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+
+
+@pytest.mark.parametrize("A, largest, method, refusal", [
+    (_PATH3, False, "auto", "unknown eigensolver method 'auto'"),
+    (_PATH3, False, "tridiagonal", "takes a BirthDeathForm"),
+    (_symeig.BirthDeathForm(np.ones(2), np.ones(2)), True, "tridiagonal",
+     "seeks its smallest eigenvalue"),
+    (_PATH3, False, "lanczos", None),
+], ids=["no-auto", "tridiagonal-of-an-array", "tridiagonal-largest",
+        "lanczos-below-4-states"])
+def test_deflated_extremal_runs_only_the_method_it_is_given(A, largest,
+                                                            method, refusal):
+    # -S of the symmetric walk on 3 states: spectrum 0, 1, 3, null vector
+    # the uniform one; Lanczos on fewer than 4 states runs dense
+    v0 = np.full(3, 3.0 ** -0.5)
+    if refusal is not None:
+        with pytest.raises(ValueError, match=refusal):
+            _symeig.deflated_extremal(A, v0, largest, method)
+        return
+    result, used = _symeig.deflated_extremal(A, v0, largest, method)
+    assert used == "dense" and abs(result.value - 1.0) < 1e-14
 
 
 def test_gap_dense_spectrum_contains_zero_mode(three_state):
@@ -528,6 +574,12 @@ def test_dirichlet_two_state_closed_form(two_state):
     # f = (0, 1): energy is a*b/(a+b) = 2/3
     pi = stationary_distribution(two_state)
     assert abs(dirichlet_form(two_state, pi, [0.0, 1.0]) - 2.0 / 3.0) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_dirichlet_form_of_a_chain_without_rates_is_zero(n):
+    Q = GeneratorMatrix(np.zeros((n, n)))
+    assert dirichlet_form(Q, np.full(n, 1.0 / n), np.arange(n) ** 2) == 0.0
 
 
 def test_dirichlet_unchanged_by_symmetrization(three_state):

@@ -208,6 +208,22 @@ def test_collapse_empty_or_invalid_sets(three_state):
         collapse(model, 0)
 
 
+@pytest.mark.parametrize("run, match", [
+    (lambda m, g: collapse(CountableModel(m.row, m.log_weight,
+                                          m.log_tail_weight), 5),
+     "needs an in_reach callback"),
+    (lambda m, g: collapse(m, 0), "prefix size must be >= 1"),
+    (lambda m, g: collapse(CountableModel(m.row, m.log_weight,
+                                          lambda n: math.inf, m.in_reach), 5),
+     "log tail weight inf must be finite"),
+    (lambda m, g: collapse_function(g, []), "retained set is empty"),
+], ids=["no-in-reach", "prefix-0", "infinite-tail", "empty-function-set"])
+def test_infinite_collapse_guards(geometric_chain, run, match):
+    g = ObservableFunction([1.0, 2.0, 3.0], 0.0, 3.0)
+    with pytest.raises(InvalidInputError, match=match):
+        run(geometric_chain, g)
+
+
 def test_countable_model_guards():
     with pytest.raises(InvalidInputError, match="recurrence"):
         CountableModel.birth_death(1.0, 2.0)  # drifts to infinity
