@@ -39,6 +39,14 @@ _ITERATION_CHECK = 10
 _ITERATION_RTOL = 1e-13
 
 
+def _check_dense_cap(n):
+    """Refuse (InvalidInputError) a dense n x n copy above the cap; a route
+    that will need one calls this before it does any other work."""
+    if n > DENSE_SOLVE_CUTOFF:
+        raise InvalidInputError(f"{n} states exceed the dense cap "
+                                f"of {DENSE_SOLVE_CUTOFF}")
+
+
 class _CSR:
     """A square matrix in compressed sparse row form, held as NumPy arrays.
 
@@ -88,9 +96,7 @@ class _CSR:
     def to_dense(self):
         """A new dense ndarray copy of the matrix; repeated entries add.
         Refused (InvalidInputError) above `DENSE_SOLVE_CUTOFF` states."""
-        if self.n > DENSE_SOLVE_CUTOFF:
-            raise InvalidInputError(f"{self.n} states exceed the dense cap "
-                                    f"of {DENSE_SOLVE_CUTOFF}")
+        _check_dense_cap(self.n)
         dense = np.zeros((self.n, self.n))
         np.add.at(dense, (self._row_index(), self._indices), self._data)
         return dense

@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import count
 
 import numpy as np
 
 from ._report import Report
-from .errors import ExplosionGuardError, InvalidInputError
+from .errors import (ExplosionGuardError, InvalidInputError,
+                     NumericalFailureError)
 from .generator import ObservableFunction, _as_probs, stationary_distribution
 
 DEFAULT_MAX_JUMPS = 10_000_000
@@ -329,21 +332,215 @@ def sample_path(Q, x0, horizon, rng, g=None, max_jumps=DEFAULT_MAX_JUMPS):
         else float(values[x0] if horizon == 0.0 else avg[0]))
 
 
+# Loader's stirlerr(x) = log(x!) - log(sqrt(2 pi x) (x/e)^x) at x = 0..15,
+# and the Stirling series that gives it to 3e-20 from x = 16 on
+_STIRLERR = (0.0, 0.08106146679532726, 0.0413406959554093,
+             0.02767792568499834, 0.020790672103765093, 0.016644691189821193,
+             0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+             0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
+             0.00694284010720953, 0.006408994188004207, 0.0059513701127588475,
+             0.005554733551962801)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156)
+# up to this many trials the last ulp of a Clopper-Pearson limit is settled
+# in exact rational arithmetic, which costs at most a few milliseconds there
+_EXACT_TRIALS = 300
+
+
+def _stirlerr(x):
+    """Loader's stirlerr at the integers in the float array `x`."""
+    big = np.maximum(x, 16.0)
+    w = 1.0 / (big * big)
+    s = np.zeros_like(big)
+    for c in reversed(_STIRLING):
+        s = c + w * s
+    s /= big
+    small = x < 16
+    s[small] = np.take(_STIRLERR, x[small].astype(np.intp))
+    return s
+
+
+def _bd0(y, d, m):
+    """Loader's deviance ``y log(y/m) + m - y``, from ``d = y - m`` held to
+    full relative precision: with ``v = d/(y + m)`` it is
+    ``d v + 2y (v^3/3 + v^5/5 + ...)``, summed where ``|v| < 1/2``."""
+    v = d / (y + m)
+    out = y * np.log1p(d / m) - d
+    near = np.abs(v) < 0.5
+    if near.any():
+        v, w, y = v[near], v[near] ** 2, y[near]
+        # series terms until the next is below 2^-56 of the first
+        wmax = float(w.max())
+        terms = 1 if wmax == 0.0 else math.ceil(-56 * math.log(2)
+                                                / math.log(wmax))
+        s = 0.0
+        for i in range(terms, 0, -1):
+            s = 1.0 / (2 * i + 1) + w * s
+        out[near] = d[near] * v + 2.0 * y * v * w * s
+    return out
+
+
+def _tail_terms(k, n, p, lower):
+    """``P(Bin(n, p) = j)``, each to a few ulps, for the `j` of
+    ``P(Bin(n, p) <= k)`` (`lower`) or ``P(Bin(n, p) > k)`` that matter,
+    from the one next to `k` outward.
+
+    Loader's saddle-point form ``exp(-e_j) / sqrt(2 pi j (n - j) / n)``
+    (R's ``dbinom_raw``).  A binomial is log-concave, so the terms beyond
+    10 standard deviations and 30 steps of the mode fall below 2^-60 of
+    the tail.
+    """
+    mode = int((n + 1) * p)
+    reach = int(10 * math.sqrt(n * p * (1.0 - p))) + 30
+    lo, hi = ((max(0, min(k, mode) - reach), k) if lower
+              else (k + 1, min(n, max(k + 1, mode) + reach)))
+    mean = n * p
+    mean_lo = float(Fraction(n) * Fraction(p) - Fraction(mean))
+    j = np.arange(max(lo, 1), min(hi, n - 1) + 1, dtype=float)
+    d = (j - mean) - mean_lo                  # j - np to full precision
+    e = (_stirlerr(j) + _stirlerr(n - j) - _stirlerr(np.array([float(n)]))
+         + _bd0(j, d, mean) + _bd0(n - j, -d, (n - mean) - mean_lo))
+    terms = np.exp(-e) / np.sqrt(j * (n - j) * (2 * math.pi / n))
+    head = [math.exp(n * math.log1p(-p))] if lo == 0 else []
+    terms = np.concatenate([head, terms, [p ** n] if hi == n else []])
+    return terms[::-1] if lower else terms
+
+
+def _bits(x):
+    """The bit pattern of the double `x` as an int."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double(bits):
+    """The double whose bit pattern is the int `bits`."""
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _exact_lower_tail(k, n, p):
+    """``P(Bin(n, p) <= k)`` in rational arithmetic, for a double `p`."""
+    a, b = p.as_integer_ratio()
+    c = b - a
+    flip = 2 * k > n    # then sum the shorter tail, P(Bin(n, 1 - p) < n - k)
+    if flip:
+        k, a, c = n - k - 1, c, a
+    # sum_{j <= k} C(n, j) a^j c^(n - j), by Horner's rule in c
+    total, coef, power = 0, 1, 1
+    for j in range(k + 1):
+        total = total * c + coef * power
+        coef, power = coef * (n - j) // (j + 1), power * a
+    tail = Fraction(total * c ** (n - k), b ** n)
+    return 1 - tail if flip else tail
+
+
+def _clopper_pearson_root(k, n, lower, target):
+    """The `p`, to within a few ulps, at which ``P(Bin(n, p) <= k)``
+    (`lower`) or ``P(Bin(n, p) > k)`` equals `target`, for ``0 < k < n - 1``.
+
+    Either tail is a beta distribution function of ``s = 1 - p`` (lower)
+    or ``s = p``, and its log is concave in ``log s``.  So Newton's method
+    on that scale climbs monotonically to the root from smaller ``s``, and
+    from larger ``s`` first steps past it, never leaving (0, 1); the
+    bracket only guards a tail that underflows.  The start, Wilson's
+    score limit with an overestimated normal quantile, lies at smaller
+    ``s``; where it falls outside (0, 1), the beta median, at larger, does.
+    """
+    z = math.sqrt(-2.0 * math.log(target))
+    x = k + 1 if lower else k
+    spread = z * math.sqrt(x * (n - x) / n + z * z / 4)
+    p = (x + z * z / 2 + (spread if lower else -spread)) / (n + z * z)
+    if not 0.0 < p < 1.0:
+        p = (k + 1) / (n + 1)
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        terms = _tail_terms(k, n, p, lower)
+        tail, edge = math.fsum(terms), float(terms[0])
+        # a tail that underflows lies far on its small side
+        h = math.log(tail) - math.log(target) if tail > 0.0 else -math.inf
+        # d log(tail)/d log s = (n - k) b(k) or (k + 1) b(k + 1), / tail;
+        # log s moves by delta (capped where exp would overflow)
+        delta = min(-h * tail / ((n - k if lower else k + 1) * edge), 700.0) \
+            if edge > 0.0 else math.nan
+        new = p - (1.0 - p) * math.expm1(delta) if lower \
+            else p * math.exp(delta)
+        if (h > 0) == lower:
+            lo = p
+        else:
+            hi = p
+        if abs(new - p) <= 4 * math.ulp(p) or hi - lo <= 8 * math.ulp(p):
+            return p
+        p = new if lo < new < hi else (math.sqrt(lo * hi) if lo > 0.0
+                                       else 0.5 * hi)
+    raise NumericalFailureError(
+        f"Clopper-Pearson limit for {k}/{n} did not converge")
+
+
 def clopper_pearson_upper(successes, trials, level=DEFAULT_CI_LEVEL):
     """One-sided upper confidence limit for a binomial proportion.
 
-    Exact (beta-quantile) construction; returns 1 when every trial
-    succeeded.
+    The exact (Clopper–Pearson) limit: the `p` at which ``k`` or fewer
+    successes in ``n`` trials have probability ``1 - level``, the
+    ``level`` quantile of Beta(k + 1, n - k).  Returns 1 when every trial
+    succeeded.  The binomial tail is summed from Loader's saddle-point
+    terms (C. Loader, *Fast and Accurate Computation of Binomial
+    Probabilities*, 2000) and the root settled on neighbouring doubles.
+    Up to `_EXACT_TRIALS` trials they are compared in exact rational
+    arithmetic, so the result is within an ulp of the true quantile.
+    Beyond, the floating-point tail decides: within 3 ulps for levels from
+    0.01 to 0.999999, and more where the tail's log is large, up to about
+    ``|log tail| / (k + 1)`` ulps for the upper tail of a tiny `level`.
     """
-    # only verify needs the beta quantile: keep scipy.special off import
-    from scipy.special import betaincinv
-
     k, n = int(successes), int(trials)
     if not 0 <= k <= n or n < 1:
         raise InvalidInputError(f"invalid counts {k}/{n}")
+    if not 0.0 < level < 1.0:
+        raise InvalidInputError(
+            f"confidence level {level!r} must lie strictly between 0 and 1")
     if k == n:
         return 1.0
-    return float(betaincinv(k + 1, n - k, level))
+    # sum the smaller tail: 1 - level of P(Bin <= k), or level of P(Bin > k)
+    lower = level >= 0.5
+    target = 1.0 - level if lower else level
+    if k == 0:          # (1 - p)^n = 1 - level
+        p = -math.expm1(math.log1p(-level) / n)
+        if n > _EXACT_TRIALS:
+            return p
+    elif k == n - 1:    # 1 - p^n = 1 - level
+        p = math.exp(math.log(level) / n)
+    else:
+        p = _clopper_pearson_root(k, n, lower, target)
+    alpha = 1 - Fraction(level)
+
+    def above(x):
+        # > 0 where the root lies above x: P(Bin(n, x) <= k) - (1 - level)
+        # in value, and in sign where the upper tail is summed
+        if not 0.0 < x < 1.0:
+            return level if x <= 0.0 else level - 1.0
+        if n <= _EXACT_TRIALS:
+            return _exact_lower_tail(k, n, x) - alpha
+        excess = math.fsum([*_tail_terms(k, n, x, lower), -target])
+        return excess if lower else -excess
+
+    # find the two neighbouring doubles the root lies between, galloping
+    # from p toward it and then bisecting on the bit patterns (ordered as
+    # the nonnegative doubles are), and return the nearer one
+    x = _bits(p)
+    gx = above(p)
+    up = gx > 0
+    stride = 1 if up else -1
+    while True:
+        y = min(max(x + stride, 0), _bits(1.0))
+        gy = above(_double(y))
+        if (gy > 0) != up:
+            break
+        x, gx, stride = y, gy, 2 * stride
+    while abs(y - x) > 1:
+        mid = (x + y) // 2
+        gm = above(_double(mid))
+        if (gm > 0) == up:
+            x, gx = mid, gm
+        else:
+            y, gy = mid, gm
+    return _double(x if abs(gx) <= abs(gy) else y)
 
 
 @dataclass

@@ -17,7 +17,8 @@ import numpy as np
 from ._report import Report
 from ._symeig import deflated_extremal
 from .errors import InvalidInputError, NumericalFailureError
-from .generator import _as_law, _symmetric_part, stationary_distribution
+from .generator import (_as_law, _check_dense_cap, _symmetric_part,
+                        stationary_distribution)
 from .spectral import spectral_gap
 
 # exp(delta * q) overflows the uniformization weights past this point
@@ -230,7 +231,7 @@ def skeleton_gap_check(Q, pi=None, deltas=(0.1, 0.05, 0.01)):
     Raises
     ------
     InvalidInputError
-        On bad `deltas`, a reducible `Q`, or, before the gap is solved, a
+        On bad `deltas`, a reducible `Q`, or, before `pi` is solved, a
         `Q` of more states than `transition_matrix_exp` takes.
     """
     deltas = [float(d) for d in deltas]
@@ -238,6 +239,7 @@ def skeleton_gap_check(Q, pi=None, deltas=(0.1, 0.05, 0.01)):
         raise InvalidInputError("need at least one delta")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise InvalidInputError("deltas must be strictly decreasing")
+    _check_dense_cap(Q.n)  # before pi is solved
     pi = stationary_distribution(Q) if pi is None else _as_law(pi, Q.n)
     kernels = _transition_matrices(Q, deltas)
     gap_ref = spectral_gap(Q, pi).gap

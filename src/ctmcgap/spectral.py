@@ -23,7 +23,8 @@ from ._symeig import BirthDeathForm, deflated_extremal
 from .errors import InvalidInputError
 from .generator import (DENSE_GAP_CUTOFF, _CSR, _as_law, _as_probs,
                         _birth_death_log_mu, _birth_death_rates,
-                        _check_stationary, _irreducible_band, _symmetric_part,
+                        _check_dense_cap, _check_stationary,
+                        _irreducible_band, _symmetric_part,
                         _tridiagonal_csr, stationary_distribution)
 
 # drift inequalities may be exceeded by this much before they count as broken
@@ -136,7 +137,8 @@ def spectral_gap(Q, pi=None, method="auto"):
     InvalidInputError
         When `Q` is reducible (checked first), a given `pi` is not a
         strictly positive probability vector, or "dense" exceeds
-        `generator.DENSE_SOLVE_CUTOFF` states.
+        `generator.DENSE_SOLVE_CUTOFF` states (checked before `pi` is
+        solved).
     NumericalFailureError
         When `pi` is not stationary for `Q`, on eigensolver
         non-convergence, when the tridiagonal gap cannot be certified to
@@ -147,6 +149,8 @@ def spectral_gap(Q, pi=None, method="auto"):
                               iterations=0, eigenvector=None,
                               trivial_residual=0.0, degenerate=True)
     band = _irreducible_band(Q)
+    if method == "dense":
+        _check_dense_cap(Q.n)  # before pi is solved
     if pi is None:
         pi = stationary_distribution(Q)  # checked as it is solved
     else:

@@ -122,11 +122,18 @@ _ABOVE_DENSE = str(DENSE_SOLVE_CUTOFF * 50)
     (["skeleton", "--bd", "2", "1", "5", "--deltas", "0"], None),
     (["sweep", "--bd", "2", "1", "inf", "--sizes", _ABOVE_MAX],
      climod.MAX_STATES),
+    # MODEL: a relabelled birth-death chain whose pi iteration fails, so
+    # these exit 2 only if the cap is checked before pi is solved
+    (["gap", "--model", "MODEL", "--method", "dense"], DENSE_SOLVE_CUTOFF),
+    (["skeleton", "--model", "MODEL"], DENSE_SOLVE_CUTOFF),
 ], ids=["bd-max", "gap-dense", "skeleton-dense", "delta-inf", "delta-nan",
-        "delta-0", "sizes-max"])
-def test_hostile_input_is_refused_at_once_in_a_process(argv, cap):
+        "delta-0", "sizes-max", "model-gap-dense", "model-skeleton"])
+def test_hostile_input_is_refused_at_once_in_a_process(tmp_path, argv, cap):
     # a child with a timeout: each is refused before anything of the
     # chain's square size is allocated, with one error line and no traceback
+    if "MODEL" in argv:
+        model = _relabelled_birth_death(tmp_path, 5000)
+        argv = [model if a == "MODEL" else a for a in argv]
     src = os.path.dirname(os.path.dirname(climod.__file__))
     start = time.perf_counter()
     out = subprocess.run([sys.executable, "-m", "ctmcgap.cli", *argv],
@@ -571,19 +578,25 @@ def test_skeleton_of_underflowing_pi_meets_the_reversible_oracle():
     assert abs(lam - math.exp(-0.1 * table.gap_reference)) <= 1e-12
 
 
-def test_relabelled_birth_death_above_the_cap_exits_3_in_seconds(tmp_path,
-                                                               capsys):
-    # its pi leaves the double range in linear scale; the iteration gives
-    # up once its residual's decay is hopeless, where it used to take 189 s
-    N = 5000
+def _relabelled_birth_death(tmp_path, N):
+    """A model file of the (2, 1) birth-death chain on 0..N, its states
+    shuffled, so that no birth-death fast path sees it."""
     order = np.random.default_rng(0).permutation(N + 1)
     where = np.argsort(order)  # old state k is new state where[k]
     rates = [[int(where[k]), int(where[k + 1]), 1.0] for k in range(N)]
     rates += [[int(where[k + 1]), int(where[k]), 2.0] for k in range(N)]
     path = tmp_path / "relabelled.json"
     path.write_text(json.dumps({"n": N + 1, "rates": rates}))
+    return str(path)
+
+
+def test_relabelled_birth_death_above_the_cap_exits_3_in_seconds(tmp_path,
+                                                               capsys):
+    # its pi leaves the double range in linear scale; the iteration gives
+    # up once its residual's decay is hopeless, where it used to take 189 s
+    path = _relabelled_birth_death(tmp_path, 5000)
     start = time.perf_counter()
-    code, out, err = run(capsys, ["gap", "--model", str(path)])
+    code, out, err = run(capsys, ["gap", "--model", path])
     assert code == 3 and out == ""
     assert "componentwise residual" in err
     assert time.perf_counter() - start < 10.0
@@ -682,7 +695,6 @@ def test_cli_import_leaves_out_scipy_stats():
 
 
 def test_cli_import_leaves_out_scipy_special():
-    # only verify's confidence limit needs it, and imports it when called
     assert _modules_after_cli_import("scipy.special") == "[False]"
 
 
@@ -723,13 +735,16 @@ def test_birth_death_gap_leaves_out_csgraph_and_sparse_linalg():
             == "[False, False, True, False]"
 
 
-def test_birth_death_verify_loads_only_scipy_special():
-    # the confidence limit needs scipy.special; nothing on the way to the
-    # gap needs scipy.sparse or scipy.linalg
-    argv = ["verify", "--bd", "2", "1", "30", "--reps", "20"]
-    assert _modules_after_cli_import(
-        "scipy.special", "scipy.sparse", "scipy.linalg", argv=argv) \
-        == "[False, False, False, True, False, False]"
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "three-state", "--reps", "200"],
+    ["verify", "--bd", "2", "1", "30", "--t", "50", "--eps", "0.05,0.1",
+     "--reps", "400", "--seed", "11"],
+], ids=["example", "bd"])
+def test_verify_loads_no_scipy(argv):
+    # the gap, the walk and the Clopper-Pearson limit are NumPy and the
+    # standard library; any scipy.* module would load the scipy package
+    assert _modules_after_cli_import("scipy", "numpy", argv=argv) \
+        == "[False, False, False, True]"
 
 
 @pytest.mark.parametrize("argv", [

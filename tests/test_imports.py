@@ -1,9 +1,10 @@
 """Every import in the package modules is used, and so is every private
 top-level name; every public name resolves, on first use, to its module's
 object and has its row in the README; the modules a birth-death command
-runs import SciPy only inside the functions that call it; and the size
-rules live in `generator` alone, so that the eigensolvers of `_symeig`
-import nothing of the package but its errors."""
+runs import SciPy only inside the functions that call it, and those of
+`verify` not at all; and the size rules live in `generator` alone, so that
+the eigensolvers of `_symeig` import nothing of the package but its
+errors."""
 
 import ast
 import os
@@ -74,6 +75,34 @@ def _scipy_at_import(source):
 def test_birth_death_modules_import_no_scipy(name):
     path = pathlib.Path(ctmcgap.__file__).parent / f"{name}.py"
     assert _scipy_at_import(path.read_text(encoding="utf-8")) == []
+
+
+def _scipy_anywhere(source):
+    """Lines of every import of SciPy in a module, function bodies
+    included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["simulate", "bounds"])
+def test_verify_modules_import_no_scipy_at_all(name):
+    path = pathlib.Path(ctmcgap.__file__).parent / f"{name}.py"
+    assert _scipy_anywhere(path.read_text(encoding="utf-8")) == []
+
+
+def test_scipy_anywhere_is_caught():
+    source = ("import numpy\ndef f():\n    from scipy.special import x\n"
+              "    import scipy.stats as st\n")
+    assert _scipy_anywhere(source) == [3, 4]
 
 
 def test_scipy_at_import_is_caught():
