@@ -4,12 +4,16 @@ tail probabilities.
 Trajectories are sampled from the jump chain: exponential holding times at
 the current state's exit rate, then a jump drawn proportionally to the
 off-diagonal rates.  The replications of a chunk are walked in lockstep,
-one jump of every live path per NumPy step.  Replication `r` under `seed`
-reads its own counter-based stream, Philox keyed ``(seed, r)`` from counter
-0: its first uniform picks the initial state, then come blocks of
-`_BLOCK` standard exponentials and `_BLOCK` uniforms, the k-th jump taking
-the k-th of each.  Results are therefore reproducible bit for bit and do
-not depend on how replications are chunked.
+one jump of every live path per NumPy step.  The random numbers are laid
+out by jump, in counter-based streams that can be entered at any word:
+under `seed`, replication `r` takes its initial-state uniform from word `r`
+of the Philox stream keyed ``(seed, 0)``, and its `j`-th jump (from 0)
+reads words ``2r`` and ``2r + 1`` of the stream keyed ``(seed, j + 1)``.
+The first gives the holding time ``-log1p(-u) / rate``, the second picks
+the target; a word is one double of ``Generator.random``.  So each step
+draws one contiguous run of one stream for all its live paths, and results
+are reproducible bit for bit and do not depend on how replications are
+chunked.
 """
 
 from __future__ import annotations
@@ -31,11 +35,9 @@ from .generator import ObservableFunction, _as_probs, stationary_distribution
 DEFAULT_MAX_JUMPS = 10_000_000
 DEFAULT_CI_LEVEL = 0.999
 
-# draws per path per block, and replications walked in lockstep; the blocks
-# of one chunk take 2 * 8 * _BLOCK * _CHUNK bytes (1.8 MB) and the rest of
-# its per-path state, temporaries included, about 0.1 MB
-_BLOCK = 128
-_CHUNK = 896
+# replications walked in lockstep; a chunk's per-path state and one step's
+# draws and temporaries take about 0.25 KB per path, 2 MB in all
+_CHUNK = 8192
 
 
 def _key_word(value, what):
@@ -51,7 +53,7 @@ def _key_word(value, what):
 
 
 class _Stream:
-    """One Philox, set in place to any replication's stream.
+    """One Philox, set in place to any stream and position.
 
     Re-keying costs a few microseconds; building a Philox costs several
     times more, because it first builds a ``SeedSequence``.
@@ -68,26 +70,23 @@ class _Stream:
                        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def seek(self, seed, index, counter=0):
-        """The generator on replication `index`'s stream under `seed`, at
-        `counter` with nothing buffered (0 is the start)."""
+        """The generator on stream `index` under `seed`, with nothing
+        buffered, at `counter`: its next word is word ``4 * counter`` (one
+        Philox block is 4 words)."""
         self._key[0], self._key[1] = seed, index
         self._counter[0] = counter
         self.bitgen.state = self._state
         return self.rng
 
-    def tell(self):
-        """``(counter, buffer_pos)``: `seek` to ``counter - 1`` and
-        ``buffer_pos`` raw draws put the stream back where it is now."""
-        state = self.bitgen.state
-        return int(state["state"]["counter"][0]), state["buffer_pos"]
-
 
 def substream(seed, index):
-    """Independent random stream for replication `index` under `seed`.
+    """Random stream `index` under `seed`: Philox keyed ``(seed, index)``
+    at counter 0.
 
-    Philox keyed ``(seed, index)`` at counter 0, the stream replication
-    `index` of :func:`tail_probability_mc` reads.  Both must lie in
-    ``[0, 2**64)``.
+    :func:`tail_probability_mc` reads stream 0 for its replications'
+    initial states, word `r` for replication `r`, and stream ``j + 1`` for
+    their `j`-th jumps, words ``2r`` and ``2r + 1``; a word is one double
+    of ``random``.  Both `seed` and `index` must lie in ``[0, 2**64)``.
     """
     seed, index = _key_word(seed, "seed"), _key_word(index, "index")
     return _Stream().seek(seed, index)
@@ -153,8 +152,9 @@ class _Chain:
         self.start, self.last = ends - sizes, ends - 1
         self.targets, self.cum = cols[keep], vals[keep]
         # each row's rates v become np.cumsum(v) / v.sum(), bit for bit,
-        # for all rows of one length at once
-        for length in np.unique(sizes[sizes > 0]).tolist():
+        # for all rows of one length at once; the lengths come from a
+        # bincount, as np.unique would load numpy.ma
+        for length in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
             at = self.start[sizes == length, None] + np.arange(length)
             block = self.cum[at]
             self.cum[at] = (np.cumsum(block, axis=1)
@@ -178,70 +178,42 @@ class _Chain:
         return self.targets[lo]
 
 
-class _Blocks:
-    """Per path, the next `_BLOCK` standard exponentials (`exp`) and
-    uniforms (`unif`) of its stream; this base draws one path from `rng`."""
+class _JumpDraws:
+    """The uniforms of a chunk of replications under `seed`, read from
+    the streams as the module docstring lays them out."""
 
-    def __init__(self, rng, paths=1):
-        self.rng = rng
-        self.exp = np.empty((paths, _BLOCK))
-        self.unif = np.empty((paths, _BLOCK))
-
-    def draw(self, i):
-        self.rng.standard_exponential(out=self.exp[i])
-        self.rng.random(out=self.unif[i])
-
-    def refill(self, paths):
-        for i in paths.tolist():
-            self.draw(i)
-
-
-class _ReplicationBlocks(_Blocks):
-    """Blocks of up to `paths` replications under `seed`, reused chunk
-    after chunk."""
-
-    def __init__(self, stream, seed, paths):
-        super().__init__(stream.rng, paths)
-        self._stream, self._seed, self._lo = stream, seed, 0
-        # per path, where its stream stopped: (counter, buffer_pos) as
-        # _Stream.tell gives it, or (0, 0) before its first refill
-        self._resume = np.zeros((paths, 2), dtype=np.int64)
+    def __init__(self, seed):
+        self._stream, self._seed, self._lo = _Stream(), seed, 0
 
     def start(self, lo, hi):
         """Make paths ``0..hi-lo-1`` replications ``lo..hi-1``; returns their
         initial-state uniforms."""
         self._lo = lo
-        self._resume[:] = 0
-        return np.array([self._start(i) for i in range(hi - lo)])
+        base = lo - lo % 4         # a Philox block holds 4 words
+        rng = self._stream.seek(self._seed, 0, base // 4)
+        return rng.random(hi - base)[lo - base:]
 
-    def _start(self, i):
-        u = self._stream.seek(self._seed, self._lo + i).random()
-        self.draw(i)
-        return u
-
-    def refill(self, paths):
-        # each stream resumes where its previous block ended; on its first
-        # refill by drawing its first block again
-        stream = self._stream
-        for i in paths.tolist():
-            counter, pos = self._resume[i].tolist()
-            if counter:
-                stream.seek(self._seed, self._lo + i, counter - 1)
-                stream.bitgen.random_raw(pos)
-            else:
-                self._start(i)
-            self.draw(i)
-            self._resume[i] = stream.tell()
+    def __call__(self, made, live):
+        """The uniforms of jump `made` of the paths in `live`, ascending: row
+        0 the holding-time words, row 1 the jump words, from one draw
+        through the replications from the first to the last."""
+        first = self._lo + int(live[0])
+        base = first - first % 2   # two replications to a Philox block
+        rng = self._stream.seek(self._seed, made + 1, base // 2)
+        words = rng.random((self._lo + int(live[-1]) + 1 - base, 2))
+        # take: indexing a 2-D array with an index array is 10x slower
+        return words.take(live + (self._lo - base), axis=0).T
 
 
-def _lockstep(chain, x, horizon, values, blocks, max_jumps, steps=None):
+def _lockstep(chain, x, horizon, values, draws, max_jumps, steps=None):
     """Time averages of `values` over ``[0, horizon]`` along one path per
     initial state in `x`, every live path making one jump per step.
 
-    Path ``i`` holds for ``blocks.exp[i, k] / rate`` before its k-th jump
-    and takes the jump on ``blocks.unif[i, k]``; a path that outlives its
-    block gets the next one.  When `steps` is a list, each step appends the
-    jump times and new states of the paths still live.
+    ``draws(k, live)`` gives a ``(2, live.size)`` array ``u`` of uniforms
+    for the k-th jump of the paths in `live`: path ``live[i]`` holds for
+    ``-log1p(-u[0, i]) / rate`` and jumps on ``u[1, i]``.  When `steps` is
+    a list, each step appends the jump times and new states of the paths
+    still live.
     """
     averages = np.empty(x.size)
     live = np.arange(x.size)
@@ -249,10 +221,9 @@ def _lockstep(chain, x, horizon, values, blocks, max_jumps, steps=None):
     weighted = np.zeros(x.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         for made in count():
-            col = made % _BLOCK
-            if made and not col:
-                blocks.refill(live)
-            hold = blocks.exp[live, col] / chain.exit[x]
+            u = draws(made, live)
+            hold = -np.log1p(-u[0]) / chain.exit[x]
+            jump_u = u[1]
             end = now + hold
             going = end < horizon
             kept = np.count_nonzero(going)
@@ -264,11 +235,12 @@ def _lockstep(chain, x, horizon, values, blocks, max_jumps, steps=None):
                 if not kept:
                     return averages
                 keep = np.flatnonzero(going)
-                live, x, now, weighted, hold, end = (
-                    a[keep] for a in (live, x, now, weighted, hold, end))
+                live, x, now, weighted, hold, end, jump_u = (
+                    a[keep]
+                    for a in (live, x, now, weighted, hold, end, jump_u))
             weighted += hold * values[x]
             now = end
-            x = chain.jump(x, blocks.unif[live, col])
+            x = chain.jump(x, jump_u)
             if steps is not None:
                 steps.append((now, x))
             # every live path now holds made + 2 jump times, time 0 included
@@ -281,11 +253,10 @@ def _lockstep(chain, x, horizon, values, blocks, max_jumps, steps=None):
 def sample_path(Q, x0, horizon, rng, g=None, max_jumps=DEFAULT_MAX_JUMPS):
     """Simulate the chain exactly from `x0` up to `horizon`.
 
-    This is one replication of the walker behind
-    :func:`tail_probability_mc`: it draws blocks of `_BLOCK` standard
-    exponentials and `_BLOCK` uniforms from `rng`, so on
-    ``substream(seed, r)`` after its initial-state uniform it follows
-    replication `r`.
+    The path is walked by the lockstep walker behind
+    :func:`tail_probability_mc`, fed from `rng`: each jump takes the next
+    two uniforms ``u`` of ``rng.random``, holding for ``-log1p(-u[0]) /
+    rate`` and jumping on ``u[1]``.
 
     Parameters
     ----------
@@ -319,11 +290,9 @@ def sample_path(Q, x0, horizon, rng, g=None, max_jumps=DEFAULT_MAX_JUMPS):
         raise InvalidInputError("horizon must be nonnegative and finite")
     values = np.zeros(Q.n) if g is None else _observable_values(g, Q.n)
     chain = _Chain(Q)
-    blocks = _Blocks(rng)
-    blocks.draw(0)
     steps = []
-    avg = _lockstep(chain, np.array([x0]), horizon, values, blocks,
-                    max_jumps, steps)
+    avg = _lockstep(chain, np.array([x0]), horizon, values,
+                    lambda *_: rng.random((2, 1)), max_jumps, steps)
     times = np.concatenate([[0.0], *(t for t, _ in steps)])
     states = np.concatenate([[x0], *(x for _, x in steps)])
     return TrajectorySample(
@@ -573,13 +542,12 @@ def _count_reaching(Q, values, init, horizon, thresholds, seed, reps):
     average at or above it."""
     chain = _Chain(Q)
     init_cum = np.cumsum(init)
-    blocks = _ReplicationBlocks(_Stream(), seed, min(reps, _CHUNK))
+    draws = _JumpDraws(seed)
     counts = np.zeros(thresholds.size, dtype=np.int64)
     for lo in range(0, reps, _CHUNK):
-        first = blocks.start(lo, min(lo + _CHUNK, reps))
+        first = draws.start(lo, min(lo + _CHUNK, reps))
         x0 = np.minimum(np.searchsorted(init_cum, first, "right"), Q.n - 1)
-        avg = _lockstep(chain, x0, horizon, values, blocks,
-                        DEFAULT_MAX_JUMPS)
+        avg = _lockstep(chain, x0, horizon, values, draws, DEFAULT_MAX_JUMPS)
         counts += np.count_nonzero(avg[:, None] - thresholds >= 0.0, axis=0)
     return counts
 
@@ -602,8 +570,10 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None):
     reps : int
         Number of independent replications, >= 1.
     seed : int
-        Stream seed in ``[0, 2**64)``; replication `r` always reads the
-        stream ``substream(seed, r)``, so estimates are reproducible.
+        Stream seed in ``[0, 2**64)``.  Replication `r` reads word `r` of
+        ``substream(seed, 0)`` for its initial state and words ``2r`` and
+        ``2r + 1`` of ``substream(seed, j + 1)`` for its `j`-th jump, so
+        estimates are reproducible and do not depend on chunking.
     mean : float, optional
         Stationary mean of `g`; computed from the stationary law of `Q`
         when omitted.

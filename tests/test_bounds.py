@@ -140,20 +140,33 @@ def test_verify_rows_sorted_by_eps(three_state):
     assert [r.eps for r in rep.rows] == [0.1, 0.2, 0.3]
 
 
-def test_verify_simulates_each_replication_once(three_state, monkeypatch):
-    # every replication's stream is set up once for the whole eps grid
+def test_verify_seeks_once_per_lockstep_step(three_state, monkeypatch):
+    # the replications are walked once for the whole eps grid, and their
+    # uniforms drawn one stream per lockstep step, not one per replication:
+    # a chunk seeks once for its initial states and once per step, at most
+    # its longest path's jump count plus 2 times
     grid = [0.05, 0.1, 0.15, 0.2]
-    derived = []
-    seek = simulate._Stream.seek
+    calls = []
+    seek, jump = simulate._Stream.seek, simulate._Chain.jump
 
-    def counted(self, seed, index):
-        derived.append(index)
-        return seek(self, seed, index)
+    def counted_seek(self, seed, index, counter=0):
+        calls.append(index)
+        return seek(self, seed, index, counter)
 
-    monkeypatch.setattr(simulate._Stream, "seek", counted)
-    verify(three_state, _unit_indicator(), t=5.0, eps_grid=grid, reps=50,
+    def counted_jump(self, x, u):
+        calls.append("jump")
+        return jump(self, x, u)
+
+    monkeypatch.setattr(simulate._Stream, "seek", counted_seek)
+    monkeypatch.setattr(simulate._Chain, "jump", counted_jump)
+    reps = 2000
+    assert reps <= simulate._CHUNK
+    verify(three_state, _unit_indicator(), t=5.0, eps_grid=grid, reps=reps,
            seed=4)
-    assert sorted(derived) == list(range(50))
+    streams = [c for c in calls if c != "jump"]
+    longest = calls.count("jump")
+    assert streams == list(range(len(streams)))
+    assert 0 < longest and len(streams) <= longest + 2 < reps // 20
 
 
 @pytest.mark.parametrize("chunks", [1, 2])

@@ -727,12 +727,13 @@ def test_refusals_exit_before_numpy_loads(argv):
 def test_birth_death_gap_leaves_out_csgraph_and_sparse_linalg():
     # a general chain's irreducibility check and the Lanczos solver import
     # them when called; a birth-death gap or sweep needs no SciPy at all,
-    # and loads NumPy only once the command runs
+    # and loads NumPy only once the command runs, and never the simulator
     for argv in (["gap", "--bd", "2", "1", "10"],
                  ["sweep", "--bd", "2", "1", "inf", "--sizes", "10,20"],
                  ["gap", "--bd", "2", "1", "inf"]):
-        assert _modules_after_cli_import("numpy", "scipy", argv=argv) \
-            == "[False, False, True, False]"
+        assert _modules_after_cli_import("numpy", "scipy", "ctmcgap.simulate",
+                                         argv=argv) \
+            == "[False, False, False, True, False, False]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -742,9 +743,11 @@ def test_birth_death_gap_leaves_out_csgraph_and_sparse_linalg():
 ], ids=["example", "bd"])
 def test_verify_loads_no_scipy(argv):
     # the gap, the walk and the Clopper-Pearson limit are NumPy and the
-    # standard library; any scipy.* module would load the scipy package
-    assert _modules_after_cli_import("scipy", "numpy", argv=argv) \
-        == "[False, False, False, True]"
+    # standard library; any scipy.* module would load the scipy package.
+    # Nor does verify load numpy.ma, which a plain np.unique imports
+    assert _modules_after_cli_import("scipy", "numpy", "numpy.ma",
+                                     argv=argv) \
+        == "[False, False, False, False, True, False]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -756,14 +759,16 @@ def test_verify_loads_no_scipy(argv):
 def test_general_chain_commands_load_no_scipy(tmp_path, argv):
     # irreducibility, pi, S and both eigensolvers are NumPy: the model's pi
     # takes the blocked elimination, the bd chain the Lanczos solver.  Any
-    # scipy.* module would load the scipy package first.
+    # scipy.* module would load the scipy package first.  None of these
+    # commands loads the simulator either.
     Q = ring_with_chords(300, False, 3)
     i, j = np.nonzero(Q - np.diag(np.diag(Q)))
     model = tmp_path / "chain.json"
     model.write_text(json.dumps(
         {"n": 300, "rates": np.column_stack([i, j, Q[i, j]]).tolist()}))
     argv = [str(model) if a == "MODEL" else a for a in argv]
-    assert _modules_after_cli_import("scipy", argv=argv) == "[False, False]"
+    assert _modules_after_cli_import("scipy", "ctmcgap.simulate", argv=argv) \
+        == "[False, False, False, False]"
 
 
 def test_closed_stdout_exits_4_without_traceback():

@@ -11,8 +11,12 @@ count and last digits move only with that solver or with NumPy's
 rounding.  The birth-death cases (``--bd`` under the default method) do
 not go through LAPACK: their gaps come from the NumPy bisection and cyclic
 reduction in ``ctmcgap._symeig``.  The simulated rows of ``verify`` follow
-the random-stream layout described in ``ctmcgap.simulate``, and change
-only with it.
+the jump-keyed random-stream layout described in ``ctmcgap.simulate``
+and change with it.  Their holding times also take the last bit of
+NumPy's ``log1p``, whose SIMD loops (AVX-512 at capture) may round
+differently in another build, though a count moves only if a time average
+lands within an ulp of its threshold.  The ``--bd`` case observes a state
+of stationary mass 5e-10, so its ``p_hat`` is 0 under any layout.
 """
 
 import json
@@ -51,13 +55,13 @@ GOLDEN = [
      '"lezaud_hypotheses": null, "pi_g": 0.5555555555555555, '
      '"rows": ['
      '{"bound_lezaud": null, "bound_main": 0.894696999083407, '
-     '"ci_upper": 0.46561222555462356, "eps": 0.05, "p_hat": 0.355, '
+     '"ci_upper": 0.4292473789271507, "eps": 0.05, "p_hat": 0.32, '
      '"reps": 200, "t": 20.0, "uninformative": false, "verdict": "PASS"}, '
      '{"bound_lezaud": null, "bound_main": 0.6407725852889278, '
      '"ci_upper": 0.2651442750963153, "eps": 0.1, "p_hat": 0.17, '
      '"reps": 200, "t": 20.0, "uninformative": false, "verdict": "PASS"}, '
      '{"bound_lezaud": null, "bound_main": 0.3673531989251025, '
-     '"ci_upper": 0.13679319286169106, "eps": 0.15, "p_hat": 0.065, '
+     '"ci_upper": 0.17543479526707959, "eps": 0.15, "p_hat": 0.095, '
      '"reps": 200, "t": 20.0, "uninformative": false, "verdict": "PASS"}, '
      '{"bound_lezaud": null, "bound_main": 0.16858374248483438, '
      '"ci_upper": 0.07994847442984673, "eps": 0.2, "p_hat": 0.025, '

@@ -19,13 +19,14 @@ from conftest import THREE_STATE_PI, random_birth_death
 
 
 # ------------------------------------------------------- reference walker
-# A scalar walker on the stream layout: replication r reads Philox keyed
-# (seed, r) from counter 0, its first uniform picks the initial state, and
-# then come blocks of _BLOCK standard exponentials and _BLOCK uniforms, the
-# k-th jump taking the k-th of each.  The lockstep walker must draw the same
-# random numbers and return the same doubles.
-
-BLOCK = simulate._BLOCK
+# A scalar walker on the stream layout, read straight from the streams:
+# replication r under seed takes its initial-state uniform from word r of
+# substream(seed, 0), and its j-th jump words 2r and 2r + 1 of
+# substream(seed, j + 1); it holds for -log1p(-u) / rate on the first and
+# jumps on the second.  sample_path takes each jump's two uniforms from its
+# rng in turn.  The lockstep walker must draw the same random numbers and
+# return the same doubles.  log1p is NumPy's, as in the walker: its SIMD
+# loops may round differently from math.log1p.
 
 
 class _ReferenceChain:
@@ -44,25 +45,23 @@ class _ReferenceChain:
                                   else np.empty(0))
 
 
-def _reference_walk(prep, x0, horizon, rng, values, max_jumps):
-    """Simulate one path; returns (times, states, time_average_or_None)."""
+def _reference_walk(prep, x0, horizon, uniforms, values, max_jumps):
+    """Simulate one path, its j-th jump on the pair ``uniforms(j)``;
+    returns (times, states, time_average_or_None)."""
     times = [0.0]
     states = [x0]
     x = x0
     now = 0.0
     weighted = 0.0
     while True:
-        k = (len(times) - 1) % BLOCK
-        if k == 0:
-            exps = rng.standard_exponential(BLOCK)
-            unifs = rng.random(BLOCK)
+        u_hold, u_jump = uniforms(len(times) - 1)
         rate = prep.exit[x]
         if rate <= 0.0:
             # absorbing state: sits there forever
             if values is not None:
                 weighted += (horizon - now) * values[x]
             break
-        hold = exps[k] / rate
+        hold = float(-np.log1p(-u_hold)) / rate
         if now + hold >= horizon:
             if values is not None:
                 weighted += (horizon - now) * values[x]
@@ -70,7 +69,7 @@ def _reference_walk(prep, x0, horizon, rng, values, max_jumps):
         now += hold
         if values is not None:
             weighted += hold * values[x]
-        j = int(np.searchsorted(prep.cum_probs[x], unifs[k], side="right"))
+        j = int(np.searchsorted(prep.cum_probs[x], u_jump, side="right"))
         x = int(prep.targets[x][min(j, prep.targets[x].size - 1)])
         times.append(now)
         states.append(x)
@@ -84,22 +83,64 @@ def _reference_walk(prep, x0, horizon, rng, values, max_jumps):
     return times, states, avg
 
 
-def _reference_initial_state(init_cum, rng):
-    u = rng.random()
-    k = int(np.searchsorted(init_cum, u, side="right"))
-    return min(k, init_cum.size - 1)
+def _sequential(rng):
+    """sample_path's uniforms: each jump takes the next two of `rng`."""
+    return lambda j: rng.random(2)
 
 
-def _reference_counts(Q, values, init, horizon, thresholds, seed, reps):
+class _JumpWords:
+    """Per jump j, the word pairs of every replication: substream(seed,
+    j + 1) as a (reps, 2) array, drawn on first use."""
+
+    def __init__(self, seed, reps):
+        self.seed, self.reps, self.rows = seed, reps, []
+
+    def __call__(self, j):
+        while len(self.rows) <= j:
+            self.rows.append(substream(self.seed, len(self.rows) + 1)
+                             .random((self.reps, 2)))
+        return self.rows[j]
+
+
+def _reference_averages(Q, values, init, horizon, seed, reps):
+    """The time averages of replications ``0..reps-1``."""
     prep = _ReferenceChain(Q)
     init_cum = np.cumsum(init)
-    counts = np.zeros(thresholds.size, dtype=np.int64)
+    firsts = substream(seed, 0).random(reps)
+    words = _JumpWords(seed, reps)
+    averages = []
     for r in range(reps):
-        rng = substream(seed, r)
-        x0 = _reference_initial_state(init_cum, rng)
-        _, _, avg = _reference_walk(prep, x0, horizon, rng, values, 10 ** 7)
-        counts += avg - thresholds >= 0.0
-    return counts.tolist()
+        x0 = min(int(np.searchsorted(init_cum, firsts[r], side="right")),
+                 Q.n - 1)
+        averages.append(_reference_walk(prep, x0, horizon,
+                                        lambda j: words(j)[r], values,
+                                        10 ** 7)[2])
+    return np.array(averages)
+
+
+def _counts(averages, thresholds):
+    return [int(np.count_nonzero(averages - t >= 0.0)) for t in thresholds]
+
+
+def _pinning(averages):
+    """Thresholds whose counts change if any average moves by an ulp:
+    every average and the double above it."""
+    a = np.unique(averages)
+    return np.concatenate([a, np.nextafter(a, np.inf)])
+
+
+def _assert_walk_matches(averages, Q, values, init, horizon, seed, eps):
+    # tail_probability_mc counts at mean + eps as the reference `averages`
+    # do, and the walk behind it gives every one of them to the last bit
+    reps = averages.size
+    mean = float(init @ values)
+    got = tail_probability_mc(Q, values, init, horizon, eps, reps, seed,
+                              mean=mean)
+    assert [e.count for e in got] == _counts(averages, mean + np.array(eps))
+    pins = _pinning(averages)
+    assert simulate._count_reaching(Q, values, init, horizon, pins, seed,
+                                    reps).tolist() == _counts(averages, pins)
+    return got
 
 
 def _ring_with_chords(n, rng):
@@ -110,6 +151,18 @@ def _ring_with_chords(n, rng):
             rates[int(i), int(j)] = 0.0
     return GeneratorMatrix.from_rates(
         n, [(i, j, 10.0 ** rng.uniform(-3.0, 3.0)) for i, j in rates])
+
+
+def _sticky():
+    # states 0 and 1 swap at rate 300 and leave for the slow state 2 at rate
+    # 0.05: from _STICKY_INIT a few paths make 600 jumps per unit of time
+    # while the rest make a handful
+    return GeneratorMatrix.from_rates(3, [(0, 1, 300.0), (1, 0, 300.0),
+                                          (0, 2, 0.05), (1, 2, 0.05),
+                                          (2, 0, 0.01)])
+
+
+_STICKY_INIT = np.array([0.02, 0.02, 0.96])
 
 
 def _chain(kind, rng):
@@ -123,10 +176,13 @@ def _chain(kind, rng):
             GeneratorMatrix([[-1.5, 1.5], [0.0, 0.0]])
     if kind == "birth-death":
         return build_birth_death(*random_birth_death(rng))
+    if kind == "sticky":
+        return _sticky()
     return _ring_with_chords(int(rng.integers(2, 41)), rng)
 
 
-_KINDS = ["three-state", "two-state", "absorbing", "birth-death", "ring"]
+_KINDS = ["three-state", "two-state", "absorbing", "birth-death", "ring",
+          "sticky"]
 
 
 # ------------------------------------------------------------------- sampling
@@ -203,22 +259,23 @@ def test_jump_count_scale(two_state):
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(_KINDS),
-       st.sampled_from(["zero", "short", "long", "refill"]), st.booleans(),
+       st.sampled_from(["zero", "short", "long", "longer"]), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
 def test_sample_path_matches_reference_walker(kind, span, observe, seed):
     # horizons in units of the mean holding time at the fastest state:
-    # none, a few jumps, a few hundred, and enough to need several blocks
+    # none, a few jumps, a few hundred, and a thousand or more
     rng = np.random.default_rng(seed)
     Q = _chain(kind, rng)
     scale = 1.0 / max(Q.max_rate(), 1e-3)
     horizon = {"zero": 0.0, "short": rng.uniform(0.1, 5.0) * scale,
                "long": rng.uniform(50.0, 300.0) * scale,
-               "refill": rng.uniform(3.0, 6.0) * BLOCK * scale}[span]
+               "longer": rng.uniform(400.0, 800.0) * scale}[span]
     x0 = int(rng.integers(0, Q.n))
     g = rng.normal(size=Q.n) if observe else None
     got = sample_path(Q, x0, horizon, substream(seed, 7), g=g)
-    times, states, avg = _reference_walk(_ReferenceChain(Q), x0, horizon,
-                                         substream(seed, 7), g, 10 ** 7)
+    times, states, avg = _reference_walk(
+        _ReferenceChain(Q), x0, horizon, _sequential(substream(seed, 7)), g,
+        10 ** 7)
     assert got.jump_times.tolist() == times
     assert got.states.tolist() == states
     assert got.time_average == avg
@@ -226,40 +283,43 @@ def test_sample_path_matches_reference_walker(kind, span, observe, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from(["three-state", "two-state", "birth-death", "ring"]),
-       st.sampled_from([1.0, 30.0, 4.0 * BLOCK]),
+@given(st.sampled_from(["three-state", "two-state", "birth-death", "ring",
+                        "sticky"]),
+       st.sampled_from([1.0, 30.0, 500.0]),
        st.integers(0, 2 ** 32 - 1))
 def test_tail_counts_match_reference_walker(kind, span, seed):
-    # the longest span makes every path refill its blocks several times
+    # spans in jumps at the fastest state; the sticky chain starts from its
+    # ragged law, the others from their stationary one
     rng = np.random.default_rng(seed)
     Q = _chain(kind, rng)
     values = rng.uniform(0.0, 1.0, size=Q.n)
-    init = stationary_distribution(Q).probs
+    init = _STICKY_INIT if kind == "sticky" else \
+        stationary_distribution(Q).probs
     horizon = rng.uniform(0.5, 1.0) * span / Q.max_rate()
-    eps = [0.02, 0.1]
-    mean = float(init @ values)
-    got = tail_probability_mc(Q, values, init, horizon, eps, 40, seed,
-                              mean=mean)
-    assert [e.count for e in got] == _reference_counts(
-        Q, values, init, horizon, mean + np.array(eps), seed, 40)
+    averages = _reference_averages(Q, values, init, horizon, seed, 40)
+    _assert_walk_matches(averages, Q, values, init, horizon, seed,
+                         [0.02, 0.1])
 
 
-@pytest.mark.parametrize("kind", ["three-state", "ring"])
-def test_pooled_tail_counts_match_reference_walker(kind):
-    # more replications than one lockstep chunk holds
+@pytest.mark.parametrize("kind", ["three-state", "ring", "sticky"])
+def test_pooled_tail_counts_match_reference_walker(kind, monkeypatch):
+    # the counts do not depend on how the replications are chunked: chunks
+    # of 1 and 3 start at every offset within a Philox block, and on the
+    # sticky chain a few paths outlive the rest of their chunk by more than
+    # a thousand jumps
     rng = np.random.default_rng(2024)
     Q = _chain(kind, rng)
     values = rng.uniform(0.0, 1.0, size=Q.n)
-    init = stationary_distribution(Q).probs
-    mean = float(init @ values)
-    eps = [0.01, 0.05]
-    horizon = 5.0 / Q.max_rate()
-    reps = 2 * simulate._CHUNK + 7
-    expected = _reference_counts(Q, values, init, horizon,
-                                 mean + np.array(eps), 3, reps)
-    got = tail_probability_mc(Q, values, init, horizon, eps, reps, 3,
-                              mean=mean)
-    assert [e.count for e in got] == expected
+    init = _STICKY_INIT if kind == "sticky" else \
+        stationary_distribution(Q).probs
+    horizon = 5.0 if kind == "sticky" else 5.0 / Q.max_rate()
+    averages = _reference_averages(Q, values, init, horizon, 3, 150)
+    for chunk in (1, 3, 64, simulate._CHUNK):
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_CHUNK", chunk)
+            got = _assert_walk_matches(averages, Q, values, init, horizon, 3,
+                                       [0.01, 0.05])
+        assert 0 < got[0].count < 150
 
 
 def test_tail_counts_with_absorbing_state_match_reference_walker():
@@ -267,30 +327,10 @@ def test_tail_counts_with_absorbing_state_match_reference_walker():
     Q = GeneratorMatrix([[-1.5, 1.5], [0.0, 0.0]])
     values = np.array([1.0, 0.0])
     init = np.array([0.7, 0.3])
-    eps = [0.1, 0.3, 0.6]
-    got = tail_probability_mc(Q, values, init, 2.0, eps, 300, 9, mean=0.2)
-    assert [e.count for e in got] == _reference_counts(
-        Q, values, init, 2.0, 0.2 + np.array(eps), 9, 300)
+    averages = _reference_averages(Q, values, init, 2.0, 9, 300)
+    got = _assert_walk_matches(averages, Q, values, init, 2.0, 9,
+                               [0.1, 0.3, 0.6])
     assert 0 < got[0].count < 300
-
-
-def test_replication_follows_sample_path_on_its_substream(three_state):
-    # replication r of a chunk starting at lo reads substream(seed, r): its
-    # first uniform picks x0, and sample_path on the rest is the same walk
-    seed, lo, hi, horizon = 77, 5, 25, 3.0 * BLOCK
-    values = np.array([0.0, 0.5, 1.0])
-    init_cum = np.cumsum(THREE_STATE_PI)
-    blocks = simulate._ReplicationBlocks(simulate._Stream(), seed, hi - lo)
-    x0 = np.minimum(np.searchsorted(init_cum, blocks.start(lo, hi), "right"),
-                    2)
-    avg = simulate._lockstep(simulate._Chain(three_state), x0, horizon,
-                             values, blocks, 10 ** 7)
-    for i, r in enumerate(range(lo, hi)):
-        rng = substream(seed, r)
-        start = _reference_initial_state(init_cum, rng)
-        assert start == x0[i]
-        path = sample_path(three_state, start, horizon, rng, g=values)
-        assert path.time_average == avg[i]
 
 
 @settings(max_examples=30, deadline=None)
@@ -377,9 +417,8 @@ def test_explosion_guard(two_state):
 
 def test_explosion_guard_at_the_same_jump_as_the_reference(two_state):
     # a path may hold max_jumps jump times and no more
-    rng = substream(4, 0)
-    times, _, _ = _reference_walk(_ReferenceChain(two_state), 0, 40.0, rng,
-                                  None, 10 ** 7)
+    times, _, _ = _reference_walk(_ReferenceChain(two_state), 0, 40.0,
+                                  _sequential(substream(4, 0)), None, 10 ** 7)
     n = len(times)
     assert sample_path(two_state, 0, 40.0, substream(4, 0),
                        max_jumps=n).jump_times.tolist() == times
@@ -444,17 +483,46 @@ def test_tail_estimate_workers_equivalent(three_state, monkeypatch, eps):
     g = ObservableFunction([0.0, 0.0, 1.0], 0.0, 1.0)
     whole = tail_probability_mc(three_state, g, THREE_STATE_PI, 10.0, eps,
                                 300, seed=5)
-    with monkeypatch.context() as m:
-        m.setattr(simulate, "_CHUNK", 64)
-        split = tail_probability_mc(three_state, g, THREE_STATE_PI, 10.0,
-                                    eps, 300, seed=5)
-    assert whole == split
+    for chunk in (1, 3, 64):
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_CHUNK", chunk)
+            split = tail_probability_mc(three_state, g, THREE_STATE_PI, 10.0,
+                                        eps, 300, seed=5)
+        assert whole == split, chunk
     if isinstance(eps, list):
         # one estimate per eps, in the given order, from the same paths
         # as the scalar call for that eps
         assert whole == [
             tail_probability_mc(three_state, g, THREE_STATE_PI, 10.0, e,
                                 300, seed=5) for e in eps]
+
+
+# Tails from 2 000 000 paths of an independent simulator, recorded in
+# perfbench/reference_tails.json: the three-state chain with the indicator
+# of state 2, and bd(2, 1, 30) with the indicator of state 0, both from
+# their stationary law
+_REFERENCE_TAILS = {
+    "three-state": (2, 20.0, [0.05, 0.1, 0.15, 0.2],
+                    [0.313962, 0.162022, 0.066694, 0.0208825]),
+    "bd-2-1-30": (0, 50.0, [0.05, 0.1], [0.31737, 0.153082]),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_TAILS))
+def test_tail_estimates_match_reference_tails(case):
+    # the jump-keyed streams sample the right law: each p_hat lies within
+    # 5 sigma of the reference tail
+    observe, t, eps, tails = _REFERENCE_TAILS[case]
+    Q = build_three_state() if case == "three-state" else \
+        build_birth_death([2.0] * 30, [1.0] * 30)
+    values = np.zeros(Q.n)
+    values[observe] = 1.0
+    pi = stationary_distribution(Q).probs
+    reps, ref_reps = 20_000, 2_000_000
+    got = tail_probability_mc(Q, values, pi, t, eps, reps, seed=20241020)
+    for est, p in zip(got, tails):
+        sigma = math.sqrt(p * (1.0 - p) * (1.0 / reps + 1.0 / ref_reps))
+        assert abs(est.p_hat - p) <= 5.0 * sigma, (est.epsilon, est.p_hat)
 
 
 def test_tail_impossible_event_is_zero(three_state):
