@@ -4,9 +4,9 @@ stationary distributions, and additive reversibilization.
 A rate matrix (generator) `Q` has nonnegative off-diagonal entries and zero
 row sums; `Q[i, j]` is the jump rate from state `i` to state `j`.  Matrices
 are stored as NumPy arrays in compressed sparse row form, the diagonal kept
-explicit; SciPy is imported only by the functions that hand a matrix to a
-SciPy algorithm.  All objects here are treated as immutable after
-construction.
+explicit.  SciPy is not needed: only the ``matrix`` view imports it, for
+callers that want a SciPy matrix.  All objects here are treated as
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ class _CSR:
 
     @property
     def matrix(self):
-        """The matrix as a SciPy CSR matrix (built once; do not mutate)."""
+        """The matrix as a SciPy CSR matrix (built once; do not mutate).
+        The package's one import of SciPy."""
         if self._matrix is None:
             import scipy.sparse as sp
 
@@ -141,7 +142,7 @@ class GeneratorMatrix(_CSR):
 
     The entries are held as the three CSR arrays; a sparse input that is
     already float64 is kept without a copy.  The SciPy view ``matrix`` is
-    built on first use.
+    built on first use and needs SciPy.
     """
 
     def __init__(self, matrix, labels=None):
@@ -299,39 +300,40 @@ def _checked_triplets(n, rates):
     return a
 
 
+def _summed_cells(n, rows, cols, vals):
+    """CSR arrays ``(indptr, indices, data)`` of the cells ``(rows[k],
+    cols[k])`` of `n` rows; a repeated cell sums its values left to right
+    (a stable sort keeps their order for `bincount`), a sum of 0 stored."""
+    # cell numbers i n + j pass int32 from n = 46 341 states
+    cells = rows.astype(np.int64) * n + cols
+    order = np.argsort(cells, kind="stable")
+    cells = cells[order]
+    first = np.diff(cells, prepend=-1) != 0
+    sums = np.bincount(np.cumsum(first) - 1, weights=vals[order])
+    cells = cells[first]
+    return _row_pointers(cells // n, n), cells % n, sums
+
+
 def _assemble(n, a, labels):
     """The generator of valid triplets `a` (repeats add), as `from_rates`.
 
     Entries come out row by row in ascending column order, with exact
     zeros dropped and each row's diagonal minus the sum of the rest unless
-    given.  Repeated cells, which only a collapsed chain makes, are added
-    by SciPy's COO-to-CSR conversion: its sort fixes no order among them in
-    a row of more than 16 entries, so no other code adds them alike.
+    given.  Repeated cells, which only a collapsed chain makes, add left to
+    right.  A cell that adds to 0 is dropped only after the row sums, whose
+    pairwise grouping it shifts, as in SciPy's ``sum(axis=1)``.
     """
     rows, cols = a[:, 0].astype(np.intp), a[:, 1].astype(np.intp)
     off = rows != cols
-    given = rows[~off]  # rows with a diagonal triplet
-    rows, cols, vals = rows[off], cols[off], a[off, 2]
-    order = np.lexsort((cols, rows))
-    r, c = rows[order], cols[order]
-    if np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])):
-        import scipy.sparse as sp
-
-        M = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        rows = np.repeat(np.arange(n), np.diff(M.indptr))
-        cols, vals = M.indices, M.data
-    else:
-        rows, cols, vals = r, c, vals[order]
-    d = -_row_sums(_row_pointers(rows, n), vals)
-    d[given] = a[~off, 2]
-    # the diagonal entry goes before the first column right of it
-    at = np.searchsorted(rows * n + cols, np.arange(n) * (n + 1))
-    rows, cols = np.insert(rows, at, np.arange(n)), np.insert(cols, at,
-                                                             np.arange(n))
-    vals = np.insert(vals, at, d)
+    indptr, indices, data = _summed_cells(n, rows[off], cols[off], a[off, 2])
+    d = -_row_sums(indptr, data)
+    d[rows[~off]] = a[~off, 2]
+    diag = np.arange(n)
+    rows = np.concatenate([np.repeat(diag, np.diff(indptr)), diag])
+    cols, vals = np.concatenate([indices, diag]), np.concatenate([data, d])
     keep = vals != 0
-    return GeneratorMatrix._from_csr(_row_pointers(rows[keep], n),
-                                     cols[keep], vals[keep], labels)
+    return GeneratorMatrix._from_csr(
+        *_summed_cells(n, rows[keep], cols[keep], vals[keep]), labels)
 
 
 class StationaryDistribution:
@@ -812,16 +814,14 @@ def _symmetric_part(M, log_pi):
             W = np.where(M != 0, M * np.exp(
                 0.5 * (log_pi[:, None] - log_pi[None, :])), 0.0)
         return 0.5 * (W + W.T)
-    # cell numbers i n + j pass int32 from n = 46 341 states
-    n = M.n
-    rows, cols = M._row_index().astype(np.int64), M._indices.astype(np.int64)
+    rows, cols = M._row_index(), M._indices
     W = M._data * np.exp(0.5 * (log_pi[rows] - log_pi[cols]))
-    cells, at = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
-                          return_inverse=True)
-    sums = np.bincount(at, weights=np.concatenate([W, W]))
+    indptr, indices, sums = _summed_cells(
+        M.n, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+        np.concatenate([W, W]))
     keep = sums != 0
-    cells = cells[keep]
-    return _CSR(_row_pointers(cells // n, n), cells % n, 0.5 * sums[keep])
+    rows = np.repeat(np.arange(M.n), np.diff(indptr))[keep]
+    return _CSR(_row_pointers(rows, M.n), indices[keep], 0.5 * sums[keep])
 
 
 def additive_symmetrization(Q, pi):

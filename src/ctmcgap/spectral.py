@@ -79,8 +79,8 @@ class SpectralReport(Report):
 def symmetrized_form(Q, pi):
     """Symmetric matrix ``S = D Qbar D^-1`` with ``D = diag(sqrt(pi))``.
 
-    `Qbar` is the additive reversibilization; ``S`` is returned in CSR
-    form with the vector ``sqrt(pi)``.  A general `Q` gives
+    `Qbar` is the additive reversibilization; ``S`` is returned as a SciPy
+    CSR matrix (SciPy needed) with ``sqrt(pi)``.  A general `Q` gives
     ``_symmetric_part(Q, log pi)``.  A birth-death (tridiagonal) `Q` is its
     own reversibilization, and by Kolmogorov's criterion ``S`` is then
     minus the `BirthDeathForm` of its rates: minus the exit rates on the
@@ -224,17 +224,16 @@ def bd_closed_form_gap(alpha, beta, n_levels):
     Parameters
     ----------
     alpha : float
-        Down rate (toward state 0), positive.
+        Down rate (toward state 0), positive and finite.
     beta : float
-        Up rate, positive.
+        Up rate, positive and finite.
     n_levels : int or math.inf
         Top state; the chain lives on ``0..n_levels``.  Infinite chains
         require ``alpha > beta`` (positive recurrence), where the gap is
         ``(sqrt(alpha) - sqrt(beta))**2``.
     """
     alpha, beta = float(alpha), float(beta)
-    if alpha <= 0 or beta <= 0:
-        raise InvalidInputError("rates must be positive")
+    _birth_death_rates([alpha], [beta])  # positive and finite, as any chain's
     if n_levels is math.inf or (isinstance(n_levels, float)
                                 and math.isinf(n_levels)):
         if alpha <= beta:

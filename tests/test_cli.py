@@ -126,8 +126,13 @@ _ABOVE_DENSE = str(DENSE_SOLVE_CUTOFF * 50)
     # these exit 2 only if the cap is checked before pi is solved
     (["gap", "--model", "MODEL", "--method", "dense"], DENSE_SOLVE_CUTOFF),
     (["skeleton", "--model", "MODEL"], DENSE_SOLVE_CUTOFF),
+    # the closed form of an infinite chain takes only positive finite rates
+    (["gap", "--bd", "nan", "1", "inf"], None),
+    (["gap", "--bd", "2", "nan", "inf"], None),
+    (["gap", "--bd", "inf", "1", "inf"], None),
 ], ids=["bd-max", "gap-dense", "skeleton-dense", "delta-inf", "delta-nan",
-        "delta-0", "sizes-max", "model-gap-dense", "model-skeleton"])
+        "delta-0", "sizes-max", "model-gap-dense", "model-skeleton",
+        "closed-nan-down", "closed-nan-up", "closed-inf-down"])
 def test_hostile_input_is_refused_at_once_in_a_process(tmp_path, argv, cap):
     # a child with a timeout: each is refused before anything of the
     # chain's square size is allocated, with one error line and no traceback
@@ -725,9 +730,9 @@ def test_refusals_exit_before_numpy_loads(argv):
 
 
 def test_birth_death_gap_leaves_out_csgraph_and_sparse_linalg():
-    # a general chain's irreducibility check and the Lanczos solver import
-    # them when called; a birth-death gap or sweep needs no SciPy at all,
-    # and loads NumPy only once the command runs, and never the simulator
+    # a birth-death gap or sweep, like every command, needs no SciPy at
+    # all, and loads NumPy only once the command runs, and never the
+    # simulator
     for argv in (["gap", "--bd", "2", "1", "10"],
                  ["sweep", "--bd", "2", "1", "inf", "--sizes", "10,20"],
                  ["gap", "--bd", "2", "1", "inf"]):
@@ -755,10 +760,13 @@ def test_verify_loads_no_scipy(argv):
     ["skeleton", "--model", "MODEL"],
     ["gap", "--example", "three-state"],
     ["gap", "--bd", "2", "1", "100", "--method", "lanczos"],
-], ids=["gap-model", "skeleton-model", "gap-example", "gap-bd-lanczos"])
+    ["sweep", "--model", "MODEL", "--sizes", "50,100"],
+], ids=["gap-model", "skeleton-model", "gap-example", "gap-bd-lanczos",
+        "sweep-model"])
 def test_general_chain_commands_load_no_scipy(tmp_path, argv):
     # irreducibility, pi, S and both eigensolvers are NumPy: the model's pi
-    # takes the blocked elimination, the bd chain the Lanczos solver.  Any
+    # takes the blocked elimination, the bd chain the Lanczos solver, and
+    # the sweep's collapsed chains sum their repeated cells in NumPy.  Any
     # scipy.* module would load the scipy package first.  None of these
     # commands loads the simulator either.
     Q = ring_with_chords(300, False, 3)

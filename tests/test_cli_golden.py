@@ -1,7 +1,7 @@
 """Literal stdout of cheap CLI cases, so that the byte-identical output
 contract is checked on every run.
 
-Captured with NumPy 2.4.6 and SciPy 1.17.1; other versions, or other
+Captured with NumPy 2.4.6, and no SciPy loaded; other versions, or other
 LAPACK builds, may differ in the last digits of eigensolver output.  The
 general-chain cases (``--example``, ``--model``) take their gaps and
 skeleton eigenvalues from ``numpy.linalg.eigh``, so they move with the
@@ -88,11 +88,11 @@ GOLDEN = [
      '"limit_hint": 0.17157287525381, "seconds": [MASKED], '
      '"sizes": [50, 500]}\n'),
     # collapsing to 20 or 30 states routes more than 16 rates into the
-    # tail row, several on one cell; they add in the order SciPy's
-    # COO-to-CSR conversion leaves them, which a stable sort does not keep
+    # tail row, several on one cell; they add left to right in the order
+    # the collapse lists them, which SciPy's COO-to-CSR sort does not keep
     (["sweep", "--model", "MODEL", "--sizes", "20,30", "--format", "json"],
-     '{"diffs": [null, 0.10371651959070727], '
-     '"gaps": [0.811158046115027, 0.7074415265243197], '
+     '{"diffs": [null, 0.10371651959070627], '
+     '"gaps": [0.811158046115026, 0.7074415265243197], '
      '"limit_hint": null, "seconds": [MASKED], "sizes": [20, 30]}\n'),
 ]
 

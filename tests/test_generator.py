@@ -806,6 +806,34 @@ def test_repeated_triplets_add_as_scipy_adds_them(case):
         assert np.array_equal(getattr(got.matrix, part), getattr(ref, part))
 
 
+@st.composite
+def _long_repeated_rows(draw):
+    # up to 64 off-diagonal rates a row on at most 5 columns, so that many
+    # land on one cell, zeros among them, the rows interleaved
+    n = draw(st.integers(2, 6))
+    rates = st.lists(st.tuples(st.integers(1, n - 1),
+                               st.one_of(st.just(0.0), st.floats(0.0, 1e3))),
+                     max_size=64)
+    triplets = [[i, (i + k) % n, r] for i in range(n) for k, r in draw(rates)]
+    return n, draw(st.permutations(triplets))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_long_repeated_rows())
+def test_repeated_cells_add_left_to_right_in_rows_of_any_length(case):
+    # each cell's rates add one by one in the order given, however long the
+    # row: SciPy's sort reorders repeats in rows of more than 16 entries
+    n, triplets = case
+    sums = {}
+    for i, j, rate in triplets:
+        sums[i, j] = sums.get((i, j), 0.0) + rate
+    got = generator._assemble(n, np.array(triplets).reshape(-1, 3), None)
+    # one rate a cell: SciPy only sorts them, and adds the diagonals
+    ref = _loop_from_rates(n, [(i, j, v) for (i, j), v in sums.items()])
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.matrix, part), getattr(ref, part))
+
+
 def test_observable_roundtrip(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"values": [0.0, 0.0, 1.0], "range": [0, 1]}))

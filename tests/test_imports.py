@@ -1,10 +1,9 @@
 """Every import in the package modules is used, and so is every private
 top-level name; every public name resolves, on first use, to its module's
-object and has its row in the README; the modules a birth-death command
-runs import SciPy only inside the functions that call it, and those of
-`verify` not at all; and the size rules live in `generator` alone, so that
-the eigensolvers of `_symeig` import nothing of the package but its
-errors."""
+object and has its row in the README; no module imports SciPy but
+`generator`, and that one only in its SciPy view, so none does at import
+time; and the size rules live in `generator` alone, so that the
+eigensolvers of `_symeig` import nothing of the package but its errors."""
 
 import ast
 import os
@@ -78,31 +77,55 @@ def test_birth_death_modules_import_no_scipy(name):
 
 
 def _scipy_anywhere(source):
-    """Lines of every import of SciPy in a module, function bodies
-    included."""
+    """``(line, home)`` of every import of SciPy in a module, function
+    bodies included; `home` is the dotted name of the functions and
+    classes around it, "" at the top level."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        else:
-            continue
-        if any(name.split(".")[0] == "scipy" for name in names):
-            found.append(node.lineno)
+
+    def visit(node, home):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{home}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append((child.lineno, home))
+            visit(child, home)
+
+    visit(ast.parse(source), "")
     return sorted(found)
 
 
-@pytest.mark.parametrize("name", ["simulate", "bounds"])
+# every module but generator, whose matrix view alone imports SciPy
+@pytest.mark.parametrize("name", sorted(
+    {p.stem for p in pathlib.Path(ctmcgap.__file__).parent.glob("*.py")}
+    - {"generator"}))
 def test_verify_modules_import_no_scipy_at_all(name):
     path = pathlib.Path(ctmcgap.__file__).parent / f"{name}.py"
     assert _scipy_anywhere(path.read_text(encoding="utf-8")) == []
 
 
+def test_generator_imports_scipy_only_in_the_matrix_view():
+    path = pathlib.Path(ctmcgap.__file__).parent / "generator.py"
+    homes = [home for _, home in
+             _scipy_anywhere(path.read_text(encoding="utf-8"))]
+    assert homes == ["_CSR.matrix"]
+
+
 def test_scipy_anywhere_is_caught():
     source = ("import numpy\ndef f():\n    from scipy.special import x\n"
-              "    import scipy.stats as st\n")
-    assert _scipy_anywhere(source) == [3, 4]
+              "    import scipy.stats as st\n"
+              "class A:\n    def g(self):\n        if True:\n"
+              "            import scipy.sparse\n"
+              "import scipy\n")
+    assert _scipy_anywhere(source) == [(3, "f"), (4, "f"), (8, "A.g"),
+                                       (9, "")]
 
 
 def test_scipy_at_import_is_caught():

@@ -643,6 +643,12 @@ def test_bd_closed_form_errors():
         bd_closed_form_gap(-1.0, 2.0, 5)
     with pytest.raises(InvalidInputError):
         bd_closed_form_gap(1.0, 2.0, 0)
+    # rates that are not positive and finite, NaN among them, whatever N
+    for alpha, beta in ((math.nan, 1.0), (2.0, math.nan), (math.inf, 1.0),
+                        (2.0, math.inf), (math.inf, math.inf)):
+        for n_levels in (math.inf, 5):
+            with pytest.raises(InvalidInputError, match="finite"):
+                bd_closed_form_gap(alpha, beta, n_levels)
 
 
 def test_bd_lower_bound_single_level():
