@@ -24,7 +24,8 @@ import numpy as np
 from ._report import Report
 from .errors import InvalidInputError
 from .generator import ObservableFunction, _as_probs, stationary_distribution
-from .simulate import clopper_pearson_upper, tail_probability_mc
+from .simulate import (_walk_arguments, clopper_pearson_upper,
+                       tail_probability_mc)
 from .spectral import spectral_gap
 
 
@@ -97,7 +98,7 @@ def density_pnorm(nu, pi, p):
     if p == math.inf:
         return float(ratio.max())
     p = float(p)
-    if p < 1:
+    if not p >= 1:  # NaN too
         raise InvalidInputError("p must be >= 1 (or inf)")
     return float((pi @ ratio ** p) ** (1.0 / p))
 
@@ -113,13 +114,13 @@ def nu_initial_bound(lam, t, eps, lower, upper, p, density_norm):
     span = float(upper) - float(lower)
     if not span > 0:
         raise InvalidInputError("range must have positive width")
-    if density_norm < 1.0 - 1e-12:
+    if not density_norm >= 1.0 - 1e-12:  # NaN too
         raise InvalidInputError("density norm cannot be below 1")
     if p == math.inf:
         q = 1.0
     else:
         p = float(p)
-        if p <= 1:
+        if not p > 1:  # NaN too
             raise InvalidInputError("p must be > 1 (or inf) for a finite "
                                     "conjugate exponent")
         q = p / (p - 1.0)
@@ -253,23 +254,24 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     Returns
     -------
     VerificationReport
+
+    Raises
+    ------
+    InvalidInputError
+        Before `pi` is solved: on a `g` that is not an ObservableFunction
+        of one entry per state, a bad `t`, `eps_grid`, `reps` or `seed`
+        (the rules of `tail_probability_mc`), `init` without `p`, or a
+        reducible `Q`.  After it: on a bad `init` or `p`.
+    NumericalFailureError
+        When `pi` or the gap misses its tolerance, or (ExplosionGuardError)
+        a path needs more than `simulate.DEFAULT_MAX_JUMPS` jumps.
     """
     if not isinstance(g, ObservableFunction):
         raise InvalidInputError("g must be an ObservableFunction "
                                 "(values with a declared range)")
-    if g.values.size != Q.n:
-        raise InvalidInputError(
-            f"observable has {g.values.size} entries, chain has {Q.n}")
-    eps_list = sorted(float(e) for e in eps_grid)
-    if not eps_list:
-        raise InvalidInputError("eps grid is empty")
-    if not all(0 < e < math.inf for e in eps_list):
-        raise InvalidInputError("eps values must be positive and finite")
-    reps = int(reps)
-    if reps < 1:
-        raise InvalidInputError("reps must be >= 1")
-    if not 0 < t < math.inf:
-        raise InvalidInputError("t must be positive and finite")
+    _, t, eps_list, reps, seed = _walk_arguments(Q, g, t, eps_grid, reps,
+                                                 seed)
+    eps_list.sort()
     if init is not None and p is None:
         raise InvalidInputError(
             "a non-stationary start needs p for the density-norm bound")
@@ -307,13 +309,13 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
         miss_slack = (clopper_pearson_upper(reps - est.count, reps)
                       - (1.0 - est.p_hat))
         rows.append(VerificationRow(
-            eps=eps, t=float(t), reps=reps, p_hat=est.p_hat,
+            eps=eps, t=t, reps=reps, p_hat=est.p_hat,
             ci_upper=est.ci_upper, bound_main=bound_main,
             bound_lezaud=bound_lez, verdict=verdict, bound_nu=bound_nu,
             uninformative=max(slack, miss_slack) >= 0.5))
     return VerificationReport(
         rows=rows, gap=lam, gap_method=gap_report.method,
-        gap_residual=gap_report.residual, seed=int(seed), pi_g=pi_g,
+        gap_residual=gap_report.residual, seed=seed, pi_g=pi_g,
         g_sup_norm=float(np.max(np.abs(g.values))),
         g_pi2_norm=float(math.sqrt(pi.probs @ g.values ** 2)),
         lezaud_hypotheses=hypotheses)

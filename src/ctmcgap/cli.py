@@ -173,10 +173,12 @@ def _cmd_sweep(args):
     sizes = _parse_list(args.sizes, int, "sizes")
     if max(sizes) > MAX_STATES:
         raise InvalidInputError(f"sizes must be at most {MAX_STATES}")
+    from .truncation import (CountableModel, _prefix_sizes,
+                             gap_convergence_sweep)
+    _prefix_sizes(sizes)  # before the model's pi is solved
     Q, bd_spec = _resolve_model(args, allow_infinite_bd=True)
     from .generator import stationary_distribution
     from .spectral import bd_closed_form_gap
-    from .truncation import CountableModel, gap_convergence_sweep
     limit = None
     if Q is None:
         down, up, _ = bd_spec

@@ -182,6 +182,7 @@ class GeneratorMatrix(_CSR):
         super().__init__(indptr, indices, data)
         self._labels = labels
         self._structure = None
+        self._checked_law = None  # set by stationary_distribution, collapse
 
     @classmethod
     def from_rates(cls, n, rates, labels=None):
@@ -782,6 +783,7 @@ def stationary_distribution(Q):
         pi = StationaryDistribution(p)
         pi.solver, pi.iterations, pi.residual = solver, steps, resid
     _check_stationary(pi.probs, Q, "stationary")
+    Q._checked_law = pi
     return pi
 
 

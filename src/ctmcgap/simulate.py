@@ -552,6 +552,24 @@ def _count_reaching(Q, values, init, horizon, thresholds, seed, reps):
     return counts
 
 
+def _walk_arguments(Q, g, horizon, eps, reps, seed):
+    """``(values, horizon, eps_list, reps, seed)`` of a walk of `Q`, each
+    checked (InvalidInputError) without solving anything."""
+    values = _observable_values(g, Q.n)
+    horizon = float(horizon)
+    if not 0 < horizon < math.inf:
+        raise InvalidInputError("horizon t must be positive and finite")
+    eps_list = [float(e) for e in np.atleast_1d(eps)]
+    if not eps_list:
+        raise InvalidInputError("eps grid is empty")
+    if not all(0 < e < math.inf for e in eps_list):
+        raise InvalidInputError("eps must be positive and finite")
+    reps = int(reps)
+    if reps < 1:
+        raise InvalidInputError("reps must be >= 1")
+    return values, horizon, eps_list, reps, _key_word(seed, "seed")
+
+
 def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None):
     """Estimate ``P(time average of g - mean >= eps)`` by simulation.
 
@@ -592,25 +610,14 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None):
         If a state has a positive exit rate but no positive jump rate, or
         the seed lies outside ``[0, 2**64)``.
     """
-    values = _observable_values(g, Q.n)
+    values, horizon, eps_list, reps, seed = _walk_arguments(
+        Q, g, horizon, eps, reps, seed)
     init = _as_probs(init, Q.n)
     if np.any(init < 0):
         raise InvalidInputError("initial distribution has negative entries")
     if abs(init.sum() - 1.0) > 1e-9:
         raise InvalidInputError(
             f"initial distribution sums to {init.sum()!r}, not 1")
-    horizon = float(horizon)
-    if not 0 < horizon < math.inf:
-        raise InvalidInputError("horizon must be positive and finite")
-    eps_list = [float(e) for e in np.atleast_1d(eps)]
-    if not eps_list:
-        raise InvalidInputError("eps grid is empty")
-    if not all(0 < e < math.inf for e in eps_list):
-        raise InvalidInputError("eps must be positive and finite")
-    reps = int(reps)
-    if reps < 1:
-        raise InvalidInputError("reps must be >= 1")
-    seed = _key_word(seed, "seed")
     if mean is None:
         pi = stationary_distribution(Q)
         mean = float(pi.probs @ values)

@@ -17,7 +17,7 @@ import numpy as np
 from ._report import Report
 from ._symeig import deflated_extremal
 from .errors import InvalidInputError, NumericalFailureError
-from .generator import (_as_law, _check_dense_cap, _symmetric_part,
+from .generator import (_as_law, _irreducible_band, _symmetric_part,
                         stationary_distribution)
 from .spectral import spectral_gap
 
@@ -231,17 +231,21 @@ def skeleton_gap_check(Q, pi=None, deltas=(0.1, 0.05, 0.01)):
     Raises
     ------
     InvalidInputError
-        On bad `deltas`, a reducible `Q`, or, before `pi` is solved, a
-        `Q` of more states than `transition_matrix_exp` takes.
+        Before `pi` is solved: on bad `deltas`, a reducible `Q` (checked
+        before any n x n array exists), or a `Q` of more states than
+        `transition_matrix_exp` takes.
+    NumericalFailureError
+        Before `pi` is solved, when ``delta * q`` is too large for
+        uniformization; after it, when `pi` or a gap misses its tolerance.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise InvalidInputError("need at least one delta")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise InvalidInputError("deltas must be strictly decreasing")
-    _check_dense_cap(Q.n)  # before pi is solved
+    _irreducible_band(Q)  # refuses a reducible Q
+    kernels = _transition_matrices(Q, deltas)  # every refusal before pi
     pi = stationary_distribution(Q) if pi is None else _as_law(pi, Q.n)
-    kernels = _transition_matrices(Q, deltas)
     gap_ref = spectral_gap(Q, pi).gap
     rows = []
     for d, P in zip(deltas, kernels):
@@ -267,7 +271,7 @@ def dtmc_hoeffding_bound(lambda_P, n_steps, eps, lower, upper):
     span = float(upper) - float(lower)
     if not span > 0:
         raise InvalidInputError("range must have positive width")
-    if lambda_P > 1.0 + 1e-12:
+    if not lambda_P <= 1.0 + 1e-12:  # NaN too
         raise InvalidInputError("lambda_P cannot exceed 1")
     r = min(max(float(lambda_P), 0.0), 1.0)
     if r == 1.0:

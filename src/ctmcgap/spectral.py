@@ -121,7 +121,8 @@ def spectral_gap(Q, pi=None, method="auto"):
         Admissible generator.
     pi : StationaryDistribution or array, optional
         Stationary law; solved from `Q` when omitted, and checked for
-        stationarity once when given.
+        stationarity unless it is the law `stationary_distribution` or
+        `collapse` checked for this `Q`.
     method : {"auto", "dense", "lanczos"}
         "auto", resolved here, is "tridiagonal" when every nonzero
         off-diagonal rate of `Q` sits next to the diagonal (a birth-death
@@ -151,10 +152,8 @@ def spectral_gap(Q, pi=None, method="auto"):
     band = _irreducible_band(Q)
     if method == "dense":
         _check_dense_cap(Q.n)  # before pi is solved
-    if pi is None:
-        pi = stationary_distribution(Q)  # checked as it is solved
-    else:
-        pi = _as_law(pi, Q.n)
+    pi = stationary_distribution(Q) if pi is None else _as_law(pi, Q.n)
+    if pi is not Q._checked_law:
         _check_stationary(pi.probs, Q, "stationary")
     # the gap is the smallest nontrivial eigenvalue of -S
     if method == "auto" and band is not None:

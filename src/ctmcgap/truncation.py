@@ -121,8 +121,7 @@ class CountableModel:
         ratio = None
         if not (callable(death_rate) or callable(birth_rate)):
             alpha, beta = float(death_rate), float(birth_rate)
-            if alpha <= 0 or beta <= 0:
-                raise InvalidInputError("rates must be positive")
+            _birth_death_rates([alpha], [beta])  # positive and finite
             if beta >= alpha:
                 raise InvalidInputError(
                     "constant-rate chain needs death rate > birth rate "
@@ -254,6 +253,7 @@ def collapse(model, retained):
         feeders = model.in_reach(n)
     Qt, pi_tilde = _collapsed_chain(model, retained, feeders, log_tail)
     _check_stationary(pi_tilde.probs, Qt, "collapsed stationary")
+    Qt._checked_law = pi_tilde
     return CollapsedModel(generator=Qt, pi_tilde=pi_tilde,
                           tail_index=len(retained), retained=tuple(retained))
 
@@ -320,6 +320,19 @@ class GapSweep(Report):
                 zip(d["sizes"], d["gaps"], d["diffs"], seconds))
 
 
+def _prefix_sizes(sizes):
+    """`sizes` as ints, refused (InvalidInputError) unless there is at
+    least one, each at least 1, in strictly increasing order."""
+    sizes = [int(s) for s in sizes]
+    if not sizes:
+        raise InvalidInputError("need at least one size")
+    if any(s < 1 for s in sizes):
+        raise InvalidInputError("sizes must be >= 1")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise InvalidInputError("sizes must be strictly increasing")
+    return sizes
+
+
 def gap_convergence_sweep(model, sizes, limit_hint=None):
     """Gap of the collapsed chain at each retained-prefix size.
 
@@ -334,14 +347,16 @@ def gap_convergence_sweep(model, sizes, limit_hint=None):
     Returns
     -------
     GapSweep
+
+    Raises
+    ------
+    InvalidInputError
+        Before any chain is collapsed, when `sizes` is empty, holds a size
+        below 1 or does not increase strictly; later, as `collapse` does.
+    NumericalFailureError
+        As `collapse` and `spectral_gap` do.
     """
-    sizes = [int(s) for s in sizes]
-    if not sizes:
-        raise InvalidInputError("need at least one size")
-    if any(s < 1 for s in sizes):
-        raise InvalidInputError("sizes must be >= 1")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise InvalidInputError("sizes must be strictly increasing")
+    sizes = _prefix_sizes(sizes)
     gaps, seconds = [], []
     for s in sizes:
         t0 = time.perf_counter()

@@ -89,6 +89,8 @@ def test_density_norm_guards():
         density_pnorm(np.array([0.5, 0.5, 0.5]), THREE_STATE_PI, 2.0)
     with pytest.raises(InvalidInputError):
         density_pnorm(THREE_STATE_PI, THREE_STATE_PI, 0.5)
+    with pytest.raises(InvalidInputError):  # used to return 1.0
+        density_pnorm([0.5, 0.5], [0.5, 0.5], math.nan)
 
 
 # -------------------------------------------------------------- nu-start bound
@@ -113,6 +115,11 @@ def test_nu_bound_guards():
         nu_initial_bound(1.0, 1.0, 0.1, 0.0, 1.0, 1.0, 1.0)  # p must be > 1
     with pytest.raises(InvalidInputError):
         nu_initial_bound(1.0, 1.0, 0.1, 0.0, 1.0, 2.0, 0.5)  # norm < 1
+    # a NaN p or norm used to give a NaN bound
+    with pytest.raises(InvalidInputError):
+        nu_initial_bound(1.0, 1.0, 0.1, 0.0, 1.0, math.nan, 1.0)
+    with pytest.raises(InvalidInputError):
+        nu_initial_bound(1.0, 1.0, 0.1, 0.0, 1.0, 2.0, math.nan)
 
 
 # -------------------------------------------------------------------- verifier
@@ -326,6 +333,8 @@ def test_verify_rejects_non_finite_input_before_solving(three_state,
     with pytest.raises(InvalidInputError, match="ObservableFunction"):
         verify(three_state, np.array([0.0, 0.0, 1.0]), t=5.0,
                eps_grid=[0.1], reps=10, seed=0)
+    with pytest.raises(InvalidInputError, match="seed"):
+        verify(three_state, g, t=5.0, eps_grid=[0.1], reps=10, seed=-1)
 
 
 def test_verify_csv_schema(three_state):

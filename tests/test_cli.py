@@ -126,19 +126,32 @@ _ABOVE_DENSE = str(DENSE_SOLVE_CUTOFF * 50)
     # these exit 2 only if the cap is checked before pi is solved
     (["gap", "--model", "MODEL", "--method", "dense"], DENSE_SOLVE_CUTOFF),
     (["skeleton", "--model", "MODEL"], DENSE_SOLVE_CUTOFF),
+    # and these only if the seed and the sizes are
+    (["verify", "--model", "MODEL", "--seed", "-1"], None),
+    (["verify", "--model", "MODEL", "--seed", str(2 ** 64)], None),
+    (["sweep", "--model", "MODEL", "--sizes", "100,50"], None),
+    (["sweep", "--model", "MODEL", "--sizes", "0,10"], None),
+    # SMALL_MODEL: the same chain under the dense cap, whose pi elimination
+    # fails (exit 3), so bad deltas exit 2 only if refused before pi
+    (["skeleton", "--model", "SMALL_MODEL", "--deltas", "nan"], None),
+    (["skeleton", "--model", "SMALL_MODEL", "--deltas", "0.1,-0.1"], None),
     # the closed form of an infinite chain takes only positive finite rates
     (["gap", "--bd", "nan", "1", "inf"], None),
     (["gap", "--bd", "2", "nan", "inf"], None),
     (["gap", "--bd", "inf", "1", "inf"], None),
 ], ids=["bd-max", "gap-dense", "skeleton-dense", "delta-inf", "delta-nan",
         "delta-0", "sizes-max", "model-gap-dense", "model-skeleton",
-        "closed-nan-down", "closed-nan-up", "closed-inf-down"])
+        "model-seed-negative", "model-seed-2-64", "model-sizes-decreasing",
+        "model-sizes-0", "small-model-delta-nan",
+        "small-model-delta-negative", "closed-nan-down", "closed-nan-up",
+        "closed-inf-down"])
 def test_hostile_input_is_refused_at_once_in_a_process(tmp_path, argv, cap):
     # a child with a timeout: each is refused before anything of the
     # chain's square size is allocated, with one error line and no traceback
-    if "MODEL" in argv:
-        model = _relabelled_birth_death(tmp_path, 5000)
-        argv = [model if a == "MODEL" else a for a in argv]
+    for token, N in (("MODEL", 5000), ("SMALL_MODEL", 2500)):
+        if token in argv:
+            model = _relabelled_birth_death(tmp_path, N)
+            argv = [model if a == token else a for a in argv]
     src = os.path.dirname(os.path.dirname(climod.__file__))
     start = time.perf_counter()
     out = subprocess.run([sys.executable, "-m", "ctmcgap.cli", *argv],

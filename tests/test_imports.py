@@ -46,36 +46,6 @@ def test_unused_import_is_caught():
     assert _unused_imports(source) == [(1, "os"), (2, "pi")]
 
 
-def _scipy_at_import(source):
-    """Lines of the imports of SciPy that run when the module is imported:
-    every one outside a function body, class bodies and ``if`` blocks
-    included."""
-    found, todo = [], list(ast.parse(source).body)
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        else:
-            names = []
-        if any(name.split(".")[0] == "scipy" for name in names):
-            found.append(node.lineno)
-        todo.extend(ast.iter_child_nodes(node))
-    return sorted(found)
-
-
-@pytest.mark.parametrize("name", ["generator", "spectral", "_symeig",
-                                  "truncation", "simulate", "bounds",
-                                  "skeleton"])
-def test_birth_death_modules_import_no_scipy(name):
-    path = pathlib.Path(ctmcgap.__file__).parent / f"{name}.py"
-    assert _scipy_at_import(path.read_text(encoding="utf-8")) == []
-
-
 def _scipy_anywhere(source):
     """``(line, home)`` of every import of SciPy in a module, function
     bodies included; `home` is the dotted name of the functions and
@@ -126,14 +96,6 @@ def test_scipy_anywhere_is_caught():
               "import scipy\n")
     assert _scipy_anywhere(source) == [(3, "f"), (4, "f"), (8, "A.g"),
                                        (9, "")]
-
-
-def test_scipy_at_import_is_caught():
-    source = ("import numpy\nimport scipy.sparse as sp\n"
-              "if True:\n    from scipy.linalg import eigh\n"
-              "class A:\n    import scipy\n"
-              "def f():\n    import scipy.special\n")
-    assert _scipy_at_import(source) == [2, 4, 6]
 
 
 def _package_imports(source):

@@ -272,3 +272,5 @@ def test_dtmc_bound_input_guards():
         dtmc_hoeffding_bound(0.5, 10, 0.1, 1.0, 1.0)
     with pytest.raises(InvalidInputError):
         dtmc_hoeffding_bound(1.5, 10, 0.1, 0.0, 1.0)
+    with pytest.raises(InvalidInputError):  # used to return NaN
+        dtmc_hoeffding_bound(math.nan, 10, 0.1, 0.0, 1.0)

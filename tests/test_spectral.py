@@ -1,4 +1,6 @@
+import collections
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -15,7 +17,8 @@ from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      rayleigh_quotient, spectral_gap, stationary_distribution,
                      symmetrized_form, verify)
 from ctmcgap.cli import main
-from ctmcgap.skeleton import transition_matrix_exp
+from ctmcgap.skeleton import skeleton_gap_check, transition_matrix_exp
+from ctmcgap.truncation import CountableModel, gap_convergence_sweep
 from conftest import (THREE_STATE_GAP, THREE_STATE_PI, random_birth_death,
                       ring_with_chords)
 
@@ -185,6 +188,58 @@ def test_gap_dense_spectrum_contains_zero_mode(three_state):
 def test_gap_rejects_wrong_pi(three_state):
     with pytest.raises(NumericalFailureError, match="stationary"):
         spectral_gap(three_state, np.array([0.5, 0.25, 0.25]))
+
+
+@pytest.fixture
+def stationarity_checks(monkeypatch):
+    """Calls of `generator._check_stationary` per chain, counted through
+    every module's binding of it (the imports above load them all)."""
+    original = generator._check_stationary
+    calls = collections.Counter()
+
+    def counted(p, Q, what):
+        calls[Q] += 1
+        return original(p, Q, what)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ctmcgap.") \
+                and getattr(module, "_check_stationary", None) is original:
+            monkeypatch.setattr(module, "_check_stationary", counted)
+    return calls
+
+
+def test_each_command_checks_pi_once_per_chain(stationarity_checks,
+                                               three_state):
+    # verify and skeleton solve pi, and the sweep collapses each chain
+    # with its law; spectral_gap takes that law as checked
+    g = ObservableFunction([0.0, 0.0, 1.0], 0.0, 1.0)
+    general = GeneratorMatrix(ring_with_chords(40, False, 3))
+    runs = [
+        (lambda: verify(three_state, g, t=5.0, eps_grid=[0.1], reps=20,
+                        seed=0), 1),
+        (lambda: skeleton_gap_check(three_state, deltas=[0.1]), 1),
+        (lambda: gap_convergence_sweep(CountableModel.birth_death(2.0, 1.0),
+                                       [5, 10, 20]), 3),
+        # the model's own pi, then one law per collapsed chain
+        (lambda: gap_convergence_sweep(CountableModel.from_generator(
+            general, stationary_distribution(general)), [10, 20]), 3),
+    ]
+    for run, chains in runs:
+        stationarity_checks.clear()
+        run()
+        assert list(stationarity_checks.values()) == [1] * chains
+
+
+def test_gap_checks_a_law_solved_for_another_chain():
+    # the law is tied to the chain it was checked for, not to its size
+    for make in (lambda up: build_birth_death([2.0] * 30, [up] * 30),
+                 lambda up: GeneratorMatrix(ring_with_chords(30, False,
+                                                             int(up)))):
+        Q1, Q2 = make(1.0), make(3.0)
+        pi1 = stationary_distribution(Q1)
+        stationary_distribution(Q2)
+        with pytest.raises(NumericalFailureError, match="stationary"):
+            spectral_gap(Q2, pi1)
 
 
 def test_gap_rejects_inaccurate_eigenpair(perturbed_eigensolver,

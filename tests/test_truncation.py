@@ -229,6 +229,10 @@ def test_countable_model_guards():
         CountableModel.birth_death(1.0, 2.0)  # drifts to infinity
     with pytest.raises(InvalidInputError):
         CountableModel.birth_death(-1.0, 0.5)
+    # refused as any birth-death rate is, not only once collapsed
+    for down in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            CountableModel.birth_death(down, 1.0)
 
 
 def test_birth_death_callable_rates_match_constant(geometric_chain):
