@@ -29,21 +29,34 @@ from .simulate import (_walk_arguments, clopper_pearson_upper,
 from .spectral import spectral_gap
 
 
-def _check_bound_args(lam, t, eps):
+def _check_bound_args(lam, t, eps, lower, upper):
+    """The span ``upper - lower`` of a bound's arguments, each checked."""
     if not lam >= 0:
         raise InvalidInputError("spectral gap must be nonnegative")
     if not t > 0:
         raise InvalidInputError("t must be positive")
     if not eps > 0:
         raise InvalidInputError("eps must be positive")
+    span = float(upper) - float(lower)
+    if not span > 0:
+        raise InvalidInputError("range must have positive width")
+    return span
+
+
+def _conjugate(p):
+    """The Hölder conjugate of a density order `p` > 1 or inf."""
+    if p == math.inf:
+        return 1.0
+    p = float(p)
+    if not p > 1:  # NaN too
+        raise InvalidInputError("p must be > 1 (or inf) for a finite "
+                                "conjugate exponent")
+    return p / (p - 1.0)
 
 
 def ctmc_hoeffding_bound(lam, t, eps, lower, upper):
     """Stationary-start tail bound ``exp(-lam t eps^2 / (upper - lower)^2)``."""
-    _check_bound_args(lam, t, eps)
-    span = float(upper) - float(lower)
-    if not span > 0:
-        raise InvalidInputError("range must have positive width")
+    span = _check_bound_args(lam, t, eps, lower, upper)
     return math.exp(-lam * t * eps ** 2 / span ** 2)
 
 
@@ -68,7 +81,7 @@ def lezaud_bound(lam, t, eps):
         With ``classical = exp(-lam t eps^2 / 12)`` and
         ``improved = exp(-lam t eps^2 / 4)``.
     """
-    _check_bound_args(lam, t, eps)
+    _check_bound_args(lam, t, eps, -1.0, 1.0)  # the unit sup norm assumed
     x = lam * t * eps ** 2
     return LezaudComparison(classical=math.exp(-x / 12.0),
                             improved=math.exp(-x / 4.0))
@@ -86,14 +99,10 @@ def density_pnorm(nu, pi, p):
     p : float
         Order in ``[1, inf]``; ``p = inf`` gives ``max nu[i] / pi[i]``.
     """
-    pi = _as_probs(pi)
-    nu = _as_probs(nu, pi.size)
+    pi = _as_probs(pi, None, "pi")
+    nu = _as_probs(nu, pi.size, "nu")
     if np.any(pi <= 0):
         raise InvalidInputError("pi must be strictly positive")
-    if np.any(nu < 0):
-        raise InvalidInputError("nu must be nonnegative")
-    if abs(nu.sum() - 1.0) > 1e-9:
-        raise InvalidInputError(f"nu sums to {nu.sum()!r}, not 1")
     ratio = nu / pi
     if p == math.inf:
         return float(ratio.max())
@@ -110,20 +119,10 @@ def nu_initial_bound(lam, t, eps, lower, upper, p, density_norm):
     the Hölder conjugate of `p`; at ``p = inf`` (q = 1) and unit norm this
     reduces exactly to :func:`ctmc_hoeffding_bound`.
     """
-    _check_bound_args(lam, t, eps)
-    span = float(upper) - float(lower)
-    if not span > 0:
-        raise InvalidInputError("range must have positive width")
+    span = _check_bound_args(lam, t, eps, lower, upper)
     if not density_norm >= 1.0 - 1e-12:  # NaN too
         raise InvalidInputError("density norm cannot be below 1")
-    if p == math.inf:
-        q = 1.0
-    else:
-        p = float(p)
-        if not p > 1:  # NaN too
-            raise InvalidInputError("p must be > 1 (or inf) for a finite "
-                                    "conjugate exponent")
-        q = p / (p - 1.0)
+    q = _conjugate(p)
     return float(density_norm) * math.exp(-lam * t * eps ** 2 / (q * span ** 2))
 
 
@@ -242,7 +241,7 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
         `p` is required and the verdict tests the non-stationary bound
         (with the density p-norm prefactor) instead of the main one.
     p : float, optional
-        Density-norm order for a non-stationary start.
+        Density-norm order, > 1 or inf, for a non-stationary start.
     assert_lezaud_hypotheses : bool
         Also report the exponent-12 bound in every row, when its
         hypotheses hold.  They apply to ``f = g - pi(g)``, the function
@@ -258,10 +257,11 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     Raises
     ------
     InvalidInputError
-        Before `pi` is solved: on a `g` that is not an ObservableFunction
-        of one entry per state, a bad `t`, `eps_grid`, `reps` or `seed`
-        (the rules of `tail_probability_mc`), `init` without `p`, or a
-        reducible `Q`.  After it: on a bad `init` or `p`.
+        Before `pi` is solved, as every argument is: on a `g` that is not
+        an ObservableFunction of one entry per state, a bad `t`,
+        `eps_grid`, `reps`, `seed` or `init` (the rules of
+        `tail_probability_mc`), `init` without `p`, a `p` not > 1 or inf,
+        or a reducible `Q`.
     NumericalFailureError
         When `pi` or the gap misses its tolerance, or (ExplosionGuardError)
         a path needs more than `simulate.DEFAULT_MAX_JUMPS` jumps.
@@ -272,9 +272,12 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     _, t, eps_list, reps, seed = _walk_arguments(Q, g, t, eps_grid, reps,
                                                  seed)
     eps_list.sort()
-    if init is not None and p is None:
-        raise InvalidInputError(
-            "a non-stationary start needs p for the density-norm bound")
+    if init is not None:
+        if p is None:
+            raise InvalidInputError(
+                "a non-stationary start needs p for the density-norm bound")
+        init = _as_probs(init, Q.n, "init")
+        _conjugate(p)
     pi = stationary_distribution(Q)
     gap_report = spectral_gap(Q, pi)
     lam = gap_report.gap
@@ -287,7 +290,6 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     norm = None
     lez_norm = 1.0
     if init is not None:
-        init = _as_probs(init, Q.n)
         norm = density_pnorm(init, pi, p)
         lez_norm = density_pnorm(init, pi, 2)
     start = pi.probs if init is None else init

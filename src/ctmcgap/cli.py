@@ -84,6 +84,14 @@ def _add_model_flags(sub):
                           "(N may be 'inf' where supported)")
 
 
+def _add_output_flags(sub, default_format, plot_help):
+    formats = sorted(["json", "csv"], key=default_format.__ne__)
+    sub.add_argument("--format", choices=formats, default=default_format)
+    sub.add_argument("--output", metavar="PATH")
+    sub.add_argument("--emit-plotdata", metavar="PATH",
+                     help=f"write {plot_help} pairs as CSV")
+
+
 def _resolve_model(args, allow_infinite_bd=False):
     """Returns (GeneratorMatrix or None, bd_spec or None).
 
@@ -225,10 +233,7 @@ def build_parser():
     _add_model_flags(p_gap)
     p_gap.add_argument("--method", choices=["auto", "dense", "lanczos"],
                        default="auto")
-    p_gap.add_argument("--format", choices=["json", "csv"], default="json")
-    p_gap.add_argument("--output", metavar="PATH")
-    p_gap.add_argument("--emit-plotdata", metavar="PATH",
-                       help="write (index, eigenvalue) pairs as CSV")
+    _add_output_flags(p_gap, "json", "(index, eigenvalue)")
     p_gap.set_defaults(func=_cmd_gap, plot=_gap_plot)
 
     p_ver = subs.add_parser("verify",
@@ -251,10 +256,7 @@ def build_parser():
     p_ver.add_argument("--lezaud", action="store_true",
                        help="also report the exponent-12 bound, when "
                             "g - pi(g) has sup norm <= 1")
-    p_ver.add_argument("--format", choices=["json", "csv"], default="json")
-    p_ver.add_argument("--output", metavar="PATH")
-    p_ver.add_argument("--emit-plotdata", metavar="PATH",
-                       help="write (eps, p_hat) pairs as CSV")
+    _add_output_flags(p_ver, "json", "(eps, p_hat)")
     p_ver.set_defaults(
         func=_cmd_verify,
         plot=lambda report: [(r.eps, r.p_hat) for r in report.rows])
@@ -264,10 +266,7 @@ def build_parser():
     _add_model_flags(p_sw)
     p_sw.add_argument("--sizes", default="50,100,200,500",
                       help="comma-separated retained-prefix sizes")
-    p_sw.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sw.add_argument("--output", metavar="PATH")
-    p_sw.add_argument("--emit-plotdata", metavar="PATH",
-                      help="write (size, gap) pairs as CSV")
+    _add_output_flags(p_sw, "csv", "(size, gap)")
     p_sw.set_defaults(
         func=_cmd_sweep,
         plot=lambda sweep: zip(sweep.sizes, sweep.gaps))
@@ -277,10 +276,7 @@ def build_parser():
     _add_model_flags(p_sk)
     p_sk.add_argument("--deltas", default="0.1,0.05,0.01",
                       help="comma-separated sampling intervals, decreasing")
-    p_sk.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sk.add_argument("--output", metavar="PATH")
-    p_sk.add_argument("--emit-plotdata", metavar="PATH",
-                      help="write (delta, ratio) pairs as CSV")
+    _add_output_flags(p_sk, "csv", "(delta, ratio)")
     p_sk.set_defaults(
         func=_cmd_skeleton,
         plot=lambda table: [(r.delta, r.ratio) for r in table.rows])

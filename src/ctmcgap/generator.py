@@ -30,7 +30,8 @@ _GTH_PANEL = 64  # states eliminated per panel of the blocked solve
 # max|p Q|, and row sums and negative rates.
 _STATIONARY_RTOL = 1e-10
 _RATE_RTOL = 1e-12
-_PROB_SUM_ATOL = 1e-12  # a probability vector sums to 1 within this
+_PROB_SUM_ATOL = 1e-12  # a stationary law sums to 1 within this
+_WEIGHT_SUM_ATOL = 1e-9  # and a caller's probability weights within this
 # The stationary iteration: steps it may take, steps between residual
 # checks, and the componentwise residual at which it replaces elimination
 # (its two iterates then agree to ten times that).
@@ -373,7 +374,7 @@ class StationaryDistribution:
             raise InvalidInputError("stationary distribution must be strictly positive")
         if abs(p.sum() - 1.0) > _PROB_SUM_ATOL:
             raise InvalidInputError(
-                f"probabilities sum to {p.sum()!r}, not 1 within "
+                f"probabilities sum to {float(p.sum())!r}, not 1 within "
                 f"{_PROB_SUM_ATOL}")
         self.probs = p
         self.log_probs = np.log(p)
@@ -787,20 +788,38 @@ def stationary_distribution(Q):
     return pi
 
 
-def _as_probs(pi, n=None):
-    """Accept StationaryDistribution or array; return the ndarray."""
-    p = pi.probs if isinstance(pi, StationaryDistribution) else \
-        np.asarray(pi, dtype=float)
-    if n is not None and p.size != n:
-        raise InvalidInputError(f"distribution has {p.size} entries, chain has {n}")
+def _as_values(f, n, what):
+    """`f`, an ObservableFunction or array, as a 1-D array of `n` finite
+    values (InvalidInputError naming `what`); ``n=None`` takes any length."""
+    v = f.values if isinstance(f, ObservableFunction) else \
+        np.asarray(f, dtype=float)
+    if v.shape != (n or v.size,):
+        raise InvalidInputError(
+            f"{what} must have shape ({n or 'n'},), not {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidInputError(f"{what} must be finite")
+    return v
+
+
+def _as_probs(p, n, what):
+    """`p`, a StationaryDistribution or array, as `_as_values` does, with
+    entries nonnegative and summing to 1 within `_WEIGHT_SUM_ATOL`."""
+    p = _as_values(p.probs if isinstance(p, StationaryDistribution) else p,
+                   n, what)
+    if np.any(p < 0):
+        raise InvalidInputError(f"{what} has negative entries")
+    total = float(p.sum())
+    if not abs(total - 1.0) <= _WEIGHT_SUM_ATOL:
+        raise InvalidInputError(f"{what} sums to {total!r}, not 1")
     return p
 
 
 def _as_law(pi, n):
-    """Accept StationaryDistribution or array; return the former."""
-    p = _as_probs(pi, n)
-    return pi if isinstance(pi, StationaryDistribution) else \
-        StationaryDistribution(p)
+    """`pi`, a StationaryDistribution or an array it accepts, of `n` states."""
+    if not isinstance(pi, StationaryDistribution):
+        pi = StationaryDistribution(pi)
+    _as_values(pi.probs, n, "pi")
+    return pi
 
 
 def _symmetric_part(M, log_pi):

@@ -30,7 +30,7 @@ import numpy as np
 from ._report import Report
 from .errors import (ExplosionGuardError, InvalidInputError,
                      NumericalFailureError)
-from .generator import ObservableFunction, _as_probs, stationary_distribution
+from .generator import _as_probs, _as_values, stationary_distribution
 
 DEFAULT_MAX_JUMPS = 10_000_000
 DEFAULT_CI_LEVEL = 0.999
@@ -117,15 +117,6 @@ class TrajectorySample:
         ends = np.append(self.jump_times[1:], self.horizon)
         sojourns = ends - self.jump_times
         return float(sojourns @ values[self.states] / self.horizon)
-
-
-def _observable_values(g, n):
-    values = g.values if isinstance(g, ObservableFunction) else \
-        np.asarray(g, dtype=float)
-    if values.size != n:
-        raise InvalidInputError(
-            f"observable has {values.size} entries, chain has {n}")
-    return values
 
 
 class _Chain:
@@ -288,7 +279,7 @@ def sample_path(Q, x0, horizon, rng, g=None, max_jumps=DEFAULT_MAX_JUMPS):
     horizon = float(horizon)
     if not 0 <= horizon < math.inf:
         raise InvalidInputError("horizon must be nonnegative and finite")
-    values = np.zeros(Q.n) if g is None else _observable_values(g, Q.n)
+    values = np.zeros(Q.n) if g is None else _as_values(g, Q.n, "g")
     chain = _Chain(Q)
     steps = []
     avg = _lockstep(chain, np.array([x0]), horizon, values,
@@ -555,7 +546,7 @@ def _count_reaching(Q, values, init, horizon, thresholds, seed, reps):
 def _walk_arguments(Q, g, horizon, eps, reps, seed):
     """``(values, horizon, eps_list, reps, seed)`` of a walk of `Q`, each
     checked (InvalidInputError) without solving anything."""
-    values = _observable_values(g, Q.n)
+    values = _as_values(g, Q.n, "g")
     horizon = float(horizon)
     if not 0 < horizon < math.inf:
         raise InvalidInputError("horizon t must be positive and finite")
@@ -578,7 +569,7 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None):
     Q : GeneratorMatrix
     g : ObservableFunction or array
     init : StationaryDistribution or array
-        Initial distribution; must sum to 1.
+        Initial distribution: finite, nonnegative, summing to 1.
     horizon : float
         Averaging window, positive and finite.
     eps : float or sequence of float
@@ -612,12 +603,7 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None):
     """
     values, horizon, eps_list, reps, seed = _walk_arguments(
         Q, g, horizon, eps, reps, seed)
-    init = _as_probs(init, Q.n)
-    if np.any(init < 0):
-        raise InvalidInputError("initial distribution has negative entries")
-    if abs(init.sum() - 1.0) > 1e-9:
-        raise InvalidInputError(
-            f"initial distribution sums to {init.sum()!r}, not 1")
+    init = _as_probs(init, Q.n, "init")
     if mean is None:
         pi = stationary_distribution(Q)
         mean = float(pi.probs @ values)

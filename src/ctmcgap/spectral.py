@@ -22,7 +22,7 @@ from ._report import Report
 from ._symeig import BirthDeathForm, deflated_extremal
 from .errors import InvalidInputError
 from .generator import (DENSE_GAP_CUTOFF, _CSR, _as_law, _as_probs,
-                        _birth_death_log_mu, _birth_death_rates,
+                        _as_values, _birth_death_log_mu, _birth_death_rates,
                         _check_dense_cap, _check_stationary,
                         _irreducible_band, _symmetric_part,
                         _tridiagonal_csr, stationary_distribution)
@@ -185,10 +185,8 @@ def dirichlet_form(Q, pi, f):
     Unchanged if `Q` is replaced by its additive reversibilization; zero
     exactly for constant `f`.
     """
-    p = _as_probs(pi, Q.n)
-    f = np.asarray(f, dtype=float)
-    if f.size != Q.n:
-        raise InvalidInputError(f"function has {f.size} entries, chain has {Q.n}")
+    p = _as_probs(pi, Q.n, "pi")
+    f = _as_values(f, Q.n, "f")
     rows, cols, vals = Q.off_diagonal()
     if rows.size == 0:
         return 0.0
@@ -206,10 +204,8 @@ def rayleigh_quotient(Q, pi, f):
     InvalidInputError
         If `f` is constant (zero variance).
     """
-    p = _as_probs(pi, Q.n)
-    f = np.asarray(f, dtype=float)
-    if f.size != Q.n:
-        raise InvalidInputError(f"function has {f.size} entries, chain has {Q.n}")
+    p = _as_probs(pi, Q.n, "pi")
+    f = _as_values(f, Q.n, "f")
     centered = f - float(p @ f)
     var = float(p @ centered ** 2)
     if var <= 1e-24 * max(1.0, float(p @ f ** 2)):
@@ -333,9 +329,7 @@ def drift_certificate_check(Q, V, beta, excluded_state):
     -------
     CertificateReport
     """
-    V = np.asarray(V, dtype=float)
-    if V.size != Q.n:
-        raise InvalidInputError(f"V has {V.size} entries, chain has {Q.n}")
+    V = _as_values(V, Q.n, "V")
     if np.any(V < 1.0):
         raise InvalidInputError("certificate requires V >= 1 everywhere")
     if not beta > 0:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ctmcgap import (InvalidInputError, ObservableFunction, bounds,
-                     ctmc_hoeffding_bound, density_pnorm, lezaud_bound,
-                     nu_initial_bound, simulate, stationary_distribution,
-                     tail_probability_mc, verify)
+                     ctmc_hoeffding_bound, density_pnorm, generator,
+                     lezaud_bound, nu_initial_bound, simulate,
+                     stationary_distribution, tail_probability_mc, verify)
 from conftest import THREE_STATE_GAP, THREE_STATE_PI
 
 
@@ -289,7 +289,10 @@ def test_verify_nu_requires_p(three_state):
     (lambda Q: density_pnorm([0.5, 0.5], [1.0, 0.0], 2.0),
      "pi must be strictly positive"),
     (lambda Q: density_pnorm([1.5, -0.5], [0.5, 0.5], 2.0),
-     "nu must be nonnegative"),
+     "nu has negative entries"),
+    # a pi that sums to 10 gave a density norm of 0.316, below 1
+    (lambda Q: density_pnorm([0.2, 0.3, 0.5], [2, 3, 5], 2),
+     "pi sums to 10.0, not 1"),
     (lambda Q: nu_initial_bound(1.0, 1.0, 0.1, 1.0, 1.0, 2.0, 1.0),
      "range must have positive width"),
     # sqrt(3) exp(-gap t eps^2 / 2), the density's 2-norm at p = 2
@@ -297,8 +300,8 @@ def test_verify_nu_requires_p(three_state):
                       seed=0, init=[1.0, 0.0, 0.0], p=2.0)
      .to_dict()["rows"][0]["bound_nu"],
      math.sqrt(3.0) * math.exp(-THREE_STATE_GAP * 5.0 * 0.01 / 2.0)),
-], ids=["eps-0", "pi-not-positive", "nu-negative", "zero-span",
-        "verify-bound-nu"])
+], ids=["eps-0", "pi-not-positive", "nu-negative", "pi-sums-to-10",
+        "zero-span", "verify-bound-nu"])
 def test_bound_guards_and_the_reported_nu_bound(three_state, run, outcome):
     if isinstance(outcome, str):
         with pytest.raises(InvalidInputError, match=outcome):
@@ -335,6 +338,25 @@ def test_verify_rejects_non_finite_input_before_solving(three_state,
                eps_grid=[0.1], reps=10, seed=0)
     with pytest.raises(InvalidInputError, match="seed"):
         verify(three_state, g, t=5.0, eps_grid=[0.1], reps=10, seed=-1)
+
+
+@pytest.mark.parametrize("init, p", [([math.nan, 0.5, 0.5], 2.0),
+                                     ([1.0, 0.0, 0.0], 1.0)],
+                         ids=["nan-init", "p-1"])
+def test_verify_refuses_a_bad_start_before_any_work(three_state, monkeypatch,
+                                                    init, p):
+    # a NaN start and an order p = 1, with no finite conjugate, used to
+    # be refused only after pi was solved and every path walked
+    def unreachable(*args, **kwargs):
+        raise AssertionError("input should be rejected before any work")
+
+    for module, name in ((bounds, "stationary_distribution"),
+                         (generator, "stationary_distribution"),
+                         (simulate, "_count_reaching")):
+        monkeypatch.setattr(module, name, unreachable)
+    with pytest.raises(InvalidInputError):
+        verify(three_state, _unit_indicator(), t=20.0, eps_grid=[0.1],
+               reps=20000, seed=1, init=init, p=p)
 
 
 def test_verify_csv_schema(three_state):

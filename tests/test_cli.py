@@ -139,12 +139,14 @@ _ABOVE_DENSE = str(DENSE_SOLVE_CUTOFF * 50)
     (["gap", "--bd", "nan", "1", "inf"], None),
     (["gap", "--bd", "2", "nan", "inf"], None),
     (["gap", "--bd", "inf", "1", "inf"], None),
+    (["gap", "--bd", "two", "1", "10"], None),
+    (["gap", "--bd", "2", "1", "ten"], None),
 ], ids=["bd-max", "gap-dense", "skeleton-dense", "delta-inf", "delta-nan",
         "delta-0", "sizes-max", "model-gap-dense", "model-skeleton",
         "model-seed-negative", "model-seed-2-64", "model-sizes-decreasing",
         "model-sizes-0", "small-model-delta-nan",
         "small-model-delta-negative", "closed-nan-down", "closed-nan-up",
-        "closed-inf-down"])
+        "closed-inf-down", "bd-rate-not-a-number", "bd-size-not-a-number"])
 def test_hostile_input_is_refused_at_once_in_a_process(tmp_path, argv, cap):
     # a child with a timeout: each is refused before anything of the
     # chain's square size is allocated, with one error line and no traceback

@@ -8,12 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctmcgap import generator
-from ctmcgap import (GeneratorMatrix, InvalidInputError,
+from ctmcgap import (CountableModel, GeneratorMatrix, InvalidInputError,
                      NumericalFailureError, ObservableFunction,
                      StationaryDistribution, additive_symmetrization,
-                     build_birth_death, load_model, load_observable,
-                     parse_model, parse_observable, spectral_gap,
-                     stationary_distribution, validate_generator)
+                     build_birth_death, density_pnorm, dirichlet_form,
+                     drift_certificate_check, dtmc_spectral_gap,
+                     load_model, load_observable, parse_model,
+                     parse_observable, rayleigh_quotient, sample_path,
+                     skeleton_gap_check, spectral_gap,
+                     stationary_distribution, substream, symmetrized_form,
+                     tail_probability_mc, transition_matrix_exp,
+                     validate_generator, verify)
 from conftest import (THREE_STATE_DUAL, THREE_STATE_PI, THREE_STATE_SYM,
                       random_birth_death, ring_with_chords)
 
@@ -39,6 +44,8 @@ def test_from_rates_rejects_duplicates():
 def test_from_rates_rejects_out_of_range():
     with pytest.raises(InvalidInputError, match="out of range"):
         GeneratorMatrix.from_rates(2, [(0, 2, 1.0)])
+    with pytest.raises(InvalidInputError, match="n must be"):
+        GeneratorMatrix.from_rates(0, [])
 
 
 @pytest.mark.parametrize("rates, msg", [
@@ -74,6 +81,12 @@ def test_labels_length_checked():
 def test_nonsquare_rejected():
     with pytest.raises(InvalidInputError, match="square"):
         GeneratorMatrix(np.zeros((2, 3)))
+    with pytest.raises(InvalidInputError, match="square"):
+        GeneratorMatrix(sp.csr_matrix((2, 3)))
+    with pytest.raises(InvalidInputError, match="at least one state"):
+        GeneratorMatrix(np.zeros((0, 0)))
+    with pytest.raises(InvalidInputError, match="finite"):
+        GeneratorMatrix(np.array([[-1.0, 1.0], [np.inf, -1.0]]))
 
 
 def test_exit_and_max_rate(three_state):
@@ -542,6 +555,10 @@ def test_stationary_distribution_type_guards():
         StationaryDistribution([0.5, 0.5, 0.0])
     with pytest.raises(InvalidInputError, match="sum"):
         StationaryDistribution([0.5, 0.6])
+    with pytest.raises(InvalidInputError, match="1-D"):
+        StationaryDistribution([[0.5, 0.5]])
+    with pytest.raises(InvalidInputError, match="finite"):
+        StationaryDistribution([0.5, np.nan])
 
 
 # ------------------------------------------------ additive reversibilization
@@ -718,6 +735,7 @@ def test_model_file_errors(tmp_path):
      "duplicate"),
     ({"n": 2, "rates": [[0, 1, 1.0], [1, 0, 1.0], [1, 1, float("nan")]]},
      "not finite"),
+    ([2, [[0, 1, 1.0]]], "top level must be an object"),
 ])
 def test_model_schema_violations(obj, msg):
     with pytest.raises(InvalidInputError, match=msg):
@@ -847,6 +865,16 @@ def test_observable_range_must_cover_values():
         parse_observable({"values": [0.0, 2.0], "range": [0, 1]})
     with pytest.raises(InvalidInputError, match="range"):
         parse_observable({"values": [0.0], "range": [1]})
+    with pytest.raises(InvalidInputError, match="empty range"):
+        ObservableFunction([0.0], 1.0, 0.0)
+    with pytest.raises(InvalidInputError, match="top level"):
+        parse_observable([[0.0], [0, 1]])
+    with pytest.raises(InvalidInputError, match="nonempty"):
+        parse_observable({"values": [], "range": [0, 1]})
+    with pytest.raises(InvalidInputError, match="1-D"):
+        ObservableFunction([[0.0], [1.0]], 0.0, 1.0)
+    with pytest.raises(InvalidInputError, match="finite"):
+        ObservableFunction([0.0, np.nan], 0.0, 1.0)
 
 
 @pytest.mark.parametrize("obj", [
@@ -864,3 +892,65 @@ def test_observable_non_numbers_are_invalid_input(obj):
 def test_observable_span():
     g = ObservableFunction([1.0, 2.0], 0.5, 4.0)
     assert g.span == 3.5
+
+
+# ------------------------------------------------------------- caller vectors
+
+def _unit_g():
+    return ObservableFunction([0.0, 0.0, 1.0], 0.0, 1.0)
+
+
+# every public entry that takes a vector from its caller, on the three-state
+# chain: (call with the vector x, whether x is a probability vector)
+_CALLER_VECTORS = {
+    "tail_probability_mc-g": (lambda Q, x: tail_probability_mc(
+        Q, x, THREE_STATE_PI, 1.0, 0.1, 10, 0), False),
+    "tail_probability_mc-init": (lambda Q, x: tail_probability_mc(
+        Q, _unit_g(), x, 1.0, 0.1, 10, 0), True),
+    "sample_path-g": (lambda Q, x: sample_path(
+        Q, 0, 1.0, substream(0, 0), g=x), False),
+    "verify-init": (lambda Q, x: verify(
+        Q, _unit_g(), 1.0, [0.1], 10, 0, init=x, p=2.0), True),
+    "density_pnorm-nu": (lambda Q, x: density_pnorm(
+        x, THREE_STATE_PI, 2.0), True),
+    "density_pnorm-pi": (lambda Q, x: density_pnorm(
+        THREE_STATE_PI, x, 2.0), True),
+    "dirichlet_form-pi": (lambda Q, x: dirichlet_form(
+        Q, x, [0.0, 1.0, 2.0]), True),
+    "dirichlet_form-f": (lambda Q, x: dirichlet_form(
+        Q, THREE_STATE_PI, x), False),
+    "rayleigh_quotient-pi": (lambda Q, x: rayleigh_quotient(
+        Q, x, [0.0, 1.0, 2.0]), True),
+    "rayleigh_quotient-f": (lambda Q, x: rayleigh_quotient(
+        Q, THREE_STATE_PI, x), False),
+    "drift_certificate_check-V": (lambda Q, x: drift_certificate_check(
+        Q, x, 0.1, 0), False),
+    "spectral_gap-pi": (lambda Q, x: spectral_gap(Q, x), True),
+    "symmetrized_form-pi": (lambda Q, x: symmetrized_form(Q, x), True),
+    "additive_symmetrization-pi": (
+        lambda Q, x: additive_symmetrization(Q, x), True),
+    "dtmc_spectral_gap-pi": (lambda Q, x: dtmc_spectral_gap(
+        transition_matrix_exp(Q, 0.1), x), True),
+    "skeleton_gap_check-pi": (lambda Q, x: skeleton_gap_check(Q, x), True),
+    "from_generator-pi": (
+        lambda Q, x: CountableModel.from_generator(Q, x), True),
+}
+
+
+def _bad_vectors(weights):
+    good = np.array(THREE_STATE_PI) if weights else np.ones(3)
+    yield "nan", np.array([np.nan, *good[1:]])
+    yield "too-long", np.full(4, 0.25) if weights else np.ones(4)
+    if weights:
+        yield "sum-1+1e-6", good * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("entry, x", [
+    pytest.param(entry, x, id=f"{entry}-{case}")
+    for entry, (_, weights) in _CALLER_VECTORS.items()
+    for case, x in _bad_vectors(weights)])
+def test_every_entry_refuses_a_bad_caller_vector(three_state, entry, x):
+    # one rule per kind of vector, in generator: an entry that skips it
+    # returns a number here, or fails with another error
+    with pytest.raises(InvalidInputError):
+        _CALLER_VECTORS[entry][0](three_state, x)

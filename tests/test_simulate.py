@@ -230,8 +230,15 @@ def test_average_method_matches_inline(three_state):
         np.array([0.0]), np.array([2]), 0.0).average(g.values), 0.75),
     (lambda Q, g: tail_probability_mc(Q, g, [1.2, -0.2, 0.0], 1.0, [0.1],
                                       10, 0),
-     "initial distribution has negative entries"),
-], ids=["average-at-horizon-0", "negative-init"])
+     "init has negative entries"),
+    # NaN starts and NaN observables used to give estimates of 0.03 and 0
+    (lambda Q, g: tail_probability_mc(Q, g, [math.nan] * 3, 5.0, 0.1, 200,
+                                      1, mean=0.3),
+     "init must be finite"),
+    (lambda Q, g: tail_probability_mc(Q, [math.nan, 1.0, 0.0],
+                                      THREE_STATE_PI, 5.0, 0.1, 200, 1),
+     "g must be finite"),
+], ids=["average-at-horizon-0", "negative-init", "nan-init", "nan-g"])
 def test_a_zero_horizon_and_a_negative_start(three_state, run, outcome):
     # a path of horizon 0 averages to its initial state's value; a start
     # law with a negative entry is refused

@@ -77,6 +77,10 @@ def test_stochastic_matrix_rejects_bad_rows():
         StochasticMatrix(np.array([[1.1, -0.1], [0.5, 0.5]]))
     with pytest.raises(InvalidInputError, match="sums"):
         StochasticMatrix(np.array([[0.6, 0.6], [0.5, 0.5]]))
+    with pytest.raises(InvalidInputError, match="square"):
+        StochasticMatrix(np.array([[0.5, 0.5]]))
+    with pytest.raises(InvalidInputError, match="finite"):
+        StochasticMatrix(np.array([[np.nan, 1.0], [0.5, 0.5]]))
 
 
 # -------------------------------------------------------------- discrete gaps

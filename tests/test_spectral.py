@@ -670,6 +670,9 @@ def test_rayleigh_variational_lower_bound(three_state):
 def test_rayleigh_rejects_constant(three_state):
     with pytest.raises(InvalidInputError, match="constant"):
         rayleigh_quotient(three_state, THREE_STATE_PI, [2.0, 2.0, 2.0])
+    # a pi with a negative entry used to be blamed on a constant f
+    with pytest.raises(InvalidInputError, match="pi has negative entries"):
+        rayleigh_quotient(three_state, [-1.0, 1.0, 1.0], [0.0, 0.0, 1.0])
 
 
 # ------------------------------------------------------- birth-death formulas
@@ -782,6 +785,13 @@ def test_drift_certificate_violations_reported(two_state):
 def test_drift_certificate_requires_v_at_least_one(two_state):
     with pytest.raises(InvalidInputError, match="V >= 1"):
         drift_certificate_check(two_state, [0.5, 4.0], 0.5, 0)
+    # and its other guards; a NaN in V used to certify beta = 5, above the
+    # gap of 3
+    for V, beta, j, msg in (([1.0, math.nan], 5.0, 0, "V must be finite"),
+                            ([1.0, 4.0], 0.0, 0, "beta must be positive"),
+                            ([1.0, 4.0], 0.5, 2, "excluded state 2")):
+        with pytest.raises(InvalidInputError, match=msg):
+            drift_certificate_check(two_state, V, beta, j)
 
 
 def test_drift_certificate_geometric_test_function():
