@@ -7,12 +7,12 @@ a weighted kernel) reduce to this: the known vector is the square-root
 weight vector, whose eigenvalue is trivial, and the quantity of interest
 is the extremal eigenvalue of the orthogonal complement.
 
-This module solves; the caller picks the solver (the size rules live in
-`generator`).  It owns the three solvers, all in NumPy (bidiagonal, dense
-and Lanczos), how the dense solver drops the known vector (of the two
-eigenpairs at the sought end, the one along it), and the test every
-eigenpair must pass (residual at most 1e-10 times the largest entry of
-the matrix, floored at 1).
+This module solves; the caller picks the solver and the Lanczos budget
+(the size and cost rules live in `generator`).  It owns the three
+solvers, all in NumPy (bidiagonal, dense and Lanczos), how the dense
+solver drops the known vector (of the two eigenpairs at the sought end,
+the one along it), and the test every eigenpair must pass (residual at
+most 1e-10 times the largest entry of the matrix, floored at 1).
 
 The bidiagonal solver uses NumPy alone, needs neither the known vector nor
 ``pi`` for the gap, and drops nothing.  A birth-death chain with up rates
@@ -50,15 +50,19 @@ The Lanczos solver is a thick-restart (Krylov-Schur) Lanczos in NumPy
 (Wu & Simon 2000, SIAM J. Matrix Anal. Appl. 22; Stewart 2001, SIAM J.
 Matrix Anal. Appl. 23).  It runs on ``A`` plus a rank-one shift that
 sends the known vector's eigenvalue past the infinity norm, from a fixed
-Philox start vector orthogonal to it.  It builds a basis of `_KRYLOV_DIM`
-vectors, each orthogonalized twice against all before it, and takes the
-Ritz pairs of the projected matrix.  It stops when the Krylov estimate of
-the wanted pair's residual, ``beta |s_m|`` (``beta`` the last coupling,
-``s_m`` the last entry of the Ritz vector in the basis), is at most ``eps
-max(|theta|, eps^(2/3))``, ARPACK's test at ``tol=0``: unlike a residual
-formed from ``A``, it does not stall at ``eps |A|``.  Otherwise it
-restarts from the `_KEPT` Ritz vectors nearest the wanted end and the
-residual direction, at most ``max(1000, 50 n)`` times.
+start vector orthogonal to it (a SplitMix64 hash of the state index,
+`_counter_hash`, so no ``numpy.random`` is loaded).  It builds a basis of
+`_KRYLOV_DIM` vectors, each orthogonalized twice against all before it,
+and takes the Ritz pairs of the projected matrix.  It stops when the
+Krylov estimate of the wanted pair's residual, ``beta |s_m|`` (``beta``
+the last coupling, ``s_m`` the last entry of the Ritz vector in the
+basis), is at most ``eps max(|theta|, eps^(2/3))``, ARPACK's test at
+``tol=0``: unlike a residual formed from ``A``, it does not stall at ``eps
+|A|``.  Otherwise it restarts from the `_KEPT` Ritz vectors nearest the
+wanted end and the residual direction.  Given a budget of matrix-vector
+products (the caller's cost rule, in `generator`), it hands off to the
+dense solver when the next restart would pass it; without one it
+restarts at most ``max(1000, 50 n)`` times and then refuses.
 """
 
 from __future__ import annotations
@@ -70,8 +74,11 @@ import numpy as np
 
 from .errors import NumericalFailureError
 
-# Deterministic entropy for the Lanczos start vector.
+# Deterministic entropy for the Lanczos start vector, and the SplitMix64
+# constants of `_counter_hash` (Steele, Lea & Flood 2014, OOPSLA).
 _START_SEED = 0x5CE17A
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 # Thick-restart Lanczos: basis size, Ritz vectors kept across a restart,
 # and the restart budget, max(_MIN_RESTARTS, _RESTARTS_PER_STATE * n).
 _KRYLOV_DIM = 30
@@ -127,6 +134,20 @@ class BirthDeathForm:
         out[:-1] += self.off * v[1:]
         out[1:] += self.off * v[:-1]
         return out
+
+
+def _counter_hash(n, seed):
+    """`n` fixed pseudo-random numbers in (0, 1): SplitMix64 of the
+    counters ``1..n`` under `seed`, the top 53 bits of each word.
+
+    Arithmetic on uint64 arrays wraps without a warning, where NumPy warns
+    on a scalar that overflows.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN_GAMMA + np.uint64(seed)
+    for shift, mix in zip((30, 27), _MIX):
+        z = (z ^ (z >> np.uint64(shift))) * mix
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
 
 
 def _drop_known(w, V, v0):
@@ -399,26 +420,29 @@ def _eigenvector(A, w, slow):
         return v / np.linalg.norm(v)
 
 
-def _lanczos(A, v0, largest):
+def _lanczos(A, v0, largest, budget=None):
     """The extremal eigenpair of `A` off `v0` by thick-restart Lanczos.
 
-    Returns ``(value, vector, matvecs)``; see the module docstring.
+    Returns ``(value, vector, matvecs)``, or None when the next restart
+    would pass `budget` matrix-vector products; see the module docstring.
     """
     n = v0.size
-    budget = max(_MIN_RESTARTS, _RESTARTS_PER_STATE * n)
+    restarts = max(_MIN_RESTARTS, _RESTARTS_PER_STATE * n)
+    budget = math.inf if budget is None else budget
     # push the known eigenvalue past the infinity norm with a rank-one shift
     shift = 1.1 * float(np.max(abs(A) @ np.ones(n))) + 1.0
     sign = -1.0 if largest else 1.0
     end = slice(None, None, -1) if largest else slice(None)  # wanted first
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_START_SEED)))
-    start = rng.standard_normal(n)
+    start = _counter_hash(n, _START_SEED) - 0.5
     start -= (v0 @ start) * v0
     m = min(_KRYLOV_DIM, n)
     V = np.zeros((m + 1, n))  # the basis, one vector per row
     V[0] = start / np.linalg.norm(start)
     T = np.zeros((m, m))      # A projected on the basis
     kept = matvecs = 0
-    for _ in range(budget):
+    for _ in range(restarts):
+        if matvecs + m - kept > budget:
+            return None
         size = m
         for j in range(kept, m):
             w = A @ V[j] + sign * shift * (v0 @ V[j]) * v0
@@ -449,11 +473,11 @@ def _lanczos(A, v0, largest):
         T[range(kept), range(kept)] = theta[:kept]
         T[kept, :kept] = T[:kept, kept] = beta * Y[-1, :kept]
     raise NumericalFailureError(
-        f"eigensolver did not converge within {budget} restarts "
+        f"eigensolver did not converge within {restarts} restarts "
         f"({matvecs} matrix-vector products)", residual=None)
 
 
-def deflated_extremal(A, known_vector, largest, method):
+def deflated_extremal(A, known_vector, largest, method, budget=None):
     """Extremal eigenvalue of symmetric `A` ignoring one known eigenvector.
 
     Parameters
@@ -464,15 +488,21 @@ def deflated_extremal(A, known_vector, largest, method):
     largest : bool
         Seek the largest remaining eigenvalue (else the smallest).
     method : {"dense", "lanczos", "tridiagonal"}
-        The solver, run as given (Lanczos on fewer than 4 states runs
-        dense).  "dense" takes the full spectrum and drops, of the two
-        eigenpairs at the sought end, the one along `known_vector`.
-        "lanczos" applies a rank-one shift to the known direction and runs
-        the thick-restart Lanczos of the module docstring on the rest.
-        "tridiagonal" is the bidiagonal solver of the module docstring: it
-        takes a `BirthDeathForm`, seeks the smallest eigenvalue, needs no
-        deflation (its null vector is the known one), and certifies the
-        value to 1e-10 relative or refuses it.
+        The solver, run as given (Lanczos on fewer than 4 states, or with
+        a budget of 0, runs dense).  "dense" takes the full spectrum and
+        drops, of the two eigenpairs at the sought end, the one along
+        `known_vector`.  "lanczos" applies a rank-one shift to the known
+        direction and runs the thick-restart Lanczos of the module
+        docstring on the rest.  "tridiagonal" is the bidiagonal solver of
+        the module docstring: it takes a `BirthDeathForm`, seeks the
+        smallest eigenvalue, needs no deflation (its null vector is the
+        known one), and certifies the value to 1e-10 relative or refuses
+        it.
+    budget : int, optional
+        For "lanczos", the matrix-vector products after which the dense
+        solver takes over; its result then reads exactly as a dense one.
+        None keeps the restart budget of the module docstring and refuses
+        past it.
 
     Returns
     -------
@@ -486,9 +516,10 @@ def deflated_extremal(A, known_vector, largest, method):
     ValueError
         On an unknown method, or "tridiagonal" misused.
     NumericalFailureError
-        When Lanczos exhausts its restarts, when the bidiagonal solver
-        cannot certify its value, or when the eigenpair residual exceeds
-        1e-10 times the largest entry of `A` (floored at 1).
+        When Lanczos without a budget exhausts its restarts, when the
+        bidiagonal solver cannot certify its value, or when the eigenpair
+        residual exceeds 1e-10 times the largest entry of `A` (floored
+        at 1).
     """
     n = known_vector.size
     band = isinstance(A, BirthDeathForm)
@@ -497,17 +528,21 @@ def deflated_extremal(A, known_vector, largest, method):
     if band != (method == "tridiagonal") or band and largest:
         raise ValueError("the tridiagonal solver takes a BirthDeathForm and "
                          "seeks its smallest eigenvalue")
-    if method == "lanczos" and n < 4:  # too few states for a Krylov space
+    if method == "lanczos" and (n < 4 or budget == 0):  # no Krylov space
         method = "dense"
     v0 = known_vector / np.linalg.norm(known_vector)
     eigenvalues = None
     iterations = 0
+    if method == "lanczos":
+        found = _lanczos(A, v0, largest, budget)
+        if found is None:  # out of its budget: the dense solver takes over
+            method = "dense"
+        else:
+            value, vector, iterations = found
     if method == "dense":
         value, vector, eigenvalues = _dense(A, v0, largest)
     elif method == "tridiagonal":
         value, vector = _tridiagonal(A)
-    else:
-        value, vector, iterations = _lanczos(A, v0, largest)
     residual = float(np.linalg.norm(A @ vector - value * vector))
     vals = A if isinstance(A, np.ndarray) else A.data
     scale = max(float(vals.max(initial=0)), -float(vals.min(initial=0)), 1.0)

@@ -24,8 +24,7 @@ import numpy as np
 from ._report import Report
 from .errors import InvalidInputError
 from .generator import ObservableFunction, _as_probs, stationary_distribution
-from .simulate import (_walk_arguments, clopper_pearson_upper,
-                       tail_probability_mc)
+from .simulate import _tail_estimates, _walk_arguments, clopper_pearson_upper
 from .spectral import spectral_gap
 
 
@@ -100,7 +99,11 @@ def density_pnorm(nu, pi, p):
         Order in ``[1, inf]``; ``p = inf`` gives ``max nu[i] / pi[i]``.
     """
     pi = _as_probs(pi, None, "pi")
-    nu = _as_probs(nu, pi.size, "nu")
+    return _density_pnorm(_as_probs(nu, pi.size, "nu"), pi, p)
+
+
+def _density_pnorm(nu, pi, p):
+    """:func:`density_pnorm` of probability vectors already checked."""
     if np.any(pi <= 0):
         raise InvalidInputError("pi must be strictly positive")
     ratio = nu / pi
@@ -269,8 +272,8 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     if not isinstance(g, ObservableFunction):
         raise InvalidInputError("g must be an ObservableFunction "
                                 "(values with a declared range)")
-    _, t, eps_list, reps, seed = _walk_arguments(Q, g, t, eps_grid, reps,
-                                                 seed)
+    values, t, eps_list, reps, seed = _walk_arguments(Q, g, t, eps_grid,
+                                                      reps, seed)
     eps_list.sort()
     if init is not None:
         if p is None:
@@ -290,11 +293,11 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     norm = None
     lez_norm = 1.0
     if init is not None:
-        norm = density_pnorm(init, pi, p)
-        lez_norm = density_pnorm(init, pi, 2)
+        norm = _density_pnorm(init, pi.probs, p)
+        lez_norm = _density_pnorm(init, pi.probs, 2)
     start = pi.probs if init is None else init
-    estimates = tail_probability_mc(Q, g, start, t, eps_list, reps, seed,
-                                    mean=pi_g)
+    estimates = _tail_estimates(Q, values, start, t, eps_list, reps, seed,
+                                pi_g)
     rows = []
     for eps, est in zip(eps_list, estimates):
         bound_main = ctmc_hoeffding_bound(lam, t, eps, g.lower, g.upper)

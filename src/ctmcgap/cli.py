@@ -144,7 +144,10 @@ def _cmd_gap(args):
         gap = bd_closed_form_gap(down, up, math.inf)
         return SpectralReport(gap=gap, method="closed_form", residual=0.0,
                               iterations=0)
-    return spectral_gap(Q, method=args.method)
+    method = args.method
+    if args.emit_plotdata and method == "auto" and Q.structure()[0] is None:
+        method = "dense"  # the plot is of a general chain's dense spectrum
+    return spectral_gap(Q, method=method)
 
 
 def _gap_plot(report):

@@ -16,14 +16,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._symeig import _counter_hash
 from .errors import InvalidInputError, NumericalFailureError
 
-# The size rules, here alone.  `to_dense` refuses more states than
+# The size and cost rules, here alone.  `to_dense` refuses more states than
 # DENSE_SOLVE_CUTOFF (128 MB): no elimination, dense spectrum or skeleton
-# beyond.  `spectral_gap` takes a general chain's dense spectrum up to
-# DENSE_GAP_CUTOFF states and Lanczos beyond.
+# beyond.  Below it `_dense_cost_in_steps` sets each iteration's budget.
 DENSE_SOLVE_CUTOFF = 4096
-DENSE_GAP_CUTOFF = 500
+# The cost rule's fit, in seconds: the dense route on n states takes
+# c3 n^3 + c2 n^2 + c1 n, and a step of the iteration that stands in for
+# it c0 + cn n, plus _SPARSE_ENTRY_S per stored entry its products multiply
+# or _DENSE_ENTRY_S per entry of a dense matrix.  Fitted by least squares
+# in relative error to warm in-process timings on 20 to 2 500 states of
+# perfbench's `general_chain` (a ring plus five random out-edges a state),
+# on a 2-core x86-64 machine with Python 3.11 and NumPy 2.4 (OpenBLAS).
+# Each dense route came within 0.45-1.3 times its measured time, each
+# step within 0.75-1.1 times.  A budget under _HANDOFF_FLOOR steps (about
+# one Krylov basis) leaves no room to converge: the dense route then runs
+# at once.
+_ROUTE_COSTS = {  # route: ((c3, c2, c1), (c0, cn))
+    "eigh": ((4.6e-11, 1.1e-7, 0.0), (21.5e-6, 50e-9)),  # Lanczos steps
+    "elimination": ((3.3e-11, 0.0, 1.25e-5), (10e-6, 0.0)),  # pi iteration
+}
+_SPARSE_ENTRY_S = 3.5e-9
+_DENSE_ENTRY_S = 0.3e-9
+_HANDOFF_FLOOR = 30
 _GTH_PANEL = 64  # states eliminated per panel of the blocked solve
 
 # Relative to the largest exit rate (floored at 1): the stationarity residual
@@ -32,12 +49,34 @@ _STATIONARY_RTOL = 1e-10
 _RATE_RTOL = 1e-12
 _PROB_SUM_ATOL = 1e-12  # a stationary law sums to 1 within this
 _WEIGHT_SUM_ATOL = 1e-9  # and a caller's probability weights within this
-# The stationary iteration: steps it may take, steps between residual
-# checks, and the componentwise residual at which it replaces elimination
-# (its two iterates then agree to ten times that).
+# The stationary iteration: steps it may take above DENSE_SOLVE_CUTOFF,
+# steps between residual checks, and the componentwise residual at which
+# it replaces elimination (its two iterates then agree to ten times that).
 _ITERATION_BUDGET = 10_000
 _ITERATION_CHECK = 10
 _ITERATION_RTOL = 1e-13
+
+
+def _dense_cost_in_steps(route, n, nnz):
+    """How many steps of an iteration cost as much as the dense `route`
+    on `n` states, by the fit of `_ROUTE_COSTS`.
+
+    `route` is "eigh", whose steps are Lanczos steps (one product and its
+    re-orthogonalization), or "elimination", whose steps are those of the
+    stationary iteration (one product per start).  `nnz` counts the stored
+    entries one step multiplies, or is None for a dense n x n matrix.
+    Returns 0 below `_HANDOFF_FLOOR` steps (take the dense route at once),
+    and None above `DENSE_SOLVE_CUTOFF` states, where no dense route exists
+    to hand off to.
+    """
+    if n > DENSE_SOLVE_CUTOFF:
+        return None
+    (c3, c2, c1), (c0, cn) = _ROUTE_COSTS[route]
+    products = (_DENSE_ENTRY_S * n * n if nnz is None
+                else _SPARSE_ENTRY_S * nnz)
+    steps = int((c3 * n ** 3 + c2 * n ** 2 + c1 * n)
+                / (c0 + cn * n + products))
+    return steps if steps >= _HANDOFF_FLOOR else 0
 
 
 def _check_dense_cap(n):
@@ -604,26 +643,26 @@ def _check_stationary(p, Q, what):
             f"{scale:.3e}", residual=resid)
 
 
-def _power_iteration_solve(Q, target):
+def _power_iteration_solve(Q, target, budget=_ITERATION_BUDGET):
     """``pi_j <- pi_j + (pi Q)_j / (1.05 q_j)`` from two starting laws.
 
     Each state is uniformized at its own exit rate `q_j` (damped Jacobi):
     with one rate `q` for all states, a state leaving at ``q_j << q``
     barely moves per step, and its change falls below the rounding of
     ``pi_j`` once ``|(pi Q)_j| / (pi_j q_j)`` nears ``eps q / q_j``.  The
-    iteration runs on `Q`'s own CSR arrays, from the uniform law and
-    from a fixed pseudo-random one side by side: on a nearly decomposable
-    chain the componentwise residual reaches its floor while the mass of
-    each cluster still holds its start's share, so only agreement of the
-    two shows that ``pi`` is found.
+    iteration runs on `Q`'s own CSR arrays, from the uniform law and from
+    a fixed pseudo-random one (`_counter_hash`) side by side: on a nearly
+    decomposable chain the componentwise residual reaches its floor while
+    the mass of each cluster still holds its start's share, so only
+    agreement of the two shows that ``pi`` is found.
 
     The residual, the larger of the two iterates', is checked every
     `_ITERATION_CHECK` steps.  The iteration stops at its rounding floor
     (at most `_ITERATION_RTOL` and no longer falling); when its decay per
     check over the later half of the checks so far cannot bring it to
-    `target` within `_ITERATION_BUDGET` steps; or at the end of that
-    budget.  A zero entry of an iterate gives a residual of inf or NaN,
-    which no tolerance accepts.
+    `target` within `budget` steps; or at the end of that budget.  A zero
+    entry of an iterate gives a residual of inf or NaN, which no
+    tolerance accepts.
 
     Returns ``(pi, steps, residual, spread)``: the last iterate from the
     uniform law, normalized, the residual, and the largest relative
@@ -636,10 +675,9 @@ def _power_iteration_solve(Q, target):
         def step(pis):
             return np.stack([Q.vecmat(p) for p in pis]) * scale
 
-        pis = np.stack([np.ones(Q.n),
-                        np.random.default_rng(0).uniform(size=Q.n)])
+        pis = np.stack([np.ones(Q.n), _counter_hash(Q.n, 0)])
         history = []
-        for steps in range(0, _ITERATION_BUDGET + 1, _ITERATION_CHECK):
+        for steps in range(0, budget + 1, _ITERATION_CHECK):
             pis /= pis.sum(axis=1, keepdims=True)
             y = step(pis)
             resid = 1.05 * np.max(np.abs(y) / pis)
@@ -647,11 +685,11 @@ def _power_iteration_solve(Q, target):
             k = steps // _ITERATION_CHECK
             if k:
                 decay = resid / history[k // 2]
-                left = (_ITERATION_BUDGET - steps) / _ITERATION_CHECK
+                left = (budget - steps) / _ITERATION_CHECK
                 floor = resid <= _ITERATION_RTOL and not resid < history[-2]
                 hopeless = not (resid <= target or resid
                                 * decay ** (left / (k - k // 2)) <= target)
-                if floor or hopeless or steps == _ITERATION_BUDGET:
+                if floor or hopeless or steps + _ITERATION_CHECK > budget:
                     spread = np.max(np.abs(pis[1] - pis[0]) / pis[0])
                     return pis[0].copy(), steps, float(resid), float(spread)
             pis += y
@@ -708,22 +746,22 @@ def stationary_distribution(Q):
        below the double range.
     2. Any other chain's, up to `DENSE_SOLVE_CUTOFF` (4 096) states, is
        iterated, each state uniformized at its own exit rate,
-       ``pi_j <- pi_j + (pi Q)_j / (1.05 q_j)``, when the whole budget of
-       10 000 sparse steps costs fewer flops than elimination,
-       ``budget * nnz < n^3/3``.  It is taken once every state is
+       ``pi_j <- pi_j + (pi Q)_j / (1.05 q_j)``, for as many steps as
+       cost what elimination costs (`_dense_cost_in_steps`; none when
+       that is under 30 steps).  It is taken once every state is
        stationary relative to its own flow, ``|(pi Q)_j| <= 1e-13 pi_j
        q_j``, the residual no longer falls, and the iterates from two
        starting laws agree to 1e-12 in every entry.  It stops early once
        the decay of its residual cannot reach 1e-13 within the budget.
-    3. Otherwise, or when the iteration stops short of that, blocked
+    3. When the iteration stops short of that, or is not run, blocked
        subtraction-free elimination (componentwise relative accuracy) on a
        dense copy of `Q`, each panel of `_GTH_PANEL` states eliminated with
        one lumped column for the states left of it, its rows and columns
        outside it formed by nonnegative unit-triangular transforms, and the
        trailing block updated in strips of rows.
-    4. A larger chain's is the same iteration with the same budget, taken
-       at a componentwise residual of 1e-10 with its iterates 1e-9 apart,
-       and refused otherwise.
+    4. A larger chain's is the same iteration with a budget of 10 000
+       steps, taken at a componentwise residual of 1e-10 with its iterates
+       1e-9 apart, and refused otherwise.
 
     The result is accepted when ``max|pi Q|`` is at most 1e-10 times the
     largest exit rate (floored at 1); its `solver`, `iterations` and
@@ -756,11 +794,14 @@ def stationary_distribution(Q):
         pi = StationaryDistribution._from_log(log_mu - _log_sum_exp(log_mu))
         pi.solver, pi.residual = "product_form", 0.0
     else:
-        n, p = Q.n, None
-        capped = n > DENSE_SOLVE_CUTOFF  # no elimination to fall back on
-        if capped or _ITERATION_BUDGET * Q.nnz < n ** 3 / 3:
+        p = None
+        # each step multiplies Q by both starting laws
+        budget = _dense_cost_in_steps("elimination", Q.n, 2 * Q.nnz)
+        capped = budget is None  # no elimination to fall back on
+        if budget != 0:
             tol = _STATIONARY_RTOL if capped else _ITERATION_RTOL
-            p, steps, resid, spread = _power_iteration_solve(Q, tol)
+            p, steps, resid, spread = _power_iteration_solve(
+                Q, tol, budget or _ITERATION_BUDGET)
             solver = "iteration"
             if not (resid <= tol and spread <= 10 * tol):
                 if capped:

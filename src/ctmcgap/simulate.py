@@ -98,20 +98,23 @@ class TrajectorySample:
 
     `jump_times[k]` is when the chain entered `states[k]`; the first entry
     is time 0 at the initial state.  The path stays in its last state
-    through the horizon.
+    through the horizon.  `n_states`, the chain's size, is what `average`
+    checks a state function against (None: any length).
     """
 
     jump_times: np.ndarray
     states: np.ndarray
     horizon: float
     time_average: float | None = None
+    n_states: int | None = None
 
     def average(self, values):
-        """Time average of a state function along this path.
+        """Time average of a state function (an ObservableFunction or
+        array of finite values, one per state) along this path.
 
         A zero-length horizon returns the value at the initial state.
         """
-        values = np.asarray(values, dtype=float)
+        values = _as_values(values, self.n_states, "values")
         if self.horizon == 0.0:
             return float(values[self.states[0]])
         ends = np.append(self.jump_times[1:], self.horizon)
@@ -289,7 +292,7 @@ def sample_path(Q, x0, horizon, rng, g=None, max_jumps=DEFAULT_MAX_JUMPS):
     return TrajectorySample(
         jump_times=times, states=states.astype(np.int64), horizon=horizon,
         time_average=None if g is None
-        else float(values[x0] if horizon == 0.0 else avg[0]))
+        else float(values[x0] if horizon == 0.0 else avg[0]), n_states=Q.n)
 
 
 # Loader's stirlerr(x) = log(x!) - log(sqrt(2 pi x) (x/e)^x) at x = 0..15,
@@ -607,10 +610,18 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None):
     if mean is None:
         pi = stationary_distribution(Q)
         mean = float(pi.probs @ values)
-    counts = _count_reaching(Q, values, init, horizon,
-                             float(mean) + np.array(eps_list), seed, reps)
-    estimates = [TailEstimate(p_hat=c / reps, reps=reps,
-                              ci_upper=clopper_pearson_upper(c, reps),
-                              seed=seed, epsilon=e, t=horizon, count=c)
-                 for e, c in zip(eps_list, counts.tolist())]
+    estimates = _tail_estimates(Q, values, init, horizon, eps_list, reps,
+                                seed, float(mean))
     return estimates[0] if np.ndim(eps) == 0 else estimates
+
+
+def _tail_estimates(Q, values, init, horizon, eps_list, reps, seed, mean):
+    """:func:`tail_probability_mc` on arguments already checked, as
+    `_walk_arguments` and `_as_probs` return them: one estimate per entry
+    of `eps_list`."""
+    counts = _count_reaching(Q, values, init, horizon,
+                             mean + np.array(eps_list), seed, reps)
+    return [TailEstimate(p_hat=c / reps, reps=reps,
+                         ci_upper=clopper_pearson_upper(c, reps),
+                         seed=seed, epsilon=e, t=horizon, count=c)
+            for e, c in zip(eps_list, counts.tolist())]

@@ -17,8 +17,8 @@ import numpy as np
 from ._report import Report
 from ._symeig import deflated_extremal
 from .errors import InvalidInputError, NumericalFailureError
-from .generator import (_as_law, _irreducible_band, _symmetric_part,
-                        stationary_distribution)
+from .generator import (_as_law, _dense_cost_in_steps, _irreducible_band,
+                        _symmetric_part, stationary_distribution)
 from .spectral import spectral_gap
 
 # exp(delta * q) overflows the uniformization weights past this point
@@ -149,7 +149,11 @@ def dtmc_spectral_gap(P, pi):
     """Spectral gap of a discrete-time kernel with stationary law `pi`.
 
     `lambda_P` is the second eigenvalue of the dense
-    ``_symmetric_part(P, log pi)``, so `pi` may underflow.
+    ``_symmetric_part(P, log pi)``, so `pi` may underflow.  It is found by
+    Lanczos with a budget of as many matrix-vector products as cost what
+    its dense spectrum costs (`generator._dense_cost_in_steps`), after
+    which the dense solver takes over and reports "dense"; by the dense
+    spectrum at once when that budget is under 30 products.
 
     Parameters
     ----------
@@ -173,8 +177,9 @@ def dtmc_spectral_gap(P, pi):
         return DtmcGapReport(lambda_P=0.0, gap=1.0, method="dense",
                              residual=0.0)
     T = _symmetric_part(P.matrix, pi.log_probs)
-    result, used = deflated_extremal(T, np.sqrt(pi.probs), largest=True,
-                                     method="dense")
+    result, used = deflated_extremal(
+        T, np.sqrt(pi.probs), largest=True, method="lanczos",
+        budget=_dense_cost_in_steps("eigh", P.n, None))
     lam = result.value
     if lam > 1.0 + 1e-12:
         raise NumericalFailureError(

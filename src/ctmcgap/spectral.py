@@ -21,11 +21,12 @@ import numpy as np
 from ._report import Report
 from ._symeig import BirthDeathForm, deflated_extremal
 from .errors import InvalidInputError
-from .generator import (DENSE_GAP_CUTOFF, _CSR, _as_law, _as_probs,
-                        _as_values, _birth_death_log_mu, _birth_death_rates,
+from .generator import (_CSR, _as_law, _as_probs, _as_values,
+                        _birth_death_log_mu, _birth_death_rates,
                         _check_dense_cap, _check_stationary,
-                        _irreducible_band, _symmetric_part,
-                        _tridiagonal_csr, stationary_distribution)
+                        _dense_cost_in_steps, _irreducible_band,
+                        _symmetric_part, _tridiagonal_csr,
+                        stationary_distribution)
 
 # drift inequalities may be exceeded by this much before they count as broken
 _DRIFT_SLACK = 1e-12
@@ -126,8 +127,13 @@ def spectral_gap(Q, pi=None, method="auto"):
     method : {"auto", "dense", "lanczos"}
         "auto", resolved here, is "tridiagonal" when every nonzero
         off-diagonal rate of `Q` sits next to the diagonal (a birth-death
-        chain: O(n) per bisection step, NumPy alone, no ``S``), and else
-        dense up to `generator.DENSE_GAP_CUTOFF` (500) states, Lanczos beyond.
+        chain: O(n) per bisection step, NumPy alone, no ``S``).  Otherwise
+        it is Lanczos with a budget of as many matrix-vector products as
+        cost what the dense spectrum costs (`_dense_cost_in_steps`), after
+        which the dense solver takes over and reports "dense"; the dense
+        spectrum at once when that budget is under 30 products; and above
+        `generator.DENSE_SOLVE_CUTOFF` states Lanczos with its restart
+        budget, as an explicit "lanczos" always runs.
 
     Returns
     -------
@@ -160,11 +166,13 @@ def spectral_gap(Q, pi=None, method="auto"):
         method, A = "tridiagonal", BirthDeathForm(*band, log_pi=pi.log_probs)
         sq = np.sqrt(pi.probs)
     else:
-        if method == "auto":
-            method = "dense" if Q.n <= DENSE_GAP_CUTOFF else "lanczos"
         A, sq = _symmetrized(Q, pi)
         np.negative(A.data, out=A.data)
-    result, used = deflated_extremal(A, sq, largest=False, method=method)
+    budget = None
+    if method == "auto":
+        method, budget = "lanczos", _dense_cost_in_steps("eigh", Q.n, A.nnz)
+    result, used = deflated_extremal(A, sq, largest=False, method=method,
+                                     budget=budget)
     # map the symmetric-space eigenvector back to a function on states
     with np.errstate(over="ignore", invalid="ignore"):
         f = result.vector * np.exp(-0.5 * pi.log_probs)

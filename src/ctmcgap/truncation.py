@@ -19,8 +19,8 @@ import numpy as np
 from ._report import Report
 from .errors import InvalidInputError, NumericalFailureError
 from .generator import (GeneratorMatrix, ObservableFunction,
-                        StationaryDistribution, _as_law, _assemble,
-                        _birth_death_log_mu, _birth_death_rates,
+                        StationaryDistribution, _as_law, _as_values,
+                        _assemble, _birth_death_log_mu, _birth_death_rates,
                         _check_stationary, _log_sum_exp)
 from .spectral import spectral_gap
 
@@ -263,8 +263,9 @@ def collapse_function(g, retained):
 
     Parameters
     ----------
-    g : ObservableFunction
-        Values must cover every retained index.
+    g : ObservableFunction or array
+        Finite values that cover every retained index; an array's range
+        is that of its values.
     retained : int or sequence of int
         Same convention as :func:`collapse`.
 
@@ -280,13 +281,14 @@ def collapse_function(g, retained):
         idx = sorted(set(int(s) for s in retained))
     if not idx:
         raise InvalidInputError("retained set is empty")
-    if idx[0] < 0 or idx[-1] >= g.values.size:
+    v = _as_values(g, None, "g")
+    if idx[0] < 0 or idx[-1] >= v.size:
         raise InvalidInputError("observable does not cover the retained set")
-    values = np.concatenate([g.values[idx], [0.0]])
-    widened = not (g.lower <= 0.0 <= g.upper)
-    lower = min(g.lower, 0.0)
-    upper = max(g.upper, 0.0)
-    return ObservableFunction(values, lower, upper), widened
+    lower, upper = ((g.lower, g.upper) if isinstance(g, ObservableFunction)
+                    else (float(v.min()), float(v.max())))
+    collapsed = ObservableFunction(np.concatenate([v[idx], [0.0]]),
+                                   min(lower, 0.0), max(upper, 0.0))
+    return collapsed, not lower <= 0.0 <= upper
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -96,3 +97,13 @@ def ring_with_chords(n, skewed, seed):
     np.fill_diagonal(A, 0.0)
     np.fill_diagonal(A, -A.sum(axis=1))
     return A
+
+
+def write_model(path, A):
+    """Write the dense generator `A` to `path` as a model file."""
+    rows, cols = np.nonzero(A)
+    off = rows != cols
+    path.write_text(json.dumps({"n": len(A), "rates": [
+        [int(i), int(j), float(A[i, j])]
+        for i, j in zip(rows[off], cols[off])]}))
+    return str(path)

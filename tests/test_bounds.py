@@ -359,6 +359,25 @@ def test_verify_refuses_a_bad_start_before_any_work(three_state, monkeypatch,
                reps=20000, seed=1, init=init, p=p)
 
 
+def test_verify_checks_each_argument_once(three_state, monkeypatch):
+    # the walk's arguments and a given start are checked on entry, and the
+    # density norms and the walk take them as checked, not again each
+    checked = []
+    for name, original in (("_as_probs", generator._as_probs),
+                           ("_walk_arguments", simulate._walk_arguments)):
+        def counted(*args, _name=name, _original=original):
+            checked.append(_name if _name == "_walk_arguments" else args[2])
+            return _original(*args)
+
+        for module in (bounds, simulate):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    rep = verify(three_state, _unit_indicator(), t=5.0, eps_grid=[0.1, 0.2],
+                 reps=50, seed=3, init=[1.0, 0.0, 0.0], p=2.0)
+    assert sorted(checked) == ["_walk_arguments", "init"]
+    assert rep.rows[0].bound_nu is not None
+
+
 def test_verify_csv_schema(three_state):
     rep = verify(three_state, _unit_indicator(), t=5.0, eps_grid=[0.1],
                  reps=20, seed=0)

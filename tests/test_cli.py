@@ -11,12 +11,12 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import ctmcgap.cli as climod
-from ctmcgap import (SpectralReport, bd_closed_form_gap, build_birth_death,
-                     build_three_state, skeleton_gap_check, spectral_gap,
-                     verify)
+from ctmcgap import (GeneratorMatrix, SpectralReport, bd_closed_form_gap,
+                     build_birth_death, build_three_state,
+                     skeleton_gap_check, spectral_gap, verify)
 from ctmcgap.cli import main
 from ctmcgap.generator import DENSE_SOLVE_CUTOFF
-from conftest import THREE_STATE_GAP, ring_with_chords
+from conftest import THREE_STATE_GAP, ring_with_chords, write_model
 
 
 def run(capsys, argv):
@@ -330,6 +330,19 @@ def test_gap_plotdata_spectrum(tmp_path, capsys):
     lines = plot.read_text().splitlines()
     assert lines[0] == "x,y"
     assert len(lines) == 4  # three eigenvalues
+
+
+def test_gap_plotdata_of_a_general_chain_past_the_floor(tmp_path, capsys):
+    # under "auto" Lanczos would give this chain's gap without a spectrum;
+    # asked for plot data, the command takes the dense spectrum, as it did
+    # for every general chain of up to 500 states
+    A = ring_with_chords(300, False, 1)
+    assert spectral_gap(GeneratorMatrix(A)).method == "lanczos"
+    model, plot = write_model(tmp_path / "ring.json", A), tmp_path / "p.csv"
+    code, out, _ = run(capsys, ["gap", "--model", model,
+                                "--emit-plotdata", str(plot)])
+    assert code == 0 and json.loads(out)["method"] == "dense"
+    assert len(plot.read_text().splitlines()) == 301
 
 
 @pytest.mark.parametrize("to_file", [False, True])

@@ -35,8 +35,8 @@ GOLDEN = [
      "gap,method,residual,iterations\n"
      "2.2254033307585166,dense,6.280369834735101e-16,0\n"),
     (["gap", "--bd", "2", "1", "100", "--method", "lanczos"],
-     '{"gap": 0.17294103553987134, "iterations": 165, "method": "lanczos", '
-     '"residual": 3.073834870709645e-15}\n'),
+     '{"gap": 0.17294103553987042, "iterations": 165, "method": "lanczos", '
+     '"residual": 3.427350492994884e-15}\n'),
     (["gap", "--bd", "2", "1", "1000"],
      '{"gap": 0.1715868050971359, "iterations": 0, '
      '"method": "tridiagonal", "residual": 1.894155825691402e-15}\n'),

@@ -11,11 +11,11 @@ from ctmcgap import generator
 from ctmcgap import (CountableModel, GeneratorMatrix, InvalidInputError,
                      NumericalFailureError, ObservableFunction,
                      StationaryDistribution, additive_symmetrization,
-                     build_birth_death, density_pnorm, dirichlet_form,
-                     drift_certificate_check, dtmc_spectral_gap,
-                     load_model, load_observable, parse_model,
-                     parse_observable, rayleigh_quotient, sample_path,
-                     skeleton_gap_check, spectral_gap,
+                     build_birth_death, collapse_function, density_pnorm,
+                     dirichlet_form, drift_certificate_check,
+                     dtmc_spectral_gap, load_model, load_observable,
+                     parse_model, parse_observable, rayleigh_quotient,
+                     sample_path, skeleton_gap_check, spectral_gap,
                      stationary_distribution, substream, symmetrized_form,
                      tail_probability_mc, transition_matrix_exp,
                      validate_generator, verify)
@@ -326,19 +326,54 @@ def test_iteration_matches_elimination_componentwise(n, seed):
     assert np.max(np.abs(pi - ref) / ref) <= 1e-12
 
 
-def test_iteration_ranks_above_elimination_past_the_crossover():
-    # 10 000 sparse steps cost fewer flops than elimination at 1 500 states
-    # of a ring with chords, not at 40; stdout does not show which ran
-    small = stationary_distribution(
-        GeneratorMatrix(ring_with_chords(40, False, 1)))
-    assert (small.solver, small.iterations) == ("elimination", 0)
+def _pi_budget(Q):
+    """The iteration budget generator's cost rule gives the pi of `Q`."""
+    return generator._dense_cost_in_steps("elimination", Q.n, 2 * Q.nnz)
+
+
+def test_iteration_ranks_above_elimination_past_the_crossover(monkeypatch):
+    # by the cost rule, elimination of 20 states of a ring with chords is
+    # worth fewer steps than the floor, so it runs at once; at 40 the
+    # budget is too small for the iteration, and elimination takes over;
+    # at 1 500 the iteration converges within its budget.  stdout does not
+    # show which ran
+    budgets = []
+    iterate = generator._power_iteration_solve
+
+    def recorded(Q, target, budget):
+        budgets.append(budget)
+        return iterate(Q, target, budget)
+
+    monkeypatch.setattr(generator, "_power_iteration_solve", recorded)
+    for n, iterated in ((20, False), (40, True)):
+        budgets.clear()
+        Q = GeneratorMatrix(ring_with_chords(n, False, 1))
+        small = stationary_distribution(Q)
+        assert (small.solver, small.iterations) == ("elimination", 0)
+        assert (_pi_budget(Q) > 0) == iterated
+        assert budgets == ([_pi_budget(Q)] if iterated else [])
     A = ring_with_chords(1500, False, 2)
+    budgets.clear()
     large = stationary_distribution(GeneratorMatrix(A))
     assert large.solver == "iteration"
-    assert 0 < large.iterations < generator._ITERATION_BUDGET
+    assert 0 < large.iterations <= budgets[0] < generator._ITERATION_BUDGET
     assert large.residual <= generator._ITERATION_RTOL
     ref = generator._gth_solve(A)
     assert np.max(np.abs(large.probs - ref) / ref) <= 1e-12
+
+
+def test_dense_cost_in_steps_floors_and_caps():
+    # one rule for both hand-offs: no steps while the dense route is worth
+    # fewer than the floor, a budget that grows with the size, none (no
+    # dense route) above the cap; a dense product costs more per state
+    # than a sparse one of seven entries a row
+    cost = generator._dense_cost_in_steps
+    for route in ("eigh", "elimination"):
+        assert cost(route, 3, 9) == 0 and cost(route, 20, None) == 0
+        steps = [cost(route, n, 7 * n) for n in (300, 1000, 4096)]
+        assert generator._HANDOFF_FLOOR <= steps[0] < steps[1] < steps[2]
+        assert cost(route, 4097, 7 * 4097) is None
+        assert cost(route, 1000, None) < cost(route, 1000, 7000)
 
 
 def _relabelled_birth_death(down, N, seed=0):
@@ -348,14 +383,17 @@ def _relabelled_birth_death(down, N, seed=0):
 
 
 def test_iteration_out_of_budget_falls_back_on_elimination():
-    # relabelled, the (1.1, 1) chain is past the crossover but mixes too
-    # slowly for the budget, which the decay of its residual shows within
-    # a tenth of it; elimination then gives its product form
+    # relabelled, the (1.1, 1) chain is past the floor but mixes too slowly
+    # for the budget the cost rule gives it, which the decay of its
+    # residual shows within a fifth of that budget; elimination then gives
+    # its product form
     N = 600
     Q, order = _relabelled_birth_death(1.1, N)
+    budget = _pi_budget(Q)
+    assert budget >= generator._HANDOFF_FLOOR
     _, steps, resid, _ = generator._power_iteration_solve(
-        Q, generator._ITERATION_RTOL)
-    assert steps <= generator._ITERATION_BUDGET / 10
+        Q, generator._ITERATION_RTOL, budget)
+    assert steps <= budget / 5
     assert resid > generator._ITERATION_RTOL
     pi = stationary_distribution(Q)
     assert (pi.solver, pi.iterations) == ("elimination", 0)
@@ -934,13 +972,22 @@ _CALLER_VECTORS = {
     "skeleton_gap_check-pi": (lambda Q, x: skeleton_gap_check(Q, x), True),
     "from_generator-pi": (
         lambda Q, x: CountableModel.from_generator(Q, x), True),
+    "TrajectorySample.average-values": (lambda Q, x: sample_path(
+        Q, 0, 5.0, substream(0, 0)).average(x), False),
+    # a function on a larger chain may be collapsed to these three states,
+    # so only a short or NaN g is wrong here
+    "collapse_function-g": (lambda Q, x: collapse_function(x, Q.n), None),
 }
 
 
 def _bad_vectors(weights):
+    """Bad vectors on three states; `weights` None is a state function of
+    any length of at least three."""
     good = np.array(THREE_STATE_PI) if weights else np.ones(3)
     yield "nan", np.array([np.nan, *good[1:]])
-    yield "too-long", np.full(4, 0.25) if weights else np.ones(4)
+    yield "too-short", good[:2]
+    if weights is not None:
+        yield "too-long", np.full(4, 0.25) if weights else np.ones(4)
     if weights:
         yield "sum-1+1e-6", good * (1.0 + 1e-6)
 

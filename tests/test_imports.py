@@ -2,8 +2,9 @@
 top-level name; every public name resolves, on first use, to its module's
 object and has its row in the README; no module imports SciPy but
 `generator`, and that one only in its SciPy view, so none does at import
-time; and the size rules live in `generator` alone, so that the
-eigensolvers of `_symeig` import nothing of the package but its errors."""
+time; the size and cost rules live in `generator` alone, so that the
+eigensolvers of `_symeig` import nothing of the package but its errors;
+and only `verify` loads ``numpy.random``."""
 
 import ast
 import os
@@ -15,6 +16,7 @@ import sys
 import pytest
 
 import ctmcgap
+from conftest import ring_with_chords, write_model
 
 MODULES = sorted(p for p in pathlib.Path(ctmcgap.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -132,12 +134,14 @@ def test_package_import_is_caught():
         "ctmcgap.skeleton", "ctmcgap.generator"}
 
 
-def _size_constants(sources):
-    """(module, name) of each name assigned anywhere whose name holds
-    CUTOFF, the mark of a size rule."""
+def _size_rules(sources):
+    """(module, name) of each size rule defined anywhere: a name assigned
+    whose name holds CUTOFF, or a function whose name holds "cost"."""
     found = set()
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and "cost" in node.name:
+                found.add((module, node.name))
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(node, ast.AnnAssign)
                        else [])
@@ -147,19 +151,23 @@ def _size_constants(sources):
 
 
 def test_size_rules_are_defined_in_generator_alone():
+    # the dense cap and the one cost rule that budgets both hand-offs
     package = pathlib.Path(ctmcgap.__file__).parent
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in sorted(package.glob("*.py"))}
-    assert _size_constants(sources) == [("generator.py", "DENSE_GAP_CUTOFF"),
-                                        ("generator.py", "DENSE_SOLVE_CUTOFF")]
+    assert _size_rules(sources) == [("generator.py", "DENSE_SOLVE_CUTOFF"),
+                                    ("generator.py", "_dense_cost_in_steps")]
 
 
 def test_stray_size_constant_is_caught():
     sources = {"generator.py": "DENSE_SOLVE_CUTOFF = 4096\n",
                "_symeig.py": ("from .generator import DENSE_SOLVE_CUTOFF\n"
-                              "class A:\n    DENSE_CUTOFF: int = 500\n")}
-    assert _size_constants(sources) == [("_symeig.py", "DENSE_CUTOFF"),
-                                        ("generator.py", "DENSE_SOLVE_CUTOFF")]
+                              "class A:\n    DENSE_CUTOFF: int = 500\n"
+                              "    def _lanczos_cost(self):\n"
+                              "        return 1\n")}
+    assert _size_rules(sources) == [("_symeig.py", "DENSE_CUTOFF"),
+                                    ("_symeig.py", "_lanczos_cost"),
+                                    ("generator.py", "DENSE_SOLVE_CUTOFF")]
 
 
 def _private_definitions(source):
@@ -259,6 +267,31 @@ def test_a_public_name_loads_its_module_on_first_access():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == "(False, False, True, True)"
+
+
+def test_gap_and_skeleton_leave_numpy_random_unloaded(tmp_path):
+    # their start vectors are a NumPy counter hash, so of the commands only
+    # verify, which walks Philox streams, loads numpy.random.  The chain is
+    # past the cost rule's floor: Lanczos and the pi iteration both run
+    A = ring_with_chords(300, False, 1)
+    pi = ctmcgap.stationary_distribution(ctmcgap.GeneratorMatrix(A))
+    assert pi.solver == "iteration"
+    assert ctmcgap.spectral_gap(ctmcgap.GeneratorMatrix(A),
+                                pi).method == "lanczos"
+    model = write_model(tmp_path / "ring.json", A)
+    src = os.path.dirname(os.path.dirname(ctmcgap.__file__))
+    loaded = []
+    for argv in (["gap", "--model", model],
+                 ["skeleton", "--model", model],
+                 ["verify", "--example", "three-state", "--reps", "10"]):
+        code = ("import sys\nfrom ctmcgap.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "print('numpy.random' in sys.modules, file=sys.stderr)")
+        run = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        loaded.append(run.stderr.strip())
+    assert loaded == ["False", "False", "True"]
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

@@ -17,7 +17,8 @@ from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      rayleigh_quotient, spectral_gap, stationary_distribution,
                      symmetrized_form, verify)
 from ctmcgap.cli import main
-from ctmcgap.skeleton import skeleton_gap_check, transition_matrix_exp
+from ctmcgap.skeleton import (_transition_matrices, skeleton_gap_check,
+                              transition_matrix_exp)
 from ctmcgap.truncation import CountableModel, gap_convergence_sweep
 from conftest import (THREE_STATE_GAP, THREE_STATE_PI, random_birth_death,
                       ring_with_chords)
@@ -93,6 +94,19 @@ def test_lanczos_out_of_restarts_is_a_numerical_failure(monkeypatch, capsys):
     assert out == "" and "did not converge" in err
 
 
+def test_start_vectors_are_splitmix64_without_warnings():
+    # the published SplitMix64 stream from state 0, whose first word is
+    # 0xE220A8397B1DCDAF, as doubles in (0, 1) from its top 53 bits; the
+    # uint64 arrays wrap silently, where a scalar would warn
+    words = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = _symeig._counter_hash(3, 0)
+        assert _symeig._counter_hash(1, 2 ** 64 - 1).size == 1
+    assert u.tolist() == [((w >> 11) + 0.5) * 2.0 ** -53 for w in words]
+    assert np.all((u > 0) & (u < 1))
+
+
 def test_gap_matches_symmetrized_chain(three_state):
     from ctmcgap import additive_symmetrization
     Qbar = additive_symmetrization(three_state, THREE_STATE_PI)
@@ -123,22 +137,93 @@ def test_gap_is_the_least_rayleigh_quotient(n, seed):
                - rep.gap) <= 1e-10 * rep.gap
 
 
-def test_each_gap_route_holds_to_its_boundary():
-    # spectral_gap alone picks the solver: a general chain takes the dense
-    # spectrum up to the cutoff and Lanczos one state above it, and either
-    # agrees with the other solver; a birth-death chain of any size takes
-    # the bidiagonal solver
-    for n, route, other in ((generator.DENSE_GAP_CUTOFF, "dense", "lanczos"),
-                            (generator.DENSE_GAP_CUTOFF + 1, "lanczos",
-                             "dense")):
+def _gap_budget(Q, pi):
+    """The Lanczos budget generator's cost rule gives the gap of `Q`."""
+    A, _ = spectral._symmetrized(Q, pi)
+    return generator._dense_cost_in_steps("eigh", Q.n, A.nnz)
+
+
+def test_each_gap_route_holds_to_its_boundary(monkeypatch):
+    # spectral_gap alone picks the solver, by generator's cost rule: a
+    # general chain whose Lanczos budget is under the floor takes the dense
+    # spectrum at once; the first size past the floor runs Lanczos on a
+    # budget too small for it and hands off to the dense spectrum, which
+    # reports exactly as the dense route; a larger chain's Lanczos converges
+    # within its budget.  Each agrees with the other solver.  A birth-death
+    # chain of any size takes the bidiagonal solver
+    budgets = []
+    lanczos = _symeig._lanczos
+
+    def recorded(A, v0, largest, budget=None):
+        budgets.append(budget)
+        return lanczos(A, v0, largest, budget)
+
+    monkeypatch.setattr(_symeig, "_lanczos", recorded)
+    chains = []
+    for n in range(20, 200):
         Q = GeneratorMatrix(ring_with_chords(n, False, n))
         pi = stationary_distribution(Q)
+        chains.append((Q, pi, _gap_budget(Q, pi)))
+        if chains[-1][2]:
+            break
+    (below, pi_below, zero), (at, pi_at, budget) = chains[-2:]
+    assert zero == 0 and budget >= generator._HANDOFF_FLOOR
+    for Q, pi, used in ((below, pi_below, []), (at, pi_at, [budget])):
+        budgets.clear()
         rep = spectral_gap(Q, pi)
-        check = spectral_gap(Q, pi, method=other)
-        assert (rep.method, check.method) == (route, other)
-        assert abs(rep.gap - check.gap) <= 1e-12 * check.gap
+        assert budgets == used
+        dense = spectral_gap(Q, pi, method="dense")
+        assert (rep.method, rep.iterations) == ("dense", 0)
+        assert (rep.gap, rep.residual) == (dense.gap, dense.residual)
+        assert np.array_equal(rep.eigenvalues, dense.eigenvalues)
+        other = spectral_gap(Q, pi, method="lanczos")
+        assert abs(other.gap - rep.gap) <= 1e-12 * rep.gap
+    Q = GeneratorMatrix(ring_with_chords(400, False, 400))
+    pi = stationary_distribution(Q)
+    budgets.clear()
+    rep = spectral_gap(Q, pi)
+    assert rep.method == "lanczos"
+    assert budgets == [_gap_budget(Q, pi)] and 0 < rep.iterations <= budgets[0]
+    dense = spectral_gap(Q, pi, method="dense")
+    assert abs(rep.gap - dense.gap) <= 1e-12 * dense.gap
     Q = build_birth_death([2.0] * 1000, [1.0] * 1000)
     assert spectral_gap(Q).method == "tridiagonal"
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(4, 600), st.integers(0, 2 ** 32 - 1))
+def test_auto_routes_match_the_dense_spectrum(n, seed):
+    # whichever way the cost rule routes a general chain (dense at once,
+    # Lanczos within its budget, or the dense spectrum after it), the gap
+    # and each skeleton's lambda_P are the dense spectrum's
+    Q = GeneratorMatrix(ring_with_chords(n, False, seed))
+    pi = stationary_distribution(Q)
+    gap = spectral_gap(Q, pi).gap
+    dense = spectral_gap(Q, pi, method="dense").gap
+    assert abs(gap - dense) <= 1e-12 * dense
+    table = skeleton_gap_check(Q, pi)
+    for row, P in zip(table.rows, _transition_matrices(Q, [0.1, 0.05,
+                                                           0.01])):
+        T = generator._symmetric_part(P.matrix, pi.log_probs)
+        ref, _ = _symeig.deflated_extremal(T, np.sqrt(pi.probs), True,
+                                           "dense")
+        assert abs(row.lambda_P - ref.value) <= 1e-12 * abs(ref.value)
+
+
+def test_a_slow_lanczos_hands_off_to_the_dense_spectrum():
+    # relabelled, the (1.1, 1) chain on 400 states needs some 780 products
+    # of Lanczos, past the budget of about 450 that its dense spectrum is
+    # worth: the gap comes from the dense spectrum and says so
+    N = 399
+    order = np.random.default_rng(0).permutation(N + 1)
+    Q = _permuted(build_birth_death(np.full(N, 1.1), np.ones(N)), order)
+    rep = spectral_gap(Q)
+    assert (rep.method, rep.iterations) == ("dense", 0)
+    assert rep.eigenvalues is not None
+    ref = bd_closed_form_gap(1.1, 1.0, N)
+    assert abs(rep.gap - ref) <= 1e-10 * ref
+    slow = spectral_gap(Q, method="lanczos")
+    assert slow.iterations > _gap_budget(Q, stationary_distribution(Q))
 
 
 def test_the_dense_cap_is_one_error_wherever_it_is_met():
@@ -320,14 +405,23 @@ def test_bd_tridiagonal_gap_matches_general_paths(N, seed):
 @given(st.one_of(st.integers(3, 40), st.integers(400, 440)),
        st.integers(0, 2 ** 32 - 1))
 def test_gap_invariant_under_relabelling(n, seed):
-    # sizes on both sides of the cost crossover of the pi solve: elimination
-    # below it, the iteration above; a chain and its relabelling take the
-    # same solver and have one gap
+    # sizes on both sides of the floor of the pi solve's cost rule: below
+    # it elimination runs at once, above it the iteration runs within its
+    # budget, or elimination after it; a chain and its relabelling have
+    # the same budget and one gap
     Q = GeneratorMatrix(ring_with_chords(n, False, seed))
     other = _permuted(Q, np.random.default_rng(seed).permutation(n))
+    budget = generator._dense_cost_in_steps("elimination", n, 2 * Q.nnz)
+    assert budget == generator._dense_cost_in_steps("elimination", n,
+                                                    2 * other.nnz)
+    if n <= 20 or n >= 400:
+        assert (budget == 0) == (n <= 20)
     pi, pi_other = stationary_distribution(Q), stationary_distribution(other)
-    solver = "iteration" if n >= 400 else "elimination"
-    assert pi.solver == pi_other.solver == solver
+    for law in (pi, pi_other):
+        if law.solver == "iteration":
+            assert 0 < law.iterations <= budget
+        else:
+            assert (law.solver, law.iterations) == ("elimination", 0)
     gap = spectral_gap(Q, pi).gap
     assert abs(spectral_gap(other, pi_other).gap - gap) <= 1e-12 * gap
 

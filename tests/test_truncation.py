@@ -314,6 +314,15 @@ def test_collapse_function_explicit_set():
     assert not widened
 
 
+def test_collapse_function_takes_an_array():
+    # an array's range is that of its values; it raised AttributeError
+    gt, widened = collapse_function([0.0, 1.0, 2.0], 2)
+    assert gt.values.tolist() == [0.0, 1.0, 0.0]
+    assert (gt.lower, gt.upper, widened) == (0.0, 2.0, False)
+    gt, widened = collapse_function(np.array([2.0, 3.0]), 1)
+    assert (gt.lower, gt.upper, widened) == (0.0, 3.0, True)
+
+
 def test_collapse_function_coverage_checked():
     g = ObservableFunction([1.0, 2.0], 0.0, 2.0)
     with pytest.raises(InvalidInputError, match="cover"):
