@@ -315,10 +315,11 @@ def _tridiagonal(A):
         raise NumericalFailureError(
             f"positive-definiteness test failed at the gap's certified "
             f"lower end {lo:.6e}")
+    lost = (" (nan: the Perron vector left the double range)"
+            if math.isnan(bound) or math.isnan(value) else "")
     raise NumericalFailureError(
-        f"the gap's Collatz-Wielandt lower bound {bound:.6e} is not within "
-        f"{_CERTIFIED_RTOL:.0e} of its Rayleigh quotient {value:.6e} (nan: "
-        f"the Perron vector left the double range)")
+        f"the gap's Collatz-Wielandt lower bound {bound:.9e} is not within "
+        f"{_CERTIFIED_RTOL:.0e} of its Rayleigh quotient {value:.9e}{lost}")
 
 
 def _bracket(test, n, least, hi):

@@ -14,6 +14,7 @@ row FAILed; 2 invalid input; 3 numerical failure; 4 output I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -305,5 +306,20 @@ def main(argv=None):
         return EXIT_IO
 
 
+def _process_main():
+    """`main` as a whole process: ``python -m ctmcgap.cli`` and the
+    ``ctmcgap`` script.
+
+    A command leaves a few hundred cyclic objects whatever its input (its
+    data are NumPy arrays, which the collector does not track), so the
+    collector stays off, and every object is frozen so that the exit's
+    final collections walk none.  `main` itself leaves the collector alone.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_process_main())

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -825,3 +826,84 @@ def test_closed_stdout_exits_4_without_traceback():
     assert "output error:" in out.stderr
     assert "Traceback" not in out.stderr
     assert "Exception ignored" not in out.stderr
+
+
+# -------------------------------------------------------------- process entry
+
+def _in_a_process(argv, code=None):
+    # the same source tree the tests import; `code` runs in place of
+    # ``-m ctmcgap.cli``
+    src = os.path.dirname(os.path.dirname(climod.__file__))
+    head = ["-m", "ctmcgap.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *argv], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_script_runs_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(climod.__file__).parents[2] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["ctmcgap"]
+    module, name = target.split(":")
+    assert module == climod.__name__
+    assert getattr(climod, name) is climod._process_main
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    # only the process entry turns the collector off and freezes objects;
+    # main, in-process, changes neither
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    for argv in (["gap", "--example", "three-state"],
+                 ["verify", "--example", "three-state", "--reps", "20"],
+                 ["gap", "--no-such-flag"]):
+        main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("small, large", [
+    (["gap", "--bd", "2", "1", "1000"], ["gap", "--bd", "2", "1", "100000"]),
+    (["verify", "--example", "three-state", "--reps", "200"],
+     ["verify", "--example", "three-state", "--reps", "2000"]),
+], ids=["gap-states", "verify-reps"])
+def test_cyclic_garbage_does_not_grow_with_the_input(small, large):
+    # the process entry never collects, so what a command leaves in
+    # reference cycles must not grow with its chain or its replications
+    code = ("import gc, sys; gc.disable(); from ctmcgap.cli import main; "
+            "main(sys.argv[1:]); print(gc.collect())")
+    counts = []
+    for argv in (small, large):
+        out = _in_a_process(argv, code)
+        assert out.returncode == 0, out.stderr
+        counts.append(int(out.stdout.splitlines()[-1]))
+    assert counts[0] == counts[1]
+
+
+def test_process_prints_what_main_prints(capsys):
+    argv = ["gap", "--example", "three-state"]
+    assert main(argv) == climod.EXIT_OK
+    expected = capsys.readouterr().out
+    out = _in_a_process(argv)
+    assert (out.returncode, out.stdout, out.stderr) == (0, expected, "")
+
+
+def test_process_numerical_failure_exits_3_without_traceback():
+    # delta * q = 3 000 > 700: refused before pi is solved
+    out = _in_a_process(["skeleton", "--example", "three-state",
+                         "--deltas", "1000"])
+    assert out.returncode == climod.EXIT_NUMERICAL and out.stdout == ""
+    [line] = out.stderr.splitlines()
+    assert line.startswith("numerical failure:")
+
+
+def test_process_entry_runs_main_with_the_collector_off(monkeypatch):
+    seen = []
+    monkeypatch.setattr(climod, "main",
+                        lambda: seen.append(gc.isenabled()) or 7)
+    monkeypatch.setattr(gc, "freeze", lambda: seen.append("frozen"))
+    try:
+        assert climod._process_main() == 7
+    finally:
+        gc.enable()
+    assert seen == [False, "frozen"]

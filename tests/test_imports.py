@@ -100,6 +100,21 @@ def test_scipy_anywhere_is_caught():
                                        (9, "")]
 
 
+def test_only_the_cli_imports_gc():
+    # the process entry alone turns the cyclic collector off; library
+    # callers, and `main` in-process, keep it
+    users = []
+    for path in pathlib.Path(ctmcgap.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if "gc" in names:
+                users.append(path.name)
+    assert users == ["cli.py"]
+
+
 def _package_imports(source):
     """The package modules a module imports, by full dotted name, whether
     relatively or by name (``from .errors import E``: ctmcgap.errors)."""

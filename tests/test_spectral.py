@@ -571,6 +571,27 @@ def test_small_bd_gap_refuses_an_unbracketed_value(monkeypatch, capsys):
     assert out.out == "" and "Collatz-Wielandt" in out.err
 
 
+@pytest.mark.parametrize("value, bound, shown", [
+    # the seed-4419 chain of test_bidiagonal_gap_matches_lapack: finite,
+    # 1.06e-9 apart, so the refusal shows the digits where they differ
+    (1.0384527128e-28, 1.0384527117e-28,
+     "bound 1.038452712e-28 is not within 1e-10 of its Rayleigh quotient "
+     "1.038452713e-28"),
+    (0.5, math.nan, "bound nan is not within 1e-10 of its Rayleigh "
+     "quotient 5.000000000e-01 (nan: the Perron vector left the double "
+     "range)"),
+], ids=["finite", "nan"])
+def test_small_bd_gap_refusal_names_nan_only_when_there(monkeypatch, value,
+                                                        bound, shown):
+    monkeypatch.setattr(_symeig, "_polish",
+                        lambda levels, last, w: (value, bound, w))
+    with pytest.raises(NumericalFailureError) as info:
+        spectral_gap(build_birth_death(np.ones(1000), np.ones(1000)))
+    message = str(info.value)
+    assert shown in message
+    assert ("nan" in message) == math.isnan(bound)
+
+
 def test_bd_gap_rejects_inaccurate_eigenpair(perturbed_tridiagonal_solver):
     with pytest.raises(NumericalFailureError, match="residual"):
         spectral_gap(build_birth_death([2.0] * 30, [1.0] * 30))
