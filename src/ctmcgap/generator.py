@@ -4,14 +4,14 @@ stationary distributions, and additive reversibilization.
 A rate matrix (generator) `Q` has nonnegative off-diagonal entries and zero
 row sums; `Q[i, j]` is the jump rate from state `i` to state `j`.  Matrices
 are stored as NumPy arrays in compressed sparse row form, the diagonal kept
-explicit.  SciPy is not needed: only the ``matrix`` view imports it, for
-callers that want a SciPy matrix.  All objects here are treated as
-immutable after construction.
+explicit; one assembled from rates stores no cell of value 0.  All objects
+here are treated as immutable after construction.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,14 +93,12 @@ class _CSR:
     `_indptr`, `_indices` and `_data` are the CSR arrays, each row's
     entries in ascending column order.  ``A @ x`` sums each row in stored
     order, as SciPy's ``csr_matvec`` does, so its results are bit for bit
-    SciPy's.  The SciPy view ``matrix`` is built on first use, only for
-    callers that want a SciPy matrix.
+    SciPy's.
     """
 
     def __init__(self, indptr, indices, data):
         self._indptr, self._indices, self._data = indptr, indices, data
         self._rows = None
-        self._matrix = None
 
     @property
     def n(self):
@@ -114,18 +112,6 @@ class _CSR:
     def data(self):
         """The stored entries (the array itself: writes change the matrix)."""
         return self._data
-
-    @property
-    def matrix(self):
-        """The matrix as a SciPy CSR matrix (built once; do not mutate).
-        The package's one import of SciPy."""
-        if self._matrix is None:
-            import scipy.sparse as sp
-
-            self._matrix = sp.csr_matrix(
-                (self._data, self._indices, self._indptr),
-                shape=(self.n, self.n))
-        return self._matrix
 
     def _row_index(self):
         """The row of every stored entry (cached)."""
@@ -169,8 +155,9 @@ class GeneratorMatrix(_CSR):
 
     Parameters
     ----------
-    matrix : array_like or scipy sparse matrix, shape (n, n)
-        Entries of the generator, diagonal included.
+    matrix : array_like or sparse matrix, shape (n, n)
+        Entries of the generator, diagonal included.  A sparse matrix is
+        anything with a ``tocsr()`` method, such as SciPy's.
     labels : sequence of str, optional
         Human-readable state names, length `n`.
 
@@ -181,8 +168,7 @@ class GeneratorMatrix(_CSR):
     This keeps deliberately defective matrices constructible for diagnosis.
 
     The entries are held as the three CSR arrays; a sparse input that is
-    already float64 is kept without a copy.  The SciPy view ``matrix`` is
-    built on first use and needs SciPy.
+    already float64 is kept without a copy, its stored entries as given.
     """
 
     def __init__(self, matrix, labels=None):
@@ -295,7 +281,9 @@ def _row_pointers(rows, n):
 
 
 def _row_sums(indptr, data):
-    """Row sums of CSR entries, added as SciPy's ``sum(axis=1)`` adds them."""
+    """Row sums of CSR entries, each row added in stored (column) order as
+    ``np.add.reduceat`` adds it; an assembled matrix stores no zeros, so
+    its sums depend on its nonzero entries alone."""
     sums = np.zeros(indptr.size - 1)
     filled = np.flatnonzero(np.diff(indptr))
     sums[filled] = np.add.reduceat(data, indptr[filled])
@@ -344,25 +332,27 @@ def _checked_triplets(n, rates):
 def _summed_cells(n, rows, cols, vals):
     """CSR arrays ``(indptr, indices, data)`` of the cells ``(rows[k],
     cols[k])`` of `n` rows; a repeated cell sums its values left to right
-    (a stable sort keeps their order for `bincount`), a sum of 0 stored."""
+    (a stable sort keeps their order for `bincount`), and a cell whose sum
+    is 0 is not stored.  The package drops zero cells here alone."""
     # cell numbers i n + j pass int32 from n = 46 341 states
     cells = rows.astype(np.int64) * n + cols
     order = np.argsort(cells, kind="stable")
     cells = cells[order]
     first = np.diff(cells, prepend=-1) != 0
     sums = np.bincount(np.cumsum(first) - 1, weights=vals[order])
-    cells = cells[first]
-    return _row_pointers(cells // n, n), cells % n, sums
+    nonzero = sums != 0
+    cells = cells[first][nonzero]
+    return _row_pointers(cells // n, n), cells % n, sums[nonzero]
 
 
 def _assemble(n, a, labels):
     """The generator of valid triplets `a` (repeats add), as `from_rates`.
 
-    Entries come out row by row in ascending column order, with exact
-    zeros dropped and each row's diagonal minus the sum of the rest unless
-    given.  Repeated cells, which only a collapsed chain makes, add left to
-    right.  A cell that adds to 0 is dropped only after the row sums, whose
-    pairwise grouping it shifts, as in SciPy's ``sum(axis=1)``.
+    Entries come out row by row in ascending column order, each row's
+    diagonal minus the sum of the rest unless given.  Repeated cells, which
+    only a collapsed chain makes, add left to right.  A cell that adds to
+    0 is dropped before the row sums, so a listed zero rate changes
+    nothing.
     """
     rows, cols = a[:, 0].astype(np.intp), a[:, 1].astype(np.intp)
     off = rows != cols
@@ -371,10 +361,9 @@ def _assemble(n, a, labels):
     d[rows[~off]] = a[~off, 2]
     diag = np.arange(n)
     rows = np.concatenate([np.repeat(diag, np.diff(indptr)), diag])
-    cols, vals = np.concatenate([indices, diag]), np.concatenate([data, d])
-    keep = vals != 0
-    return GeneratorMatrix._from_csr(
-        *_summed_cells(n, rows[keep], cols[keep], vals[keep]), labels)
+    return GeneratorMatrix._from_csr(*_summed_cells(
+        n, rows, np.concatenate([indices, diag]), np.concatenate([data, d])),
+        labels)
 
 
 class StationaryDistribution:
@@ -842,6 +831,15 @@ def _as_values(f, n, what):
     return v
 
 
+def _as_integer(x, what):
+    """`x`, an integral number (``10`` or ``10.0``), as an int; any other
+    value, NaN and inf included, raises InvalidInputError naming `what`."""
+    if isinstance(x, numbers.Integral) or (isinstance(x, numbers.Real)
+                                           and float(x).is_integer()):
+        return int(x)
+    raise InvalidInputError(f"{what} {x!r} is not an integer")
+
+
 def _as_probs(p, n, what):
     """`p`, a StationaryDistribution or array, as `_as_values` does, with
     entries nonnegative and summing to 1 within `_WEIGHT_SUM_ATOL`."""
@@ -863,6 +861,16 @@ def _as_law(pi, n):
     return pi
 
 
+def _stationary_law(Q, pi):
+    """`pi` as `_as_law` takes it, refused (NumericalFailureError) unless
+    stationary for `Q`; the law `stationary_distribution` checked for `Q`
+    is not checked again."""
+    pi = _as_law(pi, Q.n)
+    if pi is not Q._checked_law:
+        _check_stationary(pi.probs, Q, "stationary")
+    return pi
+
+
 def _symmetric_part(M, log_pi):
     """``(W + W.T) / 2`` with ``W[i, j] = M[i, j] exp((l[i] - l[j]) / 2)``.
 
@@ -881,9 +889,7 @@ def _symmetric_part(M, log_pi):
     indptr, indices, sums = _summed_cells(
         M.n, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
         np.concatenate([W, W]))
-    keep = sums != 0
-    rows = np.repeat(np.arange(M.n), np.diff(indptr))[keep]
-    return _CSR(_row_pointers(rows, M.n), indices[keep], 0.5 * sums[keep])
+    return _CSR(indptr, indices, 0.5 * sums)
 
 
 def additive_symmetrization(Q, pi):
@@ -898,9 +904,7 @@ def additive_symmetrization(Q, pi):
     probability vector (InvalidInputError), and `pi` must be stationary
     for `Q` (NumericalFailureError).
     """
-    pi = _as_law(pi, Q.n)
-    _check_stationary(pi.probs, Q, "stationary")
-    log_pi = pi.log_probs
+    log_pi = _stationary_law(Q, pi).log_probs
     rows, cols, vals = _symmetric_part(Q, log_pi).off_diagonal()
     vals = vals * np.exp(0.5 * (log_pi[cols] - log_pi[rows]))
     return _assemble(Q.n, np.column_stack([rows, cols, vals]), Q.labels)
@@ -945,7 +949,8 @@ def _tridiagonal_csr(below, diag, above):
     # rows of (M[i, i-1], M[i, i], M[i, i+1]), less the two outside the matrix
     data = np.column_stack([np.insert(below, 0, 0.0), diag,
                             np.append(above, 0.0)]).ravel()[1:-1]
-    index = np.int32 if 3 * n < 2 ** 31 else np.intp  # as SciPy picks
+    # int32 indices while they fit: they take half the memory of intp
+    index = np.int32 if 3 * n < 2 ** 31 else np.intp
     cols = np.repeat(np.arange(n, dtype=index), 3)
     cols[0::3] -= 1
     cols[2::3] += 1

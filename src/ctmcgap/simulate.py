@@ -30,7 +30,8 @@ import numpy as np
 from ._report import Report
 from .errors import (ExplosionGuardError, InvalidInputError,
                      NumericalFailureError)
-from .generator import _as_probs, _as_values, stationary_distribution
+from .generator import (_as_integer, _as_probs, _as_values,
+                        stationary_distribution)
 
 DEFAULT_MAX_JUMPS = 10_000_000
 DEFAULT_CI_LEVEL = 0.999
@@ -276,7 +277,7 @@ def sample_path(Q, x0, horizon, rng, g=None, max_jumps=DEFAULT_MAX_JUMPS):
     InvalidInputError
         If a state has a positive exit rate but no positive jump rate.
     """
-    x0 = int(x0)
+    x0 = _as_integer(x0, "x0")
     if not 0 <= x0 < Q.n:
         raise InvalidInputError(f"initial state {x0} out of range")
     horizon = float(horizon)
@@ -452,7 +453,8 @@ def clopper_pearson_upper(successes, trials, level=DEFAULT_CI_LEVEL):
     0.01 to 0.999999, and more where the tail's log is large, up to about
     ``|log tail| / (k + 1)`` ulps for the upper tail of a tiny `level`.
     """
-    k, n = int(successes), int(trials)
+    k = _as_integer(successes, "successes")
+    n = _as_integer(trials, "trials")
     if not 0 <= k <= n or n < 1:
         raise InvalidInputError(f"invalid counts {k}/{n}")
     if not 0.0 < level < 1.0:
@@ -558,7 +560,7 @@ def _walk_arguments(Q, g, horizon, eps, reps, seed):
         raise InvalidInputError("eps grid is empty")
     if not all(0 < e < math.inf for e in eps_list):
         raise InvalidInputError("eps must be positive and finite")
-    reps = int(reps)
+    reps = _as_integer(reps, "reps")
     if reps < 1:
         raise InvalidInputError("reps must be >= 1")
     return values, horizon, eps_list, reps, _key_word(seed, "seed")

@@ -17,8 +17,9 @@ import numpy as np
 from ._report import Report
 from ._symeig import deflated_extremal
 from .errors import InvalidInputError, NumericalFailureError
-from .generator import (_as_law, _dense_cost_in_steps, _irreducible_band,
-                        _symmetric_part, stationary_distribution)
+from .generator import (_as_integer, _as_law, _dense_cost_in_steps,
+                        _irreducible_band, _symmetric_part,
+                        stationary_distribution)
 from .spectral import spectral_gap
 
 # exp(delta * q) overflows the uniformization weights past this point
@@ -268,7 +269,7 @@ def dtmc_hoeffding_bound(lambda_P, n_steps, eps, lower, upper):
     ``r = max(lambda_P, 0)``; at ``lambda_P <= 0`` this is the classical
     independent-sampling bound, and at ``lambda_P = 1`` it degenerates to 1.
     """
-    n_steps = int(n_steps)
+    n_steps = _as_integer(n_steps, "n_steps")
     if n_steps < 1:
         raise InvalidInputError("n_steps must be >= 1")
     if not eps > 0:

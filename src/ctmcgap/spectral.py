@@ -21,12 +21,11 @@ import numpy as np
 from ._report import Report
 from ._symeig import BirthDeathForm, deflated_extremal
 from .errors import InvalidInputError
-from .generator import (_CSR, _as_law, _as_probs, _as_values,
+from .generator import (_CSR, _as_integer, _as_probs, _as_values,
                         _birth_death_log_mu, _birth_death_rates,
-                        _check_dense_cap, _check_stationary,
-                        _dense_cost_in_steps, _irreducible_band,
-                        _symmetric_part, _tridiagonal_csr,
-                        stationary_distribution)
+                        _check_dense_cap, _dense_cost_in_steps,
+                        _irreducible_band, _stationary_law, _symmetric_part,
+                        _tridiagonal_csr, stationary_distribution)
 
 # drift inequalities may be exceeded by this much before they count as broken
 _DRIFT_SLACK = 1e-12
@@ -80,23 +79,21 @@ class SpectralReport(Report):
 def symmetrized_form(Q, pi):
     """Symmetric matrix ``S = D Qbar D^-1`` with ``D = diag(sqrt(pi))``.
 
-    `Qbar` is the additive reversibilization; ``S`` is returned as a SciPy
-    CSR matrix (SciPy needed) with ``sqrt(pi)``.  A general `Q` gives
-    ``_symmetric_part(Q, log pi)``.  A birth-death (tridiagonal) `Q` is its
-    own reversibilization, and by Kolmogorov's criterion ``S`` is then
-    minus the `BirthDeathForm` of its rates: minus the exit rates on the
-    diagonal and ``sqrt(Q[i, i+1] Q[i+1, i])`` beside it, from the rates
-    alone.  Either way entries of `pi` that underflow to 0 are harmless,
-    and `pi` must be stationary for `Q` (NumericalFailureError otherwise).
+    Returns ``(S, sqrt(pi))``, `S` a NumPy CSR matrix (``S @ x``,
+    ``S.to_dense()``, ``S.off_diagonal()``, ``S.nnz``) and `Qbar` the
+    additive reversibilization.  A general `Q` gives ``_symmetric_part(Q,
+    log pi)``.  A birth-death (tridiagonal) `Q` is its own
+    reversibilization, and by Kolmogorov's criterion ``S`` is then minus
+    the `BirthDeathForm` of its rates: minus the exit rates on the diagonal
+    and ``sqrt(Q[i, i+1] Q[i+1, i])`` beside it, from the rates alone.
+    Either way entries of `pi` that underflow to 0 are harmless, and `pi`
+    must be stationary for `Q` (NumericalFailureError otherwise).
 
-    :func:`spectral_gap` forms the same ``S``, held in NumPy, for the
-    dense and Lanczos solvers; its default route for a birth-death chain,
-    the bidiagonal solver, needs no ``S``.
+    :func:`spectral_gap` forms the same ``S`` for the dense and Lanczos
+    solvers; its default route for a birth-death chain, the bidiagonal
+    solver, needs no ``S``.
     """
-    pi = _as_law(pi, Q.n)
-    _check_stationary(pi.probs, Q, "stationary")
-    S, sq = _symmetrized(Q, pi)
-    return S.matrix, sq
+    return _symmetrized(Q, _stationary_law(Q, pi))
 
 
 def _symmetrized(Q, pi):
@@ -158,9 +155,7 @@ def spectral_gap(Q, pi=None, method="auto"):
     band = _irreducible_band(Q)
     if method == "dense":
         _check_dense_cap(Q.n)  # before pi is solved
-    pi = stationary_distribution(Q) if pi is None else _as_law(pi, Q.n)
-    if pi is not Q._checked_law:
-        _check_stationary(pi.probs, Q, "stationary")
+    pi = stationary_distribution(Q) if pi is None else _stationary_law(Q, pi)
     # the gap is the smallest nontrivial eigenvalue of -S
     if method == "auto" and band is not None:
         method, A = "tridiagonal", BirthDeathForm(*band, log_pi=pi.log_probs)
@@ -237,13 +232,12 @@ def bd_closed_form_gap(alpha, beta, n_levels):
     """
     alpha, beta = float(alpha), float(beta)
     _birth_death_rates([alpha], [beta])  # positive and finite, as any chain's
-    if n_levels is math.inf or (isinstance(n_levels, float)
-                                and math.isinf(n_levels)):
+    if n_levels == math.inf:
         if alpha <= beta:
             raise InvalidInputError(
                 "infinite chain needs alpha > beta for a positive gap")
         return (math.sqrt(alpha) - math.sqrt(beta)) ** 2
-    N = int(n_levels)
+    N = _as_integer(n_levels, "n_levels")
     if N < 1:
         raise InvalidInputError("n_levels must be >= 1 or infinity")
     # alpha + beta - 2 sqrt(alpha beta) cos(pi / (N + 1)), as two terms
@@ -342,13 +336,13 @@ def drift_certificate_check(Q, V, beta, excluded_state):
         raise InvalidInputError("certificate requires V >= 1 everywhere")
     if not beta > 0:
         raise InvalidInputError("beta must be positive")
-    j = int(excluded_state)
+    j = _as_integer(excluded_state, "excluded_state")
     if not 0 <= j < Q.n:
         raise InvalidInputError(f"excluded state {j} out of range")
-    drift = Q @ V
-    excess = drift + beta * V
-    violations = [(int(i), float(excess[i]))
-                  for i in range(Q.n)
-                  if i != j and excess[i] > _DRIFT_SLACK]
+    excess = Q @ V + beta * V
+    broken = excess > _DRIFT_SLACK
+    broken[j] = False
+    states = np.flatnonzero(broken)
+    violations = list(zip(states.tolist(), excess[states].tolist()))
     return CertificateReport(certified=not violations, beta=float(beta),
                              excluded_state=j, violations=violations)

@@ -19,9 +19,9 @@ import numpy as np
 from ._report import Report
 from .errors import InvalidInputError, NumericalFailureError
 from .generator import (GeneratorMatrix, ObservableFunction,
-                        StationaryDistribution, _as_law, _as_values,
+                        StationaryDistribution, _as_integer, _as_values,
                         _assemble, _birth_death_log_mu, _birth_death_rates,
-                        _check_stationary, _log_sum_exp)
+                        _check_stationary, _log_sum_exp, _stationary_law)
 from .spectral import spectral_gap
 
 _TAIL_SUM_RELTOL = 1e-17
@@ -138,8 +138,11 @@ class CountableModel:
 
     @classmethod
     def from_generator(cls, Q, pi):
-        """Wrap a finite chain so it can be collapsed like a countable one."""
-        log_p = _as_law(pi, Q.n).log_probs
+        """Wrap a finite chain so it can be collapsed like a countable one.
+
+        `pi` must be stationary for `Q` (NumericalFailureError otherwise):
+        a collapse checks balance at the retained states alone."""
+        log_p = _stationary_law(Q, pi).log_probs
         suffix = np.logaddexp.accumulate(np.append(log_p, -np.inf)[::-1])[::-1]
 
         def row(i):
@@ -223,8 +226,9 @@ def collapse(model, retained):
     nf = model.finite_size
     if nf is not None:
         if np.isscalar(retained):
-            retained = range(min(int(retained), nf))
-        retained = sorted(set(int(s) for s in retained))
+            retained = range(min(_as_integer(retained, "retained"), nf))
+        retained = sorted(set(_as_integer(s, "retained state")
+                              for s in retained))
         if not retained:
             raise InvalidInputError("retained set is empty")
         if retained[0] < 0 or retained[-1] >= nf:
@@ -242,7 +246,7 @@ def collapse(model, retained):
         if model.in_reach is None:
             raise InvalidInputError(
                 "infinite model needs an in_reach callback to collapse")
-        n = int(retained)
+        n = _as_integer(retained, "retained")
         if n < 1:
             raise InvalidInputError("prefix size must be >= 1")
         log_tail = model.log_tail_weight(n)
@@ -276,9 +280,9 @@ def collapse_function(g, retained):
         range had to be widened to contain the 0 at the tail state.
     """
     if np.isscalar(retained):
-        idx = list(range(int(retained)))
+        idx = list(range(_as_integer(retained, "retained")))
     else:
-        idx = sorted(set(int(s) for s in retained))
+        idx = sorted(set(_as_integer(s, "retained state") for s in retained))
     if not idx:
         raise InvalidInputError("retained set is empty")
     v = _as_values(g, None, "g")
@@ -324,8 +328,9 @@ class GapSweep(Report):
 
 def _prefix_sizes(sizes):
     """`sizes` as ints, refused (InvalidInputError) unless there is at
-    least one, each at least 1, in strictly increasing order."""
-    sizes = [int(s) for s in sizes]
+    least one, each an integral number at least 1, in strictly increasing
+    order."""
+    sizes = [_as_integer(s, "size") for s in sizes]
     if not sizes:
         raise InvalidInputError("need at least one size")
     if any(s < 1 for s in sizes):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ctmcgap import GeneratorMatrix, _symeig, build_three_state
 
@@ -46,6 +47,12 @@ def perturbed_eigensolver(monkeypatch):
         return value, vector, w
 
     monkeypatch.setattr(_symeig, "_dense", perturbed)
+
+
+def scipy_csr(A):
+    """SciPy's CSR matrix on the three CSR arrays of the package's matrix
+    `A` (a generator, or the `S` of `symmetrized_form`): the tests' oracle."""
+    return sp.csr_matrix((A._data, A._indices, A._indptr), shape=(A.n, A.n))
 
 
 def random_birth_death(rng, max_levels=30):

@@ -11,7 +11,7 @@ import numpy as np
 
 import ctmcgap as cg
 from conftest import (THREE_STATE_DUAL, THREE_STATE_GAP, THREE_STATE_PI,
-                      THREE_STATE_SYM, random_birth_death)
+                      THREE_STATE_SYM, random_birth_death, scipy_csr)
 
 
 def _finish(number, ok, detail, elapsed=None, budget=None):
@@ -150,7 +150,7 @@ def test_criterion_7_lower_bounds_consistent():
         Q = cg.build_birth_death(a, b)
         z = math.sqrt(1.5)
         V = z ** np.arange(n + 1)
-        drift = Q.matrix @ V
+        drift = scipy_csr(Q) @ V
         beta = min(-drift[i] / V[i] for i in range(1, n + 1))
         rep = cg.drift_certificate_check(Q, V, beta, 0)
         drift_ok &= rep.certified and beta <= cg.spectral_gap(Q).gap + 1e-9

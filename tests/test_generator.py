@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,16 +12,18 @@ from ctmcgap import generator
 from ctmcgap import (CountableModel, GeneratorMatrix, InvalidInputError,
                      NumericalFailureError, ObservableFunction,
                      StationaryDistribution, additive_symmetrization,
-                     build_birth_death, collapse_function, density_pnorm,
-                     dirichlet_form, drift_certificate_check,
-                     dtmc_spectral_gap, load_model, load_observable,
+                     bd_closed_form_gap, build_birth_death,
+                     clopper_pearson_upper, collapse, collapse_function,
+                     density_pnorm, dirichlet_form, drift_certificate_check,
+                     dtmc_hoeffding_bound, dtmc_spectral_gap,
+                     gap_convergence_sweep, load_model, load_observable,
                      parse_model, parse_observable, rayleigh_quotient,
                      sample_path, skeleton_gap_check, spectral_gap,
                      stationary_distribution, substream, symmetrized_form,
                      tail_probability_mc, transition_matrix_exp,
                      validate_generator, verify)
 from conftest import (THREE_STATE_DUAL, THREE_STATE_PI, THREE_STATE_SYM,
-                      random_birth_death, ring_with_chords)
+                      random_birth_death, ring_with_chords, scipy_csr)
 
 
 # ---------------------------------------------------------------- construction
@@ -69,7 +72,7 @@ def test_from_rates_names_the_first_bad_entry(rates, msg):
 def test_from_rates_accepts_integral_float_indices():
     Q = GeneratorMatrix.from_rates(2, [(0.0, 1.0, 2.0), (1.0, 0, 1.0)])
     assert np.array_equal(Q.to_dense(), [[-2.0, 2.0], [1.0, -1.0]])
-    assert GeneratorMatrix.from_rates(3, []).matrix.nnz == 0
+    assert GeneratorMatrix.from_rates(3, []).nnz == 0
 
 
 def test_labels_length_checked():
@@ -219,7 +222,7 @@ def test_strong_connectivity_matches_reference_dfs(matrix):
     from scipy.sparse.csgraph import connected_components
 
     Q = GeneratorMatrix(matrix)
-    expected = _reference_strongly_connected(Q.matrix)
+    expected = _reference_strongly_connected(scipy_csr(Q))
     rows, cols, vals = Q.off_diagonal()
     keep = vals > 0  # csgraph takes every stored entry for an edge
     edges = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
@@ -234,7 +237,7 @@ def test_strong_connectivity_matches_reference_dfs(matrix):
 def test_matvec_adds_each_row_as_scipy_does(n, seed):
     Q = GeneratorMatrix(ring_with_chords(n, False, seed))
     x = np.random.default_rng(seed).standard_normal(n)
-    assert np.array_equal(Q @ x, Q.matrix @ x)
+    assert np.array_equal(Q @ x, scipy_csr(Q) @ x)
 
 
 # ---------------------------------------------------------------- stationarity
@@ -308,7 +311,7 @@ def test_power_iteration_is_componentwise_stationary():
                          (rows, (rows + steps.ravel()) % n)), shape=(n, n))
     Q = GeneratorMatrix(off - sp.diags(np.asarray(off.sum(axis=1)).ravel()))
     pi = stationary_distribution(Q).probs
-    resid = np.abs(pi @ Q.matrix) / (pi * Q.exit_rates())
+    resid = np.abs(pi @ scipy_csr(Q)) / (pi * Q.exit_rates())
     assert resid.max() <= generator._STATIONARY_RTOL
 
 
@@ -379,7 +382,7 @@ def test_dense_cost_in_steps_floors_and_caps():
 def _relabelled_birth_death(down, N, seed=0):
     Q = build_birth_death(np.full(N, down), np.ones(N))
     order = np.random.default_rng(seed).permutation(N + 1)
-    return GeneratorMatrix(Q.matrix[order][:, order]), order
+    return GeneratorMatrix(scipy_csr(Q)[order][:, order]), order
 
 
 def test_iteration_out_of_budget_falls_back_on_elimination():
@@ -707,8 +710,8 @@ def test_build_birth_death_matches_triplet_construction():
         a, b = rng.uniform(0.1, 10.0, N), rng.uniform(0.1, 10.0, N)
         rates = [(i, i + 1, b[i]) for i in range(N)]
         rates += [(i, i - 1, a[i - 1]) for i in range(1, N + 1)]
-        ref = GeneratorMatrix.from_rates(N + 1, rates).matrix
-        got = build_birth_death(a, b).matrix
+        ref = scipy_csr(GeneratorMatrix.from_rates(N + 1, rates))
+        got = scipy_csr(build_birth_death(a, b))
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, field), getattr(ref, field))
 
@@ -788,13 +791,14 @@ def test_model_with_fewer_rates_than_states_is_refused_before_allocating():
 
 
 def _loop_from_rates(n, triplets):
-    # the per-entry assembly the vectorized check replaced
+    # the per-entry assembly the vectorized check replaced; a zero rate is
+    # no transition, so it is left out before SciPy adds the row sums
     rows, cols, vals, diag = [], [], [], {}
     for i, j, rate in triplets:
         i, j, rate = int(i), int(j), float(rate)
         if i == j:
             diag[i] = rate
-        else:
+        elif rate != 0:
             rows.append(i)
             cols.append(j)
             vals.append(rate)
@@ -830,9 +834,9 @@ def test_triplet_assembly_matches_plain_loop(case):
     n, triplets = case
     off_diagonal = [t for t in triplets if t[0] != t[1]]
     for got, ref in [
-            (GeneratorMatrix.from_rates(n, triplets).matrix,
+            (scipy_csr(GeneratorMatrix.from_rates(n, triplets)),
              _loop_from_rates(n, triplets)),
-            (parse_model({"n": n, "rates": triplets}).matrix,
+            (scipy_csr(parse_model({"n": n, "rates": triplets})),
              _loop_from_rates(n, off_diagonal))]:
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, part), getattr(ref, part))
@@ -854,12 +858,14 @@ def _repeated_triplets(draw):
 @given(_repeated_triplets())
 def test_repeated_triplets_add_as_scipy_adds_them(case):
     # a collapsed chain routes several rates into one cell; they add in the
-    # order given, and the row sums add as SciPy's sum(axis=1) adds them
+    # order given, and the row sums add the nonzero rates as SciPy's
+    # sum(axis=1) adds them
     n, triplets = case
     got = generator._assemble(n, np.array(triplets).reshape(-1, 3), None)
     ref = _loop_from_rates(n, triplets)
+    got = scipy_csr(got)
     for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got.matrix, part), getattr(ref, part))
+        assert np.array_equal(getattr(got, part), getattr(ref, part))
 
 
 @st.composite
@@ -886,8 +892,50 @@ def test_repeated_cells_add_left_to_right_in_rows_of_any_length(case):
     got = generator._assemble(n, np.array(triplets).reshape(-1, 3), None)
     # one rate a cell: SciPy only sorts them, and adds the diagonals
     ref = _loop_from_rates(n, [(i, j, v) for (i, j), v in sums.items()])
+    got = scipy_csr(got)
     for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got.matrix, part), getattr(ref, part))
+        assert np.array_equal(getattr(got, part), getattr(ref, part))
+
+
+# a zero in row 0's sum would group its rates differently: with [0, 1, 0]
+# added to that sum, the diagonal reads -1025.991129396807, not
+# -1025.9911293968069, and the gap 0.8391678030357105, not ...106
+_FIVE_STATE = [[0, 2, 1.7219123678999], [0, 3, 615.2692170289071],
+               [0, 4, 409.0], [1, 0, 1.154], [2, 1, 1.246], [3, 1, 2.536],
+               [4, 3, 0.73]]
+
+
+@st.composite
+def _zero_rates_inserted(draw):
+    # off-diagonal zero rates on cells the triplets leave free, anywhere
+    n, triplets = draw(_ring_triplets())
+    listed = {(int(i), int(j)) for i, j, _ in triplets}
+    free = [(i, j) for i in range(n) for j in range(n)
+            if i != j and (i, j) not in listed]
+    padded = list(triplets)
+    if free:
+        for i, j in draw(st.lists(st.sampled_from(free), unique=True,
+                                  max_size=8)):
+            padded.insert(draw(st.integers(0, len(padded))), [i, j, 0.0])
+    return n, triplets, padded
+
+
+@settings(max_examples=200, deadline=None)
+@given(_zero_rates_inserted())
+@example((5, _FIVE_STATE, [[0, 1, 0.0]] + _FIVE_STATE))
+def test_listed_zero_rates_change_no_stored_bit(case):
+    n, triplets, padded = case
+    for build in (lambda t: GeneratorMatrix.from_rates(n, t),
+                  lambda t: parse_model({"n": n, "rates": t})):
+        got, ref = build(padded), build(triplets)
+        for part in ("_indptr", "_indices", "_data"):
+            assert np.array_equal(getattr(got, part), getattr(ref, part))
+
+
+def test_listed_zero_rate_moves_no_digit_of_the_gap():
+    models = [parse_model({"n": 5, "rates": extra + _FIVE_STATE})
+              for extra in ([], [[0, 1, 0.0]])]
+    assert spectral_gap(models[0]).gap == spectral_gap(models[1]).gap
 
 
 def test_observable_roundtrip(tmp_path):
@@ -1001,3 +1049,50 @@ def test_every_entry_refuses_a_bad_caller_vector(three_state, entry, x):
     # returns a number here, or fails with another error
     with pytest.raises(InvalidInputError):
         _CALLER_VECTORS[entry][0](three_state, x)
+
+
+# every public entry that takes a count or an index from its caller, on the
+# three-state chain: (call with the number x, an integral x it accepts);
+# bd_closed_form_gap takes an infinite n_levels for the infinite chain
+_CALLER_COUNTS = {
+    "verify-reps": (lambda Q, x: verify(Q, _unit_g(), 1.0, [0.1], x, 0), 10),
+    "clopper_pearson_upper-successes": (
+        lambda Q, x: clopper_pearson_upper(x, 20), 3),
+    "clopper_pearson_upper-trials": (
+        lambda Q, x: clopper_pearson_upper(3, x), 20),
+    "bd_closed_form_gap-n_levels": (
+        lambda Q, x: bd_closed_form_gap(2.0, 1.0, x), 10),
+    "dtmc_hoeffding_bound-n_steps": (
+        lambda Q, x: dtmc_hoeffding_bound(0.5, x, 0.1, 0.0, 1.0), 10),
+    "sample_path-x0": (
+        lambda Q, x: sample_path(Q, x, 1.0, substream(0, 0)), 1),
+    "drift_certificate_check-excluded_state": (
+        lambda Q, x: drift_certificate_check(Q, np.ones(3), 0.1, x), 1),
+    "gap_convergence_sweep-sizes": (lambda Q, x: gap_convergence_sweep(
+        CountableModel.birth_death(2.0, 1.0), [5, x]), 10),
+    "collapse-retained": (lambda Q, x: collapse(
+        CountableModel.birth_death(2.0, 1.0), x), 10),
+    "collapse-retained-finite": (lambda Q, x: collapse(
+        CountableModel.from_generator(Q, THREE_STATE_PI), x), 2),
+    "collapse-retained-set": (lambda Q, x: collapse(
+        CountableModel.from_generator(Q, THREE_STATE_PI), [0, x]), 1),
+    "collapse_function-retained": (
+        lambda Q, x: collapse_function(np.arange(5.0), x), 3),
+    "collapse_function-retained-set": (
+        lambda Q, x: collapse_function(np.arange(5.0), [0, x]), 3),
+}
+
+
+@pytest.mark.parametrize("entry, x", [
+    pytest.param(entry, x, id=f"{entry}-{x!r}")
+    for entry, (_, k) in _CALLER_COUNTS.items()
+    for x in (k + 0.5, math.nan, math.inf, -math.inf)
+    if not (entry == "bd_closed_form_gap-n_levels" and x == math.inf)])
+def test_every_entry_refuses_a_count_that_is_not_an_integer(three_state,
+                                                            entry, x):
+    # one rule, in generator: an integral float passes; 10.5 is refused,
+    # not truncated to 10, and NaN and inf are InvalidInputError
+    call, k = _CALLER_COUNTS[entry]
+    call(three_state, float(k))
+    with pytest.raises(InvalidInputError, match="is not an integer"):
+        call(three_state, x)

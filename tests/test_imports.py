@@ -1,10 +1,10 @@
 """Every import in the package modules is used, and so is every private
 top-level name; every public name resolves, on first use, to its module's
-object and has its row in the README; no module imports SciPy but
-`generator`, and that one only in its SciPy view, so none does at import
-time; the size and cost rules live in `generator` alone, so that the
-eigensolvers of `_symeig` import nothing of the package but its errors;
-and only `verify` loads ``numpy.random``."""
+object and has its row in the README; no module imports SciPy, and the
+paths that build matrices run with SciPy blocked; the size and cost rules
+live in `generator` alone, so that the eigensolvers of `_symeig` import
+nothing of the package but its errors; and only `verify` loads
+``numpy.random``."""
 
 import ast
 import os
@@ -74,20 +74,30 @@ def _scipy_anywhere(source):
     return sorted(found)
 
 
-# every module but generator, whose matrix view alone imports SciPy
+# every module of the package, with no exception
 @pytest.mark.parametrize("name", sorted(
-    {p.stem for p in pathlib.Path(ctmcgap.__file__).parent.glob("*.py")}
-    - {"generator"}))
+    p.stem for p in pathlib.Path(ctmcgap.__file__).parent.glob("*.py")))
 def test_verify_modules_import_no_scipy_at_all(name):
     path = pathlib.Path(ctmcgap.__file__).parent / f"{name}.py"
     assert _scipy_anywhere(path.read_text(encoding="utf-8")) == []
 
 
-def test_generator_imports_scipy_only_in_the_matrix_view():
-    path = pathlib.Path(ctmcgap.__file__).parent / "generator.py"
-    homes = [home for _, home in
-             _scipy_anywhere(path.read_text(encoding="utf-8"))]
-    assert homes == ["_CSR.matrix"]
+def test_symmetrized_forms_and_dense_gap_run_with_scipy_blocked():
+    # with sys.modules["scipy"] = None any import of SciPy raises
+    src = os.path.dirname(os.path.dirname(ctmcgap.__file__))
+    code = ("import sys\nsys.modules['scipy'] = None\n"
+            "from ctmcgap import (additive_symmetrization, build_three_state,"
+            " spectral_gap, symmetrized_form)\n"
+            "Q, pi = build_three_state(), [1 / 3, 1 / 9, 5 / 9]\n"
+            "S, sq = symmetrized_form(Q, pi)\n"
+            "print(type(S).__module__, S.nnz, type(sq).__module__,"
+            " additive_symmetrization(Q, pi).nnz,"
+            " spectral_gap(Q, method='dense').method)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["ctmcgap.generator", "9", "numpy", "9",
+                                  "dense"]
 
 
 def test_scipy_anywhere_is_caught():

@@ -21,7 +21,7 @@ from ctmcgap.skeleton import (_transition_matrices, skeleton_gap_check,
                               transition_matrix_exp)
 from ctmcgap.truncation import CountableModel, gap_convergence_sweep
 from conftest import (THREE_STATE_GAP, THREE_STATE_PI, random_birth_death,
-                      ring_with_chords)
+                      ring_with_chords, scipy_csr)
 
 
 # ------------------------------------------------------------------------ gap
@@ -335,8 +335,12 @@ def test_gap_rejects_inaccurate_eigenpair(perturbed_eigensolver,
 
 def test_symmetrized_form_is_symmetric(three_state):
     S, sq = symmetrized_form(three_state, THREE_STATE_PI)
-    assert np.max(np.abs(S - S.T)) <= 1e-12 * three_state.max_rate()
+    assert isinstance(S, generator._CSR) and isinstance(sq, np.ndarray)
+    dense = S.to_dense()
+    assert np.max(np.abs(dense - dense.T)) <= 1e-12 * three_state.max_rate()
     assert np.linalg.norm(S @ sq) < 1e-12  # sqrt(pi) spans the zero mode
+    assert S.nnz == np.count_nonzero(dense)
+    assert not hasattr(S, "matrix") and not hasattr(three_state, "matrix")
 
 
 def test_gap_report_json(three_state):
@@ -375,7 +379,7 @@ def test_bd_gap_needs_no_elimination(monkeypatch):
 
 def _permuted(Q, order):
     # new state k is old state order[k]
-    return GeneratorMatrix(Q.matrix[order][:, order])
+    return GeneratorMatrix(scipy_csr(Q)[order][:, order])
 
 
 @settings(max_examples=20, deadline=None)
@@ -648,7 +652,7 @@ def _split_birth_death(n):
     # two birth-death blocks of n states joined by a zero rate both ways;
     # any mixture of the block laws is a positive stationary pi
     Q = build_birth_death([2.0] * (2 * n - 1), [1.0] * (2 * n - 1))
-    M = Q.matrix.tolil()
+    M = scipy_csr(Q).tolil()
     M[n - 1, n] = M[n, n - 1] = 0.0
     M.setdiag(0.0)
     M.setdiag(-np.asarray(M.sum(axis=1)).ravel())
@@ -708,7 +712,7 @@ def test_gap_scales_with_the_rates(n, log_c, birth_death, seed):
                                            rates.items()])
     c = 10.0 ** log_c
     gap = spectral_gap(Q).gap
-    scaled = spectral_gap(GeneratorMatrix(c * Q.matrix)).gap
+    scaled = spectral_gap(GeneratorMatrix(c * scipy_csr(Q))).gap
     assert abs(scaled - c * gap) <= 1e-10 * c * gap
 
 
@@ -920,7 +924,7 @@ def test_drift_certificate_geometric_test_function():
         Q = build_birth_death(a, b)
         z = math.sqrt(1.5)
         V = z ** np.arange(n + 1)
-        drift = Q.matrix @ V
+        drift = scipy_csr(Q) @ V
         beta = min(-drift[i] / V[i] for i in range(1, n + 1))
         assert beta > 0
         rep = drift_certificate_check(Q, V, beta, 0)

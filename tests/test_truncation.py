@@ -126,6 +126,23 @@ def test_collapse_matches_dict_reference(n, seed):
     assert np.array_equal(cm.pi_tilde.log_probs, law.log_probs)
 
 
+def test_from_generator_refuses_a_law_balanced_at_some_states_only():
+    # balanced at states 0 and 1, the law passed the collapsed chain's
+    # check at the prefix {0, 1} and gave a gap of 1.4634 against 1.4279
+    Q = GeneratorMatrix.from_rates(4, [
+        (0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1),
+        (1, 0, .5), (2, 1, .7), (3, 2, .4), (0, 2, .3)])
+    A = np.array([[-1.3, 0.5, 0.0, 1.0], [1.0, -1.5, 0.7, 0.0],
+                  [0.0, 0.0, 1.0, -1.0], [1.0, 1.0, 1.0, 1.0]])
+    pi = np.linalg.solve(A, [0.0, 0.0, 0.0, 1.0])  # and pi[2] = pi[3]
+    assert np.max(np.abs((pi @ Q.to_dense())[:2])) < 1e-15
+    with pytest.raises(NumericalFailureError, match="stationary"):
+        CountableModel.from_generator(Q, pi)
+    model = CountableModel.from_generator(Q, stationary_distribution(Q))
+    assert gap_convergence_sweep(model, [2]).gaps[0] \
+        == pytest.approx(1.4278707720401977, rel=1e-12)
+
+
 # ----------------------------------------------------------------- collapsing
 
 def test_collapse_finite_all_but_one_state_is_identity(three_state):
@@ -179,14 +196,26 @@ def _bd_row(i):
     return [(i + 1, 1.0)] + ([(i - 1, 2.0)] if i > 0 else [])
 
 
+def _three_state_row(i):
+    cols, vals = build_three_state().row_rates(i)
+    return list(zip(cols.tolist(), vals.tolist()))
+
+
+_BAD_THREE_STATE_WEIGHTS = (0.5, 0.25, 0.25)
+
+
 @pytest.mark.parametrize("model, retained", [
     # weights 0.7**k do not balance the flows of a down-2, up-1 chain
     (CountableModel(row=_bd_row, log_weight=lambda k: k * math.log(0.7),
                     log_tail_weight=lambda n: n * math.log(0.7)
                     - math.log(0.3),
                     in_reach=lambda n: (n,)), 6),
-    (CountableModel.from_generator(build_three_state(),
-                                   np.array([0.5, 0.25, 0.25])), [0, 2]),
+    # a finite chain built directly: from_generator would refuse the law
+    (CountableModel(row=_three_state_row,
+                    log_weight=lambda k: math.log(_BAD_THREE_STATE_WEIGHTS[k]),
+                    log_tail_weight=lambda n: math.log(
+                        sum(_BAD_THREE_STATE_WEIGHTS[n:])),
+                    finite_size=3), [0, 2]),
 ])
 def test_collapse_rejects_inconsistent_weights(model, retained):
     with pytest.raises(NumericalFailureError, match="stationary"):
