@@ -130,7 +130,7 @@ def nu_initial_bound(lam, t, eps, lower, upper, p, density_norm):
 
 
 @dataclass
-class VerificationRow:
+class VerificationRow(Report):
     """One epsilon's worth of simulation-versus-bound comparison.
 
     `verdict` is "PASS" when ``p_hat <= bound + (ci_upper - p_hat)``, i.e.
@@ -152,16 +152,9 @@ class VerificationRow:
     uninformative: bool = False
 
     def to_dict(self):
-        d = {"eps": float(self.eps), "t": float(self.t),
-             "reps": int(self.reps), "p_hat": float(self.p_hat),
-             "ci_upper": float(self.ci_upper),
-             "bound_main": float(self.bound_main),
-             "bound_lezaud": None if self.bound_lezaud is None
-             else float(self.bound_lezaud),
-             "verdict": self.verdict,
-             "uninformative": bool(self.uninformative)}
-        if self.bound_nu is not None:
-            d["bound_nu"] = float(self.bound_nu)
+        d = super().to_dict()
+        if self.bound_nu is None:
+            del d["bound_nu"]
         return d
 
 
@@ -187,30 +180,20 @@ class VerificationReport(Report):
     g_pi2_norm: float
     lezaud_hypotheses: str | None = None
 
+    _extra = ("all_pass",)
+
     @property
     def all_pass(self):
         return all(r.verdict == "PASS" for r in self.rows)
-
-    def to_dict(self):
-        return {"rows": [r.to_dict() for r in self.rows],
-                "gap": float(self.gap), "gap_method": self.gap_method,
-                "gap_residual": float(self.gap_residual),
-                "seed": int(self.seed), "pi_g": float(self.pi_g),
-                "g_sup_norm": float(self.g_sup_norm),
-                "g_pi2_norm": float(self.g_pi2_norm),
-                "lezaud_hypotheses": self.lezaud_hypotheses,
-                "all_pass": self.all_pass}
 
     def _csv_table(self):
         # one line per epsilon, with the chain's gap and its method appended
         cols = ["eps", "t", "reps", "p_hat", "ci_upper", "bound_main",
                 "bound_lezaud", "verdict"]
-        rows = []
-        for r in self.rows:
-            d = r.to_dict()
-            rows.append([d[c] for c in cols]
-                        + [float(self.gap), self.gap_method])
-        return cols + ["gap", "gap_method"], rows
+        d = self.to_dict()
+        return cols + ["gap", "gap_method"], [
+            [r[c] for c in cols] + [d["gap"], d["gap_method"]]
+            for r in d["rows"]]
 
 
 def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,

@@ -526,12 +526,6 @@ class TailEstimate(Report):
     count: int = 0
     level: float = DEFAULT_CI_LEVEL
 
-    def to_dict(self):
-        return {"p_hat": float(self.p_hat), "reps": int(self.reps),
-                "ci_upper": float(self.ci_upper), "seed": int(self.seed),
-                "epsilon": float(self.epsilon), "t": float(self.t),
-                "count": int(self.count), "level": float(self.level)}
-
 
 def _count_reaching(Q, values, init, horizon, thresholds, seed, reps):
     """Per threshold, how many of replications ``0..reps-1`` have a time

@@ -103,9 +103,8 @@ def _transition_matrices(Q, deltas):
     kernel /= q or 1.0  # I + Q/q, in place; Q = 0 leaves I
     kernel.flat[::n + 1] += 1.0
     outs = [w[0] * np.eye(n) for w in weights]
-    power = np.eye(n)
     for m in range(1, max(map(len, weights))):
-        power = power @ kernel
+        power = kernel if m == 1 else power @ kernel
         for out, w in zip(outs, weights):
             if m < len(w):
                 out += w[m] * power
@@ -205,14 +204,6 @@ class SkeletonTable(Report):
 
     gap_reference: float
     rows: list
-
-    def to_dict(self):
-        return {"gap_reference": float(self.gap_reference),
-                "rows": [{"delta": float(r.delta),
-                          "lambda_P": float(r.lambda_P),
-                          "ratio": float(r.ratio),
-                          "abs_error": float(r.abs_error)}
-                         for r in self.rows]}
 
     def _csv_table(self):
         cols = ["delta", "lambda_P", "ratio", "abs_error"]

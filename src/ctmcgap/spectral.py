@@ -70,10 +70,7 @@ class SpectralReport(Report):
     eigenvalues: np.ndarray | None = None
     degenerate: bool = False
 
-    def to_dict(self):
-        return {"gap": float(self.gap), "method": self.method,
-                "residual": float(self.residual),
-                "iterations": int(self.iterations)}
+    _hidden = ("eigenvector", "trivial_residual", "eigenvalues", "degenerate")
 
 
 def symmetrized_form(Q, pi):

@@ -309,15 +309,6 @@ class GapSweep(Report):
     seconds: list
     limit_hint: float | None = None
 
-    def to_dict(self):
-        return {"sizes": [int(x) for x in self.sizes],
-                "gaps": [float(x) for x in self.gaps],
-                "diffs": [None if math.isnan(d) else float(d)
-                          for d in self.diffs],
-                "seconds": [float(x) for x in self.seconds],
-                "limit_hint": None if self.limit_hint is None
-                else float(self.limit_hint)}
-
     def _csv_table(self):
         # the first diff is an empty cell; seconds are fixed to microseconds
         d = self.to_dict()

@@ -3,8 +3,10 @@ top-level name; every public name resolves, on first use, to its module's
 object and has its row in the README; no module imports SciPy, and the
 paths that build matrices run with SciPy blocked; the size and cost rules
 live in `generator` alone, so that the eigensolvers of `_symeig` import
-nothing of the package but its errors; and only `verify` loads
-``numpy.random``."""
+nothing of the package but its errors; only `verify` loads
+``numpy.random``; and the report writer `_report` imports only ``csv``,
+``io`` and ``json``, so that importing the CLI loads neither
+``dataclasses``, ``numbers`` nor NumPy."""
 
 import ast
 import os
@@ -317,6 +319,41 @@ def test_gap_and_skeleton_leave_numpy_random_unloaded(tmp_path):
                              env=dict(os.environ, PYTHONPATH=src))
         loaded.append(run.stderr.strip())
     assert loaded == ["False", "False", "True"]
+
+
+def _all_imports(source):
+    """Top-level names of every module a source imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found.add("." * node.level + (node.module or "").split(".")[0])
+    return found
+
+
+def test_report_imports_only_csv_io_and_json():
+    # it reads __dataclass_fields__ and tests numbers by duck typing
+    path = pathlib.Path(ctmcgap.__file__).parent / "_report.py"
+    assert _all_imports(path.read_text(encoding="utf-8")) \
+        == {"csv", "io", "json"}
+
+
+def test_all_imports_is_caught():
+    source = ("from __future__ import annotations\nimport csv, os.path\n"
+              "def f():\n    from numbers import Real\n"
+              "from .errors import E\n")
+    assert _all_imports(source) == {"csv", "os", "numbers", ".errors"}
+
+
+def test_cli_import_loads_no_dataclasses_numbers_or_numpy():
+    src = os.path.dirname(os.path.dirname(ctmcgap.__file__))
+    code = ("import sys, ctmcgap.cli\nprint([m for m in ('dataclasses', "
+            "'numbers', 'numpy') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.stdout.strip() == "[]"
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

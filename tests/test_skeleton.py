@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from ctmcgap import skeleton
 from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      NumericalFailureError, StochasticMatrix,
-                     build_birth_death, dtmc_hoeffding_bound,
+                     additive_symmetrization, build_birth_death,
+                     build_three_state, dtmc_hoeffding_bound,
                      dtmc_spectral_gap, skeleton_gap_check, spectral_gap,
                      stationary_distribution, transition_matrix_exp)
 from conftest import THREE_STATE_GAP, THREE_STATE_PI, ring_with_chords
@@ -140,6 +141,35 @@ def test_one_power_sequence_gives_each_delta_bit_for_bit():
         assert np.array_equal(P.matrix, transition_matrix_exp(Q, d).matrix)
 
 
+def _kernels_from_the_identity(Q, deltas):
+    # the power sequence started at I, so that its first product is
+    # I @ kernel: the reference the shared sequence must match bit for bit
+    n, q = Q.n, Q.max_rate()
+    kernel = Q.to_dense() / (q or 1.0)
+    kernel.flat[::n + 1] += 1.0
+    weights = [skeleton._poisson_weights(float(d) * q) for d in deltas]
+    outs = [w[0] * np.eye(n) for w in weights]
+    power = np.eye(n)
+    for m in range(1, max(map(len, weights))):
+        power = power @ kernel
+        for out, w in zip(outs, weights):
+            if m < len(w):
+                out += w[m] * power
+    return [StochasticMatrix(out) for out in outs]
+
+
+@pytest.mark.parametrize("A", [
+    build_three_state().to_dense(), ring_with_chords(300, False, 1),
+    ring_with_chords(40, True, 2), np.zeros((2, 2))],
+    ids=["three-state", "ring-300", "skewed-ring-40", "zero"])
+def test_power_sequence_starts_at_the_kernel_bit_for_bit(A):
+    Q = GeneratorMatrix(A)
+    deltas = [0.3, 0.1, 0.05, 0.01]
+    kernels = skeleton._transition_matrices(Q, deltas)
+    for P, reference in zip(kernels, _kernels_from_the_identity(Q, deltas)):
+        assert np.array_equal(P.matrix, reference.matrix)
+
+
 def _reversible_chain(n, rng):
     # symmetric conductances on a ring plus n chords, each row divided by a
     # state's mass m: detailed balance holds for pi proportional to m
@@ -225,6 +255,44 @@ def test_skeleton_check_two_state_exact(two_state):
     for r in table.rows:
         expect = (1.0 - math.exp(-3.0 * r.delta)) / r.delta
         assert abs(r.ratio - expect) < 1e-12
+
+
+STEPS = (0.2, 0.1, 0.05, 0.025, 1e-3)  # delta times the largest exit rate
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 40), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_skeleton_ratio_tends_to_the_gap(n, skewed, reversible, seed):
+    # the paper's skeleton step: (1 - lambda_P)/delta -> gap as delta -> 0.
+    # On L2(pi), ||Q|| <= 2q, so exp(delta Q) is within (2 delta q)^2
+    # exp(2 delta q)/2 of I + delta Q, and by Weyl lambda_P within as much
+    # of 1 - delta gap: the error is at most 2 delta q^2 exp(2 delta q)
+    Q = GeneratorMatrix(ring_with_chords(n, skewed, seed))
+    if reversible:
+        Q = additive_symmetrization(Q, stationary_distribution(Q))
+    q = Q.max_rate()
+    table = skeleton_gap_check(Q, deltas=[s / q for s in STEPS])
+    errors = [r.abs_error for r in table.rows]
+    for s, error in zip(STEPS, errors):
+        assert error <= 2.0 * s * q * math.exp(2.0 * s) + 1e-9 * q
+    assert errors[-1] < 1e-2 * table.gap_reference
+    if reversible:
+        # lambda_P = exp(-delta gap), so each halving of delta about halves
+        # the error; a non-reversible chain's error may change sign instead
+        for coarse, fine in zip(errors[:3], errors[1:4]):
+            assert fine <= 0.6 * coarse
+
+
+def test_non_reversible_skeleton_error_can_change_sign():
+    # why the halving rule above holds for reversible chains only: on this
+    # chain (1 - lambda_P)/delta - gap goes from -1.0e-2 to +2.5e-4 as
+    # delta q goes from 0.2 to 0.025, as a 40-digit expm of Q also gives
+    Q = GeneratorMatrix(ring_with_chords(4, False, 3222791729))
+    q = Q.max_rate()
+    table = skeleton_gap_check(Q, deltas=[s / q for s in STEPS[:4]])
+    signed = [r.ratio - table.gap_reference for r in table.rows]
+    assert signed[0] < 0 < signed[2] < signed[3]
 
 
 def test_skeleton_csv(three_state):
