@@ -7,9 +7,12 @@ a weighted kernel) reduce to this: the known vector is the square-root
 weight vector, whose eigenvalue is trivial, and the quantity of interest
 is the extremal eigenvalue of the orthogonal complement.
 
-This module solves; the caller picks the solver and the Lanczos budget
-(the size and cost rules live in `generator`).  It owns the three
-solvers, all in NumPy (bidiagonal, dense and Lanczos), how the dense
+This module solves; the caller gives the operand and the Lanczos budget
+(the size and cost rules live in `generator`), and the route follows from
+them: a `BirthDeathForm` takes the bidiagonal solver, a budget of 0 or
+fewer than 4 states the dense spectrum, and any other budget Lanczos,
+which hands a spent positive budget to the dense spectrum.  It owns the
+three solvers, all in NumPy (bidiagonal, dense and Lanczos), how the dense
 solver drops the known vector (of the two eigenpairs at the sought end,
 the one along it), and the test every eigenpair must pass (residual at
 most 1e-10 times the largest entry of the matrix, floored at 1).
@@ -478,8 +481,14 @@ def _lanczos(A, v0, largest, budget=None):
         f"({matvecs} matrix-vector products)", residual=None)
 
 
-def deflated_extremal(A, known_vector, largest, method, budget=None):
+def deflated_extremal(A, known_vector, largest, budget=None):
     """Extremal eigenvalue of symmetric `A` ignoring one known eigenvector.
+
+    The route follows from `A` and `budget`, as the module docstring
+    says.  The dense spectrum drops, of the two eigenpairs at the sought
+    end, the one along `known_vector`; Lanczos shifts that direction
+    away; the bidiagonal solver needs no deflation (its null vector is
+    the known one) and certifies its value to 1e-10 relative or refuses.
 
     Parameters
     ----------
@@ -487,63 +496,51 @@ def deflated_extremal(A, known_vector, largest, method, budget=None):
     known_vector : ndarray
         Unit vector spanning the eigenspace to exclude.
     largest : bool
-        Seek the largest remaining eigenvalue (else the smallest).
-    method : {"dense", "lanczos", "tridiagonal"}
-        The solver, run as given (Lanczos on fewer than 4 states, or with
-        a budget of 0, runs dense).  "dense" takes the full spectrum and
-        drops, of the two eigenpairs at the sought end, the one along
-        `known_vector`.  "lanczos" applies a rank-one shift to the known
-        direction and runs the thick-restart Lanczos of the module
-        docstring on the rest.  "tridiagonal" is the bidiagonal solver of
-        the module docstring: it takes a `BirthDeathForm`, seeks the
-        smallest eigenvalue, needs no deflation (its null vector is the
-        known one), and certifies the value to 1e-10 relative or refuses
-        it.
+        Seek the largest remaining eigenvalue (else the smallest).  A
+        `BirthDeathForm` gives only its smallest.
     budget : int, optional
-        For "lanczos", the matrix-vector products after which the dense
-        solver takes over; its result then reads exactly as a dense one.
-        None keeps the restart budget of the module docstring and refuses
-        past it.
+        The matrix-vector products after which Lanczos hands off to the
+        dense spectrum, whose result then reads exactly as a dense one;
+        0 runs the dense spectrum at once, and None lets Lanczos run to
+        its restart cap and refuse past it.
 
     Returns
     -------
     (DeflatedEigenResult, str)
-        The eigenpair and the method that produced it.
+        The eigenpair and the method that produced it: "tridiagonal",
+        "dense" or "lanczos".
 
     Raises
     ------
     InvalidInputError
-        When "dense" is asked of a sparse `A` that its `to_dense` refuses.
+        When the dense spectrum is asked of a sparse `A` that its
+        `to_dense` refuses.
     ValueError
-        On an unknown method, or "tridiagonal" misused.
+        When the largest eigenvalue is asked of a `BirthDeathForm`.
     NumericalFailureError
         When Lanczos without a budget exhausts its restarts, when the
         bidiagonal solver cannot certify its value, or when the eigenpair
         residual exceeds 1e-10 times the largest entry of `A` (floored
         at 1).
     """
-    n = known_vector.size
-    band = isinstance(A, BirthDeathForm)
-    if method not in ("dense", "lanczos", "tridiagonal"):
-        raise ValueError(f"unknown eigensolver method {method!r}")
-    if band != (method == "tridiagonal") or band and largest:
-        raise ValueError("the tridiagonal solver takes a BirthDeathForm and "
-                         "seeks its smallest eigenvalue")
-    if method == "lanczos" and (n < 4 or budget == 0):  # no Krylov space
-        method = "dense"
     v0 = known_vector / np.linalg.norm(known_vector)
     eigenvalues = None
     iterations = 0
-    if method == "lanczos":
-        found = _lanczos(A, v0, largest, budget)
-        if found is None:  # out of its budget: the dense solver takes over
-            method = "dense"
-        else:
-            value, vector, iterations = found
-    if method == "dense":
-        value, vector, eigenvalues = _dense(A, v0, largest)
-    elif method == "tridiagonal":
+    if isinstance(A, BirthDeathForm):
+        if largest:
+            raise ValueError("a BirthDeathForm gives only its smallest "
+                             "eigenvalue")
+        method = "tridiagonal"
         value, vector = _tridiagonal(A)
+    else:
+        found = (None if v0.size < 4 or budget == 0  # no Krylov space
+                 else _lanczos(A, v0, largest, budget))
+        if found is None:  # or out of its budget: the dense solver runs
+            method = "dense"
+            value, vector, eigenvalues = _dense(A, v0, largest)
+        else:
+            method = "lanczos"
+            value, vector, iterations = found
     residual = float(np.linalg.norm(A @ vector - value * vector))
     vals = A if isinstance(A, np.ndarray) else A.data
     scale = max(float(vals.max(initial=0)), -float(vals.min(initial=0)), 1.0)

@@ -32,10 +32,10 @@ def _check_bound_args(lam, t, eps, lower, upper):
     """The span ``upper - lower`` of a bound's arguments, each checked."""
     if not lam >= 0:
         raise InvalidInputError("spectral gap must be nonnegative")
-    if not t > 0:
-        raise InvalidInputError("t must be positive")
-    if not eps > 0:
-        raise InvalidInputError("eps must be positive")
+    if not 0 < t < math.inf:
+        raise InvalidInputError("horizon t must be positive and finite")
+    if not 0 < eps < math.inf:
+        raise InvalidInputError("eps must be positive and finite")
     span = float(upper) - float(lower)
     if not span > 0:
         raise InvalidInputError("range must have positive width")
@@ -107,12 +107,14 @@ def _density_pnorm(nu, pi, p):
     if np.any(pi <= 0):
         raise InvalidInputError("pi must be strictly positive")
     ratio = nu / pi
+    top = float(ratio.max())
     if p == math.inf:
-        return float(ratio.max())
+        return top
     p = float(p)
     if not p >= 1:  # NaN too
         raise InvalidInputError("p must be >= 1 (or inf)")
-    return float((pi @ ratio ** p) ** (1.0 / p))
+    # scaled by the largest ratio, no power overflows at a large p
+    return top * float(pi @ (ratio / top) ** p) ** (1.0 / p)
 
 
 def nu_initial_bound(lam, t, eps, lower, upper, p, density_norm):
@@ -123,8 +125,8 @@ def nu_initial_bound(lam, t, eps, lower, upper, p, density_norm):
     reduces exactly to :func:`ctmc_hoeffding_bound`.
     """
     span = _check_bound_args(lam, t, eps, lower, upper)
-    if not density_norm >= 1.0 - 1e-12:  # NaN too
-        raise InvalidInputError("density norm cannot be below 1")
+    if not 1.0 - 1e-12 <= density_norm < math.inf:  # NaN too
+        raise InvalidInputError("density norm must be finite and at least 1")
     q = _conjugate(p)
     return float(density_norm) * math.exp(-lam * t * eps ** 2 / (q * span ** 2))
 

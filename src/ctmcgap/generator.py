@@ -208,7 +208,7 @@ class GeneratorMatrix(_CSR):
         super().__init__(indptr, indices, data)
         self._labels = labels
         self._structure = None
-        self._checked_law = None  # set by stationary_distribution, collapse
+        self._checked_law = None  # set by _stationary_law
 
     @classmethod
     def from_rates(cls, n, rates, labels=None):
@@ -813,9 +813,7 @@ def stationary_distribution(Q):
                 "stationary solve produced non-positive or NaN entries")
         pi = StationaryDistribution(p)
         pi.solver, pi.iterations, pi.residual = solver, steps, resid
-    _check_stationary(pi.probs, Q, "stationary")
-    Q._checked_law = pi
-    return pi
+    return _stationary_law(Q, pi)
 
 
 def _as_values(f, n, what):
@@ -861,13 +859,15 @@ def _as_law(pi, n):
     return pi
 
 
-def _stationary_law(Q, pi):
-    """`pi` as `_as_law` takes it, refused (NumericalFailureError) unless
-    stationary for `Q`; the law `stationary_distribution` checked for `Q`
-    is not checked again."""
+def _stationary_law(Q, pi, what="stationary"):
+    """`pi` as `_as_law` takes it, refused (NumericalFailureError, its
+    message opened by `what`) unless stationary for `Q`.  The package
+    checks a law here alone and records it on `Q`, so the law last
+    checked for `Q` is not checked again."""
     pi = _as_law(pi, Q.n)
     if pi is not Q._checked_law:
-        _check_stationary(pi.probs, Q, "stationary")
+        _check_stationary(pi.probs, Q, what)
+        Q._checked_law = pi
     return pi
 
 

@@ -178,7 +178,7 @@ def dtmc_spectral_gap(P, pi):
                              residual=0.0)
     T = _symmetric_part(P.matrix, pi.log_probs)
     result, used = deflated_extremal(
-        T, np.sqrt(pi.probs), largest=True, method="lanczos",
+        T, np.sqrt(pi.probs), largest=True,
         budget=_dense_cost_in_steps("eigh", P.n, None))
     lam = result.value
     if lam > 1.0 + 1e-12:

@@ -86,15 +86,11 @@ def symmetrized_form(Q, pi):
     Either way entries of `pi` that underflow to 0 are harmless, and `pi`
     must be stationary for `Q` (NumericalFailureError otherwise).
 
-    :func:`spectral_gap` forms the same ``S`` for the dense and Lanczos
-    solvers; its default route for a birth-death chain, the bidiagonal
-    solver, needs no ``S``.
+    :func:`spectral_gap` takes its ``S`` from here for the dense and
+    Lanczos solvers; its default route for a birth-death chain, the
+    bidiagonal solver, needs no ``S``.
     """
-    return _symmetrized(Q, _stationary_law(Q, pi))
-
-
-def _symmetrized(Q, pi):
-    """``(S, sqrt(pi))`` of :func:`symmetrized_form`, `pi` unchecked."""
+    pi = _stationary_law(Q, pi)
     band = Q.structure()[0]
     if band is None:
         S = _symmetric_part(Q, pi.log_probs)
@@ -116,18 +112,18 @@ def spectral_gap(Q, pi=None, method="auto"):
         Admissible generator.
     pi : StationaryDistribution or array, optional
         Stationary law; solved from `Q` when omitted, and checked for
-        stationarity unless it is the law `stationary_distribution` or
-        `collapse` checked for this `Q`.
+        stationarity unless it is the law last checked for this `Q`.
     method : {"auto", "dense", "lanczos"}
-        "auto", resolved here, is "tridiagonal" when every nonzero
-        off-diagonal rate of `Q` sits next to the diagonal (a birth-death
-        chain: O(n) per bisection step, NumPy alone, no ``S``).  Otherwise
-        it is Lanczos with a budget of as many matrix-vector products as
-        cost what the dense spectrum costs (`_dense_cost_in_steps`), after
-        which the dense solver takes over and reports "dense"; the dense
-        spectrum at once when that budget is under 30 products; and above
-        `generator.DENSE_SOLVE_CUTOFF` states Lanczos with its restart
-        budget, as an explicit "lanczos" always runs.
+        Becomes the operand and budget that route the eigensolver:
+        "dense" a budget of 0, "lanczos" one of None (Lanczos to its
+        restart cap).  "auto" gives a birth-death chain (every nonzero
+        off-diagonal rate of `Q` next to the diagonal) to the bidiagonal
+        solver as a `BirthDeathForm`: O(n) per bisection step, NumPy
+        alone, no ``S``.  Any other chain gets a budget of as many
+        matrix-vector products as cost what the dense spectrum costs
+        (`_dense_cost_in_steps`), after which the dense solver takes over
+        and reports "dense": 0 under 30 products, and None above
+        `generator.DENSE_SOLVE_CUTOFF` states.
 
     Returns
     -------
@@ -136,15 +132,18 @@ def spectral_gap(Q, pi=None, method="auto"):
     Raises
     ------
     InvalidInputError
-        When `Q` is reducible (checked first), a given `pi` is not a
-        strictly positive probability vector, or "dense" exceeds
-        `generator.DENSE_SOLVE_CUTOFF` states (checked before `pi` is
-        solved).
+        On any other `method` (checked first), when `Q` is reducible, a
+        given `pi` is not a strictly positive probability vector, or
+        "dense" exceeds `generator.DENSE_SOLVE_CUTOFF` states (checked
+        before `pi` is solved).
     NumericalFailureError
         When `pi` is not stationary for `Q`, on eigensolver
         non-convergence, when the tridiagonal gap cannot be certified to
         1e-10, or on an out-of-tolerance eigenpair residual.
     """
+    if method not in ("auto", "dense", "lanczos"):
+        raise InvalidInputError(f"unknown gap method {method!r}: use "
+                                f"'auto', 'dense' or 'lanczos'")
     if Q.n == 1:
         return SpectralReport(gap=math.inf, method="dense", residual=0.0,
                               iterations=0, eigenvector=None,
@@ -155,16 +154,14 @@ def spectral_gap(Q, pi=None, method="auto"):
     pi = stationary_distribution(Q) if pi is None else _stationary_law(Q, pi)
     # the gap is the smallest nontrivial eigenvalue of -S
     if method == "auto" and band is not None:
-        method, A = "tridiagonal", BirthDeathForm(*band, log_pi=pi.log_probs)
-        sq = np.sqrt(pi.probs)
+        A = BirthDeathForm(*band, log_pi=pi.log_probs)
+        sq, budget = np.sqrt(pi.probs), None
     else:
-        A, sq = _symmetrized(Q, pi)
+        A, sq = symmetrized_form(Q, pi)
         np.negative(A.data, out=A.data)
-    budget = None
-    if method == "auto":
-        method, budget = "lanczos", _dense_cost_in_steps("eigh", Q.n, A.nnz)
-    result, used = deflated_extremal(A, sq, largest=False, method=method,
-                                     budget=budget)
+        budget = (0 if method == "dense" else None if method == "lanczos"
+                  else _dense_cost_in_steps("eigh", Q.n, A.nnz))
+    result, used = deflated_extremal(A, sq, largest=False, budget=budget)
     # map the symmetric-space eigenvector back to a function on states
     with np.errstate(over="ignore", invalid="ignore"):
         f = result.vector * np.exp(-0.5 * pi.log_probs)

@@ -21,7 +21,7 @@ from .errors import InvalidInputError, NumericalFailureError
 from .generator import (GeneratorMatrix, ObservableFunction,
                         StationaryDistribution, _as_integer, _as_values,
                         _assemble, _birth_death_log_mu, _birth_death_rates,
-                        _check_stationary, _log_sum_exp, _stationary_law)
+                        _log_sum_exp, _stationary_law)
 from .spectral import spectral_gap
 
 _TAIL_SUM_RELTOL = 1e-17
@@ -256,8 +256,7 @@ def collapse(model, retained):
         retained = list(range(n))
         feeders = model.in_reach(n)
     Qt, pi_tilde = _collapsed_chain(model, retained, feeders, log_tail)
-    _check_stationary(pi_tilde.probs, Qt, "collapsed stationary")
-    Qt._checked_law = pi_tilde
+    pi_tilde = _stationary_law(Qt, pi_tilde, "collapsed stationary")
     return CollapsedModel(generator=Qt, pi_tilde=pi_tilde,
                           tail_index=len(retained), retained=tuple(retained))
 

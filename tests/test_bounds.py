@@ -84,6 +84,15 @@ def test_density_norm_point_mass():
                - math.sqrt(3.0)) < 1e-12
 
 
+def test_density_norm_of_a_large_order_neither_overflows_nor_warns():
+    # ratio ** p overflowed at p = 2000, with a RuntimeWarning, and gave
+    # inf; the norm rises from its p = 2 value toward the largest ratio
+    nu, pi = [0.5, 0.25, 0.25], [1.0 / 3.0] * 3
+    norms = [density_pnorm(nu, pi, p) for p in (2, 500, 2000, 1e308)]
+    assert norms == sorted(norms) and norms[-1] == 1.5
+    assert abs(norms[2] - 1.49918) < 1e-5
+
+
 def test_density_norm_guards():
     with pytest.raises(InvalidInputError):
         density_pnorm(np.array([0.5, 0.5, 0.5]), THREE_STATE_PI, 2.0)
@@ -295,13 +304,23 @@ def test_verify_nu_requires_p(three_state):
      "pi sums to 10.0, not 1"),
     (lambda Q: nu_initial_bound(1.0, 1.0, 0.1, 1.0, 1.0, 2.0, 1.0),
      "range must have positive width"),
+    # each of these four returned NaN with no error
+    (lambda Q: ctmc_hoeffding_bound(0.0, math.inf, 0.1, 0, 1),
+     "horizon t must be positive and finite"),
+    (lambda Q: ctmc_hoeffding_bound(0.0, 1.0, math.inf, 0, 1),
+     "eps must be positive and finite"),
+    (lambda Q: lezaud_bound(0.0, math.inf, 0.1),
+     "horizon t must be positive and finite"),
+    (lambda Q: nu_initial_bound(1.0, 1e6, 1.0, 0, 1, 2, math.inf),
+     "density norm must be finite"),
     # sqrt(3) exp(-gap t eps^2 / 2), the density's 2-norm at p = 2
     (lambda Q: verify(Q, _unit_indicator(), t=5.0, eps_grid=[0.1], reps=10,
                       seed=0, init=[1.0, 0.0, 0.0], p=2.0)
      .to_dict()["rows"][0]["bound_nu"],
      math.sqrt(3.0) * math.exp(-THREE_STATE_GAP * 5.0 * 0.01 / 2.0)),
 ], ids=["eps-0", "pi-not-positive", "nu-negative", "pi-sums-to-10",
-        "zero-span", "verify-bound-nu"])
+        "zero-span", "t-inf", "eps-inf", "lezaud-t-inf", "density-norm-inf",
+        "verify-bound-nu"])
 def test_bound_guards_and_the_reported_nu_bound(three_state, run, outcome):
     if isinstance(outcome, str):
         with pytest.raises(InvalidInputError, match=outcome):

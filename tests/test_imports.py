@@ -50,29 +50,35 @@ def test_unused_import_is_caught():
     assert _unused_imports(source) == [(1, "os"), (2, "pi")]
 
 
-def _scipy_anywhere(source):
-    """``(line, home)`` of every import of SciPy in a module, function
-    bodies included; `home` is the dotted name of the functions and
-    classes around it, "" at the top level."""
-    found = []
-
+def _nodes_with_home(source):
+    """``(node, home)`` for every node of a module but its function and
+    class definitions; `home` is the dotted name of the functions and
+    classes around the node, "" at the top level."""
     def visit(node, home):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
-                visit(child, f"{home}.{child.name}".lstrip("."))
+                yield from visit(child, f"{home}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""]
-            else:
-                names = []
-            if any(name.split(".")[0] == "scipy" for name in names):
-                found.append((child.lineno, home))
-            visit(child, home)
+            yield child, home
+            yield from visit(child, home)
 
-    visit(ast.parse(source), "")
+    return list(visit(ast.parse(source), ""))
+
+
+def _scipy_anywhere(source):
+    """``(line, home)`` of every import of SciPy in a module, function
+    bodies included, `home` as `_nodes_with_home` gives it."""
+    found = []
+    for node, home in _nodes_with_home(source):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append((node.lineno, home))
     return sorted(found)
 
 
@@ -110,6 +116,54 @@ def test_scipy_anywhere_is_caught():
               "import scipy\n")
     assert _scipy_anywhere(source) == [(3, "f"), (4, "f"), (8, "A.g"),
                                        (9, "")]
+
+
+def _law_records_and_routes(source):
+    """``(home, what)``, `home` as `_nodes_with_home` gives it, for each
+    import of ``_check_stationary``, each assignment to a ``_checked_law``
+    attribute, and each call of ``deflated_extremal`` that names its
+    route with ``method=``."""
+    found = []
+    for node, home in _nodes_with_home(source):
+        if isinstance(node, ast.ImportFrom):
+            found += [(home, alias.name) for alias in node.names
+                      if alias.name == "_check_stationary"]
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            found += [(home, "_checked_law") for target in targets
+                      for t in ast.walk(target)
+                      if getattr(t, "attr", None) == "_checked_law"]
+        elif isinstance(node, ast.Call) and "deflated_extremal" in (
+                getattr(node.func, "attr", None),
+                getattr(node.func, "id", None)):
+            found += [(home, "method=") for k in node.keywords
+                      if k.arg == "method"]
+    return sorted(found)
+
+
+def test_a_law_is_checked_and_recorded_in_generator_alone():
+    # _stationary_law checks a law and records it; the eigensolver takes
+    # its route from its operand and budget, so no caller names one
+    found = {p.stem: _law_records_and_routes(p.read_text(encoding="utf-8"))
+             for p in MODULES}
+    assert found.pop("generator") == [("GeneratorMatrix._init",
+                                       "_checked_law"),
+                                      ("_stationary_law", "_checked_law")]
+    assert not any(found.values()), found
+
+
+def test_law_records_and_routes_are_caught():
+    source = ("from .generator import _check_stationary as check\n"
+              "class C:\n    def f(self, Q, R):\n"
+              "        Q._checked_law, n = None, 0\n"
+              "        R._checked_law: object = None\n"
+              "def g(A, v):\n"
+              "    return _symeig.deflated_extremal(A, v, True, method='x')\n"
+              "deflated_extremal(A, v, True, budget=0)\n")
+    assert _law_records_and_routes(source) == [
+        ("", "_check_stationary"), ("C.f", "_checked_law"),
+        ("C.f", "_checked_law"), ("g", "method=")]
 
 
 def test_only_the_cli_imports_gc():

@@ -12,10 +12,11 @@ from scipy.linalg import eigh_tridiagonal
 from ctmcgap import _symeig, generator, spectral
 from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      NumericalFailureError, ObservableFunction,
-                     bd_closed_form_gap, bd_lower_bound, build_birth_death,
-                     dirichlet_form, drift_certificate_check,
-                     rayleigh_quotient, spectral_gap, stationary_distribution,
-                     symmetrized_form, verify)
+                     additive_symmetrization, bd_closed_form_gap,
+                     bd_lower_bound, build_birth_death, dirichlet_form,
+                     drift_certificate_check, rayleigh_quotient,
+                     spectral_gap, stationary_distribution, symmetrized_form,
+                     verify)
 from ctmcgap.cli import main
 from ctmcgap.skeleton import (_transition_matrices, skeleton_gap_check,
                               transition_matrix_exp)
@@ -71,12 +72,11 @@ def test_lanczos_matches_dense_on_general_chains(n, seed, largest):
         P = transition_matrix_exp(Q, 0.05)
         A = generator._symmetric_part(P.matrix, pi.log_probs)
     else:
-        A, _ = spectral._symmetrized(Q, pi)
+        A, _ = symmetrized_form(Q, pi)
         np.negative(A.data, out=A.data)
     sq = np.sqrt(pi.probs)
-    dense, _ = _symeig.deflated_extremal(A, sq, largest, method="dense")
-    lanczos, used = _symeig.deflated_extremal(A, sq, largest,
-                                              method="lanczos")
+    dense, _ = _symeig.deflated_extremal(A, sq, largest, budget=0)
+    lanczos, used = _symeig.deflated_extremal(A, sq, largest)
     assert used == "lanczos" and lanczos.iterations > 0
     assert abs(lanczos.value - dense.value) <= 1e-12 * abs(dense.value)
 
@@ -108,7 +108,6 @@ def test_start_vectors_are_splitmix64_without_warnings():
 
 
 def test_gap_matches_symmetrized_chain(three_state):
-    from ctmcgap import additive_symmetrization
     Qbar = additive_symmetrization(three_state, THREE_STATE_PI)
     assert abs(spectral_gap(three_state, THREE_STATE_PI).gap
                - spectral_gap(Qbar, THREE_STATE_PI).gap) < 1e-10
@@ -139,7 +138,7 @@ def test_gap_is_the_least_rayleigh_quotient(n, seed):
 
 def _gap_budget(Q, pi):
     """The Lanczos budget generator's cost rule gives the gap of `Q`."""
-    A, _ = spectral._symmetrized(Q, pi)
+    A, _ = symmetrized_form(Q, pi)
     return generator._dense_cost_in_steps("eigh", Q.n, A.nnz)
 
 
@@ -206,7 +205,7 @@ def test_auto_routes_match_the_dense_spectrum(n, seed):
                                                            0.01])):
         T = generator._symmetric_part(P.matrix, pi.log_probs)
         ref, _ = _symeig.deflated_extremal(T, np.sqrt(pi.probs), True,
-                                           "dense")
+                                           budget=0)
         assert abs(row.lambda_P - ref.value) <= 1e-12 * abs(ref.value)
 
 
@@ -243,25 +242,46 @@ def test_the_dense_cap_is_one_error_wherever_it_is_met():
 _PATH3 = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
 
 
-@pytest.mark.parametrize("A, largest, method, refusal", [
-    (_PATH3, False, "auto", "unknown eigensolver method 'auto'"),
-    (_PATH3, False, "tridiagonal", "takes a BirthDeathForm"),
-    (_symeig.BirthDeathForm(np.ones(2), np.ones(2)), True, "tridiagonal",
-     "seeks its smallest eigenvalue"),
-    (_PATH3, False, "lanczos", None),
-], ids=["no-auto", "tridiagonal-of-an-array", "tridiagonal-largest",
-        "lanczos-below-4-states"])
-def test_deflated_extremal_runs_only_the_method_it_is_given(A, largest,
-                                                            method, refusal):
-    # -S of the symmetric walk on 3 states: spectrum 0, 1, 3, null vector
-    # the uniform one; Lanczos on fewer than 4 states runs dense
-    v0 = np.full(3, 3.0 ** -0.5)
-    if refusal is not None:
-        with pytest.raises(ValueError, match=refusal):
-            _symeig.deflated_extremal(A, v0, largest, method)
+_PATH4 = np.diag([1.0, 2.0, 2.0, 1.0]) - np.eye(4, k=1) - np.eye(4, k=-1)
+_WALK3 = _symeig.BirthDeathForm(np.ones(2), np.ones(2))  # _PATH3 as rates
+
+
+@pytest.mark.parametrize("A, largest, budget, route", [
+    (_WALK3, True, None, "gives only its smallest eigenvalue"),
+    (_WALK3, False, 0, "tridiagonal"),
+    (_PATH3, False, None, "dense"),
+    (_PATH4, False, 0, "dense"),
+    (_PATH4, False, None, "lanczos"),
+], ids=["birth-death-largest", "birth-death", "array-below-4-states",
+        "array-budget-0", "array-no-budget"])
+def test_deflated_extremal_routes_by_operand_and_budget(A, largest, budget,
+                                                        route):
+    # -S of the symmetric walk on n states: spectrum 2 - 2 cos(k pi / n),
+    # null vector the uniform one.  A BirthDeathForm takes the bidiagonal
+    # solver whatever the budget; an array takes the dense spectrum at a
+    # budget of 0 or on fewer than 4 states, and Lanczos otherwise
+    n = (A.diag if isinstance(A, _symeig.BirthDeathForm) else A).shape[0]
+    v0 = np.full(n, n ** -0.5)
+    if largest:
+        with pytest.raises(ValueError, match=route):
+            _symeig.deflated_extremal(A, v0, largest, budget)
         return
-    result, used = _symeig.deflated_extremal(A, v0, largest, method)
-    assert used == "dense" and abs(result.value - 1.0) < 1e-14
+    result, used = _symeig.deflated_extremal(A, v0, largest, budget)
+    assert used == route
+    assert abs(result.value - (2 - 2 * math.cos(math.pi / n))) < 1e-14
+
+
+def test_an_unknown_gap_method_is_refused_before_pi_is_solved(monkeypatch,
+                                                              three_state):
+    # it used to solve pi and then raise a bare ValueError from the solver
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the method should be refused before any solve")
+
+    monkeypatch.setattr(spectral, "stationary_distribution", unreachable)
+    monkeypatch.setattr(generator, "stationary_distribution", unreachable)
+    for method in ("foo", "tridiagonal", None):
+        with pytest.raises(InvalidInputError, match="unknown gap method"):
+            spectral_gap(three_state, method=method)
 
 
 def test_gap_dense_spectrum_contains_zero_mode(three_state):
@@ -296,9 +316,11 @@ def stationarity_checks(monkeypatch):
 def test_each_command_checks_pi_once_per_chain(stationarity_checks,
                                                three_state):
     # verify and skeleton solve pi, and the sweep collapses each chain
-    # with its law; spectral_gap takes that law as checked
+    # with its law; spectral_gap and symmetrized_form take that law as
+    # checked
     g = ObservableFunction([0.0, 0.0, 1.0], 0.0, 1.0)
     general = GeneratorMatrix(ring_with_chords(40, False, 3))
+    general_pi = stationary_distribution(general).probs.copy()
     runs = [
         (lambda: verify(three_state, g, t=5.0, eps_grid=[0.1], reps=20,
                         seed=0), 1),
@@ -308,6 +330,12 @@ def test_each_command_checks_pi_once_per_chain(stationarity_checks,
         # the model's own pi, then one law per collapsed chain
         (lambda: gap_convergence_sweep(CountableModel.from_generator(
             general, stationary_distribution(general)), [10, 20]), 3),
+        # a law passed in as an array is checked once, then recorded
+        (lambda: spectral_gap(general, general_pi), 1),
+        (lambda: additive_symmetrization(
+            general, stationary_distribution(general)), 1),
+        (lambda: skeleton_gap_check(general, pi=general_pi,
+                                    deltas=[0.1]), 1),
     ]
     for run, chains in runs:
         stationarity_checks.clear()
@@ -757,7 +785,6 @@ def test_dirichlet_form_of_a_chain_without_rates_is_zero(n):
 
 
 def test_dirichlet_unchanged_by_symmetrization(three_state):
-    from ctmcgap import additive_symmetrization
     Qbar = additive_symmetrization(three_state, THREE_STATE_PI)
     rng = np.random.default_rng(7)
     for _ in range(20):

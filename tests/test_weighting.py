@@ -96,4 +96,4 @@ def test_nan_eigenpair_is_a_numerical_failure():
     A[1, 2] = A[2, 1] = np.nan
     with pytest.raises(NumericalFailureError, match="residual"):
         _symeig.deflated_extremal(A, np.full(4, 0.5), largest=True,
-                                  method="dense")
+                                  budget=0)
