@@ -77,11 +77,13 @@ import numpy as np
 
 from .errors import NumericalFailureError
 
-# Deterministic entropy for the Lanczos start vector, and the SplitMix64
-# constants of `_counter_hash` (Steele, Lea & Flood 2014, OOPSLA).
+# Deterministic entropy for the Lanczos start vector, and the constants of
+# SplitMix64 (Steele, Lea & Flood 2014, OOPSLA): word `c` under key `k` is
+# the finalizer (`_MIX`, then a shift by 31) of ``k + (c + 1) * gamma``.
 _START_SEED = 0x5CE17A
-_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+_WORD = 2 ** 64 - 1
 # Thick-restart Lanczos: basis size, Ritz vectors kept across a restart,
 # and the restart budget, max(_MIN_RESTARTS, _RESTARTS_PER_STATE * n).
 _KRYLOV_DIM = 30
@@ -139,16 +141,28 @@ class BirthDeathForm:
         return out
 
 
-def _counter_hash(n, seed):
-    """`n` fixed pseudo-random numbers in (0, 1): SplitMix64 of the
-    counters ``1..n`` under `seed`, the top 53 bits of each word.
+def _splitmix64(counter, key):
+    """SplitMix64 word `counter` under `key`, in Python ints: the scalar
+    twin of `_counter_hash`, for deriving keys."""
+    z = (key + (counter + 1) * _GOLDEN_GAMMA) & _WORD
+    for shift, mix in _MIX:
+        z = (z ^ z >> shift) * mix & _WORD
+    return z ^ z >> 31
+
+
+def _counter_hash(counters, key):
+    """Pseudo-random numbers in (0, 1), one per entry of the uint64 array
+    `counters`: the SplitMix64 words of those counters under the 64-bit
+    `key`, the top 53 bits of each.
 
     Arithmetic on uint64 arrays wraps without a warning, where NumPy warns
     on a scalar that overflows.
     """
-    z = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN_GAMMA + np.uint64(seed)
-    for shift, mix in zip((30, 27), _MIX):
-        z = (z ^ (z >> np.uint64(shift))) * mix
+    z = counters * np.uint64(_GOLDEN_GAMMA)
+    z += np.uint64((key + _GOLDEN_GAMMA) & _WORD)
+    for shift, mix in _MIX:
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mix)
     z ^= z >> np.uint64(31)
     return ((z >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
 
@@ -437,7 +451,7 @@ def _lanczos(A, v0, largest, budget=None):
     shift = 1.1 * float(np.max(abs(A) @ np.ones(n))) + 1.0
     sign = -1.0 if largest else 1.0
     end = slice(None, None, -1) if largest else slice(None)  # wanted first
-    start = _counter_hash(n, _START_SEED) - 0.5
+    start = _counter_hash(np.arange(n, dtype=np.uint64), _START_SEED) - 0.5
     start -= (v0 @ start) * v0
     m = min(_KRYLOV_DIM, n)
     V = np.zeros((m + 1, n))  # the basis, one vector per row

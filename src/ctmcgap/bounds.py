@@ -23,7 +23,8 @@ import numpy as np
 
 from ._report import Report
 from .errors import InvalidInputError
-from .generator import ObservableFunction, _as_probs, stationary_distribution
+from .generator import (ObservableFunction, StationaryDistribution,
+                        _as_probs, _bound_span, stationary_distribution)
 from .simulate import _tail_estimates, _walk_arguments, clopper_pearson_upper
 from .spectral import spectral_gap
 
@@ -34,12 +35,7 @@ def _check_bound_args(lam, t, eps, lower, upper):
         raise InvalidInputError("spectral gap must be nonnegative")
     if not 0 < t < math.inf:
         raise InvalidInputError("horizon t must be positive and finite")
-    if not 0 < eps < math.inf:
-        raise InvalidInputError("eps must be positive and finite")
-    span = float(upper) - float(lower)
-    if not span > 0:
-        raise InvalidInputError("range must have positive width")
-    return span
+    return _bound_span(eps, lower, upper)
 
 
 def _conjugate(p):
@@ -94,27 +90,42 @@ def density_pnorm(nu, pi, p):
     nu : array or StationaryDistribution
         Initial distribution.
     pi : StationaryDistribution or array
-        Reference (stationary) distribution, strictly positive.
+        Reference (stationary) distribution, strictly positive; a law is
+        read through its ``log_probs``, so entries below the double range
+        count.
     p : float
         Order in ``[1, inf]``; ``p = inf`` gives ``max nu[i] / pi[i]``.
     """
-    pi = _as_probs(pi, None, "pi")
-    return _density_pnorm(_as_probs(nu, pi.size, "nu"), pi, p)
-
-
-def _density_pnorm(nu, pi, p):
-    """:func:`density_pnorm` of probability vectors already checked."""
-    if np.any(pi <= 0):
+    probs = _as_probs(pi, None, "pi")
+    if isinstance(pi, StationaryDistribution):
+        log_pi = pi.log_probs
+    elif np.any(probs <= 0):
         raise InvalidInputError("pi must be strictly positive")
-    ratio = nu / pi
-    top = float(ratio.max())
+    else:
+        log_pi = np.log(probs)
+    return _density_pnorm(_as_probs(nu, probs.size, "nu"), probs, log_pi, p)
+
+
+def _density_pnorm(nu, pi, log_pi, p):
+    """:func:`density_pnorm` of a checked law `nu` against a checked law
+    given as `pi` and its logarithms `log_pi`."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = nu / pi
+        # log(nu / pi), from the quotient itself where it is a double
+        log_ratio = np.where(ratio < math.inf, np.log(ratio),
+                             np.log(nu) - log_pi)
+    top = float(log_ratio.max())
     if p == math.inf:
-        return top
+        return math.exp(top)
     p = float(p)
     if not p >= 1:  # NaN too
         raise InvalidInputError("p must be >= 1 (or inf)")
-    # scaled by the largest ratio, no power overflows at a large p
-    return top * float(pi @ (ratio / top) ** p) ** (1.0 / p)
+    # log of pi (nu / pi)^p, taken relative to the largest ratio and summed
+    # relative to its largest term, so that nothing overflows or underflows
+    terms = log_pi + p * (log_ratio - top)
+    high = float(terms.max())
+    log_sum = high + math.log(float(np.exp(terms - high).sum()))
+    return math.exp(top + log_sum / p)
 
 
 def nu_initial_bound(lam, t, eps, lower, upper, p, density_norm):
@@ -135,11 +146,13 @@ def nu_initial_bound(lam, t, eps, lower, upper, p, density_norm):
 class VerificationRow(Report):
     """One epsilon's worth of simulation-versus-bound comparison.
 
-    `verdict` is "PASS" when ``p_hat <= bound + (ci_upper - p_hat)``, i.e.
-    the empirical tail stays below the certified bound within one-sided
-    confidence slack.  `uninformative` marks rows where the exact CI slack
-    on the hit or the miss fraction reaches 0.5 (too few replications for
-    the verdict to carry evidence).
+    `verdict` is "PASS" when the exact one-sided lower confidence limit of
+    the tail, ``1 - clopper_pearson_upper(reps - count, reps)`` at
+    `DEFAULT_CI_LEVEL`, is at most the bound: the simulation does not show,
+    at that level, a tail above the certified bound.  `uninformative`
+    marks rows where the exact CI slack on the hit or the miss fraction
+    reaches 0.5 (too few replications for the verdict to carry
+    evidence).
     """
 
     eps: float
@@ -220,10 +233,11 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     reps : int
         Replications, shared by every epsilon.
     seed : int
-        Base seed in ``[0, 2**64)``; replication `r` uses the stream
-        derived from ``(seed, r)`` at every epsilon, so the reported tail
-        estimates are monotone in epsilon by construction (common random
-        numbers).
+        Base seed in ``[0, 2**64)``; each replication is walked once, on
+        the words of the streams under `seed` that
+        :func:`tail_probability_mc` names, and judged at every epsilon, so
+        the reported tail estimates are monotone in epsilon by
+        construction (common random numbers).
     init : array, optional
         Initial distribution; default is the stationary law.  When given,
         `p` is required and the verdict tests the non-stationary bound
@@ -278,8 +292,8 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     norm = None
     lez_norm = 1.0
     if init is not None:
-        norm = _density_pnorm(init, pi.probs, p)
-        lez_norm = _density_pnorm(init, pi.probs, 2)
+        norm = _density_pnorm(init, pi.probs, pi.log_probs, p)
+        lez_norm = _density_pnorm(init, pi.probs, pi.log_probs, 2)
     start = pi.probs if init is None else init
     estimates = _tail_estimates(Q, values, start, t, eps_list, reps, seed,
                                 pi_g)
@@ -294,10 +308,11 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
             bound_nu = nu_initial_bound(lam, t, eps, g.lower, g.upper, p,
                                         norm)
             effective = bound_nu
+        # the upper limit of the miss fraction gives the hits' lower limit
+        miss_upper = clopper_pearson_upper(reps - est.count, reps)
+        verdict = "PASS" if 1.0 - miss_upper <= effective else "FAIL"
         slack = est.ci_upper - est.p_hat
-        verdict = "PASS" if est.p_hat <= effective + slack else "FAIL"
-        miss_slack = (clopper_pearson_upper(reps - est.count, reps)
-                      - (1.0 - est.p_hat))
+        miss_slack = miss_upper - (1.0 - est.p_hat)
         rows.append(VerificationRow(
             eps=eps, t=t, reps=reps, p_hat=est.p_hat,
             ci_upper=est.ci_upper, bound_main=bound_main,

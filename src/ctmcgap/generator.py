@@ -11,6 +11,7 @@ here are treated as immutable after construction.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -664,7 +665,8 @@ def _power_iteration_solve(Q, target, budget=_ITERATION_BUDGET):
         def step(pis):
             return np.stack([Q.vecmat(p) for p in pis]) * scale
 
-        pis = np.stack([np.ones(Q.n), _counter_hash(Q.n, 0)])
+        pis = np.stack([np.ones(Q.n),
+                        _counter_hash(np.arange(Q.n, dtype=np.uint64), 0)])
         history = []
         for steps in range(0, budget + 1, _ITERATION_CHECK):
             pis /= pis.sum(axis=1, keepdims=True)
@@ -836,6 +838,18 @@ def _as_integer(x, what):
                                            and float(x).is_integer()):
         return int(x)
     raise InvalidInputError(f"{what} {x!r} is not an integer")
+
+
+def _bound_span(eps, lower, upper):
+    """The span ``upper - lower`` of a tail bound's range, with `eps`:
+    InvalidInputError unless `eps` is positive and finite and the span
+    positive."""
+    if not 0 < eps < math.inf:
+        raise InvalidInputError("eps must be positive and finite")
+    span = float(upper) - float(lower)
+    if not span > 0:
+        raise InvalidInputError("range must have positive width")
+    return span
 
 
 def _as_probs(p, n, what):

@@ -5,15 +5,17 @@ Trajectories are sampled from the jump chain: exponential holding times at
 the current state's exit rate, then a jump drawn proportionally to the
 off-diagonal rates.  The replications of a chunk are walked in lockstep,
 one jump of every live path per NumPy step.  The random numbers are laid
-out by jump, in counter-based streams that can be entered at any word:
-under `seed`, replication `r` takes its initial-state uniform from word `r`
-of the Philox stream keyed ``(seed, 0)``, and its `j`-th jump (from 0)
-reads words ``2r`` and ``2r + 1`` of the stream keyed ``(seed, j + 1)``.
-The first gives the holding time ``-log1p(-u) / rate``, the second picks
-the target; a word is one double of ``Generator.random``.  So each step
-draws one contiguous run of one stream for all its live paths, and results
-are reproducible bit for bit and do not depend on how replications are
-chunked.
+out by jump, in counter-based streams that can be entered at any word
+(Salmon et al. 2011, SC'11): stream `i` under `seed` is SplitMix64 under
+the key ``h(h((seed + 1) g) + (i + 1) g)`` (`_stream_key`), with ``h`` its
+finalizer and ``g`` its golden gamma, and its word `k` is the hash of
+counter `k`, as a double in (0, 1) from the top 53 bits.  Replication `r`
+takes its initial-state uniform from word `r` of stream 0, and its `j`-th
+jump (from 0) reads words ``2r`` and ``2r + 1`` of stream ``j + 1``.  The
+first gives the holding time ``-log1p(-u) / rate``, the second picks the
+target.  So each step hashes the two words of each live path and no
+others, and results are reproducible bit for bit and do not depend on how
+replications are chunked.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 
 import numpy as np
 
 from ._report import Report
+from ._symeig import _counter_hash, _splitmix64
 from .errors import (ExplosionGuardError, InvalidInputError,
                      NumericalFailureError)
 from .generator import (_as_integer, _as_probs, _as_values,
@@ -42,7 +44,7 @@ _CHUNK = 8192
 
 
 def _key_word(value, what):
-    """`value` as one 64-bit word of a Philox key."""
+    """`value` as one 64-bit word of a stream key."""
     try:
         word = operator.index(value)
     except TypeError:
@@ -53,44 +55,41 @@ def _key_word(value, what):
     return word
 
 
-class _Stream:
-    """One Philox, set in place to any stream and position.
+def _stream_key(seed, index):
+    """The SplitMix64 key of stream `index` under `seed`: word `index` of
+    the stream keyed by word `seed` under key 0."""
+    return _splitmix64(index, _splitmix64(seed, 0))
 
-    Re-keying costs a few microseconds; building a Philox costs several
-    times more, because it first builds a ``SeedSequence``.
-    """
 
-    def __init__(self):
-        self.bitgen = np.random.Philox(0)
-        self.rng = np.random.Generator(self.bitgen)
-        self._key = np.zeros(2, dtype=np.uint64)
-        self._counter = np.zeros(4, dtype=np.uint64)
-        self._state = {"bit_generator": "Philox",
-                       "state": {"counter": self._counter, "key": self._key},
-                       "buffer": np.zeros(4, dtype=np.uint64),
-                       "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+class _CounterStream:
+    """The words of the stream keyed `key`, read in order."""
 
-    def seek(self, seed, index, counter=0):
-        """The generator on stream `index` under `seed`, with nothing
-        buffered, at `counter`: its next word is word ``4 * counter`` (one
-        Philox block is 4 words)."""
-        self._key[0], self._key[1] = seed, index
-        self._counter[0] = counter
-        self.bitgen.state = self._state
-        return self.rng
+    def __init__(self, key):
+        self.key, self.position = key, 0
+
+    def random(self, size=None):
+        """The next words as doubles in (0, 1): one float, or an array of
+        shape `size` filled in C order."""
+        shape = () if size is None else size
+        end = self.position + int(np.prod(shape))
+        words = np.arange(self.position, end, dtype=np.uint64)
+        self.position = end
+        u = _counter_hash(words, self.key).reshape(shape)
+        return float(u) if size is None else u
 
 
 def substream(seed, index):
-    """Random stream `index` under `seed`: Philox keyed ``(seed, index)``
-    at counter 0.
+    """Random stream `index` under `seed`, from its word 0: an object
+    whose ``random(size=None)`` returns its next words as doubles in
+    (0, 1), as ``numpy.random.Generator.random`` does.
 
     :func:`tail_probability_mc` reads stream 0 for its replications'
     initial states, word `r` for replication `r`, and stream ``j + 1`` for
-    their `j`-th jumps, words ``2r`` and ``2r + 1``; a word is one double
-    of ``random``.  Both `seed` and `index` must lie in ``[0, 2**64)``.
+    their `j`-th jumps, words ``2r`` and ``2r + 1``.  Both `seed` and
+    `index` must lie in ``[0, 2**64)``.
     """
     seed, index = _key_word(seed, "seed"), _key_word(index, "index")
-    return _Stream().seek(seed, index)
+    return _CounterStream(_stream_key(seed, index))
 
 
 @dataclass
@@ -174,30 +173,25 @@ class _Chain:
 
 
 class _JumpDraws:
-    """The uniforms of a chunk of replications under `seed`, read from
+    """The uniforms of a chunk of replications under `seed`, hashed from
     the streams as the module docstring lays them out."""
 
     def __init__(self, seed):
-        self._stream, self._seed, self._lo = _Stream(), seed, 0
+        self._seed, self._lo = seed, 0
 
     def start(self, lo, hi):
         """Make paths ``0..hi-lo-1`` replications ``lo..hi-1``; returns their
         initial-state uniforms."""
         self._lo = lo
-        base = lo - lo % 4         # a Philox block holds 4 words
-        rng = self._stream.seek(self._seed, 0, base // 4)
-        return rng.random(hi - base)[lo - base:]
+        return _counter_hash(np.arange(lo, hi, dtype=np.uint64),
+                             _stream_key(self._seed, 0))
 
     def __call__(self, made, live):
-        """The uniforms of jump `made` of the paths in `live`, ascending: row
-        0 the holding-time words, row 1 the jump words, from one draw
-        through the replications from the first to the last."""
-        first = self._lo + int(live[0])
-        base = first - first % 2   # two replications to a Philox block
-        rng = self._stream.seek(self._seed, made + 1, base // 2)
-        words = rng.random((self._lo + int(live[-1]) + 1 - base, 2))
-        # take: indexing a 2-D array with an index array is 10x slower
-        return words.take(live + (self._lo - base), axis=0).T
+        """The uniforms of jump `made` of the paths in `live`: row 0 their
+        holding-time words, row 1 their jump words, and no others."""
+        words = (live + self._lo).astype(np.uint64) << np.uint64(1)
+        return _counter_hash(np.stack([words, words + np.uint64(1)]),
+                             _stream_key(self._seed, made + 1))
 
 
 def _lockstep(chain, x, horizon, values, draws, max_jumps, steps=None):
@@ -260,8 +254,10 @@ def sample_path(Q, x0, horizon, rng, g=None, max_jumps=DEFAULT_MAX_JUMPS):
         Initial state.
     horizon : float
         Nonnegative, finite time horizon; 0 yields a single-point path.
-    rng : numpy.random.Generator
-        Source of randomness (see :func:`substream`).
+    rng : object with ``random(shape)``
+        Source of randomness, whose ``random(shape)`` returns an array of
+        its next uniforms in [0, 1) (a :func:`substream`, or a
+        ``numpy.random.Generator``).
     g : ObservableFunction or array, optional
         When given, the path's time average of `g` is filled in
         (``g(x0)`` for a zero horizon).
@@ -359,7 +355,10 @@ def _tail_terms(k, n, p, lower):
     lo, hi = ((max(0, min(k, mode) - reach), k) if lower
               else (k + 1, min(n, max(k + 1, mode) + reach)))
     mean = n * p
-    mean_lo = float(Fraction(n) * Fraction(p) - Fraction(mean))
+    # n p - mean, correctly rounded as one quotient of integers
+    a, b = p.as_integer_ratio()
+    c, d = mean.as_integer_ratio()
+    mean_lo = (n * a * d - c * b) / (b * d)
     j = np.arange(max(lo, 1), min(hi, n - 1) + 1, dtype=float)
     d = (j - mean) - mean_lo                  # j - np to full precision
     e = (_stirlerr(j) + _stirlerr(n - j) - _stirlerr(np.array([float(n)]))
@@ -380,8 +379,10 @@ def _double(bits):
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-def _exact_lower_tail(k, n, p):
-    """``P(Bin(n, p) <= k)`` in rational arithmetic, for a double `p`."""
+def _exact_lower_excess(k, n, p, level):
+    """``P(Bin(n, p) <= k) - (1 - level)`` in rational arithmetic, for
+    doubles `p` and `level`."""
+    from fractions import Fraction  # the exact range alone needs it
     a, b = p.as_integer_ratio()
     c = b - a
     flip = 2 * k > n    # then sum the shorter tail, P(Bin(n, 1 - p) < n - k)
@@ -393,7 +394,7 @@ def _exact_lower_tail(k, n, p):
         total = total * c + coef * power
         coef, power = coef * (n - j) // (j + 1), power * a
     tail = Fraction(total * c ** (n - k), b ** n)
-    return 1 - tail if flip else tail
+    return (1 - tail if flip else tail) - (1 - Fraction(level))
 
 
 def _clopper_pearson_root(k, n, lower, target):
@@ -473,7 +474,6 @@ def clopper_pearson_upper(successes, trials, level=DEFAULT_CI_LEVEL):
         p = math.exp(math.log(level) / n)
     else:
         p = _clopper_pearson_root(k, n, lower, target)
-    alpha = 1 - Fraction(level)
 
     def above(x):
         # > 0 where the root lies above x: P(Bin(n, x) <= k) - (1 - level)
@@ -481,7 +481,7 @@ def clopper_pearson_upper(successes, trials, level=DEFAULT_CI_LEVEL):
         if not 0.0 < x < 1.0:
             return level if x <= 0.0 else level - 1.0
         if n <= _EXACT_TRIALS:
-            return _exact_lower_tail(k, n, x) - alpha
+            return _exact_lower_excess(k, n, x, level)
         excess = math.fsum([*_tail_terms(k, n, x, lower), -target])
         return excess if lower else -excess
 

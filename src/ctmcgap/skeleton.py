@@ -17,9 +17,9 @@ import numpy as np
 from ._report import Report
 from ._symeig import deflated_extremal
 from .errors import InvalidInputError, NumericalFailureError
-from .generator import (_as_integer, _as_law, _dense_cost_in_steps,
-                        _irreducible_band, _symmetric_part,
-                        stationary_distribution)
+from .generator import (_as_integer, _as_law, _bound_span,
+                        _dense_cost_in_steps, _irreducible_band,
+                        _symmetric_part, stationary_distribution)
 from .spectral import spectral_gap
 
 # exp(delta * q) overflows the uniformization weights past this point
@@ -263,11 +263,7 @@ def dtmc_hoeffding_bound(lambda_P, n_steps, eps, lower, upper):
     n_steps = _as_integer(n_steps, "n_steps")
     if n_steps < 1:
         raise InvalidInputError("n_steps must be >= 1")
-    if not eps > 0:
-        raise InvalidInputError("eps must be positive")
-    span = float(upper) - float(lower)
-    if not span > 0:
-        raise InvalidInputError("range must have positive width")
+    span = _bound_span(eps, lower, upper)
     if not lambda_P <= 1.0 + 1e-12:  # NaN too
         raise InvalidInputError("lambda_P cannot exceed 1")
     r = min(max(float(lambda_P), 0.0), 1.0)

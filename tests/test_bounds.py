@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ctmcgap import (InvalidInputError, ObservableFunction, bounds,
-                     ctmc_hoeffding_bound, density_pnorm, generator,
+                     clopper_pearson_upper, ctmc_hoeffding_bound,
+                     density_pnorm, dtmc_hoeffding_bound, generator,
                      lezaud_bound, nu_initial_bound, simulate,
                      stationary_distribution, tail_probability_mc, verify)
 from conftest import THREE_STATE_GAP, THREE_STATE_PI
@@ -93,6 +94,13 @@ def test_density_norm_of_a_large_order_neither_overflows_nor_warns():
     assert abs(norms[2] - 1.49918) < 1e-5
 
 
+def test_density_norm_against_a_subnormal_law_entry_is_finite():
+    # nu / pi overflowed and the norm came out NaN with a RuntimeWarning;
+    # it is 0.5 / sqrt(1e-320) but for a relative 1e-320
+    norm = density_pnorm([0.5, 0.5], [1e-320, 1 - 1e-320], 2)
+    assert abs(norm / (0.5 / math.sqrt(1e-320)) - 1.0) < 1e-12
+
+
 def test_density_norm_guards():
     with pytest.raises(InvalidInputError):
         density_pnorm(np.array([0.5, 0.5, 0.5]), THREE_STATE_PI, 2.0)
@@ -156,24 +164,24 @@ def test_verify_rows_sorted_by_eps(three_state):
     assert [r.eps for r in rep.rows] == [0.1, 0.2, 0.3]
 
 
-def test_verify_seeks_once_per_lockstep_step(three_state, monkeypatch):
+def test_verify_keys_one_stream_per_lockstep_step(three_state, monkeypatch):
     # the replications are walked once for the whole eps grid, and their
     # uniforms drawn one stream per lockstep step, not one per replication:
-    # a chunk seeks once for its initial states and once per step, at most
-    # its longest path's jump count plus 2 times
+    # a chunk keys a stream once for its initial states and once per step,
+    # at most its longest path's jump count plus 2 times
     grid = [0.05, 0.1, 0.15, 0.2]
     calls = []
-    seek, jump = simulate._Stream.seek, simulate._Chain.jump
+    stream_key, jump = simulate._stream_key, simulate._Chain.jump
 
-    def counted_seek(self, seed, index, counter=0):
+    def counted_key(seed, index):
         calls.append(index)
-        return seek(self, seed, index, counter)
+        return stream_key(seed, index)
 
     def counted_jump(self, x, u):
         calls.append("jump")
         return jump(self, x, u)
 
-    monkeypatch.setattr(simulate._Stream, "seek", counted_seek)
+    monkeypatch.setattr(simulate, "_stream_key", counted_key)
     monkeypatch.setattr(simulate._Chain, "jump", counted_jump)
     reps = 2000
     assert reps <= simulate._CHUNK
@@ -183,6 +191,27 @@ def test_verify_seeks_once_per_lockstep_step(three_state, monkeypatch):
     longest = calls.count("jump")
     assert streams == list(range(len(streams)))
     assert 0 < longest and len(streams) <= longest + 2 < reps // 20
+
+
+def test_verdict_compares_the_exact_lower_limit_with_the_bound(three_state,
+                                                               monkeypatch):
+    # 20 hits in 20 000 have the exact 99.9 % lower limit 4.48e-4, above a
+    # bound of 2e-4, so the row fails; p_hat <= bound + (ci_upper - p_hat)
+    # passed it
+    reps, count = 20_000, 20
+    estimate = simulate.TailEstimate(
+        p_hat=count / reps, reps=reps,
+        ci_upper=clopper_pearson_upper(count, reps), seed=0, epsilon=0.1,
+        t=5.0, count=count)
+    monkeypatch.setattr(bounds, "_tail_estimates",
+                        lambda *args: [estimate])
+    monkeypatch.setattr(bounds, "ctmc_hoeffding_bound", lambda *args: 2e-4)
+    row = verify(three_state, _unit_indicator(), t=5.0, eps_grid=[0.1],
+                 reps=reps, seed=0).rows[0]
+    assert abs(1.0 - clopper_pearson_upper(reps - count, reps)
+               - 4.48e-4) < 5e-6
+    assert row.p_hat <= 2e-4 + (row.ci_upper - row.p_hat)
+    assert row.verdict == "FAIL" and not row.uninformative
 
 
 @pytest.mark.parametrize("chunks", [1, 2])
@@ -313,6 +342,9 @@ def test_verify_nu_requires_p(three_state):
      "horizon t must be positive and finite"),
     (lambda Q: nu_initial_bound(1.0, 1e6, 1.0, 0, 1, 2, math.inf),
      "density norm must be finite"),
+    # returned 0.0 with no error
+    (lambda Q: dtmc_hoeffding_bound(0.5, 10, math.inf, 0, 1),
+     "eps must be positive and finite"),
     # sqrt(3) exp(-gap t eps^2 / 2), the density's 2-norm at p = 2
     (lambda Q: verify(Q, _unit_indicator(), t=5.0, eps_grid=[0.1], reps=10,
                       seed=0, init=[1.0, 0.0, 0.0], p=2.0)
@@ -320,7 +352,7 @@ def test_verify_nu_requires_p(three_state):
      math.sqrt(3.0) * math.exp(-THREE_STATE_GAP * 5.0 * 0.01 / 2.0)),
 ], ids=["eps-0", "pi-not-positive", "nu-negative", "pi-sums-to-10",
         "zero-span", "t-inf", "eps-inf", "lezaud-t-inf", "density-norm-inf",
-        "verify-bound-nu"])
+        "dtmc-eps-inf", "verify-bound-nu"])
 def test_bound_guards_and_the_reported_nu_bound(three_state, run, outcome):
     if isinstance(outcome, str):
         with pytest.raises(InvalidInputError, match=outcome):

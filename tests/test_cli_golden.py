@@ -55,13 +55,13 @@ GOLDEN = [
      '"lezaud_hypotheses": null, "pi_g": 0.5555555555555555, '
      '"rows": ['
      '{"bound_lezaud": null, "bound_main": 0.894696999083407, '
-     '"ci_upper": 0.4292473789271507, "eps": 0.05, "p_hat": 0.32, '
+     '"ci_upper": 0.40288479129457655, "eps": 0.05, "p_hat": 0.295, '
      '"reps": 200, "t": 20.0, "uninformative": false, "verdict": "PASS"}, '
      '{"bound_lezaud": null, "bound_main": 0.6407725852889278, '
      '"ci_upper": 0.2651442750963153, "eps": 0.1, "p_hat": 0.17, '
      '"reps": 200, "t": 20.0, "uninformative": false, "verdict": "PASS"}, '
      '{"bound_lezaud": null, "bound_main": 0.3673531989251025, '
-     '"ci_upper": 0.17543479526707959, "eps": 0.15, "p_hat": 0.095, '
+     '"ci_upper": 0.14339839446631397, "eps": 0.15, "p_hat": 0.07, '
      '"reps": 200, "t": 20.0, "uninformative": false, "verdict": "PASS"}, '
      '{"bound_lezaud": null, "bound_main": 0.16858374248483438, '
      '"ci_upper": 0.07994847442984673, "eps": 0.2, "p_hat": 0.025, '

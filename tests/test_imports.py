@@ -3,8 +3,10 @@ top-level name; every public name resolves, on first use, to its module's
 object and has its row in the README; no module imports SciPy, and the
 paths that build matrices run with SciPy blocked; the size and cost rules
 live in `generator` alone, so that the eigensolvers of `_symeig` import
-nothing of the package but its errors; only `verify` loads
-``numpy.random``; and the report writer `_report` imports only ``csv``,
+nothing of the package but its errors; no module names ``numpy.random``,
+the SplitMix64 constants live in `_symeig` alone, and no command loads
+``numpy.random``, nor ``fractions`` past the exact Clopper-Pearson range;
+and the report writer `_report` imports only ``csv``,
 ``io`` and ``json``, so that importing the CLI loads neither
 ``dataclasses``, ``numbers`` nor NumPy."""
 
@@ -251,6 +253,58 @@ def test_stray_size_constant_is_caught():
                                     ("generator.py", "DENSE_SOLVE_CUTOFF")]
 
 
+_SPLITMIX64_CONSTANTS = {0x9E3779B97F4A7C15: "golden gamma",
+                         0xBF58476D1CE4E5B9: "first multiplier",
+                         0x94D049BB133111EB: "second multiplier"}
+
+
+def _random_sources(sources):
+    """(module, what) for each use of ``numpy.random`` (named through
+    ``np`` or ``numpy``, or imported) and each SplitMix64 constant."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and node.attr == "random" \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("np", "numpy"):
+                found.add((module, "numpy.random"))
+            elif isinstance(node, ast.Import) and any(
+                    a.name.startswith("numpy.random") for a in node.names):
+                found.add((module, "numpy.random"))
+            elif isinstance(node, ast.ImportFrom) and (
+                    (node.module or "").startswith("numpy.random")
+                    or node.module == "numpy"
+                    and any(a.name == "random" for a in node.names)):
+                found.add((module, "numpy.random"))
+            elif isinstance(node, ast.Constant) \
+                    and type(node.value) is int \
+                    and node.value in _SPLITMIX64_CONSTANTS:
+                found.add((module, _SPLITMIX64_CONSTANTS[node.value]))
+    return sorted(found)
+
+
+def test_random_numbers_come_from_the_one_splitmix64():
+    package = pathlib.Path(ctmcgap.__file__).parent
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(package.glob("*.py"))}
+    assert _random_sources(sources) == [
+        ("_symeig.py", name) for name in sorted(
+            _SPLITMIX64_CONSTANTS.values())]
+
+
+def test_random_sources_are_caught():
+    sources = {"a.py": "import numpy as np\nx = np.random.Philox(0)\n",
+               "b.py": "from numpy.random import Generator\n",
+               "c.py": "import numpy.random\n",
+               "d.py": "from numpy import random\n",
+               "e.py": "def f():\n    return 0x9E3779B97F4A7C15 * 2\n",
+               "f.py": "import numpy as np\nx = np.uint64(0)\n"}
+    assert _random_sources(sources) == [
+        ("a.py", "numpy.random"), ("b.py", "numpy.random"),
+        ("c.py", "numpy.random"), ("d.py", "numpy.random"),
+        ("e.py", "golden gamma")]
+
+
 def _private_definitions(source):
     """Top-level private functions, classes and constants, by name."""
     names = {}
@@ -350,29 +404,45 @@ def test_a_public_name_loads_its_module_on_first_access():
     assert out.strip() == "(False, False, True, True)"
 
 
-def test_gap_and_skeleton_leave_numpy_random_unloaded(tmp_path):
-    # their start vectors are a NumPy counter hash, so of the commands only
-    # verify, which walks Philox streams, loads numpy.random.  The chain is
-    # past the cost rule's floor: Lanczos and the pi iteration both run
+def _loaded_after(argv, modules):
+    """Which of `modules` are in ``sys.modules`` after ``main(argv)``
+    returns 0 in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(ctmcgap.__file__))
+    code = ("import sys\nfrom ctmcgap.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            f"print([m for m in {modules!r} if m in sys.modules], "
+            "file=sys.stderr)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    return run.stderr.strip()
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    # start vectors and walks alike hash SplitMix64 counters in NumPy
+    # array arithmetic.  The chain is past the cost rule's floor: Lanczos
+    # and the pi iteration both run
     A = ring_with_chords(300, False, 1)
     pi = ctmcgap.stationary_distribution(ctmcgap.GeneratorMatrix(A))
     assert pi.solver == "iteration"
     assert ctmcgap.spectral_gap(ctmcgap.GeneratorMatrix(A),
                                 pi).method == "lanczos"
     model = write_model(tmp_path / "ring.json", A)
-    src = os.path.dirname(os.path.dirname(ctmcgap.__file__))
-    loaded = []
     for argv in (["gap", "--model", model],
                  ["skeleton", "--model", model],
+                 ["sweep", "--bd", "2", "1", "inf", "--sizes", "50,100"],
                  ["verify", "--example", "three-state", "--reps", "10"]):
-        code = ("import sys\nfrom ctmcgap.cli import main\n"
-                f"assert main({argv!r}) == 0\n"
-                "print('numpy.random' in sys.modules, file=sys.stderr)")
-        run = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, check=True,
-                             env=dict(os.environ, PYTHONPATH=src))
-        loaded.append(run.stderr.strip())
-    assert loaded == ["False", "False", "True"]
+        assert _loaded_after(argv, ["numpy.random"]) == "[]", argv
+
+
+def test_verify_past_the_exact_range_loads_no_fractions_or_decimal():
+    # up to 300 replications the Clopper-Pearson limits are settled in
+    # rational arithmetic, which loads fractions and with it decimal
+    argv = ["verify", "--bd", "2", "1", "30", "--t", "5", "--eps", "0.1",
+            "--reps", "400"]
+    assert _loaded_after(argv, ["fractions", "decimal"]) == "[]"
+    assert _loaded_after(argv[:-1] + ["300"], ["fractions", "decimal"]) \
+        == "['fractions', 'decimal']"
 
 
 def _all_imports(source):

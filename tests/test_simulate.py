@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.special import betaincinv
+from scipy.stats import chi2 as chi2_dist
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -584,10 +585,73 @@ def test_substream_key_range():
             substream(seed, index)
 
 
-def test_substream_is_philox_keyed_by_seed_and_index():
-    key = 5 + (9 << 64)  # words (5, 9)
-    expected = np.random.Generator(np.random.Philox(key=key)).random(6)
-    assert np.array_equal(substream(5, 9).random(6), expected)
+def _splitmix64(counter, key):
+    """SplitMix64 word `counter` under `key`, from the published algorithm
+    in Python ints: the finalizer of ``key + (counter + 1) * gamma``."""
+    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) % 2 ** 64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2 ** 64
+    return z ^ (z >> 31)
+
+
+def test_substream_is_splitmix64_keyed_by_seed_and_index():
+    # the key of stream 9 under seed 5 is h(h(6 gamma) + 10 gamma), and
+    # word k the top 53 bits of word k under that key, centred in its cell
+    key = _splitmix64(9, _splitmix64(5, 0))
+    expected = [((_splitmix64(k, key) >> 11) + 0.5) * 2.0 ** -53
+                for k in range(6)]
+    stream = substream(5, 9)
+    assert stream.random(2).tolist() == expected[:2]
+    assert stream.random() == expected[2]
+    assert stream.random((1, 3)).tolist() == [expected[3:]]
+
+
+def test_stream_keys_of_a_seed_and_index_grid_are_distinct():
+    keys = {simulate._stream_key(seed, index)
+            for seed in range(300) for index in range(300)}
+    assert len(keys) == 300 * 300
+
+
+def test_streams_pass_a_smoke_test():
+    # 2^20 words per stream: a chi-square over 256 equal bins inside its
+    # two-sided 1e-9 band, and four correlations each under 5 / sqrt(pairs):
+    # neighbouring words, a replication's holding and jump words (2r and
+    # 2r + 1), streams j and j + 1, and seeds s and s + 1
+    n = 2 ** 20
+    u = substream(7, 3).random(n)
+    assert np.all((u > 0.0) & (u < 1.0))
+    observed = np.bincount((u * 256).astype(np.intp), minlength=256)
+    chi2 = float(((observed - n / 256) ** 2).sum() / (n / 256))
+    assert chi2_dist.ppf(1e-9, 255) < chi2 < chi2_dist.isf(1e-9, 255)
+    pairs = [(u[:-1], u[1:]), (u[0::2], u[1::2]),
+             (u, substream(7, 4).random(n)), (u, substream(8, 3).random(n))]
+    for a, b in pairs:
+        assert abs(np.corrcoef(a, b)[0, 1]) < 5.0 / math.sqrt(a.size)
+
+
+def test_each_step_hashes_two_words_per_live_path(monkeypatch):
+    # on the sticky chain a few paths outlive the rest of their chunk by a
+    # thousand jumps; a step hashes their words alone, where a draw through
+    # every replication from the first live one to the last used 6.9 % of
+    # its words
+    hashed, live_paths = [], []
+    counter_hash, draw = simulate._counter_hash, simulate._JumpDraws.__call__
+
+    def counted_hash(counters, key):
+        hashed.append(counters.size)
+        return counter_hash(counters, key)
+
+    def counted_draw(self, made, live):
+        live_paths.append(live.size)
+        return draw(self, made, live)
+
+    monkeypatch.setattr(simulate, "_counter_hash", counted_hash)
+    monkeypatch.setattr(simulate._JumpDraws, "__call__", counted_draw)
+    reps = 2000
+    tail_probability_mc(_sticky(), [0.0, 0.0, 1.0], _STICKY_INIT, 10.0, 0.1,
+                        reps, seed=1, mean=0.9)
+    assert len(live_paths) > 1000 and min(live_paths) < 20
+    assert hashed == [reps] + [2 * live for live in live_paths]
 
 
 # --------------------------------------------------------- confidence interval
@@ -619,6 +683,42 @@ def test_clopper_pearson_guards():
         clopper_pearson_upper(5, 4)
     with pytest.raises(InvalidInputError):
         clopper_pearson_upper(0, 0)
+
+
+# limits beyond the exact range, at levels 0.999, 0.5 and 1e-6, as the
+# earlier rational evaluation of n p - fl(n p) gave them
+_PINNED_LIMITS = {
+    (1, 5000): (0.001845163009493604, 0.00033564662898079734,
+                2.830043941093644e-07),
+    (20, 5000): (0.007594652609352178, 0.004133248789224902,
+                 0.001172835187825193),
+    (137, 5000): (0.0352906282779152, 0.027531526162451418,
+                  0.017919629399631508),
+    (2500, 5000): (0.5219395873962842, 0.5000999933330668,
+                   0.46652752031241385),
+    (4980, 5000): (0.9982065551834562, 0.996066728135287,
+                   0.990263799864163),
+    (4999, 5000): (0.9999997998999534, 0.9998613801725043,
+                   0.9972407117415495),
+    (1, 20000): (0.00046157565763123694, 8.391592638957985e-05,
+                 7.074579923864554e-08),
+    (20, 20000): (0.001901236185186478, 0.0010333639377567837,
+                  0.00029289742394876213),
+    (137, 20000): (0.008849481243910143, 0.006883225763386413,
+                   0.004463707407184931),
+    (10000, 20000): (0.5109491721299824, 0.5000249995833291,
+                     0.48322404338952807),
+    (19980, 20000): (0.999551976843711, 0.9990166327931111,
+                     0.997560495984901),
+    (19999, 20000): (0.9999999499749845, 0.9999653432415313,
+                     0.9993094630025899),
+}
+
+
+def test_clopper_pearson_limits_beyond_the_exact_range_are_pinned():
+    for (k, n), limits in _PINNED_LIMITS.items():
+        assert tuple(clopper_pearson_upper(k, n, level)
+                     for level in (0.999, 0.5, 1e-6)) == limits
 
 
 @pytest.mark.parametrize("level", [math.nan, 1.5, 1.0, 0.0, -0.1, math.inf])

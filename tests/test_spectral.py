@@ -101,8 +101,9 @@ def test_start_vectors_are_splitmix64_without_warnings():
     words = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u = _symeig._counter_hash(3, 0)
-        assert _symeig._counter_hash(1, 2 ** 64 - 1).size == 1
+        u = _symeig._counter_hash(np.arange(3, dtype=np.uint64), 0)
+        assert _symeig._counter_hash(np.zeros(1, dtype=np.uint64),
+                                     2 ** 64 - 1).size == 1
     assert u.tolist() == [((w >> 11) + 0.5) * 2.0 ** -53 for w in words]
     assert np.all((u > 0) & (u < 1))
 
