@@ -25,7 +25,8 @@ from ._report import Report
 from .errors import InvalidInputError
 from .generator import (ObservableFunction, StationaryDistribution,
                         _as_probs, _bound_span, stationary_distribution)
-from .simulate import _tail_estimates, _walk_arguments, clopper_pearson_upper
+from .simulate import (_walk_arguments, clopper_pearson_upper,
+                       tail_probability_mc)
 from .spectral import spectral_gap
 
 
@@ -83,7 +84,8 @@ def lezaud_bound(lam, t, eps):
 
 
 def density_pnorm(nu, pi, p):
-    """``L^p(pi)`` norm of the density ``d nu / d pi``.
+    """``L^p(pi)`` norm of the density ``d nu / d pi``, or inf past the
+    double range.
 
     Parameters
     ----------
@@ -103,29 +105,27 @@ def density_pnorm(nu, pi, p):
         raise InvalidInputError("pi must be strictly positive")
     else:
         log_pi = np.log(probs)
-    return _density_pnorm(_as_probs(nu, probs.size, "nu"), probs, log_pi, p)
-
-
-def _density_pnorm(nu, pi, log_pi, p):
-    """:func:`density_pnorm` of a checked law `nu` against a checked law
-    given as `pi` and its logarithms `log_pi`."""
+    nu = _as_probs(nu, probs.size, "nu")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = nu / pi
+        ratio = nu / probs
         # log(nu / pi), from the quotient itself where it is a double
         log_ratio = np.where(ratio < math.inf, np.log(ratio),
                              np.log(nu) - log_pi)
-    top = float(log_ratio.max())
-    if p == math.inf:
-        return math.exp(top)
-    p = float(p)
-    if not p >= 1:  # NaN too
-        raise InvalidInputError("p must be >= 1 (or inf)")
-    # log of pi (nu / pi)^p, taken relative to the largest ratio and summed
-    # relative to its largest term, so that nothing overflows or underflows
-    terms = log_pi + p * (log_ratio - top)
-    high = float(terms.max())
-    log_sum = high + math.log(float(np.exp(terms - high).sum()))
-    return math.exp(top + log_sum / p)
+    log_norm = float(log_ratio.max())
+    if p != math.inf:
+        p = float(p)
+        if not p >= 1:  # NaN too
+            raise InvalidInputError("p must be >= 1 (or inf)")
+        # log of pi (nu / pi)^p, taken relative to the largest ratio and
+        # summed relative to its largest term, so that nothing overflows or
+        # underflows
+        terms = log_pi + p * (log_ratio - log_norm)
+        high = float(terms.max())
+        log_norm += (high + math.log(float(np.exp(terms - high).sum()))) / p
+    try:
+        return math.exp(log_norm)
+    except OverflowError:  # past the largest double
+        return math.inf
 
 
 def nu_initial_bound(lam, t, eps, lower, upper, p, density_norm):
@@ -263,7 +263,9 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
         an ObservableFunction of one entry per state, a bad `t`,
         `eps_grid`, `reps`, `seed` or `init` (the rules of
         `tail_probability_mc`), `init` without `p`, a `p` not > 1 or inf,
-        or a reducible `Q`.
+        or a reducible `Q`.  After the walk, on an `init` whose density
+        p-norm exceeds the double range (`density_pnorm` gives inf), by
+        the finite-norm rule of `nu_initial_bound`.
     NumericalFailureError
         When `pi` or the gap misses its tolerance, or (ExplosionGuardError)
         a path needs more than `simulate.DEFAULT_MAX_JUMPS` jumps.
@@ -271,8 +273,8 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     if not isinstance(g, ObservableFunction):
         raise InvalidInputError("g must be an ObservableFunction "
                                 "(values with a declared range)")
-    values, t, eps_list, reps, seed = _walk_arguments(Q, g, t, eps_grid,
-                                                      reps, seed)
+    _, t, eps_list, reps, seed = _walk_arguments(Q, g, t, eps_grid, reps,
+                                                 seed)
     eps_list.sort()
     if init is not None:
         if p is None:
@@ -292,11 +294,10 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     norm = None
     lez_norm = 1.0
     if init is not None:
-        norm = _density_pnorm(init, pi.probs, pi.log_probs, p)
-        lez_norm = _density_pnorm(init, pi.probs, pi.log_probs, 2)
-    start = pi.probs if init is None else init
-    estimates = _tail_estimates(Q, values, start, t, eps_list, reps, seed,
-                                pi_g)
+        norm = density_pnorm(init, pi, p)
+        lez_norm = density_pnorm(init, pi, 2)
+    estimates = tail_probability_mc(Q, g, pi if init is None else init, t,
+                                    eps_list, reps, seed, mean=pi_g)
     rows = []
     for eps, est in zip(eps_list, estimates):
         bound_main = ctmc_hoeffding_bound(lam, t, eps, g.lower, g.upper)

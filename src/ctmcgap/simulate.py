@@ -604,20 +604,11 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None):
         Q, g, horizon, eps, reps, seed)
     init = _as_probs(init, Q.n, "init")
     if mean is None:
-        pi = stationary_distribution(Q)
-        mean = float(pi.probs @ values)
-    estimates = _tail_estimates(Q, values, init, horizon, eps_list, reps,
-                                seed, float(mean))
-    return estimates[0] if np.ndim(eps) == 0 else estimates
-
-
-def _tail_estimates(Q, values, init, horizon, eps_list, reps, seed, mean):
-    """:func:`tail_probability_mc` on arguments already checked, as
-    `_walk_arguments` and `_as_probs` return them: one estimate per entry
-    of `eps_list`."""
+        mean = stationary_distribution(Q).probs @ values
     counts = _count_reaching(Q, values, init, horizon,
-                             mean + np.array(eps_list), seed, reps)
-    return [TailEstimate(p_hat=c / reps, reps=reps,
-                         ci_upper=clopper_pearson_upper(c, reps),
-                         seed=seed, epsilon=e, t=horizon, count=c)
-            for e, c in zip(eps_list, counts.tolist())]
+                             float(mean) + np.array(eps_list), seed, reps)
+    estimates = [TailEstimate(p_hat=c / reps, reps=reps,
+                              ci_upper=clopper_pearson_upper(c, reps),
+                              seed=seed, epsilon=e, t=horizon, count=c)
+                 for e, c in zip(eps_list, counts.tolist())]
+    return estimates[0] if np.ndim(eps) == 0 else estimates

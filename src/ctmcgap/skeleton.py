@@ -73,28 +73,28 @@ def transition_matrix_exp(Q, delta):
     uniformized kernel ``I + Q/q`` (`q` the largest exit rate), truncated
     once the accumulated Poisson mass reaches ``1 - 1e-14``.  All terms
     are nonnegative, so no cancellation occurs; rows are renormalized to
-    absorb the truncated tail.
+    absorb the truncated tail.  A sequence `delta` gives a list, one
+    matrix per entry in its order, summed from one shared sequence of
+    powers of the kernel: each is bit for bit its own delta's matrix.
 
     Raises
     ------
     InvalidInputError
-        When `delta` is not finite and positive, or `Q.to_dense` refuses `Q`
-        (the result is dense), before any n x n array exists.
+        When `delta` is empty or an entry is not finite and positive, or
+        `Q.to_dense` refuses `Q` (the result is dense), before any n x n
+        array exists.
     NumericalFailureError
         When ``delta * q`` is too large for the Poisson weights (> 700);
         split the interval instead.
     """
-    return _transition_matrices(Q, [delta])[0]
-
-
-def _transition_matrices(Q, deltas):
-    """``transition_matrix_exp(Q, d)`` for every `d` in `deltas`, each sum
-    taken from one shared sequence of powers of the kernel."""
+    deltas = [float(d) for d in np.atleast_1d(delta)]
+    if not deltas:
+        raise InvalidInputError("need at least one delta")
     if not all(0 < d < math.inf for d in deltas):
         raise InvalidInputError("delta must be finite and positive")
     kernel = Q.to_dense()  # the first n x n array, refused above the cap
     n, q = Q.n, Q.max_rate()
-    xs = [float(d) * q for d in deltas]
+    xs = [d * q for d in deltas]
     if max(xs) > _MAX_UNIFORMIZATION_EXPONENT:
         raise NumericalFailureError(
             f"delta * max_rate = {max(xs):.3e} too large for uniformization; "
@@ -108,7 +108,8 @@ def _transition_matrices(Q, deltas):
         for out, w in zip(outs, weights):
             if m < len(w):
                 out += w[m] * power
-    return [StochasticMatrix(out) for out in outs]
+    kernels = [StochasticMatrix(out) for out in outs]
+    return kernels[0] if np.ndim(delta) == 0 else kernels
 
 
 def _poisson_weights(x):
@@ -236,12 +237,10 @@ def skeleton_gap_check(Q, pi=None, deltas=(0.1, 0.05, 0.01)):
         uniformization; after it, when `pi` or a gap misses its tolerance.
     """
     deltas = [float(d) for d in deltas]
-    if not deltas:
-        raise InvalidInputError("need at least one delta")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise InvalidInputError("deltas must be strictly decreasing")
     _irreducible_band(Q)  # refuses a reducible Q
-    kernels = _transition_matrices(Q, deltas)  # every refusal before pi
+    kernels = transition_matrix_exp(Q, deltas)  # every refusal before pi
     pi = stationary_distribution(Q) if pi is None else _as_law(pi, Q.n)
     gap_ref = spectral_gap(Q, pi).gap
     rows = []

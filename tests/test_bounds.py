@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from ctmcgap import (InvalidInputError, ObservableFunction, bounds,
-                     clopper_pearson_upper, ctmc_hoeffding_bound,
-                     density_pnorm, dtmc_hoeffding_bound, generator,
-                     lezaud_bound, nu_initial_bound, simulate,
-                     stationary_distribution, tail_probability_mc, verify)
+                     build_birth_death, clopper_pearson_upper,
+                     ctmc_hoeffding_bound, density_pnorm,
+                     dtmc_hoeffding_bound, generator, lezaud_bound,
+                     nu_initial_bound, simulate, stationary_distribution,
+                     tail_probability_mc, verify)
 from conftest import THREE_STATE_GAP, THREE_STATE_PI
 
 
@@ -99,6 +100,37 @@ def test_density_norm_against_a_subnormal_law_entry_is_finite():
     # it is 0.5 / sqrt(1e-320) but for a relative 1e-320
     norm = density_pnorm([0.5, 0.5], [1e-320, 1 - 1e-320], 2)
     assert abs(norm / (0.5 / math.sqrt(1e-320)) - 1.0) < 1e-12
+
+
+def _steep_law():
+    # the law of a 1 071-state chain drifting down: pi falls by a factor of 2
+    # a state, and its last 49 entries are subnormal
+    Q = build_birth_death([2.0] * 1070, [1.0] * 1070)
+    return Q, stationary_distribution(Q)
+
+
+@pytest.mark.parametrize("p", [100.0, math.inf])
+def test_density_norm_past_the_double_range_is_inf(p):
+    # exp of the log norm raised a bare OverflowError
+    Q, pi = _steep_law()
+    nu = np.zeros(Q.n)
+    nu[-1] = 1.0
+    assert density_pnorm(nu, pi, p) == math.inf
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_density_norm_reads_a_law_through_its_log_probs(p):
+    # a uniform start on the steep law, against the log-space sum of
+    # pi (nu / pi)^p in exact summation
+    Q, pi = _steep_law()
+    assert np.count_nonzero(pi.probs < np.finfo(float).tiny) == 49
+    log_nu = -math.log(Q.n)
+    terms = [lp + p * (log_nu - lp) for lp in pi.log_probs.tolist()]
+    high = max(terms)
+    reference = math.exp(
+        (high + math.log(math.fsum(math.exp(x - high) for x in terms))) / p)
+    norm = density_pnorm(np.full(Q.n, 1.0 / Q.n), pi, p)
+    assert abs(norm / reference - 1.0) < 1e-12
 
 
 def test_density_norm_guards():
@@ -203,8 +235,8 @@ def test_verdict_compares_the_exact_lower_limit_with_the_bound(three_state,
         p_hat=count / reps, reps=reps,
         ci_upper=clopper_pearson_upper(count, reps), seed=0, epsilon=0.1,
         t=5.0, count=count)
-    monkeypatch.setattr(bounds, "_tail_estimates",
-                        lambda *args: [estimate])
+    monkeypatch.setattr(bounds, "tail_probability_mc",
+                        lambda *args, mean: [estimate])
     monkeypatch.setattr(bounds, "ctmc_hoeffding_bound", lambda *args: 2e-4)
     row = verify(three_state, _unit_indicator(), t=5.0, eps_grid=[0.1],
                  reps=reps, seed=0).rows[0]
@@ -410,23 +442,38 @@ def test_verify_refuses_a_bad_start_before_any_work(three_state, monkeypatch,
                reps=20000, seed=1, init=init, p=p)
 
 
-def test_verify_checks_each_argument_once(three_state, monkeypatch):
-    # the walk's arguments and a given start are checked on entry, and the
-    # density norms and the walk take them as checked, not again each
-    checked = []
-    for name, original in (("_as_probs", generator._as_probs),
-                           ("_walk_arguments", simulate._walk_arguments)):
-        def counted(*args, _name=name, _original=original):
-            checked.append(_name if _name == "_walk_arguments" else args[2])
-            return _original(*args)
+def test_verify_reaches_the_walk_and_the_norms_through_their_entries(
+        three_state, monkeypatch):
+    # one walk of every epsilon, in increasing order, about pi(g); and the
+    # density norms at the order p of the nu bound and at 2 for Lezaud's
+    walks, orders = [], []
 
-        for module in (bounds, simulate):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    rep = verify(three_state, _unit_indicator(), t=5.0, eps_grid=[0.1, 0.2],
-                 reps=50, seed=3, init=[1.0, 0.0, 0.0], p=2.0)
-    assert sorted(checked) == ["_walk_arguments", "init"]
+    def walk(*args, **kwargs):
+        walks.append((args, kwargs))
+        return tail_probability_mc(*args, **kwargs)
+
+    def norm(nu, pi, p):
+        orders.append(p)
+        return density_pnorm(nu, pi, p)
+
+    monkeypatch.setattr(bounds, "tail_probability_mc", walk)
+    monkeypatch.setattr(bounds, "density_pnorm", norm)
+    rep = verify(three_state, _unit_indicator(), t=5.0, eps_grid=[0.2, 0.1],
+                 reps=50, seed=3, init=[1.0, 0.0, 0.0], p=3.0)
+    [(args, kwargs)] = walks
+    assert args[4] == [0.1, 0.2] and kwargs == {"mean": rep.pi_g}
+    assert orders == [3.0, 2]
     assert rep.rows[0].bound_nu is not None
+
+
+def test_verify_refuses_a_start_whose_density_norm_is_inf():
+    Q, _ = _steep_law()
+    g = ObservableFunction(np.linspace(0.0, 1.0, Q.n), 0.0, 1.0)
+    nu = np.zeros(Q.n)
+    nu[-1] = 1.0
+    with pytest.raises(InvalidInputError, match="density norm"):
+        verify(Q, g, t=1.0, eps_grid=[0.1], reps=10, seed=0, init=nu,
+               p=math.inf)
 
 
 def test_verify_csv_schema(three_state):

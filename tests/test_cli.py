@@ -322,6 +322,34 @@ def test_unwritable_output_exits_4(capsys):
     assert "output" in err
 
 
+def test_closed_stdout_exits_4_with_one_error_line():
+    # the reader is gone before the report is written: one line on stderr,
+    # and the flush at interpreter exit must not add a traceback
+    src = os.path.dirname(os.path.dirname(climod.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "ctmcgap.cli", "gap", "--example",
+             "three-state"], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert out.returncode == 4
+    [line] = out.stderr.splitlines()
+    assert line.startswith("output error:")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gap", "--bd", "x", "1", "10"], "bad birth-death rates"),
+    (["gap", "--bd", "2", "1", "ten"], "bad birth-death size"),
+], ids=["rate", "size"])
+def test_unparsable_birth_death_spec_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_gap_plotdata_spectrum(tmp_path, capsys):
     plot = tmp_path / "plot.csv"
     code, _, _ = run(capsys, ["gap", "--example", "three-state",

@@ -6,11 +6,13 @@ live in `generator` alone, so that the eigensolvers of `_symeig` import
 nothing of the package but its errors; no module names ``numpy.random``,
 the SplitMix64 constants live in `_symeig` alone, and no command loads
 ``numpy.random``, nor ``fractions`` past the exact Clopper-Pearson range;
-and the report writer `_report` imports only ``csv``,
-``io`` and ``json``, so that importing the CLI loads neither
+the benchmark's tracer sees the walk under `verify` and the skeleton
+kernels under `skeleton`; and the report writer `_report` imports only
+``csv``, ``io`` and ``json``, so that importing the CLI loads neither
 ``dataclasses``, ``numbers`` nor NumPy."""
 
 import ast
+import json
 import os
 import pathlib
 import re
@@ -478,6 +480,27 @@ def test_cli_import_loads_no_dataclasses_numbers_or_numpy():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, layer, parent", [
+    (["verify", "--bd", "2", "1", "10", "--reps", "50", "--seed", "1"],
+     "simulate.tail_mc", "bounds.verify"),
+    (["skeleton", "--example", "three-state"], "skeleton.expm",
+     "skeleton.check"),
+], ids=["verify", "skeleton"])
+def test_the_tracer_sees_each_layer_under_its_caller(tmp_path, argv, layer,
+                                                     parent):
+    # the benchmark's tracer wraps the public function of each layer; a
+    # command that reached the layer another way would hide it
+    bench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    spans_path = tmp_path / "spans.json"
+    src = os.path.dirname(os.path.dirname(ctmcgap.__file__))
+    subprocess.run([sys.executable, str(bench / "tracer.py"),
+                    str(spans_path), *argv], capture_output=True, check=True,
+                   timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    spans = json.loads(spans_path.read_text())
+    [span] = [s for s in spans if s[0] == layer]
+    assert spans[span[3]][0] == parent
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

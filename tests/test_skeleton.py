@@ -67,6 +67,19 @@ def test_exp_input_guards(three_state):
         transition_matrix_exp(three_state, 1e4)
 
 
+@pytest.mark.parametrize("delta", [[], 0.0, math.inf, math.nan,
+                                   [0.1, math.nan]],
+                         ids=["empty", "zero", "inf", "nan", "nan-in-list"])
+def test_bad_deltas_are_refused_before_any_dense_array(three_state,
+                                                      monkeypatch, delta):
+    def no_dense():
+        raise AssertionError("an n x n array was made")
+
+    monkeypatch.setattr(three_state, "to_dense", no_dense)
+    with pytest.raises(InvalidInputError, match="delta"):
+        transition_matrix_exp(three_state, delta)
+
+
 def test_stochastic_matrix_clamps_tiny_negatives():
     P = StochasticMatrix(np.array([[1.0 + 1e-15, -1e-15], [0.5, 0.5]]))
     assert P.matrix.min() >= 0.0
@@ -132,13 +145,17 @@ def test_dtmc_gap_matches_eigh_oracle(three_state):
 
 
 def test_one_power_sequence_gives_each_delta_bit_for_bit():
-    # the sums of all deltas share one sequence of kernel powers, taken to
-    # the largest delta's term count, and each equals its own one-delta sum
+    # a sequence of deltas gives a list: the sums of all deltas share one
+    # sequence of kernel powers, taken to the largest delta's term count,
+    # and each equals the one matrix of its delta alone
     Q = GeneratorMatrix(ring_with_chords(60, False, 3))
-    deltas = [0.3, 0.1, 0.05, 0.01]
-    shared = skeleton._transition_matrices(Q, deltas)
+    deltas = (0.3, 0.1, 0.05, 0.01)
+    shared = transition_matrix_exp(Q, deltas)
+    assert isinstance(shared, list) and len(shared) == len(deltas)
     for d, P in zip(deltas, shared):
-        assert np.array_equal(P.matrix, transition_matrix_exp(Q, d).matrix)
+        alone = transition_matrix_exp(Q, d)
+        assert isinstance(alone, StochasticMatrix)
+        assert np.array_equal(P.matrix, alone.matrix)
 
 
 def _kernels_from_the_identity(Q, deltas):
@@ -165,7 +182,7 @@ def _kernels_from_the_identity(Q, deltas):
 def test_power_sequence_starts_at_the_kernel_bit_for_bit(A):
     Q = GeneratorMatrix(A)
     deltas = [0.3, 0.1, 0.05, 0.01]
-    kernels = skeleton._transition_matrices(Q, deltas)
+    kernels = transition_matrix_exp(Q, deltas)
     for P, reference in zip(kernels, _kernels_from_the_identity(Q, deltas)):
         assert np.array_equal(P.matrix, reference.matrix)
 
@@ -310,6 +327,19 @@ def test_skeleton_deltas_validated(three_state):
         skeleton_gap_check(three_state, deltas=())
     with pytest.raises(InvalidInputError):
         skeleton_gap_check(three_state, deltas=(0.1, -0.05))
+
+
+def test_skeleton_check_makes_every_kernel_in_one_call(three_state,
+                                                      monkeypatch):
+    calls = []
+
+    def counted(Q, delta):
+        calls.append(delta)
+        return transition_matrix_exp(Q, delta)
+
+    monkeypatch.setattr(skeleton, "transition_matrix_exp", counted)
+    table = skeleton_gap_check(three_state, deltas=(0.1, 0.05, 0.01))
+    assert calls == [[0.1, 0.05, 0.01]] and len(table.rows) == 3
 
 
 # ------------------------------------------------------------- discrete bound

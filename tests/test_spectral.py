@@ -18,8 +18,7 @@ from ctmcgap import (GeneratorMatrix, InvalidInputError,
                      spectral_gap, stationary_distribution, symmetrized_form,
                      verify)
 from ctmcgap.cli import main
-from ctmcgap.skeleton import (_transition_matrices, skeleton_gap_check,
-                              transition_matrix_exp)
+from ctmcgap.skeleton import skeleton_gap_check, transition_matrix_exp
 from ctmcgap.truncation import CountableModel, gap_convergence_sweep
 from conftest import (THREE_STATE_GAP, THREE_STATE_PI, random_birth_death,
                       ring_with_chords, scipy_csr)
@@ -202,8 +201,8 @@ def test_auto_routes_match_the_dense_spectrum(n, seed):
     dense = spectral_gap(Q, pi, method="dense").gap
     assert abs(gap - dense) <= 1e-12 * dense
     table = skeleton_gap_check(Q, pi)
-    for row, P in zip(table.rows, _transition_matrices(Q, [0.1, 0.05,
-                                                           0.01])):
+    for row, P in zip(table.rows, transition_matrix_exp(Q, [0.1, 0.05,
+                                                            0.01])):
         T = generator._symmetric_part(P.matrix, pi.log_probs)
         ref, _ = _symeig.deflated_extremal(T, np.sqrt(pi.probs), True,
                                            budget=0)
