@@ -24,7 +24,8 @@ import numpy as np
 from ._report import Report
 from .errors import InvalidInputError
 from .generator import (ObservableFunction, StationaryDistribution,
-                        _as_probs, _bound_span, stationary_distribution)
+                        _as_positive, _as_probs, _bound_span,
+                        stationary_distribution)
 from .simulate import (_walk_arguments, clopper_pearson_upper,
                        tail_probability_mc)
 from .spectral import spectral_gap
@@ -34,8 +35,7 @@ def _check_bound_args(lam, t, eps, lower, upper):
     """The span ``upper - lower`` of a bound's arguments, each checked."""
     if not lam >= 0:
         raise InvalidInputError("spectral gap must be nonnegative")
-    if not 0 < t < math.inf:
-        raise InvalidInputError("horizon t must be positive and finite")
+    _as_positive(t, "horizon t")
     return _bound_span(eps, lower, upper)
 
 
@@ -263,9 +263,10 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
         an ObservableFunction of one entry per state, a bad `t`,
         `eps_grid`, `reps`, `seed` or `init` (the rules of
         `tail_probability_mc`), `init` without `p`, a `p` not > 1 or inf,
-        or a reducible `Q`.  After the walk, on an `init` whose density
-        p-norm exceeds the double range (`density_pnorm` gives inf), by
-        the finite-norm rule of `nu_initial_bound`.
+        or a reducible `Q`.  After `pi` and the gap, and before any path
+        is walked, on an `init` whose density p-norm exceeds the double
+        range (`density_pnorm` gives inf), by the finite-norm rule of
+        `nu_initial_bound`: every bound is computed before the walk.
     NumericalFailureError
         When `pi` or the gap misses its tolerance, or (ExplosionGuardError)
         a path needs more than `simulate.DEFAULT_MAX_JUMPS` jumps.
@@ -273,14 +274,13 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     if not isinstance(g, ObservableFunction):
         raise InvalidInputError("g must be an ObservableFunction "
                                 "(values with a declared range)")
-    _, t, eps_list, reps, seed = _walk_arguments(Q, g, t, eps_grid, reps,
-                                                 seed)
+    _, init, t, eps_list, reps, seed = _walk_arguments(
+        Q, g, init, t, eps_grid, reps, seed)
     eps_list.sort()
     if init is not None:
         if p is None:
             raise InvalidInputError(
                 "a non-stationary start needs p for the density-norm bound")
-        init = _as_probs(init, Q.n, "init")
         _conjugate(p)
     pi = stationary_distribution(Q)
     gap_report = spectral_gap(Q, pi)
@@ -296,19 +296,19 @@ def verify(Q, g, t, eps_grid, reps, seed, init=None, p=None,
     if init is not None:
         norm = density_pnorm(init, pi, p)
         lez_norm = density_pnorm(init, pi, 2)
+    # every bound before the walk, which none of them reads
+    bounds = [(ctmc_hoeffding_bound(lam, t, eps, g.lower, g.upper),
+               lez_norm * lezaud_bound(lam, t, eps).classical
+               if hypotheses == "hold" else None,
+               None if norm is None else
+               nu_initial_bound(lam, t, eps, g.lower, g.upper, p, norm))
+              for eps in eps_list]
     estimates = tail_probability_mc(Q, g, pi if init is None else init, t,
                                     eps_list, reps, seed, mean=pi_g)
     rows = []
-    for eps, est in zip(eps_list, estimates):
-        bound_main = ctmc_hoeffding_bound(lam, t, eps, g.lower, g.upper)
-        bound_lez = lez_norm * lezaud_bound(lam, t, eps).classical \
-            if hypotheses == "hold" else None
-        bound_nu = None
-        effective = bound_main
-        if norm is not None:
-            bound_nu = nu_initial_bound(lam, t, eps, g.lower, g.upper, p,
-                                        norm)
-            effective = bound_nu
+    for eps, est, (bound_main, bound_lez, bound_nu) in zip(
+            eps_list, estimates, bounds):
+        effective = bound_main if bound_nu is None else bound_nu
         # the upper limit of the miss fraction gives the hits' lower limit
         miss_upper = clopper_pearson_upper(reps - est.count, reps)
         verdict = "PASS" if 1.0 - miss_upper <= effective else "FAIL"

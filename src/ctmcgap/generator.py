@@ -221,8 +221,7 @@ class GeneratorMatrix(_CSR):
         sum.  Indices must be integers in ``[0, n)`` and rates finite; a
         repeated ``(i, j)`` pair is rejected.
         """
-        if n < 1:
-            raise InvalidInputError("n must be >= 1")
+        n = _as_integer(n, "n", 1)
         return _assemble(n, _checked_triplets(n, rates), labels)
 
     @property
@@ -377,10 +376,12 @@ class StationaryDistribution:
 
     A law from :func:`stationary_distribution` records how it was solved:
     `solver` is "product_form", "iteration" or "elimination", `iterations`
-    the steps of the iteration (0 for the others), and `residual` the
+    the steps of the iteration (0 for the others), `residual` the
     componentwise residual ``max_j |(pi Q)_j| / (pi_j q_j)`` (0 for the
-    product form, a closed form).  A law built from given probabilities
-    has `solver` None.
+    product form, a closed form), and `spread` the largest relative
+    difference between the iteration's two starts (0 for the others).  A
+    law built from given probabilities has `solver`, `residual` and
+    `spread` None.
 
     Raises
     ------
@@ -392,6 +393,7 @@ class StationaryDistribution:
     solver = None
     iterations = 0
     residual = None
+    spread = None
 
     def __init__(self, probs):
         p = np.asarray(probs, dtype=float)
@@ -755,8 +757,8 @@ def stationary_distribution(Q):
        1e-9 apart, and refused otherwise.
 
     The result is accepted when ``max|pi Q|`` is at most 1e-10 times the
-    largest exit rate (floored at 1); its `solver`, `iterations` and
-    `residual` say how it was found.
+    largest exit rate (floored at 1); its `solver`, `iterations`,
+    `residual` and `spread` say how it was found.
 
     Parameters
     ----------
@@ -783,7 +785,7 @@ def stationary_distribution(Q):
     if band is not None:
         log_mu = _birth_death_log_mu(*band)
         pi = StationaryDistribution._from_log(log_mu - _log_sum_exp(log_mu))
-        pi.solver, pi.residual = "product_form", 0.0
+        pi.solver, pi.residual, pi.spread = "product_form", 0.0, 0.0
     else:
         p = None
         # each step multiplies Q by both starting laws
@@ -809,12 +811,13 @@ def stationary_distribution(Q):
             with np.errstate(divide="ignore", invalid="ignore"):
                 resid = float(np.max(np.abs(Q.vecmat(p))
                                      / (p * Q.exit_rates())))
-            solver, steps = "elimination", 0
+            solver, steps, spread = "elimination", 0, 0.0
         if not np.all(p > 0):
             raise NumericalFailureError(
                 "stationary solve produced non-positive or NaN entries")
         pi = StationaryDistribution(p)
-        pi.solver, pi.iterations, pi.residual = solver, steps, resid
+        pi.solver, pi.iterations, pi.residual, pi.spread = (
+            solver, steps, resid, spread)
     return _stationary_law(Q, pi)
 
 
@@ -831,21 +834,36 @@ def _as_values(f, n, what):
     return v
 
 
-def _as_integer(x, what):
-    """`x`, an integral number (``10`` or ``10.0``), as an int; any other
-    value, NaN and inf included, raises InvalidInputError naming `what`."""
-    if isinstance(x, numbers.Integral) or (isinstance(x, numbers.Real)
-                                           and float(x).is_integer()):
-        return int(x)
-    raise InvalidInputError(f"{what} {x!r} is not an integer")
+def _as_integer(x, what, lo=None, hi=None):
+    """`x`, an integral number (``10`` or ``10.0``), as an int in ``[lo,
+    hi)``, unbounded at an end given as None (`hi` needs `lo`); any other
+    value, a bool, NaN and inf included, raises InvalidInputError naming
+    `what`."""
+    if isinstance(x, bool) or not (
+            isinstance(x, numbers.Integral)
+            or isinstance(x, numbers.Real) and float(x).is_integer()):
+        raise InvalidInputError(f"{what} {x!r} is not an integer")
+    value = int(x)
+    if hi is not None and not lo <= value < hi:
+        raise InvalidInputError(f"{what} {value} is outside [{lo}, {hi})")
+    if lo is not None and value < lo:
+        raise InvalidInputError(f"{what} must be >= {lo}")
+    return value
+
+
+def _as_positive(x, what):
+    """`x`, a real number, as a float that is positive and finite; any
+    other value, NaN included, raises InvalidInputError naming `what`."""
+    if isinstance(x, numbers.Real) and 0 < x < math.inf:
+        return float(x)
+    raise InvalidInputError(f"{what} must be positive and finite")
 
 
 def _bound_span(eps, lower, upper):
     """The span ``upper - lower`` of a tail bound's range, with `eps`:
     InvalidInputError unless `eps` is positive and finite and the span
     positive."""
-    if not 0 < eps < math.inf:
-        raise InvalidInputError("eps must be positive and finite")
+    _as_positive(eps, "eps")
     span = float(upper) - float(lower)
     if not span > 0:
         raise InvalidInputError("range must have positive width")
@@ -997,12 +1015,7 @@ def parse_model(obj, source="<model>"):
     """
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{source}: top level must be an object")
-    n = obj.get("n")
-    if (isinstance(n, bool) or not isinstance(n, (int, float))
-            or isinstance(n, float) and not n.is_integer() or n < 1):
-        raise InvalidInputError(
-            f"{source}: field 'n' must be a positive integer")
-    n = int(n)
+    n = _as_integer(obj.get("n"), f"{source}: field 'n'", 1)
     raw = obj.get("rates")
     if not isinstance(raw, list):
         raise InvalidInputError(f"{source}: field 'rates' must be a list")

@@ -21,7 +21,6 @@ replications are chunked.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from dataclasses import dataclass
 from itertools import count
@@ -32,7 +31,7 @@ from ._report import Report
 from ._symeig import _counter_hash, _splitmix64
 from .errors import (ExplosionGuardError, InvalidInputError,
                      NumericalFailureError)
-from .generator import (_as_integer, _as_probs, _as_values,
+from .generator import (_as_integer, _as_positive, _as_probs, _as_values,
                         stationary_distribution)
 
 DEFAULT_MAX_JUMPS = 10_000_000
@@ -41,18 +40,6 @@ DEFAULT_CI_LEVEL = 0.999
 # replications walked in lockstep; a chunk's per-path state and one step's
 # draws and temporaries take about 0.25 KB per path, 2 MB in all
 _CHUNK = 8192
-
-
-def _key_word(value, what):
-    """`value` as one 64-bit word of a stream key."""
-    try:
-        word = operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{what} {value!r} is not an integer") \
-            from None
-    if not 0 <= word < 2 ** 64:
-        raise InvalidInputError(f"{what} {word} is outside [0, 2**64)")
-    return word
 
 
 def _stream_key(seed, index):
@@ -85,11 +72,16 @@ def substream(seed, index):
 
     :func:`tail_probability_mc` reads stream 0 for its replications'
     initial states, word `r` for replication `r`, and stream ``j + 1`` for
-    their `j`-th jumps, words ``2r`` and ``2r + 1``.  Both `seed` and
-    `index` must lie in ``[0, 2**64)``.
+    their `j`-th jumps, words ``2r`` and ``2r + 1``.
+
+    Raises
+    ------
+    InvalidInputError
+        Unless `seed` and `index` are integral numbers in ``[0, 2**64)``;
+        an integral float such as ``3.0`` is taken as its int.
     """
-    seed, index = _key_word(seed, "seed"), _key_word(index, "index")
-    return _CounterStream(_stream_key(seed, index))
+    return _CounterStream(_stream_key(_as_integer(seed, "seed", 0, 2 ** 64),
+                                      _as_integer(index, "index", 0, 2 ** 64)))
 
 
 @dataclass
@@ -273,9 +265,7 @@ def sample_path(Q, x0, horizon, rng, g=None, max_jumps=DEFAULT_MAX_JUMPS):
     InvalidInputError
         If a state has a positive exit rate but no positive jump rate.
     """
-    x0 = _as_integer(x0, "x0")
-    if not 0 <= x0 < Q.n:
-        raise InvalidInputError(f"initial state {x0} out of range")
+    x0 = _as_integer(x0, "initial state", 0, Q.n)
     horizon = float(horizon)
     if not 0 <= horizon < math.inf:
         raise InvalidInputError("horizon must be nonnegative and finite")
@@ -454,10 +444,8 @@ def clopper_pearson_upper(successes, trials, level=DEFAULT_CI_LEVEL):
     0.01 to 0.999999, and more where the tail's log is large, up to about
     ``|log tail| / (k + 1)`` ulps for the upper tail of a tiny `level`.
     """
-    k = _as_integer(successes, "successes")
-    n = _as_integer(trials, "trials")
-    if not 0 <= k <= n or n < 1:
-        raise InvalidInputError(f"invalid counts {k}/{n}")
+    n = _as_integer(trials, "trials", 1)
+    k = _as_integer(successes, "successes", 0, n + 1)
     if not 0.0 < level < 1.0:
         raise InvalidInputError(
             f"confidence level {level!r} must lie strictly between 0 and 1")
@@ -542,22 +530,22 @@ def _count_reaching(Q, values, init, horizon, thresholds, seed, reps):
     return counts
 
 
-def _walk_arguments(Q, g, horizon, eps, reps, seed):
-    """``(values, horizon, eps_list, reps, seed)`` of a walk of `Q`, each
-    checked (InvalidInputError) without solving anything."""
+def _walk_arguments(Q, g, init, horizon, eps, reps, seed, mean=None):
+    """``(values, init, horizon, eps_list, reps, seed)`` of a walk of `Q`,
+    each checked (InvalidInputError) without solving anything, and a given
+    `mean` checked finite; `init` may be None, for a start not yet solved."""
     values = _as_values(g, Q.n, "g")
-    horizon = float(horizon)
-    if not 0 < horizon < math.inf:
-        raise InvalidInputError("horizon t must be positive and finite")
-    eps_list = [float(e) for e in np.atleast_1d(eps)]
+    horizon = _as_positive(horizon, "horizon t")
+    eps_list = [_as_positive(e, "eps") for e in np.atleast_1d(eps)]
     if not eps_list:
         raise InvalidInputError("eps grid is empty")
-    if not all(0 < e < math.inf for e in eps_list):
-        raise InvalidInputError("eps must be positive and finite")
-    reps = _as_integer(reps, "reps")
-    if reps < 1:
-        raise InvalidInputError("reps must be >= 1")
-    return values, horizon, eps_list, reps, _key_word(seed, "seed")
+    reps = _as_integer(reps, "reps", 1)
+    seed = _as_integer(seed, "seed", 0, 2 ** 64)
+    if init is not None:
+        init = _as_probs(init, Q.n, "init")
+    if not (mean is None or math.isfinite(mean)):
+        raise InvalidInputError("mean must be finite")
+    return values, init, horizon, eps_list, reps, seed
 
 
 def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None):
@@ -583,8 +571,8 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None):
         ``2r + 1`` of ``substream(seed, j + 1)`` for its `j`-th jump, so
         estimates are reproducible and do not depend on chunking.
     mean : float, optional
-        Stationary mean of `g`; computed from the stationary law of `Q`
-        when omitted.
+        Stationary mean of `g`, finite; computed from the stationary law
+        of `Q` when omitted.
 
     Returns
     -------
@@ -597,12 +585,14 @@ def tail_probability_mc(Q, g, init, horizon, eps, reps, seed, mean=None):
     ExplosionGuardError
         If a path needs more than `DEFAULT_MAX_JUMPS` jumps.
     InvalidInputError
-        If a state has a positive exit rate but no positive jump rate, or
-        the seed lies outside ``[0, 2**64)``.
+        Before any path is walked or `pi` solved: on a bad `g`, `init`,
+        `horizon`, `eps`, `reps` or `seed`, the seed outside ``[0,
+        2**64)``, or a given `mean` that is NaN or infinite.  While the
+        jump tables are built: when a state has a positive exit rate but
+        no positive jump rate.
     """
-    values, horizon, eps_list, reps, seed = _walk_arguments(
-        Q, g, horizon, eps, reps, seed)
-    init = _as_probs(init, Q.n, "init")
+    values, init, horizon, eps_list, reps, seed = _walk_arguments(
+        Q, g, init, horizon, eps, reps, seed, mean)
     if mean is None:
         mean = stationary_distribution(Q).probs @ values
     counts = _count_reaching(Q, values, init, horizon,

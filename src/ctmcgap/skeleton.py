@@ -17,7 +17,7 @@ import numpy as np
 from ._report import Report
 from ._symeig import deflated_extremal
 from .errors import InvalidInputError, NumericalFailureError
-from .generator import (_as_integer, _as_law, _bound_span,
+from .generator import (_as_integer, _as_law, _as_positive, _bound_span,
                         _dense_cost_in_steps, _irreducible_band,
                         _symmetric_part, stationary_distribution)
 from .spectral import spectral_gap
@@ -80,18 +80,16 @@ def transition_matrix_exp(Q, delta):
     Raises
     ------
     InvalidInputError
-        When `delta` is empty or an entry is not finite and positive, or
+        When `delta` is empty or an entry is not positive and finite, or
         `Q.to_dense` refuses `Q` (the result is dense), before any n x n
         array exists.
     NumericalFailureError
         When ``delta * q`` is too large for the Poisson weights (> 700);
         split the interval instead.
     """
-    deltas = [float(d) for d in np.atleast_1d(delta)]
+    deltas = [_as_positive(d, "delta") for d in np.atleast_1d(delta)]
     if not deltas:
         raise InvalidInputError("need at least one delta")
-    if not all(0 < d < math.inf for d in deltas):
-        raise InvalidInputError("delta must be finite and positive")
     kernel = Q.to_dense()  # the first n x n array, refused above the cap
     n, q = Q.n, Q.max_rate()
     xs = [d * q for d in deltas]
@@ -259,9 +257,7 @@ def dtmc_hoeffding_bound(lambda_P, n_steps, eps, lower, upper):
     ``r = max(lambda_P, 0)``; at ``lambda_P <= 0`` this is the classical
     independent-sampling bound, and at ``lambda_P = 1`` it degenerates to 1.
     """
-    n_steps = _as_integer(n_steps, "n_steps")
-    if n_steps < 1:
-        raise InvalidInputError("n_steps must be >= 1")
+    n_steps = _as_integer(n_steps, "n_steps", 1)
     span = _bound_span(eps, lower, upper)
     if not lambda_P <= 1.0 + 1e-12:  # NaN too
         raise InvalidInputError("lambda_P cannot exceed 1")

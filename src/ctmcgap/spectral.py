@@ -21,8 +21,8 @@ import numpy as np
 from ._report import Report
 from ._symeig import BirthDeathForm, deflated_extremal
 from .errors import InvalidInputError
-from .generator import (_CSR, _as_integer, _as_probs, _as_values,
-                        _birth_death_log_mu, _birth_death_rates,
+from .generator import (_CSR, _as_integer, _as_positive, _as_probs,
+                        _as_values, _birth_death_log_mu, _birth_death_rates,
                         _check_dense_cap, _dense_cost_in_steps,
                         _irreducible_band, _stationary_law, _symmetric_part,
                         _tridiagonal_csr, stationary_distribution)
@@ -231,9 +231,7 @@ def bd_closed_form_gap(alpha, beta, n_levels):
             raise InvalidInputError(
                 "infinite chain needs alpha > beta for a positive gap")
         return (math.sqrt(alpha) - math.sqrt(beta)) ** 2
-    N = _as_integer(n_levels, "n_levels")
-    if N < 1:
-        raise InvalidInputError("n_levels must be >= 1 or infinity")
+    N = _as_integer(n_levels, "n_levels", 1)
     # alpha + beta - 2 sqrt(alpha beta) cos(pi / (N + 1)), as two terms
     # that do not cancel
     return ((math.sqrt(alpha) - math.sqrt(beta)) ** 2
@@ -317,26 +315,29 @@ def drift_certificate_check(Q, V, beta, excluded_state):
     V : array
         Test function with ``V >= 1`` everywhere.
     beta : float
-        Positive candidate rate.
+        Candidate rate, positive and finite.
     excluded_state : int
         The one state `j` where the inequality is not required.
 
     Returns
     -------
     CertificateReport
+
+    Raises
+    ------
+    InvalidInputError
+        Unless `V` has one finite entry of at least 1 per state, `beta` is
+        positive and finite, and `excluded_state` is a state of `Q`.
     """
     V = _as_values(V, Q.n, "V")
     if np.any(V < 1.0):
         raise InvalidInputError("certificate requires V >= 1 everywhere")
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
-    j = _as_integer(excluded_state, "excluded_state")
-    if not 0 <= j < Q.n:
-        raise InvalidInputError(f"excluded state {j} out of range")
+    beta = _as_positive(beta, "beta")
+    j = _as_integer(excluded_state, "excluded state", 0, Q.n)
     excess = Q @ V + beta * V
     broken = excess > _DRIFT_SLACK
     broken[j] = False
     states = np.flatnonzero(broken)
     violations = list(zip(states.tolist(), excess[states].tolist()))
-    return CertificateReport(certified=not violations, beta=float(beta),
+    return CertificateReport(certified=not violations, beta=beta,
                              excluded_state=j, violations=violations)

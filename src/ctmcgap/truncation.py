@@ -246,9 +246,7 @@ def collapse(model, retained):
         if model.in_reach is None:
             raise InvalidInputError(
                 "infinite model needs an in_reach callback to collapse")
-        n = _as_integer(retained, "retained")
-        if n < 1:
-            raise InvalidInputError("prefix size must be >= 1")
+        n = _as_integer(retained, "prefix size", 1)
         log_tail = model.log_tail_weight(n)
         if not math.isfinite(log_tail):
             raise InvalidInputError(f"log tail weight {log_tail!r} must be "
@@ -320,11 +318,9 @@ def _prefix_sizes(sizes):
     """`sizes` as ints, refused (InvalidInputError) unless there is at
     least one, each an integral number at least 1, in strictly increasing
     order."""
-    sizes = [_as_integer(s, "size") for s in sizes]
+    sizes = [_as_integer(s, "size", 1) for s in sizes]
     if not sizes:
         raise InvalidInputError("need at least one size")
-    if any(s < 1 for s in sizes):
-        raise InvalidInputError("sizes must be >= 1")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InvalidInputError("sizes must be strictly increasing")
     return sizes

@@ -466,7 +466,13 @@ def test_verify_reaches_the_walk_and_the_norms_through_their_entries(
     assert rep.rows[0].bound_nu is not None
 
 
-def test_verify_refuses_a_start_whose_density_norm_is_inf():
+def test_verify_refuses_a_start_whose_density_norm_is_inf(monkeypatch):
+    # every bound is computed before the walk, which none of them reads:
+    # the refusal came after 20 000 paths
+    def walk(*args):
+        raise AssertionError("walked before the bounds were checked")
+
+    monkeypatch.setattr(simulate, "_count_reaching", walk)
     Q, _ = _steep_law()
     g = ObservableFunction(np.linspace(0.0, 1.0, Q.n), 0.0, 1.0)
     nu = np.zeros(Q.n)
@@ -474,6 +480,37 @@ def test_verify_refuses_a_start_whose_density_norm_is_inf():
     with pytest.raises(InvalidInputError, match="density norm"):
         verify(Q, g, t=1.0, eps_grid=[0.1], reps=10, seed=0, init=nu,
                p=math.inf)
+
+
+def test_a_gap_three_times_too_large_fails_the_default_verify(three_state,
+                                                              monkeypatch):
+    # the command's default run: the last state's indicator, t = 20, four
+    # eps, 20 000 replications and seed 12345.  Three times the gap cubes
+    # each bound, which then falls below the exact lower limit of the tail
+    # at eps 0.15 (p_hat about 0.065, bound 0.050) and 0.2 (0.019, 0.0048)
+    def run():
+        return verify(three_state, _unit_indicator(), t=20.0,
+                      eps_grid=[0.05, 0.1, 0.15, 0.2], reps=20000,
+                      seed=12345)
+
+    honest = run()
+    assert [r.verdict for r in honest.rows] == ["PASS"] * 4
+    gap = bounds.spectral_gap
+
+    def inflated(Q, pi):
+        report = gap(Q, pi)
+        report.gap *= 3.0
+        return report
+
+    monkeypatch.setattr(bounds, "spectral_gap", inflated)
+    shrunk = run()
+    assert not shrunk.all_pass
+    assert [r.verdict for r in shrunk.rows] == ["PASS", "PASS", "FAIL",
+                                                "FAIL"]
+    for fair, low in zip(honest.rows, shrunk.rows):
+        assert low.p_hat == fair.p_hat
+        assert abs(low.bound_main - fair.bound_main ** 3) \
+            <= 1e-12 * fair.bound_main ** 3
 
 
 def test_verify_csv_schema(three_state):

@@ -561,8 +561,20 @@ def test_stationary_birth_death_closed_form_above_power_cutoff():
 def test_stationary_birth_death_needs_no_elimination():
     for N in (5, 2500):
         pi = stationary_distribution(build_birth_death([1.1] * N, [1.0] * N))
-        assert (pi.solver, pi.iterations, pi.residual) == ("product_form",
-                                                           0, 0.0)
+        assert (pi.solver, pi.iterations, pi.residual, pi.spread) == (
+            "product_form", 0, 0.0, 0.0)
+
+
+def test_a_law_records_the_spread_of_its_two_starts(three_state):
+    # the iteration's two starts agree to ten times its tolerance, or the
+    # law comes from elimination, which has one
+    iterated = stationary_distribution(
+        GeneratorMatrix(ring_with_chords(300, False, 1)))
+    assert iterated.solver == "iteration"
+    assert 0.0 < iterated.spread <= 10 * generator._ITERATION_RTOL
+    eliminated = stationary_distribution(three_state)
+    assert (eliminated.solver, eliminated.spread) == ("elimination", 0.0)
+    assert StationaryDistribution(THREE_STATE_PI).spread is None
 
 
 def test_stationary_birth_death_log_probs_below_double_range():

@@ -7,7 +7,8 @@ nothing of the package but its errors; no module names ``numpy.random``,
 the SplitMix64 constants live in `_symeig` alone, and no command loads
 ``numpy.random``, nor ``fractions`` past the exact Clopper-Pearson range;
 the benchmark's tracer sees the walk under `verify` and the skeleton
-kernels under `skeleton`; and the report writer `_report` imports only
+kernels under `skeleton`; integers and positive finite scalars each
+have one rule, in `generator`; and the report writer `_report` imports only
 ``csv``, ``io`` and ``json``, so that importing the CLI loads neither
 ``dataclasses``, ``numbers`` nor NumPy."""
 
@@ -168,6 +169,71 @@ def test_law_records_and_routes_are_caught():
     assert _law_records_and_routes(source) == [
         ("", "_check_stationary"), ("C.f", "_checked_law"),
         ("C.f", "_checked_law"), ("g", "method=")]
+
+
+def _index_calls(source):
+    """``(line, home)``, `home` as `_nodes_with_home` gives it, of each use
+    of ``operator.index``, named through its module or imported."""
+    found = []
+    for node, home in _nodes_with_home(source):
+        if isinstance(node, ast.Attribute) and node.attr == "index" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "operator":
+            found.append((node.lineno, home))
+        elif isinstance(node, ast.ImportFrom) and node.module == "operator" \
+                and any(alias.name == "index" for alias in node.names):
+            found.append((node.lineno, home))
+    return sorted(found)
+
+
+def test_integers_have_one_rule_in_generator():
+    # seeds, stream indices, counts and states go through
+    # generator._as_integer; operator.index is a second rule, which
+    # refused a seed of 3.0 that a count of 10.0 passed
+    found = {p.stem: _index_calls(p.read_text(encoding="utf-8"))
+             for p in MODULES if p.stem != "generator"}
+    assert not any(found.values()), found
+
+
+def test_index_calls_are_caught():
+    source = ("import operator\ndef f(x):\n"
+              "    return operator.index(x)\n"
+              "class A:\n    def g(self):\n"
+              "        from operator import index, add\n"
+              "x = [1, 2].index(2)\n")
+    assert _index_calls(source) == [(3, "f"), (6, "A.g")]
+
+
+def _positive_finite_tests(source):
+    """``(line, home)``, `home` as `_nodes_with_home` gives it, of each
+    chained test ``0 < x < inf``, with ``inf`` named as an attribute
+    (``math.inf``, ``np.inf``)."""
+    found = []
+    for node, home in _nodes_with_home(source):
+        if isinstance(node, ast.Compare) and len(node.ops) == 2 \
+                and all(isinstance(op, ast.Lt) for op in node.ops) \
+                and isinstance(node.left, ast.Constant) \
+                and node.left.value == 0 \
+                and getattr(node.comparators[1], "attr", None) == "inf":
+            found.append((node.lineno, home))
+    return sorted(found)
+
+
+def test_positive_finite_scalars_have_one_rule():
+    # t, eps, delta and beta go through generator._as_positive
+    found = [(p.stem, home) for p in MODULES
+             for _, home in _positive_finite_tests(
+                 p.read_text(encoding="utf-8"))]
+    assert found == [("generator", "_as_positive")]
+
+
+def test_positive_finite_tests_are_caught():
+    source = ("import math\nimport numpy as np\n"
+              "def f(t, eps):\n"
+              "    if not 0 < t < math.inf:\n        raise ValueError\n"
+              "    return all(0.0 < e < np.inf for e in eps)\n"
+              "ok = 0 <= 1 < math.inf or 1 < 2 < math.inf or 0 < 1 < 2\n")
+    assert _positive_finite_tests(source) == [(4, "f"), (6, "f")]
 
 
 def test_only_the_cli_imports_gc():

@@ -577,12 +577,35 @@ def test_tail_input_guards(three_state):
                                 seed=seed)
 
 
+@pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+def test_a_mean_that_is_not_finite_is_refused_before_the_walk(
+        three_state, monkeypatch, mean):
+    # nan and inf gave p_hat 0.0, and -inf 1.0, with no error
+    def walk(*args):
+        raise AssertionError("walked before the mean was checked")
+
+    monkeypatch.setattr(simulate, "_count_reaching", walk)
+    with pytest.raises(InvalidInputError, match="mean must be finite"):
+        tail_probability_mc(three_state, [0.0, 0.0, 1.0], THREE_STATE_PI,
+                            5.0, 0.1, 100, seed=1, mean=mean)
+
+
 def test_substream_key_range():
     last = 2 ** 64 - 1
     assert substream(last, last).random() == substream(last, last).random()
-    for seed, index in ((-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)):
+    for seed, index in ((-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64),
+                        (1.5, 0), (0, 1.5), (True, 0), ("3", 0)):
         with pytest.raises(InvalidInputError):
             substream(seed, index)
+
+
+def test_substream_takes_an_integral_seed_in_any_numeric_type():
+    # one integer rule for seeds, stream indices and replication counts
+    words = substream(3, 0).random(8)
+    for seed in (3.0, np.int64(3), np.uint64(3), np.float64(3.0)):
+        assert substream(seed, 0).random(8).tobytes() == words.tobytes()
+    assert substream(3, 2.0).random(8).tobytes() \
+        == substream(3, 2).random(8).tobytes()
 
 
 def _splitmix64(counter, key):

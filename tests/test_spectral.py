@@ -933,8 +933,12 @@ def test_drift_certificate_requires_v_at_least_one(two_state):
         drift_certificate_check(two_state, [0.5, 4.0], 0.5, 0)
     # and its other guards; a NaN in V used to certify beta = 5, above the
     # gap of 3
+    # beta = inf was taken, and reported a violation of inf
     for V, beta, j, msg in (([1.0, math.nan], 5.0, 0, "V must be finite"),
                             ([1.0, 4.0], 0.0, 0, "beta must be positive"),
+                            ([1.0, 4.0], math.inf, 0,
+                             "beta must be positive and finite"),
+                            ([1.0, 4.0], math.nan, 0, "beta"),
                             ([1.0, 4.0], 0.5, 2, "excluded state 2")):
         with pytest.raises(InvalidInputError, match=msg):
             drift_certificate_check(two_state, V, beta, j)
